@@ -1,11 +1,11 @@
 """Per-station joint power and sub-channel allocation.
 
-The relaxed allocation program is solved by dual decomposition: for a given
-budget multiplier, each sub-channel gets a water-filling power level per
-candidate user and is awarded to the candidate with the largest marginal
-value score; the multiplier itself is driven to budget feasibility by a
-diminishing-step subgradient loop. An exhaustive enumerator over the same
-problem serves as an independent verification oracle.
+Each sub-channel goes to the user with the lowest noise floor
+(I + sigma^2) / g and the budget is water-filled over the winners' floors.
+This is the exact optimum the paper's dual decomposition (water-filling per
+candidate, marginal-value winner per sub-channel, subgradient multiplier
+update) converges to, reached without iterating. An exhaustive enumerator
+over the same problem serves as an independent verification oracle.
 """
 
 from __future__ import annotations
@@ -18,16 +18,21 @@ import numpy as np
 __all__ = [
     "AllocationProblem",
     "AllocationResult",
-    "SubgradientSchedule",
-    "assign_subchannels",
     "brute_force_oracle",
-    "psi_metric",
     "solve",
     "sum_rate",
     "waterfill_power",
 ]
 
 LN2 = math.log(2.0)
+
+# Budget-match tolerance behind AllocationResult.converged, relative to p_max.
+_BUDGET_TOL_REL = 1e-6
+
+# Whole-array reductions without the Python wrapper of ndarray.min/max;
+# AllocationProblem checks every instance on the training path.
+_amin = np.minimum.reduce
+_amax = np.maximum.reduce
 
 # Enumeration guard for the oracle: assignments x power-grid combinations.
 _ORACLE_MAX_EVALS = 2.0e7
@@ -56,13 +61,14 @@ class AllocationProblem:
             raise ValueError("gains must be a (K, N) matrix with K, N >= 1")
         if i.shape != g.shape:
             raise ValueError("interference must match the gains shape")
-        if not np.all(np.isfinite(g)) or np.any(g <= 0):
+        # comparisons with NaN are false, so NaN fails each test below
+        if not (_amin(g, axis=None) > 0.0 and _amax(g, axis=None) < math.inf):
             raise ValueError("gains must be finite and positive")
-        if not np.all(np.isfinite(i)) or np.any(i < 0):
+        if not (_amin(i, axis=None) >= 0.0 and _amax(i, axis=None) < math.inf):
             raise ValueError("interference must be finite and non-negative")
-        if self.noise_power <= 0:
+        if not self.noise_power > 0:
             raise ValueError("noise_power must be positive")
-        if self.p_max <= 0:
+        if not self.p_max > 0:
             raise ValueError("p_max must be positive")
 
     @property
@@ -75,33 +81,13 @@ class AllocationProblem:
 
 
 @dataclass(frozen=True)
-class SubgradientSchedule:
-    """Diminishing step rule alpha(l) = alpha0 / l for the dual update.
-
-    The 1/l decay satisfies the divergent-sum, vanishing-step conditions.
-    alpha0 = None scales the first step to the initial multiplier per watt
-    of budget violation.
-    """
-
-    alpha0: float | None = None
-    max_iterations: int = 500
-    budget_tol_rel: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.alpha0 is not None and self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.budget_tol_rel <= 0:
-            raise ValueError("budget_tol_rel must be positive")
-
-
-@dataclass(frozen=True)
 class AllocationResult:
     """Solver output: per-sub-channel winners and powers plus diagnostics.
 
     budget_slack is p_max minus allocated power (>= -tolerance);
-    comp_slackness is |lambda * budget_slack|, small when the budget binds.
+    comp_slackness is |lambda * budget_slack|, small when the budget binds;
+    converged means |budget_slack| <= 1e-6 p_max. iterations is 1 for
+    solve and the number of assignments enumerated for the oracle.
     """
 
     assignment: np.ndarray
@@ -112,7 +98,6 @@ class AllocationResult:
     converged: bool
     budget_slack: float
     comp_slackness: float
-    lambda_trace: tuple | None = None
 
 
 def waterfill_power(lam: float, gain: float, interference: float,
@@ -121,36 +106,6 @@ def waterfill_power(lam: float, gain: float, interference: float,
     if lam <= 0:
         raise ValueError("dual multiplier must be positive")
     return max(1.0 / (LN2 * lam) - (interference + noise_power) / gain, 0.0)
-
-
-def psi_metric(power: float, gain: float, interference: float,
-               noise_power: float) -> float:
-    """Marginal-value score of serving a link at the given power.
-
-    log2(1 + snr) - snr / ((1 + snr) ln2), non-negative for power >= 0.
-    """
-    snr = power * gain / (interference + noise_power)
-    return math.log2(1.0 + snr) - (snr / (1.0 + snr)) / LN2
-
-
-def assign_subchannels(lam: float, problem: AllocationProblem,
-                       _floors: np.ndarray | None = None):
-    """Winner (user index) and water-filled power per sub-channel at multiplier lam.
-
-    Each sub-channel goes to the candidate whose score is largest, ties to
-    the lowest user index. A sub-channel whose winning power is zero stays
-    assigned with zero power and carries no rate.
-    """
-    if lam <= 0:
-        raise ValueError("dual multiplier must be positive")
-    floors = _floors if _floors is not None else \
-        (problem.interference + problem.noise_power) / problem.gains
-    powers = np.maximum(1.0 / (LN2 * lam) - floors, 0.0)
-    snr = powers / floors
-    psi = np.log2(1.0 + snr) - (snr / (1.0 + snr)) / LN2
-    winners = psi.argmax(axis=0)
-    cols = np.arange(problem.n_subchannels)
-    return winners, powers[winners, cols]
 
 
 def sum_rate(assignment, powers, problem: AllocationProblem) -> float:
@@ -163,82 +118,43 @@ def sum_rate(assignment, powers, problem: AllocationProblem) -> float:
     return float(np.log2(1.0 + powers * g / noise).sum())
 
 
-def solve(problem: AllocationProblem, schedule: SubgradientSchedule | None = None,
-          lambda_init: float | None = None, keep_trace: bool = False) -> AllocationResult:
-    """Dual subgradient solve of the allocation instance.
+def solve(problem: AllocationProblem) -> AllocationResult:
+    """Optimal allocation of the instance, in closed form.
 
-    Iterates the multiplier update lam <- [lam - alpha(l) (p_max - sum P)]^+
-    with a fresh sub-channel assignment inside every iteration, stopping as
-    soon as the allocated power matches the budget within tolerance. The
-    best feasible iterate seen is returned; if the loop exhausts its
-    iterations first, that iterate comes back flagged as not converged
-    rather than raising.
-
-    lambda_init warm-starts the multiplier (e.g. from the previous time
-    step). The default start is the multiplier of the sorted water-filling
-    level over each sub-channel's best candidate floor, which normally puts
-    the very first iterate inside tolerance; pathological starts are still
-    handled by the loop.
+    At any budget multiplier every candidate's water-filled power is
+    [L - f]^+ for one shared water level L and its own noise floor
+    f = (I + sigma^2) / g, so the candidate with the smallest floor has the
+    largest SNR and marginal value on its sub-channel whatever the
+    multiplier is. Each sub-channel therefore goes to its min-floor user
+    (ties to the lowest index, zero-power sub-channels included), and the
+    budget fixes L by sorted water-filling over the winners' floors. The
+    dual subgradient method the paper describes reaches this point on its
+    first iteration; there is no duality gap (Yu & Lui, IEEE Trans.
+    Commun. 2006).
     """
-    sched = schedule if schedule is not None else SubgradientSchedule()
-    floors = (problem.interference + problem.noise_power) / problem.gains
+    noise = problem.interference + problem.noise_power
+    floors = noise / problem.gains
+    winners = floors.argmin(axis=0)
+    cols = np.arange(floors.shape[1])
+    best = floors[winners, cols]
     p_max = problem.p_max
-    tol = sched.budget_tol_rel * p_max
-    feas_cap = p_max * (1.0 + sched.budget_tol_rel)
-
-    if lambda_init is not None:
-        if lambda_init <= 0:
-            raise ValueError("lambda_init must be positive")
-        lam = float(lambda_init)
-    else:
-        lam = 1.0 / (LN2 * _waterfill_level(floors.min(axis=0), p_max))
-    alpha0 = sched.alpha0 if sched.alpha0 is not None else lam / p_max
-    lam_min = lam * 1e-12  # keep the multiplier strictly positive
-
-    best = None
-    trace = [] if keep_trace else None
-    iterations = 0
-    for it in range(1, sched.max_iterations + 1):
-        iterations = it
-        winners, powers = assign_subchannels(lam, problem, _floors=floors)
-        total = float(powers.sum())
-        slack = p_max - total
-        if trace is not None:
-            trace.append((lam, total))
-        if total <= feas_cap:
-            rate = sum_rate(winners, powers, problem)
-            if best is None or rate > best[0]:
-                best = (rate, lam, winners, powers, slack)
-        if abs(slack) <= tol:
-            break
-        lam = max(lam - (alpha0 / it) * slack, lam_min)
-
-    converged = best is not None and abs(best[4]) <= tol
-    if best is None:
-        # A large enough multiplier always empties the allocation, so this
-        # walk terminates; it only runs when every iterate overshot the budget.
-        for _ in range(4000):
-            lam *= 2.0
-            winners, powers = assign_subchannels(lam, problem, _floors=floors)
-            total = float(powers.sum())
-            if total <= feas_cap:
-                best = (sum_rate(winners, powers, problem), lam, winners, powers,
-                        p_max - total)
-                break
-        if best is None:
-            raise RuntimeError("failed to recover a feasible allocation")
-
-    rate, lam_ret, winners, powers, slack = best
+    lam = 1.0 / (LN2 * _waterfill_level(best, p_max))
+    # through the multiplier, not from the level directly, so that the
+    # powers are bit-identical to waterfill_power(lam, ...)
+    powers = np.maximum(1.0 / (LN2 * lam) - best, 0.0)
+    # sum_rate's exact expression, inlined to reuse noise and cols
+    rate = float(np.log2(1.0 + powers * problem.gains[winners, cols]
+                         / noise[winners, cols]).sum())
+    slack = p_max - float(powers.sum())
     return AllocationResult(
         assignment=winners,
         powers=powers,
         sum_rate=rate,
-        lam=lam_ret,
-        iterations=iterations,
-        converged=converged,
+        lam=lam,
+        iterations=1,
+        converged=abs(slack) <= _BUDGET_TOL_REL * p_max,
         budget_slack=slack,
-        comp_slackness=abs(lam_ret * slack),
-        lambda_trace=tuple(trace) if trace is not None else None,
+        comp_slackness=abs(lam * slack),
     )
 
 
@@ -247,14 +163,18 @@ def _waterfill_level(floors: np.ndarray, p_max: float) -> float:
 
     Standard sorted closed form: with the m cheapest floors active the
     level is (p_max + sum of those floors) / m; the correct m is the
-    largest one whose level still clears its worst active floor.
+    largest one whose level still clears its worst active floor. There are
+    only as many floors as sub-channels, so a plain loop is cheapest.
     """
-    order = np.sort(np.asarray(floors, dtype=float))
-    csum = np.cumsum(order)
-    counts = np.arange(1, order.size + 1)
-    levels = (p_max + csum) / counts
-    active = int(np.nonzero(levels > order)[0][-1]) + 1
-    return float(levels[active - 1])
+    order = sorted(floors.tolist())
+    level = p_max + order[0]  # the cheapest channel is always active
+    csum = 0.0
+    for m, floor in enumerate(order, start=1):
+        csum += floor
+        candidate = (p_max + csum) / m
+        if candidate > floor:
+            level = candidate
+    return level
 
 
 def _waterfill_budget(floors: np.ndarray, p_max: float):

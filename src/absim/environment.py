@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .allocator import AllocationProblem, AllocationResult, SubgradientSchedule, solve
+from .allocator import AllocationProblem, AllocationResult, solve
 from .channel import (FadingMode, GbsSpec, PropagationParams, draw_realization,
                       interference_for_abs, path_loss_to_users)
 from .geometry import (Action, AreaSpec, GridState, Position3D, apply_action,
@@ -154,7 +154,6 @@ class Environment:
         self._final_pos = [self._center(s) for s in config.final_states]
         self._user_idx = [np.flatnonzero(config.association == j)
                           for j in range(config.n_agents)]
-        self._schedule = SubgradientSchedule()
         self._uniform_power = config.p_max / config.n_subchannels
         self.states: list[GridState] = []
         self.parked: list[bool] = []
@@ -230,7 +229,7 @@ class Environment:
                                             interference=inter,
                                             noise_power=cfg.propagation.noise_power,
                                             p_max=cfg.p_max)
-                alloc = solve(problem, self._schedule)
+                alloc = solve(problem)
                 f1 = alloc.sum_rate
                 new_powers[j] = alloc.powers
             else:

@@ -176,18 +176,45 @@ def save_qtable(q: QTable, path) -> None:
 
 
 def load_qtable(path) -> QTable:
-    """Inverse of save_qtable; visit counts are not persisted."""
+    """Inverse of save_qtable; visit counts are not persisted.
+
+    Every (state, action) entry must appear exactly once. A malformed
+    header or row, an entry outside the table, a repeated entry or a
+    missing one raises ValueError naming the file and line, because an
+    entry left at its default would quietly steer the greedy rollout.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
-        fields = dict(part.split("=") for part in header.lstrip("# ").split())
-        n_states = int(fields["states"])
-        n_actions = int(fields["actions"])
-        terminal = int(fields["terminal"])
-        q = QTable(n_states, n_actions,
-                   terminal_state=None if terminal < 0 else terminal)
-        for line in fh:
-            s_str, a_str, v_str = line.split()
-            q.values[int(s_str), int(a_str)] = float(v_str)
+        try:
+            fields = dict(part.split("=") for part in header.lstrip("# ").split())
+            n_states = int(fields["states"])
+            n_actions = int(fields["actions"])
+            terminal = int(fields["terminal"])
+            q = QTable(n_states, n_actions,
+                       terminal_state=None if terminal < 0 else terminal)
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"{path}: line 1: bad header {header!r} ({exc})") from None
+        values = [None] * (n_states * n_actions)
+        lineno = 1
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                s_str, a_str, v_str = line.split()
+                s, a, v = int(s_str), int(a_str), float(v_str)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected 'state action value', "
+                                 f"got {line.strip()!r}") from None
+            if not (0 <= s < n_states and 0 <= a < n_actions):
+                raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) outside the "
+                                 f"{n_states} x {n_actions} table")
+            flat = s * n_actions + a
+            if values[flat] is not None:
+                raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) repeated")
+            values[flat] = v
+    rows = lineno - 1
+    if rows != len(values):
+        raise ValueError(f"{path}: line {lineno + 1}: file ends after {rows} of "
+                         f"{len(values)} entries")
+    q.values[:] = np.array(values).reshape(n_states, n_actions)
     if q.terminal_state is not None:
         q.values[q.terminal_state, :] = 0.0
     return q

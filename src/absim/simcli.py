@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .channel import FadingMode, GbsSpec, PropagationParams
 from .environment import (ScenarioConfig, extract_trajectory, train)
-from .geometry import AreaSpec, GridState
+from .geometry import Action, AreaSpec, GridState
 from .qlearning import LearningParams, load_qtable, save_qtable
 from .rng import PURPOSE_USER_PLACEMENT, derive_stream
 
@@ -150,12 +150,19 @@ def load_config(path=None):
     """Build (ScenarioConfig, LearningParams) from a JSON file over the defaults.
 
     A missing path means pure defaults. Every invariant violation found is
-    collected and reported together in one ConfigValidationError.
+    collected and reported together in one ConfigValidationError; a file
+    that is not a JSON object is reported the same way.
     """
     raw = DEFAULT_CONFIG
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = _merge(DEFAULT_CONFIG, json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ConfigValidationError([f"{path}: not valid JSON: {exc}"]) from None
+        if not isinstance(data, dict):
+            raise ConfigValidationError([f"{path}: top level must be a JSON object"])
+        raw = _merge(DEFAULT_CONFIG, data)
     return _build_config(raw)
 
 
@@ -165,7 +172,7 @@ def _build_config(raw):
     def attempt(build, label):
         try:
             return build()
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
             errors.append(f"{label}: {exc}")
             return None
 
@@ -205,30 +212,29 @@ def _build_config(raw):
                                             int(e["final_cell"][1]))
                                   for e in raw["abs"]), "abs.final_cell")
 
-    users_raw = raw["users"]
-    n_abs = len(raw["abs"])
-    if "positions_m" in users_raw:
+    users_raw = attempt(lambda: dict(raw["users"]), "users")
+    users_xy = assoc = None
+    if users_raw is not None and "positions_m" in users_raw:
         users_xy = attempt(lambda: np.asarray(users_raw["positions_m"], dtype=float),
                            "users.positions_m")
         if "association" in users_raw:
             assoc = attempt(lambda: np.asarray(users_raw["association"], dtype=int),
                             "users.association")
-        else:
-            assoc = None
-    else:
-        count = int(users_raw.get("count", 0))
-        if count < 1:
+    elif users_raw is not None:
+        count = attempt(lambda: int(users_raw.get("count", 0)), "users.count")
+        seed = attempt(lambda: int(users_raw.get("placement_seed", 0)),
+                       "users.placement_seed")
+        if count is not None and count < 1:
             errors.append("users.count: must be at least 1")
-            users_xy = None
-        else:
-            users_xy = _place_users(raw["area"], count,
-                                    int(users_raw.get("placement_seed", 0))) \
-                if area is not None else None
-        assoc = None
+        elif count is not None and seed is not None and area is not None:
+            users_xy = _place_users(raw["area"], count, seed)
     if assoc is None and users_xy is not None:
-        # balanced split in listing order: half to each station for two
-        k = users_xy.shape[0]
-        assoc = np.array([i * n_abs // k for i in range(k)], dtype=int)
+        def balanced():
+            # split in listing order: half to each station for two
+            k, n_abs = users_xy.shape[0], len(raw["abs"])
+            return np.array([i * n_abs // k for i in range(k)], dtype=int)
+
+        assoc = attempt(balanced, "users")
 
     params = attempt(lambda: LearningParams(
         alpha=float(raw["learning"]["alpha"]),
@@ -555,6 +561,15 @@ def _cmd_rollout(args) -> int:
     except OSError as exc:
         print(f"cannot read checkpoints: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        print(f"invalid checkpoint: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    for j, q in enumerate(qtables):
+        if (q.n_states, q.n_actions) != (config.area.n_states, len(Action)):
+            print(f"invalid checkpoint: qtable_agent{j}.txt is {q.n_states} x "
+                  f"{q.n_actions}, the config needs {config.area.n_states} x "
+                  f"{len(Action)}", file=sys.stderr)
+            return EXIT_VALIDATION
     rollout = extract_trajectory(config, qtables)
     try:
         write_trajectory(rollout, args.out)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from subgradient_reference import (SubgradientSchedule, assign_subchannels,
+                                   psi_metric, subgradient_solve)
 
-from absim.allocator import (LN2, AllocationProblem, SubgradientSchedule,
-                             assign_subchannels, brute_force_oracle, psi_metric,
-                             solve, sum_rate, waterfill_power)
+from absim.allocator import (LN2, AllocationProblem, brute_force_oracle, solve,
+                             sum_rate, waterfill_power)
 
 
 def random_problem(rng, k=2, n=2, g_lo=-10, g_hi=-6, sigma2=1e-13, p_max=0.2,
@@ -169,12 +173,12 @@ class TestSolve:
         assert res.comp_slackness <= res.lam * 1e-6 * prob.p_max + 1e-12
 
     def test_dual_update_sign(self):
-        # over-budget iterates must push the multiplier up
+        # over-budget iterates of the reference loop must push the multiplier up
         rng = np.random.default_rng(14)
         prob = random_problem(rng, k=2, n=3)
         good = solve(prob)
-        res = solve(prob, lambda_init=good.lam / 50.0, keep_trace=True)
-        trace = res.lambda_trace
+        _, trace = subgradient_solve(prob, lambda_init=good.lam / 50.0,
+                                     keep_trace=True)
         assert len(trace) > 1
         for (lam_now, total_now), (lam_next, _) in zip(trace, trace[1:]):
             if total_now > prob.p_max:
@@ -184,20 +188,36 @@ class TestSolve:
         rng = np.random.default_rng(15)
         prob = random_problem(rng, k=3, n=3, with_interference=True)
         good = solve(prob)
-        res = solve(prob, lambda_init=good.lam * 1e4,
-                    schedule=SubgradientSchedule(max_iterations=5))
+        res, _ = subgradient_solve(prob, lambda_init=good.lam * 1e4,
+                                   schedule=SubgradientSchedule(max_iterations=5))
         assert res.powers.sum() <= prob.p_max * (1 + 1e-6)
         assert not res.converged
 
     def test_trace_off_by_default(self):
         rng = np.random.default_rng(16)
-        res = solve(random_problem(rng))
-        assert res.lambda_trace is None
+        _, trace = subgradient_solve(random_problem(rng))
+        assert trace is None
 
     def test_invalid_lambda_init(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ValueError):
-            solve(random_problem(rng), lambda_init=0.0)
+            subgradient_solve(random_problem(rng), lambda_init=0.0)
+
+    def test_zero_power_channel_goes_to_min_floor_user(self):
+        # sub-channel 1 is too noisy for anyone to be served on it: solve
+        # hands it to the user with the lower floor (user 1), where the
+        # reference's all-zero score argmax falls back to user 0. Powers and
+        # rate are the same either way.
+        prob = AllocationProblem(gains=np.array([[1e-7, 1e-14], [1e-8, 2e-14]]),
+                                 interference=np.zeros((2, 2)),
+                                 noise_power=1e-10, p_max=0.2)
+        res = solve(prob)
+        ref, _ = subgradient_solve(prob)
+        assert res.powers[1] == 0.0 and ref.powers[1] == 0.0
+        assert res.assignment.tolist() == [0, 1]
+        assert ref.assignment.tolist() == [0, 0]
+        assert res.powers.tolist() == ref.powers.tolist()
+        assert res.sum_rate == ref.sum_rate
 
 
 class TestOracle:
@@ -291,3 +311,88 @@ class TestProblemValidation:
             AllocationProblem(gains=np.ones((1, 1)),
                               interference=np.zeros((1, 1)),
                               noise_power=1e-10, p_max=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("gains", math.nan), ("gains", math.inf), ("gains", 0.0),
+        ("interference", math.nan), ("interference", math.inf),
+        ("noise_power", math.nan), ("p_max", math.nan),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(gains=np.full((2, 2), 1e-8), interference=np.zeros((2, 2)),
+                      noise_power=1e-10, p_max=0.2)
+        if isinstance(kwargs[field], np.ndarray):
+            kwargs[field][1, 0] = value
+        else:
+            kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            AllocationProblem(**kwargs)
+
+
+@st.composite
+def problems(draw, max_users=3, max_subchannels=3):
+    """Small random instances: log-uniform gains, sparse interference."""
+    k = draw(st.integers(1, max_users))
+    n = draw(st.integers(1, max_subchannels))
+    gain_exp = draw(hnp.arrays(float, (k, n), elements=st.floats(-10.0, -6.0)))
+    inter_exp = draw(hnp.arrays(float, (k, n), elements=st.floats(-13.0, -8.0)))
+    interfered = draw(hnp.arrays(bool, (k, n)))
+    return AllocationProblem(gains=10.0 ** gain_exp,
+                             interference=np.where(interfered, 10.0 ** inter_exp, 0.0),
+                             noise_power=10.0 ** draw(st.floats(-13.0, -9.0)),
+                             p_max=draw(st.floats(0.01, 1.0)))
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+class TestClosedFormProperties:
+    @PROPERTY_SETTINGS
+    @given(problems())
+    def test_budget_holds(self, prob):
+        res = solve(prob)
+        assert np.all(res.powers >= 0.0)
+        assert res.powers.sum() <= prob.p_max * (1 + 1e-6)
+        assert res.converged
+
+    @PROPERTY_SETTINGS
+    @given(problems())
+    def test_one_winner_per_subchannel_with_min_floor(self, prob):
+        res = solve(prob)
+        floors = (prob.interference + prob.noise_power) / prob.gains
+        assert res.assignment.shape == (prob.n_subchannels,)
+        for n, k in enumerate(res.assignment):
+            column = floors[:, n].tolist()
+            assert k == column.index(min(column))  # lowest index among ties
+
+    @PROPERTY_SETTINGS
+    @given(problems())
+    def test_powers_are_waterfill_at_multiplier(self, prob):
+        res = solve(prob)
+        expected = [waterfill_power(res.lam, prob.gains[k, n],
+                                    prob.interference[k, n], prob.noise_power)
+                    for n, k in enumerate(res.assignment)]
+        assert res.powers.tolist() == expected
+
+    @PROPERTY_SETTINGS
+    @given(problems())
+    def test_rate_is_sum_rate(self, prob):
+        res = solve(prob)
+        assert res.sum_rate == sum_rate(res.assignment, res.powers, prob)
+
+    @PROPERTY_SETTINGS
+    @given(problems())
+    def test_rate_reaches_oracle(self, prob):
+        res = solve(prob)
+        ora = brute_force_oracle(prob, power_grid_points=5)
+        assert res.sum_rate >= ora.sum_rate * (1 - 1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(problems(max_users=5, max_subchannels=8))
+    def test_matches_subgradient_reference(self, prob):
+        # the paper's loop stops on its first iterate, at the closed form
+        res = solve(prob)
+        ref, _ = subgradient_solve(prob)
+        assert ref.iterations == 1 and ref.converged
+        assert res.lam == ref.lam
+        assert res.powers.tolist() == ref.powers.tolist()
+        assert res.sum_rate == ref.sum_rate

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,29 @@ class TestPersistence:
         loaded = load_qtable(path)
         assert loaded.terminal_state is None
         np.testing.assert_array_equal(loaded.values, q.values)
+
+    @pytest.mark.parametrize("body, message", [
+        # header promises 16 entries, one row follows
+        ("0 0 -1.5\n", "line 3: file ends after 1 of 16 entries"),
+        ("0 0 -1.5\n0 0 -2.5\n", "line 3: entry (0, 0) repeated"),
+        ("0 0 -1.5\n4 0 -2.5\n", "line 3: entry (4, 0) outside the 4 x 4 table"),
+        ("0 0 -1.5\n0 -1 -2.5\n", "line 3: entry (0, -1) outside the 4 x 4 table"),
+        ("0 0\n", "line 2: expected 'state action value'"),
+        ("0 zero -1.5\n", "line 2: expected 'state action value'"),
+    ])
+    def test_malformed_rows_rejected(self, tmp_path, body, message):
+        path = tmp_path / "q.txt"
+        path.write_text("# states=4 actions=4 terminal=3\n" + body)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_qtable(path)
+
+    @pytest.mark.parametrize("header", ["", "# states=4 actions=4\n",
+                                        "# states=4 actions=4 terminal=9\n"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "q.txt"
+        path.write_text(header)
+        with pytest.raises(ValueError, match="line 1: bad header"):
+            load_qtable(path)
 
 
 class TestLearningParams:

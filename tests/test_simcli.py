@@ -69,6 +69,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigValidationError):
             load_config(path)
 
+    @pytest.mark.parametrize("data", [
+        {"users": {"count": "ten"}},
+        {"users": {"placement_seed": "x"}},
+        {"users": 5},
+        {"users": {"positions_m": 5.0}},
+        {"abs": [{"initial_cell": [1], "final_cell": [2, 2]}]},
+        [1, 2],
+    ])
+    def test_malformed_values_rejected(self, tmp_path, data):
+        with pytest.raises(ConfigValidationError):
+            load_config(write_config(tmp_path, data))
+
     def test_all_errors_reported_together(self, tmp_path):
         path = write_config(tmp_path, {"area": {"cells_per_axis": 1},
                                        "reward_weights": {"beta3": -1.0},
@@ -207,6 +219,40 @@ class TestCli:
         path = write_config(tmp_path, {"area": {"cells_per_axis": 0}})
         assert main(["validate-config", "--config", path]) == 2
         assert "area" in capsys.readouterr().err
+
+    def test_validate_non_integer_count(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"users": {"count": "ten"}})
+        assert main(["validate-config", "--config", path]) == 2
+        assert "users.count" in capsys.readouterr().err
+
+    def test_validate_truncated_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"area": {"cells_per_axis": 3')
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_rollout_truncated_checkpoint(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config_dict(2))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+        table = out / "qtable_agent1.txt"
+        table.write_text("".join(table.read_text().splitlines(keepends=True)[:2]))
+        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
+                     "--out", str(tmp_path / "roll.csv")])
+        assert code == 2
+        assert "qtable_agent1.txt: line 3: file ends after 1 of 64 entries" \
+            in capsys.readouterr().err
+
+    def test_rollout_checkpoint_shape_mismatch(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config_dict(2))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+        bigger = small_config_dict(2)
+        bigger["area"]["cells_per_axis"] = 5
+        code = main(["rollout", "--config", write_config(tmp_path, bigger, "big.json"),
+                     "--qtable-dir", str(out), "--out", str(tmp_path / "roll.csv")])
+        assert code == 2
+        assert "the config needs 25 x 4" in capsys.readouterr().err
 
     def test_train_and_plot_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_dict(2))
