@@ -97,8 +97,6 @@ class ChannelRealization:
     """
 
     gains: np.ndarray
-    abs_positions: tuple
-    users_xy: np.ndarray
     gbs_gains: np.ndarray | None = None
     gbs_power: float | None = None
 
@@ -151,29 +149,22 @@ def path_loss_to_users(abs_pos: Position3D, users_xy: np.ndarray,
         (1.0 - pr) * free_space_path_loss(d3, params, params.eta_nlos)
 
 
-def draw_realization(abs_positions, users_xy, params: PropagationParams,
-                     fading: FadingMode, rng: np.random.Generator,
-                     n_subchannels: int, gbs: GbsSpec | None = None,
-                     path_loss: np.ndarray | None = None) -> ChannelRealization:
+def draw_realization(path_loss: np.ndarray, users_xy: np.ndarray,
+                     params: PropagationParams, fading: FadingMode,
+                     rng: np.random.Generator, n_subchannels: int,
+                     gbs: GbsSpec | None = None) -> ChannelRealization:
     """Draw the per-link power gains for one time step.
 
     Parameters
     ----------
-    abs_positions : sequence of Position3D, one per station
-    users_xy : (K, 2) array of ground-user coordinates in meters
+    path_loss : (J, K) average path loss from each station to each user
+    users_xy : (K, 2) array of ground-user coordinates in meters, used for
+        the ground transmitter's links
     fading : FadingMode.NONE gives deterministic gains 1/PL; RAYLEIGH
         multiplies each (j, k, n) gain by an i.i.d. unit-mean fading power
     rng : caller-owned seeded stream, consumed only when fading is drawn
-    path_loss : optional precomputed (J, K) path-loss matrix (cache hook)
     """
-    users_xy = np.asarray(users_xy, dtype=float)
-    j_count = len(abs_positions)
-    k_count = users_xy.shape[0]
-    if path_loss is None:
-        path_loss = np.empty((j_count, k_count))
-        for j, pos in enumerate(abs_positions):
-            path_loss[j] = path_loss_to_users(pos, users_xy, params)
-
+    j_count, k_count = path_loss.shape
     base = 1.0 / path_loss[:, :, None]
     if fading == FadingMode.RAYLEIGH:
         # squared magnitude of a unit-variance complex Gaussian: Exp(1)
@@ -194,9 +185,7 @@ def draw_realization(abs_positions, users_xy, params: PropagationParams,
             gbs_gains = np.broadcast_to(gbs_base, (k_count, n_subchannels)).copy()
         gbs_power = gbs.power_per_subchannel
 
-    return ChannelRealization(gains=gains, abs_positions=tuple(abs_positions),
-                              users_xy=users_xy, gbs_gains=gbs_gains,
-                              gbs_power=gbs_power)
+    return ChannelRealization(gains=gains, gbs_gains=gbs_gains, gbs_power=gbs_power)
 
 
 def interference(realization: ChannelRealization, abs_powers: np.ndarray,

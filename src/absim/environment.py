@@ -11,11 +11,11 @@ coordination is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import AllocationProblem, AllocationResult, solve
+from .allocator import AllocationProblem, solve
 from .channel import (FadingMode, GbsSpec, PropagationParams, draw_realization,
                       interference_for_abs, path_loss_to_users)
 from .geometry import (Action, AreaSpec, GridState, Position3D, apply_action,
@@ -27,10 +27,7 @@ from .rng import PURPOSE_EPISODE, derive_stream
 __all__ = [
     "Environment",
     "EpisodeStats",
-    "EpisodeTrace",
-    "RewardBreakdown",
     "ScenarioConfig",
-    "StepOutcome",
     "TrajectoryRollout",
     "extract_trajectory",
     "pessimistic_q_init",
@@ -58,7 +55,6 @@ class ScenarioConfig:
     fading: FadingMode = FadingMode.RAYLEIGH
     gbs: GbsSpec = field(default_factory=GbsSpec)
     distance_exponent: int = 1
-    velocity: float = 10.0
 
     def __post_init__(self) -> None:
         users = np.asarray(self.users_xy, dtype=float)
@@ -89,38 +85,10 @@ class ScenarioConfig:
             raise ValueError("reward weights must be non-negative")
         if self.distance_exponent not in (1, 2):
             raise ValueError("distance_exponent must be 1 or 2")
-        if self.velocity <= 0:
-            raise ValueError("velocity must be positive")
 
     @property
     def n_agents(self) -> int:
         return len(self.initial_states)
-
-
-@dataclass(frozen=True)
-class RewardBreakdown:
-    """Components of one agent's step reward: total = b1*f1 - b2*f2 - b3*f3."""
-
-    f1: float
-    f2: float
-    f3: float
-    total: float
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    agent: int
-    transition: Transition
-    reward: RewardBreakdown
-    position: Position3D
-    allocation: AllocationResult | None
-
-
-@dataclass
-class EpisodeTrace:
-    episode_index: int | None
-    seed: int | None
-    steps: list
 
 
 @dataclass
@@ -148,7 +116,6 @@ class Environment:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        area = config.area
         self._centers = {}
         self._pl_cache = {}
         self._final_pos = [self._center(s) for s in config.final_states]
@@ -193,12 +160,15 @@ class Environment:
                 self._prev_powers[j] = 0.0
         return list(self.states)
 
-    def step_all(self, actions: dict, rng: np.random.Generator) -> list[StepOutcome]:
+    def step_all(self, actions: dict, rng: np.random.Generator):
         """Advance every acting agent one synchronized step.
 
         actions maps agent index to an Action (or its int value) for every
-        non-parked agent. Returns one StepOutcome per acting agent, in
-        agent order.
+        non-parked agent. Returns (transitions, terms): one Transition per
+        acting agent, in agent order, whose reward is
+        beta1*f1 - beta2*f2 - beta3*f3, and a (J, 3) array of the f1 (sum
+        rate), f2 (distance to destination) and f3 (proximity flag) terms,
+        with all-zero rows for agents that did not act.
         """
         cfg = self.config
         j_count = cfg.n_agents
@@ -215,11 +185,12 @@ class Environment:
         realization = None
         if need_allocation:
             pl = np.stack([self._pl_row(s) for s in new_states])
-            realization = draw_realization(positions, cfg.users_xy, cfg.propagation,
+            realization = draw_realization(pl, cfg.users_xy, cfg.propagation,
                                            cfg.fading, rng, cfg.n_subchannels,
-                                           gbs=cfg.gbs, path_loss=pl)
+                                           gbs=cfg.gbs)
 
-        outcomes = []
+        transitions = []
+        terms = np.zeros((j_count, 3))
         new_powers = self._prev_powers.copy()
         for j in sorted(actions):
             if need_allocation:
@@ -234,8 +205,7 @@ class Environment:
                 new_powers[j] = alloc.powers
             else:
                 # a zero rate weight makes the allocation irrelevant to the
-                # reward; skip the solver and record no allocation
-                alloc = None
+                # reward; skip the solver
                 f1 = 0.0
 
             f2 = dist_to_final(positions[j], self._final_pos[j],
@@ -248,16 +218,14 @@ class Environment:
                     break
             total = cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
             terminal = new_states[j] == cfg.final_states[j]
-            transition = Transition(
+            terms[j] = f1, f2, f3
+            transitions.append(Transition(
                 state=state_index(cfg.area, self.states[j]),
                 action=int(actions[j]),
                 reward=total,
                 next_state=state_index(cfg.area, new_states[j]),
                 terminal=terminal,
-            )
-            outcomes.append(StepOutcome(agent=j, transition=transition,
-                                        reward=RewardBreakdown(f1, f2, f3, total),
-                                        position=positions[j], allocation=alloc))
+            ))
 
         for j in actions:
             self.states[j] = new_states[j]
@@ -265,7 +233,7 @@ class Environment:
                 self.parked[j] = True
                 new_powers[j] = 0.0  # parked stations stop transmitting
         self._prev_powers = new_powers
-        return outcomes
+        return transitions, terms
 
 
 def _resolve_max_steps(params: LearningParams, config: ScenarioConfig) -> int:
@@ -275,15 +243,12 @@ def _resolve_max_steps(params: LearningParams, config: ScenarioConfig) -> int:
 
 
 def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
-                rng: np.random.Generator, learn: bool = True,
-                record_trace: bool = True, epsilon: float | None = None,
-                episode_index: int | None = None, seed: int | None = None):
-    """One episode from the initial states to all-terminal or the step cap.
+                rng: np.random.Generator, epsilon: float | None = None,
+                episode_index: int | None = None) -> EpisodeStats:
+    """One learning episode from the initial states to all-terminal or the step cap.
 
     Agents that reach their terminal cell park there: no more actions,
-    rewards, or table updates, and zero transmit power. Returns
-    (EpisodeTrace, EpisodeStats); the trace holds one list of StepOutcome
-    per time step when record_trace is set.
+    rewards, or table updates, and zero transmit power.
     """
     env.reset()
     cfg = env.config
@@ -295,7 +260,6 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
     cum_reward = np.zeros(j_count)
     reach_step = np.full(j_count, -1, dtype=int)
     collisions = 0
-    trace_steps = [] if record_trace else None
 
     for t in range(max_steps):
         active = [j for j in range(j_count) if not env.parked[j]]
@@ -305,20 +269,16 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
         for j in active:
             s = state_index(cfg.area, env.states[j])
             actions[j] = select_action(qtables[j], s, params, rng, epsilon=epsilon)
-        outcomes = env.step_all(actions, rng)
-        for oc in outcomes:
-            j = oc.agent
-            if learn:
-                update(qtables[j], oc.transition, params)
-            f1_sum[j] += oc.reward.f1
+        transitions, terms = env.step_all(actions, rng)
+        for j, tr in zip(active, transitions):
+            update(qtables[j], tr, params)
+            f1_sum[j] += terms[j, 0]
             step_count[j] += 1
-            cum_reward[j] += oc.reward.total
-            if oc.reward.f3:
+            cum_reward[j] += tr.reward
+            if terms[j, 2]:
                 collisions += 1
-            if oc.transition.terminal and reach_step[j] < 0:
+            if tr.terminal:
                 reach_step[j] = t + 1
-        if record_trace:
-            trace_steps.append(outcomes)
 
     reached = np.array([env.parked[j] for j in range(j_count)])
     # agents parked from the start count as reached in zero steps
@@ -326,7 +286,7 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
         if reach_step[j] < 0 and reached[j]:
             reach_step[j] = 0
     steps_to_terminal = np.where(reach_step >= 0, reach_step, step_count)
-    stats = EpisodeStats(
+    return EpisodeStats(
         episode=episode_index if episode_index is not None else 0,
         avg_sum_rate=f1_sum / np.maximum(step_count, 1),
         steps_to_terminal=steps_to_terminal,
@@ -334,9 +294,6 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
         reached=reached,
         collision_steps=collisions,
     )
-    trace = EpisodeTrace(episode_index=episode_index, seed=seed,
-                         steps=trace_steps if record_trace else [])
-    return trace, stats
 
 
 def pessimistic_q_init(config: ScenarioConfig, gamma: float) -> float:
@@ -355,15 +312,14 @@ def pessimistic_q_init(config: ScenarioConfig, gamma: float) -> float:
     return -worst / (1.0 - gamma)
 
 
-def train(config: ScenarioConfig, params: LearningParams, master_seed: int,
-          env: Environment | None = None):
+def train(config: ScenarioConfig, params: LearningParams, master_seed: int):
     """Full training run: one derived stream per episode, stats per episode.
 
     Returns (qtables, stats_list). Tables start at params.initial_q (the
     scenario's pessimistic floor when None) with the agents' final cells
     pinned as terminals.
     """
-    env = env if env is not None else Environment(config)
+    env = Environment(config)
     area = config.area
     q0 = params.initial_q if params.initial_q is not None \
         else pessimistic_q_init(config, params.gamma)
@@ -375,10 +331,8 @@ def train(config: ScenarioConfig, params: LearningParams, master_seed: int,
     eps = params.epsilon
     for e in range(params.max_episodes):
         rng = derive_stream(master_seed, PURPOSE_EPISODE, e)
-        _, stats = run_episode(env, qtables, params, rng, learn=True,
-                               record_trace=False, epsilon=eps,
-                               episode_index=e + 1, seed=master_seed)
-        stats_list.append(stats)
+        stats_list.append(run_episode(env, qtables, params, rng, epsilon=eps,
+                                      episode_index=e + 1))
         eps *= params.epsilon_decay
     return qtables, stats_list
 
@@ -463,8 +417,3 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
         violation_steps=violation_steps,
         cycle_detected=cycle,
     )
-
-
-def evaluation_config(config: ScenarioConfig) -> ScenarioConfig:
-    """Copy of the scenario with fading disabled, for deterministic rollouts."""
-    return replace(config, fading=FadingMode.NONE)

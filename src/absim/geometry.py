@@ -22,7 +22,6 @@ __all__ = [
     "cell_center",
     "dist_to_final",
     "pairwise_dist",
-    "snap_to_state",
     "state_from_index",
     "state_index",
 ]
@@ -74,13 +73,6 @@ class AreaSpec:
     def n_states(self) -> int:
         return self.cells_per_axis * self.cells_per_axis
 
-    # One move covers one cell; with constant speed this is the implied
-    # step duration. Metadata only, it enters no simulated quantity.
-    def step_duration_s(self, velocity: float) -> float:
-        if velocity <= 0:
-            raise ValueError("velocity must be positive")
-        return self.cell_width_x / velocity
-
 
 @dataclass(frozen=True)
 class GridState:
@@ -118,38 +110,19 @@ def state_from_index(area: AreaSpec, index: int) -> GridState:
     return GridState(index % m + 1, index // m + 1)
 
 
-def cell_center(area: AreaSpec, s: GridState, center_offset: bool = False) -> Position3D:
+def cell_center(area: AreaSpec, s: GridState) -> Position3D:
     """Reference point of a grid cell at flight altitude.
 
-    The default convention anchors cell (k1, k2) at
-    (x_min + (k1 - 1) * width, y_min + (k2 - 1) * width); a uniform
-    translation of all states, so relative geometry is unchanged. Set
-    ``center_offset`` to shift by half a cell to geometric centers.
+    Cell (k1, k2) is anchored at (x_min + (k1 - 1) * width,
+    y_min + (k2 - 1) * width); a uniform translation of the geometric
+    centers, so relative geometry is unchanged.
     """
     validate_state(area, s)
     wx = area.cell_width_x
     wy = area.cell_width_y
     x = area.x_min + wx * (s.k1 - 1)
     y = area.y_min + wy * (s.k2 - 1)
-    if center_offset:
-        x += wx / 2.0
-        y += wy / 2.0
     return Position3D(x, y, area.altitude)
-
-
-def snap_to_state(area: AreaSpec, p: Position3D, center_offset: bool = False) -> GridState:
-    """Grid cell whose reference point is nearest to p; ties go to the lower index."""
-    if not (area.x_min <= p.x <= area.x_max and area.y_min <= p.y <= area.y_max):
-        raise ValueError(f"position ({p.x}, {p.y}) outside the service area")
-
-    def nearest(coord: float, lo: float, width: float) -> int:
-        offset = width / 2.0 if center_offset else 0.0
-        # ceil(t - 0.5) sends the exact midpoint to the lower cell
-        k = 1 + math.ceil((coord - lo - offset) / width - 0.5)
-        return min(max(k, 1), area.cells_per_axis)
-
-    return GridState(nearest(p.x, area.x_min, area.cell_width_x),
-                     nearest(p.y, area.y_min, area.cell_width_y))
 
 
 def apply_action(area: AreaSpec, s: GridState, a: Action) -> GridState:
@@ -172,23 +145,14 @@ def apply_action(area: AreaSpec, s: GridState, a: Action) -> GridState:
     return GridState(k1, k2)
 
 
-def _euclidean(p1: Position3D, p2: Position3D) -> float:
+def pairwise_dist(p1: Position3D, p2: Position3D) -> float:
+    """Euclidean separation in meters."""
     return math.sqrt((p1.x - p2.x) ** 2 + (p1.y - p2.y) ** 2 + (p1.h - p2.h) ** 2)
 
 
 def dist_to_final(p: Position3D, p_final: Position3D, exponent: int = 1) -> float:
     """Distance in meters (exponent 1) or squared meters (exponent 2) to the destination."""
-    d = _euclidean(p, p_final)
-    if exponent == 1:
-        return d
-    if exponent == 2:
-        return d * d
-    raise ValueError("exponent must be 1 or 2")
-
-
-def pairwise_dist(p1: Position3D, p2: Position3D, exponent: int = 1) -> float:
-    """Separation between two stations, same exponent convention as dist_to_final."""
-    d = _euclidean(p1, p2)
+    d = pairwise_dist(p, p_final)
     if exponent == 1:
         return d
     if exponent == 2:

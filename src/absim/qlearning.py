@@ -9,6 +9,7 @@ included as the exact solution the learner must approach.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -178,10 +179,11 @@ def save_qtable(q: QTable, path) -> None:
 def load_qtable(path) -> QTable:
     """Inverse of save_qtable; visit counts are not persisted.
 
-    Every (state, action) entry must appear exactly once. A malformed
-    header or row, an entry outside the table, a repeated entry or a
-    missing one raises ValueError naming the file and line, because an
-    entry left at its default would quietly steer the greedy rollout.
+    Every (state, action) entry must appear exactly once with a finite
+    value, and the terminal row must read 0.0. A malformed header or row,
+    an entry outside the table, a repeated, missing or non-finite entry or
+    a non-zero terminal entry raises ValueError naming the file and line,
+    because a wrong entry would quietly steer the greedy rollout.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -206,6 +208,12 @@ def load_qtable(path) -> QTable:
             if not (0 <= s < n_states and 0 <= a < n_actions):
                 raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) outside the "
                                  f"{n_states} x {n_actions} table")
+            if not isfinite(v):
+                raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) holds {v!r}, "
+                                 "not a finite value")
+            if s == terminal and v != 0.0:
+                raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) holds {v!r}, "
+                                 "but the terminal row must read 0.0")
             flat = s * n_actions + a
             if values[flat] is not None:
                 raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) repeated")
@@ -215,6 +223,4 @@ def load_qtable(path) -> QTable:
         raise ValueError(f"{path}: line {lineno + 1}: file ends after {rows} of "
                          f"{len(values)} entries")
     q.values[:] = np.array(values).reshape(n_states, n_actions)
-    if q.terminal_state is not None:
-        q.values[q.terminal_state, :] = 0.0
     return q

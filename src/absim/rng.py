@@ -1,8 +1,8 @@
 """Counter-based random stream derivation.
 
 One master seed drives a whole run. Every consumer (user placement, each
-training episode, ad-hoc evaluation draws) gets its own numpy Generator
-built from a Philox counter block::
+training episode) gets its own numpy Generator built from a Philox counter
+block::
 
     Philox(key=master_seed, counter=[purpose, index, 0, 0])
 
@@ -18,7 +18,6 @@ import numpy as np
 # Purpose codes partition the counter space. Append new ones, never renumber.
 PURPOSE_USER_PLACEMENT = 1
 PURPOSE_EPISODE = 2
-PURPOSE_EVAL = 3
 
 _MASK64 = (1 << 64) - 1
 

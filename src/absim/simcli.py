@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -29,7 +30,6 @@ from .rng import PURPOSE_USER_PLACEMENT, derive_stream
 
 __all__ = [
     "ConfigValidationError",
-    "MetricsRecord",
     "PlotDataError",
     "RunManifest",
     "config_to_dict",
@@ -80,7 +80,6 @@ DEFAULT_CONFIG = {
         "power_per_subchannel_watts": 0.0,
     },
     "distance_exponent": 1,
-    "velocity_m_per_s": 10.0,
     "learning": {
         "alpha": 0.1,
         "alpha_schedule": "constant",
@@ -104,19 +103,6 @@ class ConfigValidationError(ValueError):
 
 class PlotDataError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One row of the per-episode metrics file."""
-
-    episode: int
-    mean_sum_rate: float
-    collision_steps: int
-    avg_sum_rate: tuple
-    steps_to_terminal: tuple
-    cumulative_reward: tuple
-    reached: tuple
 
 
 @dataclass
@@ -172,35 +158,42 @@ def _build_config(raw):
     def attempt(build, label):
         try:
             return build()
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
+        except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
             errors.append(f"{label}: {exc}")
             return None
 
+    def finite(section, key):
+        # json reads NaN and Infinity, and 1e400 as inf
+        value = float(section[key])
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be a finite number, got {value}")
+        return value
+
     area = attempt(lambda: AreaSpec(
-        x_min=float(raw["area"]["x_min_m"]),
-        x_max=float(raw["area"]["x_max_m"]),
-        y_min=float(raw["area"]["y_min_m"]),
-        y_max=float(raw["area"]["y_max_m"]),
+        x_min=finite(raw["area"], "x_min_m"),
+        x_max=finite(raw["area"], "x_max_m"),
+        y_min=finite(raw["area"], "y_min_m"),
+        y_max=finite(raw["area"], "y_max_m"),
         cells_per_axis=int(raw["area"]["cells_per_axis"]),
-        altitude=float(raw["area"]["altitude_m"]),
+        altitude=finite(raw["area"], "altitude_m"),
     ), "area")
 
     prop = attempt(lambda: PropagationParams(
-        a=float(raw["propagation"]["a"]),
-        b=float(raw["propagation"]["b"]),
-        eta_los=float(raw["propagation"]["eta_los"]),
-        eta_nlos=float(raw["propagation"]["eta_nlos"]),
-        carrier_freq=float(raw["propagation"]["carrier_freq_hz"]),
-        speed_of_light=float(raw["propagation"]["speed_of_light_m_per_s"]),
-        noise_power=float(raw["propagation"]["noise_power_watts"]),
+        a=finite(raw["propagation"], "a"),
+        b=finite(raw["propagation"], "b"),
+        eta_los=finite(raw["propagation"], "eta_los"),
+        eta_nlos=finite(raw["propagation"], "eta_nlos"),
+        carrier_freq=finite(raw["propagation"], "carrier_freq_hz"),
+        speed_of_light=finite(raw["propagation"], "speed_of_light_m_per_s"),
+        noise_power=finite(raw["propagation"], "noise_power_watts"),
     ), "propagation")
 
     gbs = attempt(lambda: GbsSpec(
         enabled=bool(raw["gbs"]["enabled"]),
-        x=float(raw["gbs"]["x_m"]),
-        y=float(raw["gbs"]["y_m"]),
-        height=float(raw["gbs"]["height_m"]),
-        power_per_subchannel=float(raw["gbs"]["power_per_subchannel_watts"]),
+        x=finite(raw["gbs"], "x_m"),
+        y=finite(raw["gbs"], "y_m"),
+        height=finite(raw["gbs"], "height_m"),
+        power_per_subchannel=finite(raw["gbs"], "power_per_subchannel_watts"),
     ), "gbs")
 
     fading = attempt(lambda: FadingMode(raw["fading"]), "fading")
@@ -217,6 +210,9 @@ def _build_config(raw):
     if users_raw is not None and "positions_m" in users_raw:
         users_xy = attempt(lambda: np.asarray(users_raw["positions_m"], dtype=float),
                            "users.positions_m")
+        if users_xy is not None and not np.isfinite(users_xy).all():
+            errors.append("users.positions_m: every coordinate must be a finite number")
+            users_xy = None
         if "association" in users_raw:
             assoc = attempt(lambda: np.asarray(users_raw["association"], dtype=int),
                             "users.association")
@@ -237,17 +233,20 @@ def _build_config(raw):
         assoc = attempt(balanced, "users")
 
     params = attempt(lambda: LearningParams(
-        alpha=float(raw["learning"]["alpha"]),
-        gamma=float(raw["learning"]["gamma"]),
-        epsilon=float(raw["learning"]["epsilon"]),
+        alpha=finite(raw["learning"], "alpha"),
+        gamma=finite(raw["learning"], "gamma"),
+        epsilon=finite(raw["learning"], "epsilon"),
         max_episodes=int(raw["learning"]["max_episodes"]),
         max_steps_per_episode=(None if raw["learning"]["max_steps_per_episode"] is None
                                else int(raw["learning"]["max_steps_per_episode"])),
         alpha_schedule=str(raw["learning"]["alpha_schedule"]),
-        epsilon_decay=float(raw["learning"]["epsilon_decay"]),
+        epsilon_decay=finite(raw["learning"], "epsilon_decay"),
         initial_q=(None if raw["learning"].get("initial_q") is None
-                   else float(raw["learning"]["initial_q"])),
+                   else finite(raw["learning"], "initial_q")),
     ), "learning")
+
+    betas = attempt(lambda: [finite(raw["reward_weights"], f"beta{i}") for i in (1, 2, 3)],
+                    "reward_weights")
 
     config = None
     if not errors:
@@ -258,16 +257,15 @@ def _build_config(raw):
             users_xy=users_xy,
             association=assoc,
             n_subchannels=int(raw["n_subchannels"]),
-            p_max=float(raw["p_max_watts"]),
-            d_min=float(raw["d_min_m"]),
-            beta1=float(raw["reward_weights"]["beta1"]),
-            beta2=float(raw["reward_weights"]["beta2"]),
-            beta3=float(raw["reward_weights"]["beta3"]),
+            p_max=finite(raw, "p_max_watts"),
+            d_min=finite(raw, "d_min_m"),
+            beta1=betas[0],
+            beta2=betas[1],
+            beta3=betas[2],
             propagation=prop,
             fading=fading,
             gbs=gbs,
             distance_exponent=int(raw["distance_exponent"]),
-            velocity=float(raw["velocity_m_per_s"]),
         ), "scenario")
     if errors:
         raise ConfigValidationError(errors)
@@ -316,7 +314,6 @@ def config_to_dict(config: ScenarioConfig, params: LearningParams) -> dict:
             "power_per_subchannel_watts": config.gbs.power_per_subchannel,
         },
         "distance_exponent": config.distance_exponent,
-        "velocity_m_per_s": config.velocity,
         "learning": {
             "alpha": params.alpha,
             "alpha_schedule": params.alpha_schedule,
@@ -330,19 +327,6 @@ def config_to_dict(config: ScenarioConfig, params: LearningParams) -> dict:
     }
 
 
-def _metrics_rows(stats_list):
-    for st in stats_list:
-        yield MetricsRecord(
-            episode=st.episode,
-            mean_sum_rate=st.mean_sum_rate,
-            collision_steps=st.collision_steps,
-            avg_sum_rate=tuple(float(v) for v in st.avg_sum_rate),
-            steps_to_terminal=tuple(int(v) for v in st.steps_to_terminal),
-            cumulative_reward=tuple(float(v) for v in st.cumulative_reward),
-            reached=tuple(int(v) for v in st.reached),
-        )
-
-
 def write_metrics(stats_list, path, n_agents: int) -> None:
     cols = ["episode", "mean_sum_rate", "collision_steps"]
     cols += [f"avg_sum_rate_agent{j}" for j in range(n_agents)]
@@ -351,12 +335,13 @@ def write_metrics(stats_list, path, n_agents: int) -> None:
     cols += [f"reached_agent{j}" for j in range(n_agents)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(cols) + "\n")
-        for rec in _metrics_rows(stats_list):
-            row = [str(rec.episode), repr(rec.mean_sum_rate), str(rec.collision_steps)]
-            row += [repr(v) for v in rec.avg_sum_rate]
-            row += [str(v) for v in rec.steps_to_terminal]
-            row += [repr(v) for v in rec.cumulative_reward]
-            row += [str(v) for v in rec.reached]
+        for st in stats_list:
+            # convert numpy scalars first: their repr differs from float's
+            row = [str(st.episode), repr(st.mean_sum_rate), str(st.collision_steps)]
+            row += [repr(float(v)) for v in st.avg_sum_rate]
+            row += [str(int(v)) for v in st.steps_to_terminal]
+            row += [repr(float(v)) for v in st.cumulative_reward]
+            row += [str(int(v)) for v in st.reached]
             fh.write(",".join(row) + "\n")
 
 
@@ -477,19 +462,21 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
 def smooth_series(values: np.ndarray, window: int) -> np.ndarray:
     """Valid-mode moving average: len(values) - window + 1 points."""
     if window < 1:
-        raise ValueError("window must be at least 1")
+        raise PlotDataError("window must be at least 1")
     if window > len(values):
-        raise ValueError("window longer than the series")
+        raise PlotDataError(f"window {window} is longer than the series "
+                            f"({len(values)} episodes)")
     kernel = np.full(window, 1.0 / window)
     return np.convolve(values, kernel, mode="valid")
 
 
 def emit_plot_data(metrics_path, trajectory_path, out_dir, window: int = 100):
     """Write per-agent trajectory files and the smoothed sum-rate series."""
+    episodes, means = read_metrics(metrics_path)
+    smoothed = smooth_series(means, window)
+    agents = read_trajectory(trajectory_path)
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
-
-    agents = read_trajectory(trajectory_path)
     for j in sorted(agents):
         path = os.path.join(out_dir, f"trajectory_agent{j}.csv")
         with open(path, "w", encoding="ascii") as fh:
@@ -498,8 +485,6 @@ def emit_plot_data(metrics_path, trajectory_path, out_dir, window: int = 100):
                 fh.write(f"{x!r},{y!r}\n")
         outputs.append(path)
 
-    episodes, means = read_metrics(metrics_path)
-    smoothed = smooth_series(means, window)
     path = os.path.join(out_dir, "sum_rate_smoothed.csv")
     with open(path, "w", encoding="ascii") as fh:
         # each row's episode is the last episode inside its window
@@ -533,7 +518,11 @@ def _cmd_train(args) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     if args.episodes is not None:
-        params = replace(params, max_episodes=args.episodes)
+        try:
+            params = replace(params, max_episodes=args.episodes)
+        except ValueError as exc:
+            print(f"invalid --episodes: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         manifest = run_train(config, params, args.seed, args.out_dir)
     except OSError as exc:

@@ -121,9 +121,9 @@ def test_criterion_4_fading_normalization():
     rng = np.random.default_rng(4)
     pos = Position3D(70.0, -30.0, 100.0)
     users = np.array([[0.0, 0.0]])
-    real = draw_realization([pos], users, params, FadingMode.RAYLEIGH, rng,
-                            n_subchannels=1_000_000)
     loss = path_loss_to_users(pos, users, params)[0]
+    real = draw_realization(np.array([[loss]]), users, params, FadingMode.RAYLEIGH,
+                            rng, n_subchannels=1_000_000)
     # dividing out the deterministic path loss recovers the fading powers
     mean = float(np.mean(real.gains[0, 0] * loss))
     elapsed = time.perf_counter() - started

@@ -139,10 +139,12 @@ class TestDrawRealization:
     def setup_method(self):
         self.positions = [Position3D(100, 100, 100), Position3D(300, 300, 100)]
         self.users = np.array([[0.0, 0.0], [200.0, 100.0], [400.0, 0.0]])
+        self.pl = np.stack([path_loss_to_users(p, self.users, PARAMS)
+                            for p in self.positions])
 
     def test_no_fading_flat_across_subchannels(self):
         rng = np.random.default_rng(0)
-        real = draw_realization(self.positions, self.users, PARAMS,
+        real = draw_realization(self.pl, self.users, PARAMS,
                                 FadingMode.NONE, rng, n_subchannels=4)
         assert real.gains.shape == (2, 3, 4)
         for j in range(2):
@@ -151,33 +153,33 @@ class TestDrawRealization:
                 np.testing.assert_allclose(real.gains[j, :, n], 1.0 / pl, rtol=1e-12)
 
     def test_same_seed_same_realization(self):
-        real1 = draw_realization(self.positions, self.users, PARAMS,
+        real1 = draw_realization(self.pl, self.users, PARAMS,
                                  FadingMode.RAYLEIGH, np.random.default_rng(42),
                                  n_subchannels=4)
-        real2 = draw_realization(self.positions, self.users, PARAMS,
+        real2 = draw_realization(self.pl, self.users, PARAMS,
                                  FadingMode.RAYLEIGH, np.random.default_rng(42),
                                  n_subchannels=4)
         np.testing.assert_array_equal(real1.gains, real2.gains)
 
     def test_rayleigh_unit_mean(self):
         rng = np.random.default_rng(7)
-        real = draw_realization([Position3D(0, 0, 100)], np.array([[0.0, 0.0]]),
-                                PARAMS, FadingMode.RAYLEIGH, rng,
-                                n_subchannels=200_000)
-        pl = path_loss_to_users(Position3D(0, 0, 100), np.array([[0.0, 0.0]]), PARAMS)[0]
+        users = np.array([[0.0, 0.0]])
+        pl = path_loss_to_users(Position3D(0, 0, 100), users, PARAMS)[0]
+        real = draw_realization(np.array([[pl]]), users, PARAMS, FadingMode.RAYLEIGH,
+                                rng, n_subchannels=200_000)
         mean_rho2 = float(np.mean(real.gains[0, 0] * pl))
         assert 0.98 < mean_rho2 < 1.02
 
     def test_gains_positive_finite(self):
         rng = np.random.default_rng(1)
-        real = draw_realization(self.positions, self.users, PARAMS,
+        real = draw_realization(self.pl, self.users, PARAMS,
                                 FadingMode.RAYLEIGH, rng, n_subchannels=8)
         assert np.all(np.isfinite(real.gains))
         assert np.all(real.gains >= 0)
 
     def test_gbs_disabled_by_default(self):
         rng = np.random.default_rng(2)
-        real = draw_realization(self.positions, self.users, PARAMS,
+        real = draw_realization(self.pl, self.users, PARAMS,
                                 FadingMode.NONE, rng, n_subchannels=2, gbs=GbsSpec())
         assert real.gbs_gains is None and real.gbs_power is None
 
@@ -185,7 +187,6 @@ class TestDrawRealization:
 class TestInterference:
     def make_real(self, gains, gbs_gains=None, gbs_power=None):
         return ChannelRealization(gains=np.asarray(gains, dtype=float),
-                                  abs_positions=(), users_xy=np.zeros((1, 2)),
                                   gbs_gains=gbs_gains, gbs_power=gbs_power)
 
     def test_single_station_no_gbs_is_zero(self):

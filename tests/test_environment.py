@@ -5,9 +5,8 @@ import pytest
 
 from absim.allocator import AllocationProblem, solve
 from absim.channel import FadingMode, PropagationParams
-from absim.environment import (Environment, ScenarioConfig, evaluation_config,
-                               extract_trajectory, pessimistic_q_init, run_episode,
-                               train)
+from absim.environment import (Environment, extract_trajectory, pessimistic_q_init,
+                               run_episode, train)
 from absim.geometry import (Action, GridState, cell_center, dist_to_final,
                             state_index)
 from absim.qlearning import LearningParams, QTable, greedy_policy, value_iteration
@@ -30,10 +29,10 @@ class TestStepAll:
         env = Environment(cfg)
         # start the agent right next to its goal
         env.states[0] = GridState(3, 4)
-        out = env.step_all({0: Action.RIGHT}, np.random.default_rng(0))[0]
-        assert out.transition.terminal
-        assert out.reward.f3 == 0.0
-        assert out.reward.f2 == 0.0
+        (tr,), terms = env.step_all({0: Action.RIGHT}, np.random.default_rng(0))
+        assert tr.terminal
+        assert terms[0, 2] == 0.0
+        assert terms[0, 1] == 0.0
         assert env.parked[0]
 
     def test_coincident_agents_both_flagged(self):
@@ -42,11 +41,11 @@ class TestStepAll:
                             final=[GridState(4, 4), GridState(1, 4)])
         env = Environment(cfg)
         env.states = [GridState(2, 2), GridState(4, 2)]
-        out = env.step_all({0: Action.RIGHT, 1: Action.LEFT},
-                           np.random.default_rng(0))
+        transitions, terms = env.step_all({0: Action.RIGHT, 1: Action.LEFT},
+                                          np.random.default_rng(0))
         # both moved into (3, 2): distance 0 < d_min
-        assert [o.reward.f3 for o in out] == [1.0, 1.0]
-        assert all(o.reward.total == -1000.0 for o in out)
+        assert terms[:, 2].tolist() == [1.0, 1.0]
+        assert [tr.reward for tr in transitions] == [-1000.0, -1000.0]
 
     def test_reward_assembly_exact(self):
         cfg = make_scenario(m=5, n_agents=2, n_subchannels=3, beta1=3.5,
@@ -58,12 +57,17 @@ class TestStepAll:
             if not active:
                 break
             actions = {j: Action(int(rng.integers(4))) for j in active}
-            for out in env.step_all(actions, rng):
-                r = out.reward
-                assert r.total == cfg.beta1 * r.f1 - cfg.beta2 * r.f2 - cfg.beta3 * r.f3
-                assert r.f1 >= 0.0
-                assert r.f2 >= 0.0
-                assert r.f3 in (0.0, 1.0)
+            transitions, terms = env.step_all(actions, rng)
+            assert terms.shape == (2, 3)
+            assert len(transitions) == len(active)
+            for j, tr in zip(active, transitions):
+                f1, f2, f3 = terms[j]
+                assert tr.reward == cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
+                assert f1 >= 0.0
+                assert f2 >= 0.0
+                assert f3 in (0.0, 1.0)
+            for j in set(range(2)) - set(active):
+                assert terms[j].tolist() == [0.0, 0.0, 0.0]
 
     def test_f2_zero_iff_at_final(self):
         cfg = make_scenario(m=4, n_agents=1)
@@ -72,9 +76,9 @@ class TestStepAll:
         for _ in range(40):
             if env.parked[0]:
                 break
-            out = env.step_all({0: Action(int(rng.integers(4)))}, rng)[0]
+            _, terms = env.step_all({0: Action(int(rng.integers(4)))}, rng)
             at_final = env.states[0] == cfg.final_states[0]
-            assert (out.reward.f2 == 0.0) == at_final
+            assert (terms[0, 1] == 0.0) == at_final
 
     def test_single_agent_zero_interference(self):
         # with one station and no ground interferer the allocation reduces
@@ -82,7 +86,7 @@ class TestStepAll:
         cfg = make_scenario(m=4, n_agents=1, n_subchannels=3, beta1=1.0,
                             fading=FadingMode.NONE)
         env = Environment(cfg)
-        out = env.step_all({0: Action.RIGHT}, np.random.default_rng(3))[0]
+        _, terms = env.step_all({0: Action.RIGHT}, np.random.default_rng(3))
         pos = cell_center(cfg.area, env.states[0])
         from absim.channel import path_loss_to_users
         gains = 1.0 / path_loss_to_users(pos, cfg.users_xy, cfg.propagation)
@@ -91,15 +95,17 @@ class TestStepAll:
             interference=np.zeros((len(gains), 3)),
             noise_power=cfg.propagation.noise_power,
             p_max=cfg.p_max)
-        assert out.reward.f1 == pytest.approx(solve(prob).sum_rate, rel=1e-9)
-        assert out.allocation is not None
+        assert terms[0, 0] == pytest.approx(solve(prob).sum_rate, rel=1e-9)
 
-    def test_beta1_zero_skips_allocator(self):
+    def test_beta1_zero_skips_allocator(self, monkeypatch):
+        def no_solve(problem):
+            raise AssertionError("allocator called with beta1 = 0")
+
+        monkeypatch.setattr("absim.environment.solve", no_solve)
         cfg = make_scenario(m=4, n_agents=1, beta1=0.0)
         env = Environment(cfg)
-        out = env.step_all({0: Action.FORWARD}, np.random.default_rng(4))[0]
-        assert out.allocation is None
-        assert out.reward.f1 == 0.0
+        _, terms = env.step_all({0: Action.FORWARD}, np.random.default_rng(4))
+        assert terms[0, 0] == 0.0
 
     def test_parked_agent_rejected(self):
         cfg = make_scenario(m=4, n_agents=1, initial=[GridState(4, 4)],
@@ -132,11 +138,11 @@ class TestGroundInterferer:
                               fading=FadingMode.NONE,
                               gbs=GbsSpec(enabled=True, x=150.0, y=150.0,
                                           height=10.0, power_per_subchannel=0.5))
-        quiet = Environment(base).step_all({0: Action.RIGHT},
-                                           np.random.default_rng(0))[0]
-        jammed = Environment(noisy).step_all({0: Action.RIGHT},
-                                             np.random.default_rng(0))[0]
-        assert jammed.reward.f1 < quiet.reward.f1
+        _, quiet = Environment(base).step_all({0: Action.RIGHT},
+                                              np.random.default_rng(0))
+        _, jammed = Environment(noisy).step_all({0: Action.RIGHT},
+                                                np.random.default_rng(0))
+        assert jammed[0, 0] < quiet[0, 0]
 
 
 class TestSingleAgentRun:
@@ -145,10 +151,9 @@ class TestSingleAgentRun:
                             fading=FadingMode.RAYLEIGH)
         env = Environment(cfg)
         params = LearningParams(max_steps_per_episode=50)
-        trace, _ = run_episode(env, fresh_tables(cfg), params,
-                               np.random.default_rng(7))
-        assert trace.steps
-        assert all(o.reward.f3 == 0.0 for row in trace.steps for o in row)
+        stats = run_episode(env, fresh_tables(cfg), params, np.random.default_rng(7))
+        assert stats.steps_to_terminal[0] > 0
+        assert stats.collision_steps == 0
 
 
 class TestPureDistancePolicy:
@@ -174,9 +179,9 @@ class TestRunEpisode:
         cfg = make_scenario(m=4, n_agents=1)
         env = Environment(cfg)
         params = LearningParams(max_steps_per_episode=0)
-        trace, stats = run_episode(env, fresh_tables(cfg), params,
-                                   np.random.default_rng(0))
-        assert trace.steps == []
+        tables = fresh_tables(cfg)
+        stats = run_episode(env, tables, params, np.random.default_rng(0))
+        assert tables[0].visits.sum() == 0
         assert stats.steps_to_terminal.tolist() == [0]
 
     def test_identical_seeds_identical_traces(self):
@@ -187,19 +192,19 @@ class TestRunEpisode:
         def run_once():
             env = Environment(cfg)
             tables = fresh_tables(cfg)
-            trace, stats = run_episode(env, tables, params,
-                                       derive_stream(77, PURPOSE_EPISODE, 0))
-            return trace, stats
+            stats = run_episode(env, tables, params,
+                                derive_stream(77, PURPOSE_EPISODE, 0))
+            return tables, stats
 
-        t1, s1 = run_once()
-        t2, s2 = run_once()
-        assert len(t1.steps) == len(t2.steps)
-        for row1, row2 in zip(t1.steps, t2.steps):
-            for a, b in zip(row1, row2):
-                assert a.agent == b.agent
-                assert a.transition == b.transition
-                assert a.reward == b.reward
-        np.testing.assert_array_equal(s1.cumulative_reward, s2.cumulative_reward)
+        q1, s1 = run_once()
+        q2, s2 = run_once()
+        for a, b in zip(q1, q2):
+            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a.visits, b.visits)
+        assert q1[0].visits.sum() > 0
+        for name in ("avg_sum_rate", "steps_to_terminal", "cumulative_reward", "reached"):
+            np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
+        assert s1.collision_steps == s2.collision_steps
 
     def test_parked_agents_get_no_updates(self):
         cfg = make_scenario(m=4, n_agents=2, beta2=0.25,
@@ -213,22 +218,18 @@ class TestRunEpisode:
         assert np.all(tables[0].values[tables[0].terminal_state] == 0.0)
 
     def test_trace_rows_only_for_active_agents(self):
+        # one table update per step an agent actually took: none after parking
         cfg = make_scenario(m=4, n_agents=2, beta2=0.25,
                             initial=[GridState(3, 4), GridState(1, 1)],
                             final=[GridState(4, 4), GridState(4, 1)])
         env = Environment(cfg)
+        tables = fresh_tables(cfg)
         params = LearningParams(epsilon=0.0, max_steps_per_episode=60)
-        trace, stats = run_episode(env, fresh_tables(cfg), params,
-                                   np.random.default_rng(10))
-        seen_after_park = False
-        parked = set()
-        for row in trace.steps:
-            agents = [o.agent for o in row]
-            assert not (set(agents) & parked)
-            for o in row:
-                if o.transition.terminal:
-                    parked.add(o.agent)
+        stats = run_episode(env, tables, params, np.random.default_rng(10))
         assert stats.reached.any()
+        visits = [int(q.visits.sum()) for q in tables]
+        assert visits == stats.steps_to_terminal.tolist()
+        assert visits[0] < 60
 
 
 class TestTrain:
@@ -325,10 +326,6 @@ class TestConfigValidation:
     def test_bad_initial_state_rejected(self):
         with pytest.raises(ValueError):
             make_scenario(m=4, initial=[GridState(9, 1)])
-
-    def test_evaluation_config_disables_fading(self):
-        cfg = make_scenario(m=4, fading=FadingMode.RAYLEIGH)
-        assert evaluation_config(cfg).fading == FadingMode.NONE
 
     def test_pessimistic_init_is_reward_floor(self):
         cfg = make_scenario(m=4, beta2=0.25, beta3=1000.0)

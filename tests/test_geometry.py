@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from absim.geometry import (Action, AreaSpec, GridState, Position3D, apply_action,
-                            cell_center, dist_to_final, pairwise_dist, snap_to_state,
-                            state_from_index, state_index)
+                            cell_center, dist_to_final, pairwise_dist, state_from_index,
+                            state_index)
 
 from conftest import make_area
 
@@ -27,56 +25,12 @@ class TestCellCenter:
         # direct evaluation: x_min + (x_max - x_min)/M * (k - 1)
         assert (p.x, p.y, p.h) == (900.0, 900.0, 100.0)
 
-    def test_center_offset_adds_half_width(self):
-        area = AreaSpec(0, 1000, 0, 1000, 10, 100)
-        anchored = cell_center(area, GridState(3, 7))
-        centered = cell_center(area, GridState(3, 7), center_offset=True)
-        assert centered.x == anchored.x + 50.0
-        assert centered.y == anchored.y + 50.0
-
     def test_invalid_index_rejected(self):
         area = make_area(4)
         with pytest.raises(ValueError):
             cell_center(area, GridState(0, 1))
         with pytest.raises(ValueError):
             cell_center(area, GridState(1, 5))
-
-
-class TestSnapToState:
-    def test_exact_anchor(self, area4):
-        assert snap_to_state(area4, Position3D(0, 0, 100)) == GridState(1, 1)
-
-    def test_below_midpoint(self, area4):
-        assert snap_to_state(area4, Position3D(49, 0, 100)) == GridState(1, 1)
-
-    def test_above_midpoint(self, area4):
-        assert snap_to_state(area4, Position3D(51, 0, 100)) == GridState(2, 1)
-
-    def test_midpoint_tie_goes_low(self, area4):
-        assert snap_to_state(area4, Position3D(50, 50, 100)) == GridState(1, 1)
-
-    def test_out_of_area_rejected(self, area4):
-        with pytest.raises(ValueError):
-            snap_to_state(area4, Position3D(-1, 0, 100))
-        with pytest.raises(ValueError):
-            snap_to_state(area4, Position3D(0, 401, 100))
-
-    def test_roundtrip_identity_all_cells(self):
-        area = AreaSpec(-150, 550, 30, 730, 7, 80)
-        for k1 in range(1, 8):
-            for k2 in range(1, 8):
-                s = GridState(k1, k2)
-                assert snap_to_state(area, cell_center(area, s)) == s
-
-    def test_matches_enumeration_oracle(self):
-        area = AreaSpec(0, 500, 0, 500, 5, 100)
-        rng = np.random.default_rng(3)
-        cells = [GridState(k1, k2) for k1 in range(1, 6) for k2 in range(1, 6)]
-        for _ in range(300):
-            p = Position3D(rng.uniform(0, 500), rng.uniform(0, 500), 100.0)
-            best = min(cells, key=lambda s: (pairwise_dist(cell_center(area, s), p),
-                                             s.k1, s.k2))
-            assert snap_to_state(area, p) == best
 
 
 class TestApplyAction:
@@ -137,7 +91,6 @@ class TestDistances:
         p1 = Position3D(300, 400, 100)
         p2 = Position3D(0, 0, 100)
         assert dist_to_final(p1, p2, exponent=2) == 250000.0
-        assert pairwise_dist(p1, p2, exponent=2) == 250000.0
         with pytest.raises(ValueError):
             dist_to_final(p1, p2, exponent=3)
 
@@ -170,12 +123,6 @@ class TestAreaSpec:
     def test_invariants_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AreaSpec(**kwargs)
-
-    def test_step_duration_metadata(self):
-        area = AreaSpec(0, 3000, 0, 3000, 30, 100)
-        assert area.step_duration_s(10.0) == 10.0
-        with pytest.raises(ValueError):
-            area.step_duration_s(0.0)
 
     def test_state_index_roundtrip(self):
         area = make_area(6)

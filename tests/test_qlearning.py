@@ -288,6 +288,11 @@ class TestPersistence:
         ("0 0 -1.5\n0 -1 -2.5\n", "line 3: entry (0, -1) outside the 4 x 4 table"),
         ("0 0\n", "line 2: expected 'state action value'"),
         ("0 zero -1.5\n", "line 2: expected 'state action value'"),
+        ("0 0 -1.5\n0 1 nan\n", "line 3: entry (0, 1) holds nan, not a finite value"),
+        ("0 0 inf\n", "line 2: entry (0, 0) holds inf, not a finite value"),
+        ("0 0 -Infinity\n", "line 2: entry (0, 0) holds -inf, not a finite value"),
+        # the header names state 3 as terminal
+        ("3 1 7.0\n", "line 2: entry (3, 1) holds 7.0, but the terminal row must read 0.0"),
     ])
     def test_malformed_rows_rejected(self, tmp_path, body, message):
         path = tmp_path / "q.txt"

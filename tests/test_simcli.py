@@ -31,6 +31,28 @@ def write_config(tmp_path, data, name="config.json"):
     return str(path)
 
 
+# every float the config reads, as (section or None for top level, key)
+FLOAT_FIELDS = [("area", k) for k in ("x_min_m", "x_max_m", "y_min_m", "y_max_m",
+                                      "altitude_m")] \
+    + [("propagation", k) for k in ("a", "b", "eta_los", "eta_nlos", "carrier_freq_hz",
+                                    "speed_of_light_m_per_s", "noise_power_watts")] \
+    + [("gbs", k) for k in ("x_m", "y_m", "height_m", "power_per_subchannel_watts")] \
+    + [("learning", k) for k in ("alpha", "gamma", "epsilon", "epsilon_decay",
+                                 "initial_q")] \
+    + [("reward_weights", k) for k in ("beta1", "beta2", "beta3")] \
+    + [(None, "p_max_watts"), (None, "d_min_m")]
+
+# json.loads reads all three: NaN and Infinity by name, 1e400 as inf
+NON_FINITE = ["NaN", "Infinity", "1e400"]
+
+
+def write_with_token(tmp_path, data, token):
+    """Write data as JSON with the string "TOKEN" replaced by a raw JSON token."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data).replace('"TOKEN"', token))
+    return str(path)
+
+
 class TestLoadConfig:
     def test_defaults_mirror_headline_scenario(self):
         config, params = load_config()
@@ -49,7 +71,6 @@ class TestLoadConfig:
         assert config.area.altitude == 100.0
         assert params.gamma == 0.9 and params.epsilon == 0.1
         assert params.max_episodes == 2000
-        assert config.velocity == 10.0
 
     def test_partial_override(self, tmp_path):
         path = write_config(tmp_path, {"p_max_watts": 0.5,
@@ -76,6 +97,11 @@ class TestLoadConfig:
         {"users": {"positions_m": 5.0}},
         {"abs": [{"initial_cell": [1], "final_cell": [2, 2]}]},
         [1, 2],
+        # int(inf) raises OverflowError, not ValueError
+        {"area": {"cells_per_axis": float("inf")}},
+        {"users": {"count": float("inf")}},
+        {"learning": {"max_episodes": float("inf")}},
+        {"n_subchannels": float("inf")},
     ])
     def test_malformed_values_rejected(self, tmp_path, data):
         with pytest.raises(ConfigValidationError):
@@ -98,6 +124,32 @@ class TestLoadConfig:
         config, _ = load_config(path)
         assert config.users_xy.tolist() == [[10.0, 10.0], [350.0, 350.0]]
         assert config.association.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    @pytest.mark.parametrize("section, key", FLOAT_FIELDS)
+    def test_non_finite_number_rejected(self, tmp_path, capsys, section, key, token):
+        data = {key: "TOKEN"} if section is None else {section: {key: "TOKEN"}}
+        assert main(["validate-config", "--config",
+                     write_with_token(tmp_path, data, token)]) == 2
+        err = capsys.readouterr().err
+        assert f"{section or 'scenario'}: {key} must be a finite number" in err
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_non_finite_user_position_rejected(self, tmp_path, capsys, token):
+        data = {"users": {"positions_m": [[10.0, "TOKEN"], [350.0, 350.0]],
+                          "association": [0, 1]}}
+        assert main(["validate-config", "--config",
+                     write_with_token(tmp_path, data, token)]) == 2
+        assert "users.positions_m: every coordinate must be a finite number" \
+            in capsys.readouterr().err
+
+    def test_velocity_key_ignored(self, tmp_path):
+        # velocity_m_per_s entered no computation and is no longer a field;
+        # older configs that name it still load, like any other unknown key
+        config, params = load_config(write_config(tmp_path, {"velocity_m_per_s": 10.0}))
+        snapshot = config_to_dict(config, params)
+        assert "velocity_m_per_s" not in snapshot
+        assert snapshot == config_to_dict(*load_config())
 
     def test_roundtrip_identical(self, tmp_path):
         config, params = load_config(write_config(tmp_path, small_config_dict()))
@@ -270,6 +322,37 @@ class TestCli:
                      "--out-dir", str(out), "--episodes", "2"]) == 0
         episodes, _ = read_metrics(str(out / "metrics.csv"))
         assert len(episodes) == 2
+
+    def test_rollout_non_finite_checkpoint(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config_dict(2))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+        table = out / "qtable_agent0.txt"
+        lines = table.read_text().splitlines(keepends=True)
+        lines[2] = "0 1 nan\n"
+        table.write_text("".join(lines))
+        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
+                     "--out", str(tmp_path / "roll.csv")])
+        assert code == 2
+        assert "qtable_agent0.txt: line 3: entry (0, 1) holds nan" in capsys.readouterr().err
+
+    def test_train_negative_episodes(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--out-dir", str(out), "--episodes", "-1"]) == 2
+        assert "max_episodes must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", ["0", "3"])
+    def test_plot_data_bad_window(self, tmp_path, capsys, window):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("episode,mean_sum_rate,collision_steps\n1,0.5,0\n2,0.6,0\n")
+        traj = tmp_path / "trajectory.csv"
+        traj.write_text("agent,step,x_m,y_m\n0,0,0.0,0.0\n")
+        plots = tmp_path / "plots"
+        assert main(["plot-data", "--metrics", str(metrics), "--trajectory", str(traj),
+                     "--out-dir", str(plots), "--window", window]) == 2
+        assert "window" in capsys.readouterr().err
+        assert not plots.exists()
 
     def test_rollout_roundtrip(self, tmp_path):
         cfg_dict = small_config_dict(60)
