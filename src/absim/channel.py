@@ -81,6 +81,8 @@ class GbsSpec:
     power_per_subchannel: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.enabled, bool):  # bool("false") is True
+            raise ValueError(f"enabled must be true or false, got {self.enabled!r}")
         if self.power_per_subchannel < 0:
             raise ValueError("GBS power must be non-negative")
         if self.enabled and self.height <= 0:
@@ -149,20 +151,21 @@ def path_loss_to_users(abs_pos: Position3D, users_xy: np.ndarray,
         (1.0 - pr) * free_space_path_loss(d3, params, params.eta_nlos)
 
 
-def draw_realization(path_loss: np.ndarray, users_xy: np.ndarray,
-                     params: PropagationParams, fading: FadingMode,
+def draw_realization(path_loss: np.ndarray, fading: FadingMode,
                      rng: np.random.Generator, n_subchannels: int,
-                     gbs: GbsSpec | None = None) -> ChannelRealization:
+                     gbs_path_loss: np.ndarray | None = None,
+                     gbs_power: float | None = None) -> ChannelRealization:
     """Draw the per-link power gains for one time step.
 
     Parameters
     ----------
     path_loss : (J, K) average path loss from each station to each user
-    users_xy : (K, 2) array of ground-user coordinates in meters, used for
-        the ground transmitter's links
     fading : FadingMode.NONE gives deterministic gains 1/PL; RAYLEIGH
         multiplies each (j, k, n) gain by an i.i.d. unit-mean fading power
     rng : caller-owned seeded stream, consumed only when fading is drawn
+    gbs_path_loss : (K,) path loss from the ground transmitter to each
+        user, or None when it is disabled
+    gbs_power : the ground transmitter's power per sub-channel in watts
     """
     j_count, k_count = path_loss.shape
     base = 1.0 / path_loss[:, :, None]
@@ -173,18 +176,13 @@ def draw_realization(path_loss: np.ndarray, users_xy: np.ndarray,
     else:
         gains = np.broadcast_to(base, (j_count, k_count, n_subchannels)).copy()
 
-    gbs_gains = None
-    gbs_power = None
-    if gbs is not None and gbs.enabled:
-        gbs_pos = Position3D(gbs.x, gbs.y, gbs.height)
-        gbs_pl = path_loss_to_users(gbs_pos, users_xy, params)
-        gbs_base = 1.0 / gbs_pl[:, None]
-        if fading == FadingMode.RAYLEIGH:
-            gbs_gains = rng.exponential(1.0, size=(k_count, n_subchannels)) * gbs_base
-        else:
-            gbs_gains = np.broadcast_to(gbs_base, (k_count, n_subchannels)).copy()
-        gbs_power = gbs.power_per_subchannel
-
+    if gbs_path_loss is None:
+        return ChannelRealization(gains=gains)
+    gbs_base = 1.0 / gbs_path_loss[:, None]
+    if fading == FadingMode.RAYLEIGH:
+        gbs_gains = rng.exponential(1.0, size=(k_count, n_subchannels)) * gbs_base
+    else:
+        gbs_gains = np.broadcast_to(gbs_base, (k_count, n_subchannels)).copy()
     return ChannelRealization(gains=gains, gbs_gains=gbs_gains, gbs_power=gbs_power)
 
 

@@ -18,9 +18,8 @@ import numpy as np
 from .allocator import AllocationProblem, solve
 from .channel import (FadingMode, GbsSpec, PropagationParams, draw_realization,
                       interference_for_abs, path_loss_to_users)
-from .geometry import (Action, AreaSpec, GridState, Position3D, apply_action,
-                       cell_center, dist_to_final, pairwise_dist, state_index,
-                       validate_state)
+from .geometry import (Action, AreaSpec, Position3D, apply_action, cell_center,
+                       dist_to_final, pairwise_dist, state_index)
 from .qlearning import LearningParams, QTable, Transition, greedy_policy, select_action, update
 from .rng import PURPOSE_EPISODE, derive_stream
 
@@ -65,7 +64,7 @@ class ScenarioConfig:
         if j < 1 or len(self.final_states) != j:
             raise ValueError("need matching non-empty initial/final state lists")
         for s in list(self.initial_states) + list(self.final_states):
-            validate_state(self.area, s)
+            state_index(self.area, s)  # rejects cells outside the grid
         if users.ndim != 2 or users.shape[1] != 2 or users.shape[0] < 1:
             raise ValueError("users_xy must be a (K, 2) array")
         if assoc.shape != (users.shape[0],):
@@ -110,55 +109,60 @@ class EpisodeStats:
 class Environment:
     """Owns the mutable per-episode state of one scenario.
 
-    Path losses depend only on (cell, user), so they are cached per visited
-    cell; fading is drawn fresh every step from the caller's stream.
+    States are flat cell indices (see geometry.state_index). Path losses
+    depend only on (cell, user), so they are cached per visited cell, and
+    the ground transmitter's row is computed once; fading is drawn fresh
+    every step from the caller's stream.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
+        area = config.area
+        self._initial = [state_index(area, s) for s in config.initial_states]
+        self._final = [state_index(area, s) for s in config.final_states]
         self._centers = {}
         self._pl_cache = {}
-        self._final_pos = [self._center(s) for s in config.final_states]
+        self._final_pos = [self._center(s) for s in self._final]
+        gbs = config.gbs
+        self._gbs_pl = (path_loss_to_users(Position3D(gbs.x, gbs.y, gbs.height),
+                                           config.users_xy, config.propagation)
+                        if gbs.enabled else None)
         self._user_idx = [np.flatnonzero(config.association == j)
                           for j in range(config.n_agents)]
         self._uniform_power = config.p_max / config.n_subchannels
-        self.states: list[GridState] = []
+        self.states: list[int] = []
         self.parked: list[bool] = []
         self._prev_powers = np.zeros((config.n_agents, config.n_subchannels))
         self.reset()
 
-    def _center(self, s: GridState) -> Position3D:
-        key = (s.k1, s.k2)
-        pos = self._centers.get(key)
+    def _center(self, s: int) -> Position3D:
+        pos = self._centers.get(s)
         if pos is None:
             pos = cell_center(self.config.area, s)
-            self._centers[key] = pos
+            self._centers[s] = pos
         return pos
 
-    def _pl_row(self, s: GridState) -> np.ndarray:
-        key = (s.k1, s.k2)
-        row = self._pl_cache.get(key)
+    def _pl_row(self, s: int) -> np.ndarray:
+        row = self._pl_cache.get(s)
         if row is None:
             row = path_loss_to_users(self._center(s), self.config.users_xy,
                                      self.config.propagation)
-            self._pl_cache[key] = row
+            self._pl_cache[s] = row
         return row
 
     @property
     def n_agents(self) -> int:
         return self.config.n_agents
 
-    def reset(self) -> list[GridState]:
+    def reset(self) -> None:
         cfg = self.config
-        self.states = list(cfg.initial_states)
-        self.parked = [cfg.initial_states[j] == cfg.final_states[j]
-                       for j in range(cfg.n_agents)]
+        self.states = list(self._initial)
+        self.parked = [s == f for s, f in zip(self._initial, self._final)]
         self._prev_powers = np.full((cfg.n_agents, cfg.n_subchannels),
                                     self._uniform_power)
         for j, parked in enumerate(self.parked):
             if parked:
                 self._prev_powers[j] = 0.0
-        return list(self.states)
 
     def step_all(self, actions: dict, rng: np.random.Generator):
         """Advance every acting agent one synchronized step.
@@ -178,16 +182,15 @@ class Environment:
 
         new_states = list(self.states)
         for j, a in actions.items():
-            new_states[j] = apply_action(cfg.area, self.states[j], Action(a))
+            new_states[j] = apply_action(cfg.area, self.states[j], a)
         positions = [self._center(s) for s in new_states]
 
         need_allocation = cfg.beta1 != 0.0
         realization = None
         if need_allocation:
             pl = np.stack([self._pl_row(s) for s in new_states])
-            realization = draw_realization(pl, cfg.users_xy, cfg.propagation,
-                                           cfg.fading, rng, cfg.n_subchannels,
-                                           gbs=cfg.gbs)
+            realization = draw_realization(pl, cfg.fading, rng, cfg.n_subchannels,
+                                           self._gbs_pl, cfg.gbs.power_per_subchannel)
 
         transitions = []
         terms = np.zeros((j_count, 3))
@@ -217,19 +220,18 @@ class Environment:
                     f3 = 1.0
                     break
             total = cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
-            terminal = new_states[j] == cfg.final_states[j]
             terms[j] = f1, f2, f3
             transitions.append(Transition(
-                state=state_index(cfg.area, self.states[j]),
+                state=self.states[j],
                 action=int(actions[j]),
                 reward=total,
-                next_state=state_index(cfg.area, new_states[j]),
-                terminal=terminal,
+                next_state=new_states[j],
+                terminal=new_states[j] == self._final[j],
             ))
 
         for j in actions:
             self.states[j] = new_states[j]
-            if new_states[j] == cfg.final_states[j]:
+            if new_states[j] == self._final[j]:
                 self.parked[j] = True
                 new_powers[j] = 0.0  # parked stations stop transmitting
         self._prev_powers = new_powers
@@ -267,8 +269,8 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
             break
         actions = {}
         for j in active:
-            s = state_index(cfg.area, env.states[j])
-            actions[j] = select_action(qtables[j], s, params, rng, epsilon=epsilon)
+            actions[j] = select_action(qtables[j], env.states[j], params, rng,
+                                       epsilon=epsilon)
         transitions, terms = env.step_all(actions, rng)
         for j, tr in zip(active, transitions):
             update(qtables[j], tr, params)
@@ -365,11 +367,12 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
     """
     area = config.area
     j_count = config.n_agents
-    policies = [greedy_policy(q) for q in qtables]
+    policies = [greedy_policy(q).tolist() for q in qtables]
     cap = max_steps if max_steps is not None else 4 * area.n_states
 
-    states = list(config.initial_states)
-    parked = [states[j] == config.final_states[j] for j in range(j_count)]
+    states = [state_index(area, s) for s in config.initial_states]
+    final = [state_index(area, s) for s in config.final_states]
+    parked = [states[j] == final[j] for j in range(j_count)]
     positions = [cell_center(area, s) for s in states]
     trajectories = [[positions[j]] for j in range(j_count)]
 
@@ -390,14 +393,13 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
         for j in range(j_count):
             if parked[j]:
                 continue
-            action = Action(int(policies[j][state_index(area, states[j])]))
-            states[j] = apply_action(area, states[j], action)
+            states[j] = apply_action(area, states[j], policies[j][states[j]])
         steps += 1
         positions = [cell_center(area, s) for s in states]
         for j in range(j_count):
             if not parked[j]:
                 trajectories[j].append(positions[j])
-                if states[j] == config.final_states[j]:
+                if states[j] == final[j]:
                     parked[j] = True
         d = snapshot_min_dist()
         min_pairwise = min(min_pairwise, d)
@@ -411,7 +413,7 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
 
     return TrajectoryRollout(
         trajectories=trajectories,
-        reached=[states[j] == config.final_states[j] for j in range(j_count)],
+        reached=[states[j] == final[j] for j in range(j_count)],
         steps=steps,
         min_pairwise=min_pairwise,
         violation_steps=violation_steps,

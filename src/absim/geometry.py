@@ -1,10 +1,12 @@
 """Grid-world geometry: service area discretization, movements, distances.
 
 The service area is an axis-aligned rectangle split into an M x M grid of
-square cells at a fixed flight altitude. Grid states are 1-based (k1, k2)
-indices along the x and y axes. Every state maps to a fixed reference point
-in the plane; all propagation and reward distances are computed from these
-points.
+square cells at a fixed flight altitude. The simulator carries a cell as
+its flat 0-based index s = (k2 - 1) * M + (k1 - 1); configs name cells by
+their 1-based (k1, k2) indices along the x and y axes (GridState), and
+state_index converts one to the other. Every cell maps to a fixed
+reference point in the plane; all propagation and reward distances are
+computed from these points.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "cell_center",
     "dist_to_final",
     "pairwise_dist",
-    "state_from_index",
     "state_index",
 ]
 
@@ -91,58 +92,45 @@ class Position3D:
     h: float
 
 
-def validate_state(area: AreaSpec, s: GridState) -> None:
+def state_index(area: AreaSpec, s: GridState) -> int:
+    """Flat 0-based index of a grid state (row-major in k2, then k1)."""
     m = area.cells_per_axis
     if not (1 <= s.k1 <= m and 1 <= s.k2 <= m):
         raise ValueError(f"grid state {s} outside {m}x{m} grid")
+    return (s.k2 - 1) * m + (s.k1 - 1)
 
 
-def state_index(area: AreaSpec, s: GridState) -> int:
-    """Flat 0-based index of a grid state (row-major in k2, then k1)."""
-    validate_state(area, s)
-    return (s.k2 - 1) * area.cells_per_axis + (s.k1 - 1)
+def _check_index(area: AreaSpec, s: int) -> None:
+    if not 0 <= s < area.n_states:
+        raise ValueError(f"state index {s} outside grid of {area.n_states} states")
 
 
-def state_from_index(area: AreaSpec, index: int) -> GridState:
-    m = area.cells_per_axis
-    if not 0 <= index < m * m:
-        raise ValueError(f"state index {index} outside grid of {m * m} states")
-    return GridState(index % m + 1, index // m + 1)
+def cell_center(area: AreaSpec, s: int) -> Position3D:
+    """Reference point of cell index s at flight altitude.
 
-
-def cell_center(area: AreaSpec, s: GridState) -> Position3D:
-    """Reference point of a grid cell at flight altitude.
-
-    Cell (k1, k2) is anchored at (x_min + (k1 - 1) * width,
-    y_min + (k2 - 1) * width); a uniform translation of the geometric
+    Cell s is anchored at (x_min + width * (s % M), y_min + width * (s // M)),
+    the cell's lower-left corner; a uniform translation of the geometric
     centers, so relative geometry is unchanged.
     """
-    validate_state(area, s)
-    wx = area.cell_width_x
-    wy = area.cell_width_y
-    x = area.x_min + wx * (s.k1 - 1)
-    y = area.y_min + wy * (s.k2 - 1)
-    return Position3D(x, y, area.altitude)
-
-
-def apply_action(area: AreaSpec, s: GridState, a: Action) -> GridState:
-    """One-cell move; moves that would exit the grid leave the state unchanged."""
-    validate_state(area, s)
+    _check_index(area, s)
     m = area.cells_per_axis
-    k1, k2 = s.k1, s.k2
+    return Position3D(area.x_min + area.cell_width_x * (s % m),
+                      area.y_min + area.cell_width_y * (s // m), area.altitude)
+
+
+def apply_action(area: AreaSpec, s: int, a: Action) -> int:
+    """One-cell move from cell index s; a move off the grid leaves s unchanged."""
+    _check_index(area, s)
+    m = area.cells_per_axis
     if a == Action.LEFT:
-        k1 = max(k1 - 1, 1)
-    elif a == Action.RIGHT:
-        k1 = min(k1 + 1, m)
-    elif a == Action.FORWARD:
-        k2 = min(k2 + 1, m)
-    elif a == Action.BACKWARD:
-        k2 = max(k2 - 1, 1)
-    else:
-        raise ValueError(f"unknown action {a!r}")
-    if k1 == s.k1 and k2 == s.k2:
-        return s
-    return GridState(k1, k2)
+        return s - 1 if s % m > 0 else s
+    if a == Action.RIGHT:
+        return s + 1 if s % m < m - 1 else s
+    if a == Action.FORWARD:
+        return s + m if s // m < m - 1 else s
+    if a == Action.BACKWARD:
+        return s - m if s // m > 0 else s
+    raise ValueError(f"unknown action {a!r}")
 
 
 def pairwise_dist(p1: Position3D, p2: Position3D) -> float:

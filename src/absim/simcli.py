@@ -169,12 +169,22 @@ def _build_config(raw):
             raise ValueError(f"{key} must be a finite number, got {value}")
         return value
 
+    def integer(value, name):
+        # int() truncates 30.7 silently; type() also keeps bool (an int subclass) out
+        if type(value) is not int and not (type(value) is float and value.is_integer()):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+
+    def cells(key):
+        # GridState takes exactly two coordinates, so [1] and [1, 1, 7] fail too
+        return tuple(GridState(*(integer(k, key) for k in e[key])) for e in raw["abs"])
+
     area = attempt(lambda: AreaSpec(
         x_min=finite(raw["area"], "x_min_m"),
         x_max=finite(raw["area"], "x_max_m"),
         y_min=finite(raw["area"], "y_min_m"),
         y_max=finite(raw["area"], "y_max_m"),
-        cells_per_axis=int(raw["area"]["cells_per_axis"]),
+        cells_per_axis=integer(raw["area"]["cells_per_axis"], "cells_per_axis"),
         altitude=finite(raw["area"], "altitude_m"),
     ), "area")
 
@@ -189,7 +199,7 @@ def _build_config(raw):
     ), "propagation")
 
     gbs = attempt(lambda: GbsSpec(
-        enabled=bool(raw["gbs"]["enabled"]),
+        enabled=raw["gbs"]["enabled"],
         x=finite(raw["gbs"], "x_m"),
         y=finite(raw["gbs"], "y_m"),
         height=finite(raw["gbs"], "height_m"),
@@ -198,12 +208,8 @@ def _build_config(raw):
 
     fading = attempt(lambda: FadingMode(raw["fading"]), "fading")
 
-    initial = attempt(lambda: tuple(GridState(int(e["initial_cell"][0]),
-                                              int(e["initial_cell"][1]))
-                                    for e in raw["abs"]), "abs.initial_cell")
-    final = attempt(lambda: tuple(GridState(int(e["final_cell"][0]),
-                                            int(e["final_cell"][1]))
-                                  for e in raw["abs"]), "abs.final_cell")
+    initial = attempt(lambda: cells("initial_cell"), "abs.initial_cell")
+    final = attempt(lambda: cells("final_cell"), "abs.final_cell")
 
     users_raw = attempt(lambda: dict(raw["users"]), "users")
     users_xy = assoc = None
@@ -214,12 +220,14 @@ def _build_config(raw):
             errors.append("users.positions_m: every coordinate must be a finite number")
             users_xy = None
         if "association" in users_raw:
-            assoc = attempt(lambda: np.asarray(users_raw["association"], dtype=int),
-                            "users.association")
+            assoc = attempt(lambda: np.array(
+                [integer(v, "association entry") for v in users_raw["association"]],
+                dtype=int), "users.association")
     elif users_raw is not None:
-        count = attempt(lambda: int(users_raw.get("count", 0)), "users.count")
-        seed = attempt(lambda: int(users_raw.get("placement_seed", 0)),
-                       "users.placement_seed")
+        count = attempt(lambda: integer(users_raw.get("count", 0), "count"),
+                        "users.count")
+        seed = attempt(lambda: integer(users_raw.get("placement_seed", 0),
+                                       "placement_seed"), "users.placement_seed")
         if count is not None and count < 1:
             errors.append("users.count: must be at least 1")
         elif count is not None and seed is not None and area is not None:
@@ -236,9 +244,10 @@ def _build_config(raw):
         alpha=finite(raw["learning"], "alpha"),
         gamma=finite(raw["learning"], "gamma"),
         epsilon=finite(raw["learning"], "epsilon"),
-        max_episodes=int(raw["learning"]["max_episodes"]),
+        max_episodes=integer(raw["learning"]["max_episodes"], "max_episodes"),
         max_steps_per_episode=(None if raw["learning"]["max_steps_per_episode"] is None
-                               else int(raw["learning"]["max_steps_per_episode"])),
+                               else integer(raw["learning"]["max_steps_per_episode"],
+                                            "max_steps_per_episode")),
         alpha_schedule=str(raw["learning"]["alpha_schedule"]),
         epsilon_decay=finite(raw["learning"], "epsilon_decay"),
         initial_q=(None if raw["learning"].get("initial_q") is None
@@ -256,7 +265,7 @@ def _build_config(raw):
             final_states=final,
             users_xy=users_xy,
             association=assoc,
-            n_subchannels=int(raw["n_subchannels"]),
+            n_subchannels=integer(raw["n_subchannels"], "n_subchannels"),
             p_max=finite(raw, "p_max_watts"),
             d_min=finite(raw, "d_min_m"),
             beta1=betas[0],
@@ -265,7 +274,7 @@ def _build_config(raw):
             propagation=prop,
             fading=fading,
             gbs=gbs,
-            distance_exponent=int(raw["distance_exponent"]),
+            distance_exponent=integer(raw["distance_exponent"], "distance_exponent"),
         ), "scenario")
     if errors:
         raise ConfigValidationError(errors)
@@ -495,28 +504,31 @@ def emit_plot_data(metrics_path, trajectory_path, out_dir, window: int = 100):
     return outputs
 
 
-def _cmd_validate(args) -> int:
-    try:
-        load_config(args.config)
-    except ConfigValidationError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
+def _with_config(command):
+    """Run command(args, config, params) on the loaded --config; a config that
+    fails validation ends with exit 2, an unreadable one with exit 3."""
+    def run(args) -> int:
+        try:
+            config, params = load_config(args.config)
+        except ConfigValidationError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_VALIDATION
+        except OSError as exc:
+            print(f"cannot read config: {exc}", file=sys.stderr)
+            return EXIT_IO
+        return command(args, config, params)
+
+    return run
+
+
+@_with_config
+def _cmd_validate(args, config, params) -> int:
     print("configuration is valid")
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    try:
-        config, params = load_config(args.config)
-    except ConfigValidationError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
+@_with_config
+def _cmd_train(args, config, params) -> int:
     if args.episodes is not None:
         try:
             params = replace(params, max_episodes=args.episodes)
@@ -535,15 +547,8 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_rollout(args) -> int:
-    try:
-        config, _ = load_config(args.config)
-    except ConfigValidationError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
+@_with_config
+def _cmd_rollout(args, config, params) -> int:
     try:
         qtables = [load_qtable(os.path.join(args.qtable_dir, f"qtable_agent{j}.txt"))
                    for j in range(config.n_agents)]

@@ -16,7 +16,7 @@ from absim.allocator import (AllocationProblem, brute_force_oracle, solve,
 from absim.channel import (FadingMode, PropagationParams, average_path_loss,
                            free_space_path_loss, los_probability)
 from absim.geometry import (Action, AreaSpec, GridState, Position3D, apply_action,
-                            cell_center, dist_to_final, state_from_index, state_index)
+                            cell_center, dist_to_final, state_index)
 from absim.qlearning import (LearningParams, QTable, Transition, select_action,
                              update, value_iteration)
 from absim.environment import extract_trajectory, train
@@ -122,8 +122,8 @@ def test_criterion_4_fading_normalization():
     pos = Position3D(70.0, -30.0, 100.0)
     users = np.array([[0.0, 0.0]])
     loss = path_loss_to_users(pos, users, params)[0]
-    real = draw_realization(np.array([[loss]]), users, params, FadingMode.RAYLEIGH,
-                            rng, n_subchannels=1_000_000)
+    real = draw_realization(np.array([[loss]]), FadingMode.RAYLEIGH, rng,
+                            n_subchannels=1_000_000)
     # dividing out the deterministic path loss recovers the fading powers
     mean = float(np.mean(real.gains[0, 0] * loss))
     elapsed = time.perf_counter() - started
@@ -137,17 +137,16 @@ def _unit_grid_fixture(m=4, penalty=0.25):
     area = AreaSpec(0.0, float(m), 0.0, float(m), m, 1.0)
     goal = GridState(m, m)
     goal_idx = state_index(area, goal)
-    goal_pos = cell_center(area, goal)
+    goal_pos = cell_center(area, goal_idx)
     n = area.n_states
     next_state = np.zeros((n, 4), dtype=int)
     rewards = np.zeros((n, 4))
     terminal = np.zeros(n, dtype=bool)
     terminal[goal_idx] = True
     for s in range(n):
-        st = state_from_index(area, s)
         for a in Action:
-            nxt = apply_action(area, st, a)
-            next_state[s, a] = state_index(area, nxt)
+            nxt = apply_action(area, s, a)
+            next_state[s, a] = nxt
             rewards[s, a] = -penalty * dist_to_final(cell_center(area, nxt), goal_pos)
     return next_state, rewards, terminal, goal_idx
 

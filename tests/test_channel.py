@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from absim.channel import (ChannelRealization, FadingMode, GbsSpec, PropagationParams,
+from absim.channel import (ChannelRealization, FadingMode, PropagationParams,
                            average_path_loss, draw_realization, elevation_angle,
                            free_space_path_loss, interference, interference_for_abs,
                            los_probability, path_loss_to_users)
@@ -144,8 +144,7 @@ class TestDrawRealization:
 
     def test_no_fading_flat_across_subchannels(self):
         rng = np.random.default_rng(0)
-        real = draw_realization(self.pl, self.users, PARAMS,
-                                FadingMode.NONE, rng, n_subchannels=4)
+        real = draw_realization(self.pl, FadingMode.NONE, rng, n_subchannels=4)
         assert real.gains.shape == (2, 3, 4)
         for j in range(2):
             pl = path_loss_to_users(self.positions[j], self.users, PARAMS)
@@ -153,11 +152,9 @@ class TestDrawRealization:
                 np.testing.assert_allclose(real.gains[j, :, n], 1.0 / pl, rtol=1e-12)
 
     def test_same_seed_same_realization(self):
-        real1 = draw_realization(self.pl, self.users, PARAMS,
-                                 FadingMode.RAYLEIGH, np.random.default_rng(42),
+        real1 = draw_realization(self.pl, FadingMode.RAYLEIGH, np.random.default_rng(42),
                                  n_subchannels=4)
-        real2 = draw_realization(self.pl, self.users, PARAMS,
-                                 FadingMode.RAYLEIGH, np.random.default_rng(42),
+        real2 = draw_realization(self.pl, FadingMode.RAYLEIGH, np.random.default_rng(42),
                                  n_subchannels=4)
         np.testing.assert_array_equal(real1.gains, real2.gains)
 
@@ -165,23 +162,34 @@ class TestDrawRealization:
         rng = np.random.default_rng(7)
         users = np.array([[0.0, 0.0]])
         pl = path_loss_to_users(Position3D(0, 0, 100), users, PARAMS)[0]
-        real = draw_realization(np.array([[pl]]), users, PARAMS, FadingMode.RAYLEIGH,
-                                rng, n_subchannels=200_000)
+        real = draw_realization(np.array([[pl]]), FadingMode.RAYLEIGH, rng,
+                                n_subchannels=200_000)
         mean_rho2 = float(np.mean(real.gains[0, 0] * pl))
         assert 0.98 < mean_rho2 < 1.02
 
     def test_gains_positive_finite(self):
         rng = np.random.default_rng(1)
-        real = draw_realization(self.pl, self.users, PARAMS,
-                                FadingMode.RAYLEIGH, rng, n_subchannels=8)
+        real = draw_realization(self.pl, FadingMode.RAYLEIGH, rng, n_subchannels=8)
         assert np.all(np.isfinite(real.gains))
         assert np.all(real.gains >= 0)
 
     def test_gbs_disabled_by_default(self):
         rng = np.random.default_rng(2)
-        real = draw_realization(self.pl, self.users, PARAMS,
-                                FadingMode.NONE, rng, n_subchannels=2, gbs=GbsSpec())
+        real = draw_realization(self.pl, FadingMode.NONE, rng, n_subchannels=2)
         assert real.gbs_gains is None and real.gbs_power is None
+
+    def test_gbs_row_drawn_after_station_fading(self):
+        # one (J, K, N) draw for the stations, then one (K, N) draw for the
+        # ground transmitter, from the same stream
+        gbs_pl = path_loss_to_users(Position3D(200, 50, 10), self.users, PARAMS)
+        real = draw_realization(self.pl, FadingMode.RAYLEIGH, np.random.default_rng(3),
+                                4, gbs_pl, 0.5)
+        rng = np.random.default_rng(3)
+        rho2 = rng.exponential(1.0, size=(2, 3, 4))
+        np.testing.assert_array_equal(real.gains, rho2 * (1.0 / self.pl[:, :, None]))
+        gbs_rho2 = rng.exponential(1.0, size=(3, 4))
+        np.testing.assert_array_equal(real.gbs_gains, gbs_rho2 * (1.0 / gbs_pl[:, None]))
+        assert real.gbs_power == 0.5
 
 
 class TestInterference:

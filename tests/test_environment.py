@@ -28,7 +28,7 @@ class TestStepAll:
         cfg = make_scenario(m=4, n_agents=1, beta1=1.0, beta2=0.25)
         env = Environment(cfg)
         # start the agent right next to its goal
-        env.states[0] = GridState(3, 4)
+        env.states[0] = state_index(cfg.area, GridState(3, 4))
         (tr,), terms = env.step_all({0: Action.RIGHT}, np.random.default_rng(0))
         assert tr.terminal
         assert terms[0, 2] == 0.0
@@ -40,7 +40,8 @@ class TestStepAll:
                             initial=[GridState(2, 2), GridState(4, 2)],
                             final=[GridState(4, 4), GridState(1, 4)])
         env = Environment(cfg)
-        env.states = [GridState(2, 2), GridState(4, 2)]
+        env.states = [state_index(cfg.area, GridState(2, 2)),
+                      state_index(cfg.area, GridState(4, 2))]
         transitions, terms = env.step_all({0: Action.RIGHT, 1: Action.LEFT},
                                           np.random.default_rng(0))
         # both moved into (3, 2): distance 0 < d_min
@@ -72,13 +73,13 @@ class TestStepAll:
     def test_f2_zero_iff_at_final(self):
         cfg = make_scenario(m=4, n_agents=1)
         env = Environment(cfg)
+        goal = state_index(cfg.area, cfg.final_states[0])
         rng = np.random.default_rng(2)
         for _ in range(40):
             if env.parked[0]:
                 break
             _, terms = env.step_all({0: Action(int(rng.integers(4)))}, rng)
-            at_final = env.states[0] == cfg.final_states[0]
-            assert (terms[0, 1] == 0.0) == at_final
+            assert (terms[0, 1] == 0.0) == (env.states[0] == goal)
 
     def test_single_agent_zero_interference(self):
         # with one station and no ground interferer the allocation reduces
@@ -162,15 +163,13 @@ class TestPureDistancePolicy:
         # shrinks the distance to the destination
         area, next_state, rewards, terminal, goal_idx = grid_world(6)
         q_star = value_iteration(next_state, rewards, terminal, gamma=0.9, tol=1e-12)
-        goal_pos = cell_center(area, GridState(6, 6))
-        from absim.geometry import state_from_index
+        goal_pos = cell_center(area, goal_idx)
         for s in range(36):
             if terminal[s]:
                 continue
-            here = dist_to_final(cell_center(area, state_from_index(area, s)), goal_pos)
+            here = dist_to_final(cell_center(area, s), goal_pos)
             best = int(q_star[s].argmax())
-            there = dist_to_final(
-                cell_center(area, state_from_index(area, next_state[s, best])), goal_pos)
+            there = dist_to_final(cell_center(area, int(next_state[s, best])), goal_pos)
             assert there < here
 
 
@@ -230,6 +229,40 @@ class TestRunEpisode:
         visits = [int(q.visits.sum()) for q in tables]
         assert visits == stats.steps_to_terminal.tolist()
         assert visits[0] < 60
+
+
+class TestIntegerStates:
+    """States are flat indices from Environment.__init__ on: no per-step
+    GridState conversion runs in the episode loop or the greedy rollout."""
+
+    def count_state_index(self, monkeypatch):
+        calls = []
+        original = state_index
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr("absim.environment.state_index", counted)
+        return calls
+
+    def test_run_episode_makes_no_state_index_calls(self, monkeypatch):
+        cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,
+                            fading=FadingMode.RAYLEIGH)
+        env = Environment(cfg)
+        tables = fresh_tables(cfg)
+        calls = self.count_state_index(monkeypatch)
+        run_episode(env, tables, LearningParams(max_steps_per_episode=50),
+                    np.random.default_rng(12))
+        assert sum(int(q.visits.sum()) for q in tables) > 0
+        assert calls == []
+
+    def test_rollout_converts_only_initial_and_final_cells(self, monkeypatch):
+        cfg = make_scenario(m=4, n_agents=2)
+        calls = self.count_state_index(monkeypatch)
+        rollout = extract_trajectory(cfg, fresh_tables(cfg), max_steps=30)
+        assert rollout.steps > 1
+        assert len(calls) == 2 * cfg.n_agents
 
 
 class TestTrain:
@@ -330,8 +363,7 @@ class TestConfigValidation:
     def test_pessimistic_init_is_reward_floor(self):
         cfg = make_scenario(m=4, beta2=0.25, beta3=1000.0)
         q0 = pessimistic_q_init(cfg, gamma=0.9)
-        diag = dist_to_final(cell_center(cfg.area, GridState(1, 1)),
-                             cell_center(cfg.area, GridState(4, 4)))
+        diag = dist_to_final(cell_center(cfg.area, 0), cell_center(cfg.area, 15))
         # floor is below any reachable single-step penalty over the horizon
         assert q0 < -(0.25 * diag) / (1 - 0.9)
         assert q0 == pytest.approx(-(0.25 * np.hypot(400, 400) + 1000.0) / 0.1)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absim.geometry import (Action, AreaSpec, GridState, Position3D, apply_action,
-                            cell_center, dist_to_final, pairwise_dist, state_from_index,
-                            state_index)
+                            cell_center, dist_to_final, pairwise_dist, state_index)
 
 from conftest import make_area
 
@@ -11,54 +12,53 @@ from conftest import make_area
 class TestCellCenter:
     def test_paper_scale_origin(self):
         area = AreaSpec(0, 3000, 0, 3000, 30, 100)
-        p = cell_center(area, GridState(1, 1))
+        p = cell_center(area, 0)
         assert (p.x, p.y, p.h) == (0.0, 0.0, 100.0)
 
     def test_one_cell_right(self):
         area = AreaSpec(0, 3000, 0, 3000, 30, 100)
-        p = cell_center(area, GridState(2, 1))
+        p = cell_center(area, 1)
         assert (p.x, p.y, p.h) == (100.0, 0.0, 100.0)
 
     def test_last_cell_small_area(self):
         area = AreaSpec(0, 1000, 0, 1000, 10, 100)
-        p = cell_center(area, GridState(10, 10))
+        p = cell_center(area, 99)
         # direct evaluation: x_min + (x_max - x_min)/M * (k - 1)
         assert (p.x, p.y, p.h) == (900.0, 900.0, 100.0)
 
     def test_invalid_index_rejected(self):
         area = make_area(4)
         with pytest.raises(ValueError):
-            cell_center(area, GridState(0, 1))
+            cell_center(area, -1)
         with pytest.raises(ValueError):
-            cell_center(area, GridState(1, 5))
+            cell_center(area, 16)
 
 
 class TestApplyAction:
+    # on the 4x4 grid, cell (k1, k2) has index (k2 - 1) * 4 + (k1 - 1)
     def test_moves(self, area4):
-        s = GridState(2, 2)
-        assert apply_action(area4, s, Action.RIGHT) == GridState(3, 2)
-        assert apply_action(area4, s, Action.LEFT) == GridState(1, 2)
-        assert apply_action(area4, s, Action.FORWARD) == GridState(2, 3)
-        assert apply_action(area4, s, Action.BACKWARD) == GridState(2, 1)
+        s = 5  # (2, 2)
+        assert apply_action(area4, s, Action.RIGHT) == 6
+        assert apply_action(area4, s, Action.LEFT) == 4
+        assert apply_action(area4, s, Action.FORWARD) == 9
+        assert apply_action(area4, s, Action.BACKWARD) == 1
 
     def test_boundary_absorbed(self, area4):
-        assert apply_action(area4, GridState(1, 2), Action.LEFT) == GridState(1, 2)
-        assert apply_action(area4, GridState(4, 2), Action.RIGHT) == GridState(4, 2)
-        assert apply_action(area4, GridState(2, 4), Action.FORWARD) == GridState(2, 4)
-        assert apply_action(area4, GridState(2, 1), Action.BACKWARD) == GridState(2, 1)
+        assert apply_action(area4, 4, Action.LEFT) == 4  # (1, 2)
+        assert apply_action(area4, 7, Action.RIGHT) == 7  # (4, 2)
+        assert apply_action(area4, 13, Action.FORWARD) == 13  # (2, 4)
+        assert apply_action(area4, 1, Action.BACKWARD) == 1  # (2, 1)
 
     def test_grid_closure_exhaustive(self):
         area = make_area(5)
-        for k1 in range(1, 6):
-            for k2 in range(1, 6):
-                for a in Action:
-                    out = apply_action(area, GridState(k1, k2), a)
-                    assert 1 <= out.k1 <= 5 and 1 <= out.k2 <= 5
+        for s in range(25):
+            for a in Action:
+                assert 0 <= apply_action(area, s, a) < 25
 
     def test_reachable_states_count(self):
         area = make_area(4)
-        seen = {GridState(1, 1)}
-        frontier = [GridState(1, 1)]
+        seen = {0}
+        frontier = [0]
         while frontier:
             s = frontier.pop()
             for a in Action:
@@ -67,6 +67,71 @@ class TestApplyAction:
                     seen.add(nxt)
                     frontier.append(nxt)
         assert len(seen) == area.n_states == 16
+
+    def test_invalid_index_and_action_rejected(self, area4):
+        with pytest.raises(ValueError):
+            apply_action(area4, 16, Action.LEFT)
+        with pytest.raises(ValueError):
+            apply_action(area4, -1, Action.RIGHT)
+        with pytest.raises(ValueError):
+            apply_action(area4, 5, 4)
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+# each move's step along (k1, k2)
+MOVES = {Action.LEFT: (-1, 0), Action.RIGHT: (1, 0),
+         Action.FORWARD: (0, 1), Action.BACKWARD: (0, -1)}
+
+
+class TestIndexGeometryProperties:
+    @PROPERTY_SETTINGS
+    @given(st.integers(2, 12))
+    def test_moves_one_cell_or_absorb_at_matching_edge(self, m):
+        area = make_area(m)
+        for s in range(m * m):
+            k1, k2 = s % m, s // m
+            for a, (d1, d2) in MOVES.items():
+                out = apply_action(area, s, a)
+                assert 0 <= out < m * m
+                inside = 0 <= k1 + d1 < m and 0 <= k2 + d2 < m
+                assert (out % m, out // m) == ((k1 + d1, k2 + d2) if inside else (k1, k2))
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(2, 12))
+    def test_center_moves_one_cell_width_or_stays(self, m):
+        area = AreaSpec(-50.0, 350.0, 10.0, 130.0, m, 100.0)
+        for s in range(m * m):
+            here = cell_center(area, s)
+            for a in Action:
+                out = apply_action(area, s, a)
+                there = cell_center(area, out)
+                step = (abs(there.x - here.x), abs(there.y - here.y))
+                if out == s:
+                    assert step == (0.0, 0.0)
+                elif a in (Action.LEFT, Action.RIGHT):
+                    assert step[1] == 0.0
+                    assert step[0] == pytest.approx(area.cell_width_x, rel=1e-12)
+                else:
+                    assert step[0] == 0.0
+                    assert step[1] == pytest.approx(area.cell_width_y, rel=1e-12)
+                assert there.h == here.h == area.altitude
+
+
+class TestStateIndex:
+    @pytest.mark.parametrize("m", [2, 6, 12])
+    def test_formula_every_cell(self, m):
+        area = make_area(m)
+        indices = [state_index(area, GridState(k1, k2))
+                   for k2 in range(1, m + 1) for k1 in range(1, m + 1)]
+        assert indices == [(k2 - 1) * m + (k1 - 1)
+                           for k2 in range(1, m + 1) for k1 in range(1, m + 1)]
+        assert indices == list(range(m * m))
+
+    @pytest.mark.parametrize("k1, k2", [(0, 1), (1, 0), (7, 1), (1, 7), (-1, -1)])
+    def test_out_of_grid_rejected(self, k1, k2):
+        with pytest.raises(ValueError):
+            state_index(make_area(6), GridState(k1, k2))
 
 
 class TestDistances:
@@ -123,10 +188,3 @@ class TestAreaSpec:
     def test_invariants_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AreaSpec(**kwargs)
-
-    def test_state_index_roundtrip(self):
-        area = make_area(6)
-        for idx in range(36):
-            assert state_index(area, state_from_index(area, idx)) == idx
-        with pytest.raises(ValueError):
-            state_from_index(area, 36)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from absim.geometry import (Action, AreaSpec, GridState, apply_action, cell_center,
-                            dist_to_final, state_from_index, state_index)
+                            dist_to_final, state_index)
 from absim.qlearning import (LearningParams, QTable, Transition, greedy_policy,
                              load_qtable, save_qtable, select_action, update,
                              value_iteration)
@@ -37,17 +37,16 @@ def grid_world(m=4, goal=None, beta2=0.25, gamma=0.9):
     area = AreaSpec(0, m * 100.0, 0, m * 100.0, m, 100.0)
     goal = goal if goal is not None else GridState(m, m)
     goal_idx = state_index(area, goal)
-    goal_pos = cell_center(area, goal)
+    goal_pos = cell_center(area, goal_idx)
     n = area.n_states
     next_state = np.zeros((n, 4), dtype=int)
     rewards = np.zeros((n, 4))
     terminal = np.zeros(n, dtype=bool)
     terminal[goal_idx] = True
     for s in range(n):
-        st = state_from_index(area, s)
         for a in Action:
-            nxt = apply_action(area, st, a)
-            next_state[s, a] = state_index(area, nxt)
+            nxt = apply_action(area, s, a)
+            next_state[s, a] = nxt
             rewards[s, a] = -beta2 * dist_to_final(cell_center(area, nxt), goal_pos)
     return area, next_state, rewards, terminal, goal_idx
 

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from absim.geometry import GridState
 from absim.simcli import (ConfigValidationError, PlotDataError, config_to_dict,
                           emit_plot_data, load_config, main, read_metrics,
                           read_trajectory, run_train, smooth_series)
@@ -102,10 +103,49 @@ class TestLoadConfig:
         {"users": {"count": float("inf")}},
         {"learning": {"max_episodes": float("inf")}},
         {"n_subchannels": float("inf")},
+        # bool("false") is True: only a JSON boolean switches the GBS
+        {"gbs": {"enabled": "false"}},
+        {"gbs": {"enabled": 0}},
+        {"gbs": {"enabled": "yes"}},
+        # int() would truncate these silently
+        {"area": {"cells_per_axis": 30.7}},
+        {"area": {"cells_per_axis": True}},
+        {"users": {"count": 20.5}},
+        {"users": {"placement_seed": 1.5}},
+        {"n_subchannels": 8.5},
+        {"learning": {"max_episodes": 2.9}},
+        {"learning": {"max_steps_per_episode": 10.5}},
+        {"distance_exponent": 1.5},
+        {"abs": [{"initial_cell": [1.9, 1], "final_cell": [30, 30]}]},
+        {"abs": [{"initial_cell": [1, 1], "final_cell": [30, "30"]}]},
+        {"abs": [{"initial_cell": [1, 1, 7], "final_cell": [30, 30]}]},
+        {"users": {"positions_m": [[10.0, 10.0], [20.0, 20.0]],
+                   "association": [0.5, 1.7]}},
     ])
     def test_malformed_values_rejected(self, tmp_path, data):
         with pytest.raises(ConfigValidationError):
             load_config(write_config(tmp_path, data))
+
+    @pytest.mark.parametrize("data, message", [
+        ({"gbs": {"enabled": "false"}}, "gbs: enabled must be true or false, got 'false'"),
+        ({"area": {"cells_per_axis": 30.7}},
+         "area: cells_per_axis must be an integer, got 30.7"),
+        ({"learning": {"max_episodes": 2.9}},
+         "learning: max_episodes must be an integer, got 2.9"),
+        ({"users": {"positions_m": [[10.0, 10.0], [20.0, 20.0]], "association": [0, 1.7]}},
+         "users.association: association entry must be an integer, got 1.7"),
+    ])
+    def test_bad_integer_or_boolean_named(self, tmp_path, capsys, data, message):
+        assert main(["validate-config", "--config", write_config(tmp_path, data)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_integral_float_accepted(self, tmp_path):
+        config, params = load_config(write_config(tmp_path, {
+            "area": {"cells_per_axis": 30.0}, "learning": {"max_episodes": 3.0},
+            "abs": [{"initial_cell": [1.0, 1], "final_cell": [30, 30.0]}]}))
+        assert config.area.cells_per_axis == 30 and params.max_episodes == 3
+        assert type(config.area.cells_per_axis) is int
+        assert config.initial_states == (GridState(1, 1),)
 
     def test_all_errors_reported_together(self, tmp_path):
         path = write_config(tmp_path, {"area": {"cells_per_axis": 1},
