@@ -31,6 +31,18 @@ DENSE_FLEET = ({
     "learning": {"max_episodes": 2, "max_steps_per_episode": 150},
 }, 3)
 
+# eight placed users served alternately by the two stations, so neither
+# station's users form one contiguous block of the user list; each station
+# serves the users on the far side of the area, so a user of the other
+# station wrongly handed to its allocator would win sub-channels
+INTERLEAVED = ({
+    "users": {"positions_m": [[300.0, 400.0], [2700.0, 500.0], [800.0, 1200.0],
+                              [2200.0, 1100.0], [1000.0, 2600.0], [1900.0, 2300.0],
+                              [500.0, 2900.0], [2600.0, 2800.0]],
+              "association": [1, 0, 1, 0, 1, 0, 1, 0]},
+    "learning": {"max_episodes": 2, "max_steps_per_episode": 150},
+}, 5)
+
 GOLDEN = {
     "headline": (HEADLINE, {
         "metrics.csv":
@@ -55,6 +67,16 @@ GOLDEN = {
             "9bf3c8d51fcd8e8275d7f2914ee9a337e53848631f9a45bc9260600ed82dec81",
         "trajectory.csv":
             "c30211c5ea02cad6ec74028214c0985c0295c35c440dfc4ab32cb9bd20e3fd35",
+    }),
+    "interleaved": (INTERLEAVED, {
+        "metrics.csv":
+            "0af33af3f56916e3ede35a575ea281c4a9ae03ec4918d418591415cb2e98e594",
+        "qtable_agent0.txt":
+            "c1d3f806f0816068d01d7c4129edd8f31bc1aaa6150548124a1abffe997160c7",
+        "qtable_agent1.txt":
+            "04ef51fb8913d73c536eeff92503de2ac8c4e815f7937afc547b497a4267ec97",
+        "trajectory.csv":
+            "ae74dd4151d8ab8094975ddf7cc06c66d0b088785966f4cfac1b28d863e8a808",
     }),
 }
 
