@@ -11,6 +11,7 @@ coordination is needed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,7 +113,8 @@ class Environment:
     States are flat cell indices (see geometry.state_index). Path losses
     depend only on (cell, user), so they are cached per visited cell, and
     the ground transmitter's row is computed once; fading is drawn fresh
-    every step from the caller's stream.
+    every step from the caller's stream. Distances to the destination are
+    cached per (agent, cell).
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -127,8 +129,15 @@ class Environment:
         self._gbs_pl = (path_loss_to_users(Position3D(gbs.x, gbs.y, gbs.height),
                                            config.users_xy, config.propagation)
                         if gbs.enabled else None)
-        self._user_idx = [np.flatnonzero(config.association == j)
-                          for j in range(config.n_agents)]
+        self._f2_cache = [{} for _ in range(config.n_agents)]
+        self._pl_buffer = np.empty((config.n_agents, config.users_xy.shape[0]))
+        assoc = config.association.tolist()
+        self._users = []
+        for j in range(config.n_agents):
+            idx = [k for k, a in enumerate(assoc) if a == j]
+            # a contiguous block of users indexes as a slice, which gives a view
+            contiguous = idx[-1] - idx[0] + 1 == len(idx)
+            self._users.append(slice(idx[0], idx[-1] + 1) if contiguous else np.array(idx))
         self._uniform_power = config.p_max / config.n_subchannels
         self.states: list[int] = []
         self.parked: list[bool] = []
@@ -149,10 +158,6 @@ class Environment:
                                      self.config.propagation)
             self._pl_cache[s] = row
         return row
-
-    @property
-    def n_agents(self) -> int:
-        return self.config.n_agents
 
     def reset(self) -> None:
         cfg = self.config
@@ -176,30 +181,42 @@ class Environment:
         """
         cfg = self.config
         j_count = cfg.n_agents
+        states, final = self.states, self._final
         for j in actions:
             if self.parked[j]:
                 raise ValueError(f"agent {j} is parked at its terminal state")
 
-        new_states = list(self.states)
+        new_states = list(states)
         for j, a in actions.items():
-            new_states[j] = apply_action(cfg.area, self.states[j], a)
+            new_states[j] = apply_action(cfg.area, states[j], a)
         positions = [self._center(s) for s in new_states]
+        near = [False] * j_count
+        for i in range(j_count):
+            for k in range(i + 1, j_count):
+                # separation check is always in plain meters
+                if pairwise_dist(positions[i], positions[k]) < cfg.d_min:
+                    near[i] = near[k] = True
 
         need_allocation = cfg.beta1 != 0.0
-        realization = None
         if need_allocation:
-            pl = np.stack([self._pl_row(s) for s in new_states])
+            pl = self._pl_buffer
+            for j, s in enumerate(new_states):
+                pl[j] = self._pl_row(s)
             realization = draw_realization(pl, cfg.fading, rng, cfg.n_subchannels,
                                            self._gbs_pl, cfg.gbs.power_per_subchannel)
+            new_powers = self._prev_powers.copy()
+        else:
+            # powers only enter the allocation, so parking edits them in place
+            new_powers = self._prev_powers
 
         transitions = []
-        terms = np.zeros((j_count, 3))
-        new_powers = self._prev_powers.copy()
+        terms = [(0.0, 0.0, 0.0)] * j_count
         for j in sorted(actions):
+            s = new_states[j]
             if need_allocation:
-                users_j = self._user_idx[j]
-                inter = interference_for_abs(realization, self._prev_powers, j)[users_j]
-                problem = AllocationProblem(gains=realization.gains[j][users_j],
+                users = self._users[j]
+                inter = interference_for_abs(realization, self._prev_powers, j)[users]
+                problem = AllocationProblem(gains=realization.gains[j][users],
                                             interference=inter,
                                             noise_power=cfg.propagation.noise_power,
                                             p_max=cfg.p_max)
@@ -211,31 +228,24 @@ class Environment:
                 # reward; skip the solver
                 f1 = 0.0
 
-            f2 = dist_to_final(positions[j], self._final_pos[j],
-                               cfg.distance_exponent)
-            f3 = 0.0
-            for i in range(j_count):
-                # separation check is always in plain meters
-                if i != j and pairwise_dist(positions[j], positions[i]) < cfg.d_min:
-                    f3 = 1.0
-                    break
+            f2_cache = self._f2_cache[j]
+            f2 = f2_cache.get(s)
+            if f2 is None:
+                f2 = f2_cache[s] = dist_to_final(positions[j], self._final_pos[j],
+                                                 cfg.distance_exponent)
+            f3 = 1.0 if near[j] else 0.0
             total = cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
             terms[j] = f1, f2, f3
-            transitions.append(Transition(
-                state=self.states[j],
-                action=int(actions[j]),
-                reward=total,
-                next_state=new_states[j],
-                terminal=new_states[j] == self._final[j],
-            ))
+            transitions.append(Transition(states[j], int(actions[j]), total, s,
+                                          s == final[j]))
 
         for j in actions:
-            self.states[j] = new_states[j]
-            if new_states[j] == self._final[j]:
+            states[j] = new_states[j]
+            if new_states[j] == final[j]:
                 self.parked[j] = True
                 new_powers[j] = 0.0  # parked stations stop transmitting
         self._prev_powers = new_powers
-        return transitions, terms
+        return transitions, np.array(terms)
 
 
 def _resolve_max_steps(params: LearningParams, config: ScenarioConfig) -> int:
@@ -257,10 +267,11 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
     j_count = cfg.n_agents
     max_steps = _resolve_max_steps(params, cfg)
 
-    f1_sum = np.zeros(j_count)
-    step_count = np.zeros(j_count, dtype=int)
-    cum_reward = np.zeros(j_count)
-    reach_step = np.full(j_count, -1, dtype=int)
+    # per-agent tallies stay Python scalars until the episode ends
+    f1_sum = [0.0] * j_count
+    step_count = [0] * j_count
+    cum_reward = [0.0] * j_count
+    reach_step = [-1] * j_count
     collisions = 0
 
     for t in range(max_steps):
@@ -272,28 +283,26 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
             actions[j] = select_action(qtables[j], env.states[j], params, rng,
                                        epsilon=epsilon)
         transitions, terms = env.step_all(actions, rng)
+        terms = terms.tolist()
         for j, tr in zip(active, transitions):
             update(qtables[j], tr, params)
-            f1_sum[j] += terms[j, 0]
+            f1_sum[j] += terms[j][0]
             step_count[j] += 1
             cum_reward[j] += tr.reward
-            if terms[j, 2]:
+            if terms[j][2]:
                 collisions += 1
             if tr.terminal:
                 reach_step[j] = t + 1
 
-    reached = np.array([env.parked[j] for j in range(j_count)])
     # agents parked from the start count as reached in zero steps
-    for j in range(j_count):
-        if reach_step[j] < 0 and reached[j]:
-            reach_step[j] = 0
-    steps_to_terminal = np.where(reach_step >= 0, reach_step, step_count)
+    steps_to_terminal = [r if r >= 0 else 0 if parked else n
+                         for r, parked, n in zip(reach_step, env.parked, step_count)]
     return EpisodeStats(
         episode=episode_index if episode_index is not None else 0,
-        avg_sum_rate=f1_sum / np.maximum(step_count, 1),
-        steps_to_terminal=steps_to_terminal,
-        cumulative_reward=cum_reward,
-        reached=reached,
+        avg_sum_rate=np.array(f1_sum) / np.maximum(step_count, 1),
+        steps_to_terminal=np.array(steps_to_terminal),
+        cumulative_reward=np.array(cum_reward),
+        reached=np.array(env.parked),
         collision_steps=collisions,
     )
 
@@ -373,7 +382,9 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
     states = [state_index(area, s) for s in config.initial_states]
     final = [state_index(area, s) for s in config.final_states]
     parked = [states[j] == final[j] for j in range(j_count)]
-    positions = [cell_center(area, s) for s in states]
+    # greedy paths revisit cells; one Position3D per cell is enough
+    center = functools.cache(lambda s: cell_center(area, s))
+    positions = [center(s) for s in states]
     trajectories = [[positions[j]] for j in range(j_count)]
 
     def snapshot_min_dist():
@@ -395,7 +406,7 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
                 continue
             states[j] = apply_action(area, states[j], policies[j][states[j]])
         steps += 1
-        positions = [cell_center(area, s) for s in states]
+        positions = [center(s) for s in states]
         for j in range(j_count):
             if not parked[j]:
                 trajectories[j].append(positions[j])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,7 @@ class LearningParams:
             raise ValueError("initial_q must be finite")
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     state: int
     action: int
     reward: float
@@ -104,11 +104,13 @@ def select_action(q: QTable, state: int, params: LearningParams,
     eps = params.epsilon if epsilon is None else epsilon
     if eps > 0.0 and rng.random() < eps:
         return int(rng.integers(q.n_actions))
-    row = q.values[state]
-    ties = np.flatnonzero(row == row.max())
-    if ties.size == 1:
-        return int(ties[0])
-    return int(ties[rng.integers(ties.size)])
+    # a 4-float row is cheaper to scan as a Python list than through numpy
+    row = q.values[state].tolist()
+    best = max(row)
+    ties = [a for a, v in enumerate(row) if v == best]
+    if len(ties) == 1:
+        return ties[0]
+    return ties[rng.integers(len(ties))]
 
 
 def update(q: QTable, t: Transition, params: LearningParams) -> None:
@@ -119,14 +121,15 @@ def update(q: QTable, t: Transition, params: LearningParams) -> None:
     """
     if t.state == q.terminal_state:
         raise ValueError("transitions cannot originate from the terminal state")
+    s, a = t.state, t.action
     if params.alpha_schedule == "visit_count":
-        alpha = 1.0 / (1.0 + q.visits[t.state, t.action])
+        alpha = 1.0 / (1.0 + q.visits[s, a])
     else:
         alpha = params.alpha
-    q.visits[t.state, t.action] += 1
-    current = q.values[t.state, t.action]
-    target = t.reward + params.gamma * q.values[t.next_state].max()
-    q.values[t.state, t.action] = current + alpha * (target - current)
+    q.visits[s, a] += 1
+    current = q.values[s, a]
+    target = t.reward + params.gamma * max(q.values[t.next_state].tolist())
+    q.values[s, a] = current + alpha * (target - current)
 
 
 def greedy_policy(q: QTable) -> np.ndarray:

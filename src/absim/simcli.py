@@ -419,53 +419,57 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
     """Train, roll out, and write every artifact plus a digest manifest.
 
     Output bytes are a pure function of (config, seed); the manifest's
-    timestamps are informational only. Partial outputs are removed if any
-    step fails.
+    timestamps are informational only. Every file is first written to a
+    temp file in out_dir; only when all of them, manifest included, are
+    complete are they renamed into place, manifest last. If training or
+    any write fails, the temp files are removed and out_dir is left as it
+    was.
     """
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    staged = {}  # artifact name -> its temp file
 
-    def out(name):
-        path = os.path.join(out_dir, name)
-        written.append(path)
-        return path
+    def stage(name, write):
+        staged[name] = os.path.join(out_dir, f".{name}.tmp")
+        write(staged[name])
 
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     try:
         qtables, stats = train(config, params, master_seed)
-        metrics_path = out("metrics.csv")
-        write_metrics(stats, metrics_path, config.n_agents)
+        stage("metrics.csv", lambda path: write_metrics(stats, path, config.n_agents))
         for j, q in enumerate(qtables):
-            save_qtable(q, out(f"qtable_agent{j}.txt"))
+            stage(f"qtable_agent{j}.txt", lambda path, q=q: save_qtable(q, path))
         rollout = extract_trajectory(config, qtables)
-        trajectory_path = out("trajectory.csv")
-        write_trajectory(rollout, trajectory_path)
-    except Exception:
-        for path in written:
-            if os.path.exists(path):
-                os.remove(path)
+        stage("trajectory.csv", lambda path: write_trajectory(rollout, path))
+        manifest = RunManifest(
+            config=config_to_dict(config, params),
+            master_seed=master_seed,
+            version=__version__,
+            started_at=started,
+            finished_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+            files={name: _sha256(tmp) for name, tmp in staged.items()},
+            rollout={
+                "reached": [bool(r) for r in rollout.reached],
+                "steps": rollout.steps,
+                "min_pairwise_m": rollout.min_pairwise,
+                "violation_steps": rollout.violation_steps,
+                "cycle_detected": rollout.cycle_detected,
+            },
+        )
+        stage("manifest.json", lambda path: write_manifest(manifest, path))
+        for name, tmp in staged.items():
+            os.replace(tmp, os.path.join(out_dir, name))
+    except BaseException:
+        for tmp in staged.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
         raise
+    return manifest
 
-    finished = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    manifest = RunManifest(
-        config=config_to_dict(config, params),
-        master_seed=master_seed,
-        version=__version__,
-        started_at=started,
-        finished_at=finished,
-        files={os.path.basename(p): _sha256(p) for p in written},
-        rollout={
-            "reached": [bool(r) for r in rollout.reached],
-            "steps": rollout.steps,
-            "min_pairwise_m": rollout.min_pairwise,
-            "violation_steps": rollout.violation_steps,
-            "cycle_detected": rollout.cycle_detected,
-        },
-    )
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+
+def write_manifest(manifest: RunManifest, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest.__dict__, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return manifest
 
 
 def smooth_series(values: np.ndarray, window: int) -> np.ndarray:

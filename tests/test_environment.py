@@ -328,6 +328,23 @@ class TestExtractTrajectory:
         assert rollout.cycle_detected
         assert rollout.reached == [False]
 
+    def test_one_cell_center_per_distinct_cell(self, monkeypatch):
+        # agent 1 is parked from the start; agent 0 walks right, then forward
+        cfg = make_scenario(m=4, n_agents=2, initial=[GridState(1, 1), GridState(1, 4)],
+                            final=[GridState(4, 4), GridState(1, 4)])
+        tables = fresh_tables(cfg)
+        for s, a in [(0, Action.RIGHT), (1, Action.RIGHT), (2, Action.RIGHT),
+                     (3, Action.FORWARD), (7, Action.FORWARD), (11, Action.FORWARD)]:
+            tables[0].values[s, a] = 1.0
+        calls = []
+        monkeypatch.setattr("absim.environment.cell_center",
+                            lambda area, s: calls.append(s) or cell_center(area, s))
+        rollout = extract_trajectory(cfg, tables)
+        assert rollout.reached == [True, True] and rollout.steps == 6
+        assert sorted(calls) == [0, 1, 2, 3, 7, 11, 12, 15]
+        assert rollout.trajectories[0] == [cell_center(cfg.area, s)
+                                           for s in (0, 1, 2, 3, 7, 11, 15)]
+
     def test_min_pairwise_reported(self):
         cfg = make_scenario(m=4, n_agents=2, beta2=0.25,
                             initial=[GridState(1, 1), GridState(4, 1)],

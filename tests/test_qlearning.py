@@ -2,7 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import qlearning_reference as reference
 from absim.geometry import (Action, AreaSpec, GridState, apply_action, cell_center,
                             dist_to_final, state_index)
 from absim.qlearning import (LearningParams, QTable, Transition, greedy_policy,
@@ -164,6 +168,61 @@ class TestUpdate:
             r = rng.uniform(r_min, r_max)
             update(q, Transition(int(s), int(a), float(r), int(s2), False), params)
             assert np.all(q.values >= lo - 1e-9) and np.all(q.values <= hi + 1e-9)
+
+
+# three values only, so rows often hold tied maxima
+Q_ENTRIES = st.sampled_from([-2.5, 0.0, 1.25])
+REFERENCE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def table_pair(values, visits=None):
+    """Two identical 5-state tables with terminal state 4."""
+    pair = []
+    for _ in range(2):
+        q = QTable(5, 4, terminal_state=4)
+        q.values[:4] = values
+        if visits is not None:
+            q.visits[:4] = visits
+        pair.append(q)
+    return pair
+
+
+class TestMatchesNumpyReference:
+    """The list-based learner against the array formulation it replaced."""
+
+    @REFERENCE_SETTINGS
+    @given(values=hnp.arrays(float, (4, 4), elements=Q_ENTRIES),
+           states=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+           epsilon=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_select_action_same_action_and_draws(self, values, states, epsilon, seed):
+        q, q_ref = table_pair(values)
+        params = LearningParams(epsilon=epsilon)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for s in states:
+            got = select_action(q, s, params, rng)
+            assert type(got) is int
+            assert got == reference.select_action(q_ref, s, params, rng_ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @REFERENCE_SETTINGS
+    @given(values=hnp.arrays(float, (4, 4), elements=Q_ENTRIES),
+           visits=hnp.arrays(np.int64, (4, 4), elements=st.integers(0, 5)),
+           steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                    st.floats(-1e3, 1e3), st.integers(0, 4)),
+                          min_size=1, max_size=12),
+           schedule=st.sampled_from(["constant", "visit_count"]),
+           alpha=st.floats(0.0, 1.0),
+           gamma=st.floats(0.0, 0.99))
+    def test_update_bit_equal(self, values, visits, steps, schedule, alpha, gamma):
+        q, q_ref = table_pair(values, visits)
+        params = LearningParams(alpha=alpha, gamma=gamma, alpha_schedule=schedule)
+        for s, a, r, s_next in steps:
+            t = Transition(s, a, r, s_next, s_next == 4)
+            update(q, t, params)
+            reference.update(q_ref, t, params)
+        assert q.values.tobytes() == q_ref.values.tobytes()
+        assert np.array_equal(q.visits, q_ref.visits)
 
 
 class TestGreedyPolicy:

@@ -240,6 +240,73 @@ class TestRunTrain:
             run_train(config, params, master_seed=1, out_dir=str(out))
         assert not any(p.name != "manifest.json" for p in out.iterdir())
 
+    def test_only_artifacts_left_and_checkpoints_readable_on_return(self, tmp_path,
+                                                                    monkeypatch):
+        import absim.simcli as simcli
+
+        config, params = load_config(write_config(tmp_path, small_config_dict(2)))
+        out = tmp_path / "out"
+        sizes = []
+        original = simcli.save_qtable
+
+        def sized(q, path):
+            original(q, path)
+            sizes.append(os.path.getsize(path))  # the file must exist on return
+
+        monkeypatch.setattr(simcli, "save_qtable", sized)
+        run_train(config, params, master_seed=1, out_dir=str(out))
+        assert len(sizes) == 2 and min(sizes) > 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "metrics.csv", "qtable_agent0.txt", "qtable_agent1.txt",
+            "trajectory.csv"]
+
+    @pytest.mark.parametrize("writer, final_name", [
+        ("write_metrics", "metrics.csv"),
+        ("save_qtable", "qtable_agent1.txt"),
+        ("write_trajectory", "trajectory.csv"),
+        ("write_manifest", "manifest.json"),
+    ])
+    def test_writer_failing_halfway_leaves_nothing(self, tmp_path, monkeypatch,
+                                                   writer, final_name):
+        import absim.simcli as simcli
+
+        config, params = load_config(write_config(tmp_path, small_config_dict(2)))
+        out = tmp_path / "out"
+        original = getattr(simcli, writer)
+        calls = []
+
+        def half_then_fail(*args):
+            calls.append(args)
+            if writer == "save_qtable" and len(calls) == 1:
+                return original(*args)  # the first checkpoint succeeds
+            path = args[1]
+            original(*args)
+            with open(path, "r+", encoding="ascii") as fh:
+                fh.truncate(os.path.getsize(path) // 2)
+            assert not (out / final_name).exists()  # nothing half written in place
+            raise OSError("disk full")
+
+        monkeypatch.setattr(simcli, writer, half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_train(config, params, master_seed=1, out_dir=str(out))
+        assert list(out.iterdir()) == []
+
+    def test_failed_rerun_keeps_previous_run(self, tmp_path, monkeypatch):
+        import absim.simcli as simcli
+
+        config, params = load_config(write_config(tmp_path, small_config_dict(2)))
+        out = tmp_path / "out"
+        run_train(config, params, master_seed=1, out_dir=str(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def boom(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(simcli, "write_trajectory", boom)
+        with pytest.raises(OSError):
+            run_train(config, params, master_seed=2, out_dir=str(out))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 class TestPlotData:
     def make_run(self, tmp_path, episodes=30):
