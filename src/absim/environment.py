@@ -130,14 +130,8 @@ class Environment:
                                            config.users_xy, config.propagation)
                         if gbs.enabled else None)
         self._f2_cache = [{} for _ in range(config.n_agents)]
-        self._pl_buffer = np.empty((config.n_agents, config.users_xy.shape[0]))
-        assoc = config.association.tolist()
-        self._users = []
-        for j in range(config.n_agents):
-            idx = [k for k, a in enumerate(assoc) if a == j]
-            # a contiguous block of users indexes as a slice, which gives a view
-            contiguous = idx[-1] - idx[0] + 1 == len(idx)
-            self._users.append(slice(idx[0], idx[-1] + 1) if contiguous else np.array(idx))
+        self._user_idx = [np.flatnonzero(config.association == j)
+                          for j in range(config.n_agents)]
         self._uniform_power = config.p_max / config.n_subchannels
         self.states: list[int] = []
         self.parked: list[bool] = []
@@ -175,9 +169,9 @@ class Environment:
         actions maps agent index to an Action (or its int value) for every
         non-parked agent. Returns (transitions, terms): one Transition per
         acting agent, in agent order, whose reward is
-        beta1*f1 - beta2*f2 - beta3*f3, and a (J, 3) array of the f1 (sum
-        rate), f2 (distance to destination) and f3 (proximity flag) terms,
-        with all-zero rows for agents that did not act.
+        beta1*f1 - beta2*f2 - beta3*f3, and a list of J (f1, f2, f3) tuples
+        of the sum rate, distance to destination and proximity flag, with
+        (0.0, 0.0, 0.0) for agents that did not act.
         """
         cfg = self.config
         j_count = cfg.n_agents
@@ -199,24 +193,19 @@ class Environment:
 
         need_allocation = cfg.beta1 != 0.0
         if need_allocation:
-            pl = self._pl_buffer
-            for j, s in enumerate(new_states):
-                pl[j] = self._pl_row(s)
+            pl = np.stack([self._pl_row(s) for s in new_states])
             realization = draw_realization(pl, cfg.fading, rng, cfg.n_subchannels,
                                            self._gbs_pl, cfg.gbs.power_per_subchannel)
-            new_powers = self._prev_powers.copy()
-        else:
-            # powers only enter the allocation, so parking edits them in place
-            new_powers = self._prev_powers
 
         transitions = []
         terms = [(0.0, 0.0, 0.0)] * j_count
+        new_powers = self._prev_powers.copy()
         for j in sorted(actions):
             s = new_states[j]
             if need_allocation:
-                users = self._users[j]
-                inter = interference_for_abs(realization, self._prev_powers, j)[users]
-                problem = AllocationProblem(gains=realization.gains[j][users],
+                users_j = self._user_idx[j]
+                inter = interference_for_abs(realization, self._prev_powers, j)[users_j]
+                problem = AllocationProblem(gains=realization.gains[j][users_j],
                                             interference=inter,
                                             noise_power=cfg.propagation.noise_power,
                                             p_max=cfg.p_max)
@@ -245,7 +234,7 @@ class Environment:
                 self.parked[j] = True
                 new_powers[j] = 0.0  # parked stations stop transmitting
         self._prev_powers = new_powers
-        return transitions, np.array(terms)
+        return transitions, terms
 
 
 def _resolve_max_steps(params: LearningParams, config: ScenarioConfig) -> int:
@@ -283,7 +272,6 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
             actions[j] = select_action(qtables[j], env.states[j], params, rng,
                                        epsilon=epsilon)
         transitions, terms = env.step_all(actions, rng)
-        terms = terms.tolist()
         for j, tr in zip(active, transitions):
             update(qtables[j], tr, params)
             f1_sum[j] += terms[j][0]

@@ -420,26 +420,28 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
 
     Output bytes are a pure function of (config, seed); the manifest's
     timestamps are informational only. Every file is first written to a
-    temp file in out_dir; only when all of them, manifest included, are
-    complete are they renamed into place, manifest last. If training or
-    any write fails, the temp files are removed and out_dir is left as it
-    was.
+    temp file in out_dir, and only when all of them, manifest included,
+    are complete are they renamed into place, manifest last. If training
+    or any write fails, the temp files are removed and the files in
+    out_dir are left as they were. Any previous manifest.json is removed
+    before the first rename, so a directory whose renames were cut short
+    has no manifest and cannot pass for a complete run.
     """
     os.makedirs(out_dir, exist_ok=True)
     staged = {}  # artifact name -> its temp file
 
-    def stage(name, write):
+    def out(name):
         staged[name] = os.path.join(out_dir, f".{name}.tmp")
-        write(staged[name])
+        return staged[name]
 
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     try:
         qtables, stats = train(config, params, master_seed)
-        stage("metrics.csv", lambda path: write_metrics(stats, path, config.n_agents))
+        write_metrics(stats, out("metrics.csv"), config.n_agents)
         for j, q in enumerate(qtables):
-            stage(f"qtable_agent{j}.txt", lambda path, q=q: save_qtable(q, path))
+            save_qtable(q, out(f"qtable_agent{j}.txt"))
         rollout = extract_trajectory(config, qtables)
-        stage("trajectory.csv", lambda path: write_trajectory(rollout, path))
+        write_trajectory(rollout, out("trajectory.csv"))
         manifest = RunManifest(
             config=config_to_dict(config, params),
             master_seed=master_seed,
@@ -455,7 +457,10 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
                 "cycle_detected": rollout.cycle_detected,
             },
         )
-        stage("manifest.json", lambda path: write_manifest(manifest, path))
+        write_manifest(manifest, out("manifest.json"))
+        old_manifest = os.path.join(out_dir, "manifest.json")
+        if os.path.exists(old_manifest):
+            os.remove(old_manifest)
         for name, tmp in staged.items():
             os.replace(tmp, os.path.join(out_dir, name))
     except BaseException:

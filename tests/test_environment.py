@@ -31,8 +31,8 @@ class TestStepAll:
         env.states[0] = state_index(cfg.area, GridState(3, 4))
         (tr,), terms = env.step_all({0: Action.RIGHT}, np.random.default_rng(0))
         assert tr.terminal
-        assert terms[0, 2] == 0.0
-        assert terms[0, 1] == 0.0
+        assert terms[0][2] == 0.0
+        assert terms[0][1] == 0.0
         assert env.parked[0]
 
     def test_coincident_agents_both_flagged(self):
@@ -45,7 +45,7 @@ class TestStepAll:
         transitions, terms = env.step_all({0: Action.RIGHT, 1: Action.LEFT},
                                           np.random.default_rng(0))
         # both moved into (3, 2): distance 0 < d_min
-        assert terms[:, 2].tolist() == [1.0, 1.0]
+        assert [t[2] for t in terms] == [1.0, 1.0]
         assert [tr.reward for tr in transitions] == [-1000.0, -1000.0]
 
     def test_reward_assembly_exact(self):
@@ -59,7 +59,7 @@ class TestStepAll:
                 break
             actions = {j: Action(int(rng.integers(4))) for j in active}
             transitions, terms = env.step_all(actions, rng)
-            assert terms.shape == (2, 3)
+            assert len(terms) == 2
             assert len(transitions) == len(active)
             for j, tr in zip(active, transitions):
                 f1, f2, f3 = terms[j]
@@ -68,7 +68,7 @@ class TestStepAll:
                 assert f2 >= 0.0
                 assert f3 in (0.0, 1.0)
             for j in set(range(2)) - set(active):
-                assert terms[j].tolist() == [0.0, 0.0, 0.0]
+                assert terms[j] == (0.0, 0.0, 0.0)
 
     def test_f2_zero_iff_at_final(self):
         cfg = make_scenario(m=4, n_agents=1)
@@ -79,7 +79,7 @@ class TestStepAll:
             if env.parked[0]:
                 break
             _, terms = env.step_all({0: Action(int(rng.integers(4)))}, rng)
-            assert (terms[0, 1] == 0.0) == (env.states[0] == goal)
+            assert (terms[0][1] == 0.0) == (env.states[0] == goal)
 
     def test_single_agent_zero_interference(self):
         # with one station and no ground interferer the allocation reduces
@@ -96,7 +96,7 @@ class TestStepAll:
             interference=np.zeros((len(gains), 3)),
             noise_power=cfg.propagation.noise_power,
             p_max=cfg.p_max)
-        assert terms[0, 0] == pytest.approx(solve(prob).sum_rate, rel=1e-9)
+        assert terms[0][0] == pytest.approx(solve(prob).sum_rate, rel=1e-9)
 
     def test_beta1_zero_skips_allocator(self, monkeypatch):
         def no_solve(problem):
@@ -106,7 +106,7 @@ class TestStepAll:
         cfg = make_scenario(m=4, n_agents=1, beta1=0.0)
         env = Environment(cfg)
         _, terms = env.step_all({0: Action.FORWARD}, np.random.default_rng(4))
-        assert terms[0, 0] == 0.0
+        assert terms[0][0] == 0.0
 
     def test_parked_agent_rejected(self):
         cfg = make_scenario(m=4, n_agents=1, initial=[GridState(4, 4)],
@@ -143,7 +143,7 @@ class TestGroundInterferer:
                                               np.random.default_rng(0))
         _, jammed = Environment(noisy).step_all({0: Action.RIGHT},
                                                 np.random.default_rng(0))
-        assert jammed[0, 0] < quiet[0, 0]
+        assert jammed[0][0] < quiet[0][0]
 
 
 class TestSingleAgentRun:

@@ -307,6 +307,32 @@ class TestRunTrain:
             run_train(config, params, master_seed=2, out_dir=str(out))
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_rename_failing_midway_leaves_no_manifest(self, tmp_path, monkeypatch):
+        import absim.simcli as simcli
+
+        config, params = load_config(write_config(tmp_path, small_config_dict(2)))
+        out = tmp_path / "out"
+        run_train(config, params, master_seed=1, out_dir=str(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        original = os.replace
+        renamed = []
+
+        def second_fails(src, dst):
+            if renamed:
+                raise OSError("rename failed")
+            original(src, dst)
+            renamed.append(os.path.basename(dst))
+
+        monkeypatch.setattr(simcli.os, "replace", second_fails)
+        with pytest.raises(OSError, match="rename failed"):
+            run_train(config, params, master_seed=2, out_dir=str(out))
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        # the earlier manifest is gone, so the mixed directory cannot pass
+        # for a complete run; no temp file is left behind
+        assert sorted(after) == sorted(set(before) - {"manifest.json"})
+        assert renamed == ["metrics.csv"]
+        assert after["metrics.csv"] != before["metrics.csv"]
+
 
 class TestPlotData:
     def make_run(self, tmp_path, episodes=30):
