@@ -11,6 +11,7 @@ text layout from the learning module.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 
@@ -44,53 +46,60 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DIAGNOSTIC = 4
 
-DEFAULT_CONFIG = {
-    "area": {
-        "x_min_m": 0.0,
-        "x_max_m": 3000.0,
-        "y_min_m": 0.0,
-        "y_max_m": 3000.0,
-        "cells_per_axis": 30,
-        "altitude_m": 100.0,
-    },
-    "abs": [
-        {"initial_cell": [1, 1], "final_cell": [30, 30]},
-        {"initial_cell": [30, 1], "final_cell": [1, 30]},
-    ],
-    "users": {"count": 20, "placement_seed": 101},
-    "n_subchannels": 8,
-    "p_max_watts": 0.2,
-    "d_min_m": 5.0,
-    "reward_weights": {"beta1": 10.0, "beta2": 0.25, "beta3": 1000.0},
-    "propagation": {
-        "a": 5.0,
-        "b": 0.5,
-        "eta_los": 1.0,
-        "eta_nlos": 20.0,
-        "carrier_freq_hz": 2.0e9,
-        "speed_of_light_m_per_s": 299792458.0,
-        "noise_power_watts": 1.0e-9,
-    },
-    "fading": "rayleigh",
-    "gbs": {
-        "enabled": False,
-        "x_m": 1500.0,
-        "y_m": 1500.0,
-        "height_m": 10.0,
-        "power_per_subchannel_watts": 0.0,
-    },
-    "distance_exponent": 1,
-    "learning": {
-        "alpha": 0.1,
-        "alpha_schedule": "constant",
-        "gamma": 0.9,
-        "epsilon": 0.1,
-        "epsilon_decay": 1.0,
-        "max_episodes": 2000,
-        "max_steps_per_episode": None,
-        "initial_q": None,
-    },
-}
+# One row per scalar config field: (section, JSON key, attribute, kind,
+# default); section None is the top level. A kind is float (finite), int,
+# bool, or a choice: a tuple of strings or an Enum. A default is stored as
+# it is; a None one makes the field optional (null allowed). The rows of a
+# section in _BUILDS build that dataclass; the top level and reward_weights
+# feed ScenarioConfig itself. abs and users are read by hand in _build_config.
+_FIELDS = (
+    ("area", "x_min_m", "x_min", float, 0.0),
+    ("area", "x_max_m", "x_max", float, 3000.0),
+    ("area", "y_min_m", "y_min", float, 0.0),
+    ("area", "y_max_m", "y_max", float, 3000.0),
+    ("area", "cells_per_axis", "cells_per_axis", int, 30),
+    ("area", "altitude_m", "altitude", float, 100.0),
+    (None, "n_subchannels", "n_subchannels", int, 8),
+    (None, "p_max_watts", "p_max", float, 0.2),
+    (None, "d_min_m", "d_min", float, 5.0),
+    (None, "fading", "fading", FadingMode, FadingMode.RAYLEIGH),
+    (None, "distance_exponent", "distance_exponent", int, 1),
+    ("reward_weights", "beta1", "beta1", float, 10.0),
+    ("reward_weights", "beta2", "beta2", float, 0.25),
+    ("reward_weights", "beta3", "beta3", float, 1000.0),
+    ("propagation", "a", "a", float, 5.0),
+    ("propagation", "b", "b", float, 0.5),
+    ("propagation", "eta_los", "eta_los", float, 1.0),
+    ("propagation", "eta_nlos", "eta_nlos", float, 20.0),
+    ("propagation", "carrier_freq_hz", "carrier_freq", float, 2.0e9),
+    ("propagation", "speed_of_light_m_per_s", "speed_of_light", float, 299792458.0),
+    ("propagation", "noise_power_watts", "noise_power", float, 1.0e-9),
+    ("gbs", "enabled", "enabled", bool, False),
+    ("gbs", "x_m", "x", float, 1500.0),
+    ("gbs", "y_m", "y", float, 1500.0),
+    ("gbs", "height_m", "height", float, 10.0),
+    ("gbs", "power_per_subchannel_watts", "power_per_subchannel", float, 0.0),
+    ("learning", "alpha", "alpha", float, 0.1),
+    ("learning", "alpha_schedule", "alpha_schedule", ("constant", "visit_count"), "constant"),
+    ("learning", "gamma", "gamma", float, 0.9),
+    ("learning", "epsilon", "epsilon", float, 0.1),
+    ("learning", "epsilon_decay", "epsilon_decay", float, 1.0),
+    ("learning", "max_episodes", "max_episodes", int, 2000),
+    ("learning", "max_steps_per_episode", "max_steps_per_episode", int, None),
+    ("learning", "initial_q", "initial_q", float, None),
+)
+_BUILDS = {"area": AreaSpec, "propagation": PropagationParams, "gbs": GbsSpec,
+           "learning": LearningParams}
+DEFAULT_ABS = [{"initial_cell": [1, 1], "final_cell": [30, 30]},
+               {"initial_cell": [30, 1], "final_cell": [1, 30]}]
+DEFAULT_USERS = {"count": 20, "placement_seed": 101}
+RETIRED_KEYS = ("velocity_m_per_s",)  # top-level keys older configs may still name
+
+# the keys each JSON object of the config may hold; None is the top level
+_KNOWN = {section: {row[1] for row in _FIELDS if row[0] == section} for section, *_ in _FIELDS}
+_KNOWN[None] |= {"abs", "users", *RETIRED_KEYS, *filter(None, _KNOWN)}
+_KNOWN["users"] = {"positions_m", "association", *DEFAULT_USERS}
+CELL_KEYS = ("initial_cell", "final_cell")  # of each entry in the abs list
 
 
 class ConfigValidationError(ValueError):
@@ -116,30 +125,76 @@ class RunManifest:
     rollout: dict
 
 
-def _merge(defaults, override):
-    if isinstance(defaults, dict) and isinstance(override, dict):
-        merged = dict(defaults)
-        for key, value in override.items():
-            merged[key] = _merge(defaults.get(key), value) if key in defaults else value
-        return merged
-    return override
+def _convert(value, kind, key):
+    """One JSON value as the given kind (see _FIELDS); ValueError names key."""
+    if kind is float:  # json reads NaN and Infinity, 1e400 as inf, 10**400 as an int
+        ok = (type(value) is float and math.isfinite(value)
+              or type(value) is int and abs(value) < 1e308)
+        what = "a finite number"
+    elif kind is int:  # int() would truncate 30.7; type() keeps bools out
+        ok = type(value) is int or type(value) is float and value.is_integer()
+        what = "an integer"
+    elif kind is bool:  # bool("false") is True
+        ok, what = type(value) is bool, "true or false"
+    else:
+        options = [getattr(option, "value", option) for option in kind]
+        ok, what = value in options, "one of " + ", ".join(map(repr, options))
+    if not ok:
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return kind(value) if isinstance(kind, type) else value
 
 
-def _place_users(area_raw, count, placement_seed):
+def _object(value, known, label, errors):
+    """value if it is a JSON object, else None; reports each key not in known."""
+    if type(value) is not dict:
+        errors.append(f"{label}: must be a JSON object")
+        return None
+    for key in value:
+        if key not in known:
+            close = difflib.get_close_matches(key, known, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            errors.append(f"{label}: unknown key {key!r}{hint}")
+    return value
+
+
+def _cell(entry, key):
+    if key not in entry:
+        raise ValueError(f"{key} is missing")
+    cell = entry[key]
+    if type(cell) is not list or len(cell) != 2:
+        raise ValueError(f"{key} must be a pair [k1, k2], got {cell!r}")
+    return GridState(_convert(cell[0], int, key), _convert(cell[1], int, key))
+
+
+def _positions(value):
+    if type(value) is not list or any(type(p) is not list or len(p) != 2 for p in value):
+        raise ValueError("positions_m must be a list of [x, y] pairs")
+    return np.array([[_convert(c, float, "every coordinate") for c in p] for p in value],
+                    dtype=float)
+
+
+def _association(value):
+    if type(value) is not list:
+        raise ValueError(f"association must be a list of station indices, got {value!r}")
+    return np.array([_convert(v, int, "association entry") for v in value], dtype=int)
+
+
+def _place_users(area, count, placement_seed):
     rng = derive_stream(placement_seed, PURPOSE_USER_PLACEMENT)
-    x = rng.uniform(area_raw["x_min_m"], area_raw["x_max_m"], size=count)
-    y = rng.uniform(area_raw["y_min_m"], area_raw["y_max_m"], size=count)
+    x = rng.uniform(area.x_min, area.x_max, size=count)
+    y = rng.uniform(area.y_min, area.y_max, size=count)
     return np.column_stack([x, y])
 
 
 def load_config(path=None):
     """Build (ScenarioConfig, LearningParams) from a JSON file over the defaults.
 
-    A missing path means pure defaults. Every invariant violation found is
-    collected and reported together in one ConfigValidationError; a file
-    that is not a JSON object is reported the same way.
+    A missing path means pure defaults. Every invariant violation and
+    unknown key found is collected and reported together in one
+    ConfigValidationError; a file that is not a JSON object is reported the
+    same way.
     """
-    raw = DEFAULT_CONFIG
+    data = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -148,192 +203,93 @@ def load_config(path=None):
                 raise ConfigValidationError([f"{path}: not valid JSON: {exc}"]) from None
         if not isinstance(data, dict):
             raise ConfigValidationError([f"{path}: top level must be a JSON object"])
-        raw = _merge(DEFAULT_CONFIG, data)
-    return _build_config(raw)
+    return _build_config(data)
 
 
-def _build_config(raw):
+def _build_config(data):
     errors = []
 
     def attempt(build, label):
         try:
             return build()
-        except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+        except ValueError as exc:
             errors.append(f"{label}: {exc}")
             return None
 
-    def finite(section, key):
-        # json reads NaN and Infinity, and 1e400 as inf
-        value = float(section[key])
-        if not math.isfinite(value):
-            raise ValueError(f"{key} must be a finite number, got {value}")
-        return value
+    objects = {name: _object(data if name is None else data.get(name, {}), known,
+                             name or "scenario", errors) for name, known in _KNOWN.items()}
+    values = {name: {} for name, obj in objects.items() if obj is not None}
+    failed = set()  # sections with a field that does not convert
+    for name, key, attr, kind, default in _FIELDS:
+        if name not in values:
+            continue
+        value = objects[name].get(key, default)
+        try:  # a default is stored as it is, and a None one makes null valid
+            values[name][attr] = value if value is default else _convert(value, kind, key)
+        except ValueError as exc:
+            errors.append(f"{name or 'scenario'}: {exc}")
+            failed.add(name)
+    built = {name: attempt(lambda: cls(**values[name]), name)
+             for name, cls in _BUILDS.items() if name in values and name not in failed}
 
-    def integer(value, name):
-        # int() truncates 30.7 silently; type() also keeps bool (an int subclass) out
-        if type(value) is not int and not (type(value) is float and value.is_integer()):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(value)
+    entries = data.get("abs", DEFAULT_ABS)
+    if type(entries) is not list:
+        errors.append("abs: must be a JSON list")
+        entries = []
+    initial, final = [], []
+    for i, entry in enumerate(entries):
+        label = f"abs[{i}]"
+        if _object(entry, CELL_KEYS, label, errors) is not None:
+            initial.append(attempt(lambda: _cell(entry, "initial_cell"), label))
+            final.append(attempt(lambda: _cell(entry, "final_cell"), label))
 
-    def cells(key):
-        # GridState takes exactly two coordinates, so [1] and [1, 1, 7] fail too
-        return tuple(GridState(*(integer(k, key) for k in e[key])) for e in raw["abs"])
-
-    area = attempt(lambda: AreaSpec(
-        x_min=finite(raw["area"], "x_min_m"),
-        x_max=finite(raw["area"], "x_max_m"),
-        y_min=finite(raw["area"], "y_min_m"),
-        y_max=finite(raw["area"], "y_max_m"),
-        cells_per_axis=integer(raw["area"]["cells_per_axis"], "cells_per_axis"),
-        altitude=finite(raw["area"], "altitude_m"),
-    ), "area")
-
-    prop = attempt(lambda: PropagationParams(
-        a=finite(raw["propagation"], "a"),
-        b=finite(raw["propagation"], "b"),
-        eta_los=finite(raw["propagation"], "eta_los"),
-        eta_nlos=finite(raw["propagation"], "eta_nlos"),
-        carrier_freq=finite(raw["propagation"], "carrier_freq_hz"),
-        speed_of_light=finite(raw["propagation"], "speed_of_light_m_per_s"),
-        noise_power=finite(raw["propagation"], "noise_power_watts"),
-    ), "propagation")
-
-    gbs = attempt(lambda: GbsSpec(
-        enabled=raw["gbs"]["enabled"],
-        x=finite(raw["gbs"], "x_m"),
-        y=finite(raw["gbs"], "y_m"),
-        height=finite(raw["gbs"], "height_m"),
-        power_per_subchannel=finite(raw["gbs"], "power_per_subchannel_watts"),
-    ), "gbs")
-
-    fading = attempt(lambda: FadingMode(raw["fading"]), "fading")
-
-    initial = attempt(lambda: cells("initial_cell"), "abs.initial_cell")
-    final = attempt(lambda: cells("final_cell"), "abs.final_cell")
-
-    users_raw = attempt(lambda: dict(raw["users"]), "users")
+    users = objects["users"] or {}
     users_xy = assoc = None
-    if users_raw is not None and "positions_m" in users_raw:
-        users_xy = attempt(lambda: np.asarray(users_raw["positions_m"], dtype=float),
-                           "users.positions_m")
-        if users_xy is not None and not np.isfinite(users_xy).all():
-            errors.append("users.positions_m: every coordinate must be a finite number")
-            users_xy = None
-        if "association" in users_raw:
-            assoc = attempt(lambda: np.array(
-                [integer(v, "association entry") for v in users_raw["association"]],
-                dtype=int), "users.association")
-    elif users_raw is not None:
-        count = attempt(lambda: integer(users_raw.get("count", 0), "count"),
-                        "users.count")
-        seed = attempt(lambda: integer(users_raw.get("placement_seed", 0),
-                                       "placement_seed"), "users.placement_seed")
+    if "positions_m" in users:
+        if users.keys() & DEFAULT_USERS:
+            errors.append("users: positions_m excludes count and placement_seed")
+        users_xy = attempt(lambda: _positions(users["positions_m"]), "users.positions_m")
+    else:
+        count, seed = (attempt(lambda: _convert(users.get(key, default), int, key),
+                               f"users.{key}") for key, default in DEFAULT_USERS.items())
         if count is not None and count < 1:
             errors.append("users.count: must be at least 1")
-        elif count is not None and seed is not None and area is not None:
-            users_xy = _place_users(raw["area"], count, seed)
-    if assoc is None and users_xy is not None:
-        def balanced():
-            # split in listing order: half to each station for two
-            k, n_abs = users_xy.shape[0], len(raw["abs"])
-            return np.array([i * n_abs // k for i in range(k)], dtype=int)
-
-        assoc = attempt(balanced, "users")
-
-    params = attempt(lambda: LearningParams(
-        alpha=finite(raw["learning"], "alpha"),
-        gamma=finite(raw["learning"], "gamma"),
-        epsilon=finite(raw["learning"], "epsilon"),
-        max_episodes=integer(raw["learning"]["max_episodes"], "max_episodes"),
-        max_steps_per_episode=(None if raw["learning"]["max_steps_per_episode"] is None
-                               else integer(raw["learning"]["max_steps_per_episode"],
-                                            "max_steps_per_episode")),
-        alpha_schedule=str(raw["learning"]["alpha_schedule"]),
-        epsilon_decay=finite(raw["learning"], "epsilon_decay"),
-        initial_q=(None if raw["learning"].get("initial_q") is None
-                   else finite(raw["learning"], "initial_q")),
-    ), "learning")
-
-    betas = attempt(lambda: [finite(raw["reward_weights"], f"beta{i}") for i in (1, 2, 3)],
-                    "reward_weights")
+        elif count is not None and seed is not None and built.get("area") is not None:
+            users_xy = _place_users(built["area"], count, seed)
+    if "association" in users:
+        assoc = attempt(lambda: _association(users["association"]), "users.association")
+    elif users_xy is not None:
+        # split in listing order: half to each station for two
+        k = len(users_xy)
+        assoc = np.array([i * len(entries) // k for i in range(k)], dtype=int)
 
     config = None
     if not errors:
         config = attempt(lambda: ScenarioConfig(
-            area=area,
-            initial_states=initial,
-            final_states=final,
-            users_xy=users_xy,
-            association=assoc,
-            n_subchannels=integer(raw["n_subchannels"], "n_subchannels"),
-            p_max=finite(raw, "p_max_watts"),
-            d_min=finite(raw, "d_min_m"),
-            beta1=betas[0],
-            beta2=betas[1],
-            beta3=betas[2],
-            propagation=prop,
-            fading=fading,
-            gbs=gbs,
-            distance_exponent=integer(raw["distance_exponent"], "distance_exponent"),
-        ), "scenario")
+            area=built["area"], initial_states=tuple(initial), final_states=tuple(final),
+            users_xy=users_xy, association=assoc, propagation=built["propagation"],
+            gbs=built["gbs"], **values[None], **values["reward_weights"]), "scenario")
     if errors:
         raise ConfigValidationError(errors)
-    return config, params
+    return config, built["learning"]
 
 
 def config_to_dict(config: ScenarioConfig, params: LearningParams) -> dict:
     """Lossless snapshot of a validated config; load_config round-trips it."""
-    return {
-        "area": {
-            "x_min_m": config.area.x_min,
-            "x_max_m": config.area.x_max,
-            "y_min_m": config.area.y_min,
-            "y_max_m": config.area.y_max,
-            "cells_per_axis": config.area.cells_per_axis,
-            "altitude_m": config.area.altitude,
-        },
-        "abs": [
-            {"initial_cell": [s.k1, s.k2], "final_cell": [f.k1, f.k2]}
-            for s, f in zip(config.initial_states, config.final_states)
-        ],
-        "users": {
-            "positions_m": config.users_xy.tolist(),
-            "association": config.association.tolist(),
-        },
-        "n_subchannels": config.n_subchannels,
-        "p_max_watts": config.p_max,
-        "d_min_m": config.d_min,
-        "reward_weights": {"beta1": config.beta1, "beta2": config.beta2,
-                           "beta3": config.beta3},
-        "propagation": {
-            "a": config.propagation.a,
-            "b": config.propagation.b,
-            "eta_los": config.propagation.eta_los,
-            "eta_nlos": config.propagation.eta_nlos,
-            "carrier_freq_hz": config.propagation.carrier_freq,
-            "speed_of_light_m_per_s": config.propagation.speed_of_light,
-            "noise_power_watts": config.propagation.noise_power,
-        },
-        "fading": config.fading.value,
-        "gbs": {
-            "enabled": config.gbs.enabled,
-            "x_m": config.gbs.x,
-            "y_m": config.gbs.y,
-            "height_m": config.gbs.height,
-            "power_per_subchannel_watts": config.gbs.power_per_subchannel,
-        },
-        "distance_exponent": config.distance_exponent,
-        "learning": {
-            "alpha": params.alpha,
-            "alpha_schedule": params.alpha_schedule,
-            "gamma": params.gamma,
-            "epsilon": params.epsilon,
-            "epsilon_decay": params.epsilon_decay,
-            "max_episodes": params.max_episodes,
-            "max_steps_per_episode": params.max_steps_per_episode,
-            "initial_q": params.initial_q,
-        },
+    owners = {None: config, "reward_weights": config, "area": config.area,
+              "propagation": config.propagation, "gbs": config.gbs, "learning": params}
+    snapshot = {
+        "abs": [{"initial_cell": [s.k1, s.k2], "final_cell": [f.k1, f.k2]}
+                for s, f in zip(config.initial_states, config.final_states)],
+        "users": {"positions_m": config.users_xy.tolist(),
+                  "association": config.association.tolist()},
     }
+    for section, key, attr, _, _ in _FIELDS:
+        value = getattr(owners[section], attr)
+        if isinstance(value, Enum):
+            value = value.value
+        (snapshot if section is None else snapshot.setdefault(section, {}))[key] = value
+    return snapshot
 
 
 def write_metrics(stats_list, path, n_agents: int) -> None:
@@ -558,20 +514,36 @@ def _cmd_train(args, config, params) -> int:
 
 @_with_config
 def _cmd_rollout(args, config, params) -> int:
+    paths = [os.path.join(args.qtable_dir, f"qtable_agent{j}.txt")
+             for j in range(config.n_agents)]
+    manifest = os.path.join(args.qtable_dir, "manifest.json")
     try:
-        qtables = [load_qtable(os.path.join(args.qtable_dir, f"qtable_agent{j}.txt"))
-                   for j in range(config.n_agents)]
+        qtables = [load_qtable(path) for path in paths]
+        digests = None  # a directory without a manifest is not checked
+        if os.path.exists(manifest):
+            with open(manifest, "r", encoding="utf-8") as fh:
+                try:
+                    digests = json.load(fh)["files"]
+                except (ValueError, KeyError, TypeError):
+                    pass
+            if not isinstance(digests, dict):
+                raise ValueError("manifest.json lists no file digests")
     except OSError as exc:
         print(f"cannot read checkpoints: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"invalid checkpoint: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    for j, q in enumerate(qtables):
+    for path, q in zip(paths, qtables):
+        name = os.path.basename(path)
         if (q.n_states, q.n_actions) != (config.area.n_states, len(Action)):
-            print(f"invalid checkpoint: qtable_agent{j}.txt is {q.n_states} x "
+            print(f"invalid checkpoint: {name} is {q.n_states} x "
                   f"{q.n_actions}, the config needs {config.area.n_states} x "
                   f"{len(Action)}", file=sys.stderr)
+            return EXIT_VALIDATION
+        if digests is not None and _sha256(path) != digests.get(name):
+            print(f"invalid checkpoint: {name} does not match manifest.json",
+                  file=sys.stderr)
             return EXIT_VALIDATION
     rollout = extract_trajectory(config, qtables)
     try:

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from absim.simcli import load_config, run_train
+from absim.simcli import config_to_dict, load_config, run_train
 
 # the default two-station scenario, cut to two episodes
 HEADLINE = ({"learning": {"max_episodes": 2}}, 0)
@@ -79,6 +79,26 @@ GOLDEN = {
             "ae74dd4151d8ab8094975ddf7cc06c66d0b088785966f4cfac1b28d863e8a808",
     }),
 }
+
+# SHA-256 of each config's manifest snapshot, serialized as write_manifest
+# serializes it; "default" is load_config() with no file
+SNAPSHOT = {
+    "default": "53e9f7293357137fad7466769e62edb0f2e591a5b01924255cb2935575751972",
+    "dense_fleet": "a3be65bf88ca6e6da4f455bc37796a99b6bcc25d0d0e336d73f82ade93373911",
+    "headline": "756e27bd54cb64c7f0328ad283cc44164cdf44d5a619d6b70687f5f1b67e0431",
+    "interleaved": "8ef08d239fb494c0b890c140dfce263da2ba0c52100fe3a2b65fda2a42f90245",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SNAPSHOT))
+def test_config_snapshot_pinned(case, tmp_path):
+    path = None
+    if case != "default":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(GOLDEN[case][0][0]), encoding="utf-8")
+    snapshot = config_to_dict(*load_config(path))
+    text = json.dumps(snapshot, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SNAPSHOT[case]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

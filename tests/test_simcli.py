@@ -1,9 +1,13 @@
 import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absim.geometry import GridState
 from absim.simcli import (ConfigValidationError, PlotDataError, config_to_dict,
@@ -156,6 +160,19 @@ class TestLoadConfig:
         text = str(err.value)
         assert "area" in text and "propagation" in text
         assert len(err.value.errors) >= 2
+        # two bad fields of one section are both named
+        path = write_config(tmp_path, {"learning": {"epsilon": "x", "gamma": "y"}})
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(path)
+        assert err.value.errors == ["learning: gamma must be a finite number, got 'y'",
+                                    "learning: epsilon must be a finite number, got 'x'"]
+        # a non-finite top-level field is named beside a failed section
+        path = write_with_token(tmp_path, {"p_max_watts": "TOKEN",
+                                           "area": {"cells_per_axis": 1}}, "NaN")
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(path)
+        assert err.value.errors == ["scenario: p_max_watts must be a finite number, got nan",
+                                    "area: cells_per_axis must be at least 2"]
 
     def test_explicit_users(self, tmp_path):
         path = write_config(tmp_path, small_config_dict() | {
@@ -185,17 +202,146 @@ class TestLoadConfig:
 
     def test_velocity_key_ignored(self, tmp_path):
         # velocity_m_per_s entered no computation and is no longer a field;
-        # older configs that name it still load, like any other unknown key
+        # it is a retired key: older configs that name it still load, while
+        # any other unknown key is rejected
         config, params = load_config(write_config(tmp_path, {"velocity_m_per_s": 10.0}))
         snapshot = config_to_dict(config, params)
         assert "velocity_m_per_s" not in snapshot
         assert snapshot == config_to_dict(*load_config())
+
+    def test_unknown_keys_listed_with_field_errors(self, tmp_path):
+        path = write_config(tmp_path, {"p_max_watt": 5, "n_subchannels": 0.5,
+                                       "learning": {"max_episode": 3, "gamma": 2.0}})
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(path)
+        assert err.value.errors == [
+            "scenario: unknown key 'p_max_watt' (did you mean 'p_max_watts'?)",
+            "learning: unknown key 'max_episode' (did you mean 'max_episodes'?)",
+            "scenario: n_subchannels must be an integer, got 0.5",
+            "learning: gamma must lie in [0, 1)",
+        ]
+
+    @pytest.mark.parametrize("data, message", [
+        # unknown keys: top level, in a section, in an abs entry
+        ({"p_max_watt": 5}, "scenario: unknown key 'p_max_watt' (did you mean 'p_max_watts'?)"),
+        ({"Fading": "none"}, "scenario: unknown key 'Fading' (did you mean 'fading'?)"),
+        ({"learning": {"max_episode": 3}},
+         "learning: unknown key 'max_episode' (did you mean 'max_episodes'?)"),
+        ({"gbs": {"enable": True}}, "gbs: unknown key 'enable' (did you mean 'enabled'?)"),
+        ({"users": {"count": 4, "seed": 3}}, "users: unknown key 'seed'"),
+        ({"abs": [{"initial_cell": [1, 1], "final_cell": [30, 30]},
+                  {"initial_cell": [30, 1], "final_cell": [1, 30], "final_cel": [1, 30]}]},
+         "abs[1]: unknown key 'final_cel' (did you mean 'final_cell'?)"),
+        # objects and lists of the wrong shape
+        ({"area": 5}, "area: must be a JSON object"),
+        ({"learning": [1]}, "learning: must be a JSON object"),
+        ({"abs": [{"initial_cell": [1, 1]}]}, "abs[0]: final_cell is missing"),
+        ({"abs": {"initial_cell": [1, 1]}}, "abs: must be a JSON list"),
+        ({"abs": [[1, 1]]}, "abs[0]: must be a JSON object"),
+        ({"abs": [{"initial_cell": [1], "final_cell": [2, 2]}]},
+         "abs[0]: initial_cell must be a pair [k1, k2], got [1]"),
+        ({"users": {"positions_m": [[1.0, 2.0], [3.0]]}},
+         "users.positions_m: positions_m must be a list of [x, y] pairs"),
+        ({"users": {"count": 2, "association": 1}},
+         "users.association: association must be a list of station indices, got 1"),
+        ({"users": {"positions_m": [[1.0, 2.0], [3.0, 4.0]], "count": 2}},
+         "users: positions_m excludes count and placement_seed"),
+        # the association gives one station per user, generated or listed
+        ({"users": {"count": 4, "association": [1, 1, 0]}},
+         "scenario: association must give one station per user"),
+        ({"users": {"positions_m": [[10.0, 10.0], [20.0, 20.0]], "association": [0, 1, 1]}},
+         "scenario: association must give one station per user"),
+        # values of the wrong kind
+        ({"p_max_watts": "0.5"}, "scenario: p_max_watts must be a finite number, got '0.5'"),
+        ({"fading": "Rayleigh"},
+         "scenario: fading must be one of 'none', 'rayleigh', got 'Rayleigh'"),
+        ({"learning": {"alpha_schedule": 1}},
+         "learning: alpha_schedule must be one of 'constant', 'visit_count', got 1"),
+    ])
+    def test_config_error_named(self, tmp_path, capsys, data, message):
+        assert main(["validate-config", "--config", write_config(tmp_path, data)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_association_with_generated_users(self, tmp_path):
+        config, _ = load_config(write_config(tmp_path, {
+            "users": {"count": 4, "association": [1, 1, 0, 0]}}))
+        assert config.association.tolist() == [1, 1, 0, 0]
+        assert config.users_xy.shape == (4, 2)
 
     def test_roundtrip_identical(self, tmp_path):
         config, params = load_config(write_config(tmp_path, small_config_dict()))
         snapshot = config_to_dict(config, params)
         reloaded = load_config(write_config(tmp_path, snapshot, "again.json"))
         assert config_to_dict(*reloaded) == snapshot
+
+
+def finite_floats(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    """Config dicts that load: explicit or generated users, the GBS on or
+    off, null or set initial_q and max_steps_per_episode."""
+    m = draw(st.integers(2, 6))
+    x_min, y_min = draw(finite_floats(-1e4, 1e4)), draw(finite_floats(-1e4, 1e4))
+    cell = st.lists(st.integers(1, m), min_size=2, max_size=2)
+    n_abs = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        k = draw(st.integers(n_abs, 6))
+        pair = st.lists(finite_floats(-1e4, 1e4), min_size=2, max_size=2)
+        users = {"positions_m": draw(st.lists(pair, min_size=k, max_size=k)),
+                 "association": draw(st.permutations([i % n_abs for i in range(k)]))}
+    else:
+        users = {"count": draw(st.integers(n_abs, 6)),
+                 "placement_seed": draw(st.integers(0, 2**32))}
+    positive = finite_floats(1e-3, 1e3)
+    eta_los = draw(finite_floats(1.0, 50.0))
+    return {
+        "area": {"x_min_m": x_min, "x_max_m": x_min + draw(finite_floats(1.0, 1e4)),
+                 "y_min_m": y_min, "y_max_m": y_min + draw(finite_floats(1.0, 1e4)),
+                 "cells_per_axis": m, "altitude_m": draw(positive)},
+        "abs": [{"initial_cell": draw(cell), "final_cell": draw(cell)} for _ in range(n_abs)],
+        "users": users,
+        "n_subchannels": draw(st.integers(1, 16)),
+        "p_max_watts": draw(positive),
+        "d_min_m": draw(positive),
+        "reward_weights": {f"beta{i}": draw(finite_floats(0.0, 1e3)) for i in (1, 2, 3)},
+        "propagation": {"a": draw(positive), "b": draw(positive), "eta_los": eta_los,
+                        "eta_nlos": draw(finite_floats(eta_los, 100.0)),
+                        "carrier_freq_hz": draw(finite_floats(1e6, 1e11)),
+                        "speed_of_light_m_per_s": draw(positive),
+                        "noise_power_watts": draw(finite_floats(1e-15, 1.0))},
+        "fading": draw(st.sampled_from(["none", "rayleigh"])),
+        "gbs": {"enabled": draw(st.booleans()), "x_m": draw(finite_floats(-1e4, 1e4)),
+                "y_m": draw(finite_floats(-1e4, 1e4)), "height_m": draw(positive),
+                "power_per_subchannel_watts": draw(finite_floats(0.0, 1.0))},
+        "distance_exponent": draw(st.sampled_from([1, 2])),
+        "learning": {"alpha": draw(finite_floats(0.0, 1.0)),
+                     "alpha_schedule": draw(st.sampled_from(["constant", "visit_count"])),
+                     "gamma": draw(finite_floats(0.0, 0.99)),
+                     "epsilon": draw(finite_floats(0.0, 1.0)),
+                     "epsilon_decay": draw(finite_floats(0.01, 1.0)),
+                     "max_episodes": draw(st.integers(0, 5000)),
+                     "max_steps_per_episode": draw(st.none() | st.integers(0, 10000)),
+                     "initial_q": draw(st.none() | finite_floats(-1e6, 1e6))},
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(valid_configs())
+def test_snapshot_roundtrip_property(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, params = load_config(write_config(Path(tmp), data))
+        snapshot = config_to_dict(config, params)
+        reloaded = load_config(write_config(Path(tmp), snapshot, "again.json"))
+    assert config_to_dict(*reloaded) == snapshot
+    # every field lands where it was given; generated users become positions
+    if "count" in data["users"]:
+        count = data.pop("users")["count"]
+        assert snapshot.pop("users")["association"] == [i * len(data["abs"]) // count
+                                                        for i in range(count)]
+    assert snapshot == data
 
 
 class TestRunTrain:
@@ -438,6 +584,46 @@ class TestCli:
                      "--qtable-dir", str(out), "--out", str(tmp_path / "roll.csv")])
         assert code == 2
         assert "the config needs 25 x 4" in capsys.readouterr().err
+
+    @staticmethod
+    def edit_checkpoint(out, name="qtable_agent0.txt"):
+        """Change one Q-value of a checkpoint, leaving it well-formed."""
+        table = out / name
+        lines = table.read_text().splitlines(keepends=True)
+        state, action, _ = lines[2].split()
+        lines[2] = f"{state} {action} 123.5\n"
+        table.write_text("".join(lines))
+
+    @pytest.mark.parametrize("manifest, message", [
+        (None, "invalid checkpoint: qtable_agent1.txt does not match manifest.json"),
+        ('{"files": [1, 2', "invalid checkpoint: manifest.json lists no file digests"),
+        ('{"files": 3}', "invalid checkpoint: manifest.json lists no file digests"),
+    ])
+    def test_rollout_checkpoint_digest_mismatch(self, tmp_path, capsys, manifest, message):
+        cfg = write_config(tmp_path, small_config_dict(2))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+        if manifest is None:
+            self.edit_checkpoint(out, "qtable_agent1.txt")
+        else:
+            (out / "manifest.json").write_text(manifest)
+        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
+                     "--out", str(tmp_path / "roll.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "roll.csv").exists()
+
+    def test_rollout_without_manifest_skips_digests(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config_dict(2))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+        (out / "manifest.json").unlink()
+        self.edit_checkpoint(out)
+        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
+                     "--out", str(tmp_path / "roll.csv")])
+        assert code in (0, 4)  # diagnostics may fail on a tiny run
+        assert "manifest.json" not in capsys.readouterr().err
+        assert (tmp_path / "roll.csv").exists()
 
     def test_train_and_plot_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_dict(2))
