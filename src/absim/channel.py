@@ -21,11 +21,8 @@ __all__ = [
     "FadingMode",
     "GbsSpec",
     "PropagationParams",
-    "average_path_loss",
     "draw_realization",
-    "elevation_angle",
     "free_space_path_loss",
-    "interference",
     "interference_for_abs",
     "los_probability",
 ]
@@ -103,14 +100,6 @@ class ChannelRealization:
     gbs_power: float | None = None
 
 
-def elevation_angle(abs_pos: Position3D, user_xy) -> float:
-    """Elevation angle in degrees from a ground user to the station; 90 overhead."""
-    dx = abs_pos.x - user_xy[0]
-    dy = abs_pos.y - user_xy[1]
-    horizontal = math.hypot(dx, dy)
-    return math.degrees(math.atan2(abs_pos.h, horizontal))
-
-
 def los_probability(theta_deg, params: PropagationParams):
     """Probability of a line-of-sight link at elevation angle theta (degrees)."""
     return 1.0 / (1.0 + params.a * np.exp(-params.b * (theta_deg - params.a)))
@@ -124,21 +113,12 @@ def free_space_path_loss(distance: float, params: PropagationParams, excess: flo
     return ratio * ratio * excess
 
 
-def average_path_loss(abs_pos: Position3D, user_xy, params: PropagationParams) -> float:
-    """LoS/Non-LoS mixture path loss over the full 3-D distance."""
-    dx = abs_pos.x - user_xy[0]
-    dy = abs_pos.y - user_xy[1]
-    d3 = math.sqrt(dx * dx + dy * dy + abs_pos.h * abs_pos.h)
-    if d3 == 0.0:
-        raise ValueError("coincident transmitter and receiver")
-    pr = los_probability(elevation_angle(abs_pos, user_xy), params)
-    return pr * free_space_path_loss(d3, params, params.eta_los) + \
-        (1.0 - pr) * free_space_path_loss(d3, params, params.eta_nlos)
-
-
 def path_loss_to_users(abs_pos: Position3D, users_xy: np.ndarray,
                        params: PropagationParams) -> np.ndarray:
-    """Vectorized average_path_loss from one transmitter to every user."""
+    """(K,) LoS/NLoS mixture path loss over the 3-D distance to every user.
+
+    tests/channel_reference.py holds the scalar per-user version it matches.
+    """
     dx = abs_pos.x - users_xy[:, 0]
     dy = abs_pos.y - users_xy[:, 1]
     horizontal = np.hypot(dx, dy)
@@ -186,27 +166,14 @@ def draw_realization(path_loss: np.ndarray, fading: FadingMode,
     return ChannelRealization(gains=gains, gbs_gains=gbs_gains, gbs_power=gbs_power)
 
 
-def interference(realization: ChannelRealization, abs_powers: np.ndarray,
-                 target_abs: int, user: int, subchannel: int) -> float:
-    """Total interference in watts seen by one user of one station.
-
-    Sums every other station's transmit power times its gain to the user,
-    plus the ground transmitter's contribution when present.
-    """
-    abs_powers = np.asarray(abs_powers, dtype=float)
-    total = 0.0
-    for j in range(realization.gains.shape[0]):
-        if j == target_abs:
-            continue
-        total += abs_powers[j, subchannel] * realization.gains[j, user, subchannel]
-    if realization.gbs_gains is not None:
-        total += realization.gbs_power * realization.gbs_gains[user, subchannel]
-    return total
-
-
 def interference_for_abs(realization: ChannelRealization, abs_powers: np.ndarray,
                          target_abs: int) -> np.ndarray:
-    """(K, N) interference table for one station; same sum as interference()."""
+    """(K, N) interference in watts seen by each user of one station.
+
+    Sums every other station's transmit power times its gain to the user,
+    plus the ground transmitter's contribution when present; the scalar
+    per-link sum in tests/channel_reference.py is its reference.
+    """
     abs_powers = np.asarray(abs_powers, dtype=float)
     field = np.einsum("jn,jkn->kn", abs_powers, realization.gains)
     own = abs_powers[target_abs][None, :] * realization.gains[target_abs]

@@ -237,10 +237,9 @@ class Environment:
         return transitions, terms
 
 
-def _resolve_max_steps(params: LearningParams, config: ScenarioConfig) -> int:
-    if params.max_steps_per_episode is not None:
-        return params.max_steps_per_episode
-    return 4 * config.area.n_states
+def _step_cap(max_steps: int | None, area: AreaSpec) -> int:
+    """Step cap of an episode or a rollout: the given one, else four per cell."""
+    return max_steps if max_steps is not None else 4 * area.n_states
 
 
 def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
@@ -254,7 +253,7 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
     env.reset()
     cfg = env.config
     j_count = cfg.n_agents
-    max_steps = _resolve_max_steps(params, cfg)
+    max_steps = _step_cap(params.max_steps_per_episode, cfg.area)
 
     # per-agent tallies stay Python scalars until the episode ends
     f1_sum = [0.0] * j_count
@@ -365,7 +364,7 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
     area = config.area
     j_count = config.n_agents
     policies = [greedy_policy(q).tolist() for q in qtables]
-    cap = max_steps if max_steps is not None else 4 * area.n_states
+    cap = _step_cap(max_steps, area)
 
     states = [state_index(area, s) for s in config.initial_states]
     final = [state_index(area, s) for s in config.final_states]

@@ -2,8 +2,7 @@
 
 States are flat integer indices, actions small integers. The table knows
 nothing about grids or channels; the environment supplies transitions and
-rewards. A value-iteration fixed point over small deterministic worlds is
-included as the exact solution the learner must approach.
+rewards.
 """
 
 from __future__ import annotations
@@ -23,10 +22,7 @@ __all__ = [
     "save_qtable",
     "select_action",
     "update",
-    "value_iteration",
 ]
-
-_ORACLE_MAX_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -135,38 +131,6 @@ def update(q: QTable, t: Transition, params: LearningParams) -> None:
 def greedy_policy(q: QTable) -> np.ndarray:
     """Deterministic per-state argmax readout; ties go to the lowest action index."""
     return q.values.argmax(axis=1)
-
-
-def value_iteration(next_state: np.ndarray, rewards: np.ndarray,
-                    terminal: np.ndarray, gamma: float,
-                    tol: float = 1e-12, max_sweeps: int = 1_000_000) -> np.ndarray:
-    """Exact Q for a small deterministic world by fixed-point iteration.
-
-    next_state[s, a] and rewards[s, a] define the model; terminal[s] marks
-    absorbing states whose rows stay zero. Sweeps Q(s,a) <- r(s,a) +
-    gamma * max_a' Q(s',a') until the largest change is below tol.
-    """
-    next_state = np.asarray(next_state, dtype=int)
-    rewards = np.asarray(rewards, dtype=float)
-    terminal = np.asarray(terminal, dtype=bool)
-    n_states, n_actions = next_state.shape
-    if n_states > _ORACLE_MAX_STATES:
-        raise ValueError(f"world too large for exact iteration ({n_states} states)")
-    if rewards.shape != (n_states, n_actions) or terminal.shape != (n_states,):
-        raise ValueError("model shapes are inconsistent")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
-
-    q = np.zeros((n_states, n_actions))
-    for _ in range(max_sweeps):
-        v_next = q.max(axis=1)[next_state]  # (S, A) value of successor states
-        q_new = rewards + gamma * v_next
-        q_new[terminal, :] = 0.0
-        delta = np.abs(q_new - q).max()
-        q = q_new
-        if delta <= tol:
-            return q
-    raise RuntimeError("value iteration did not converge")
 
 
 def save_qtable(q: QTable, path) -> None:

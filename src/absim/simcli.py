@@ -100,6 +100,9 @@ _KNOWN = {section: {row[1] for row in _FIELDS if row[0] == section} for section,
 _KNOWN[None] |= {"abs", "users", *RETIRED_KEYS, *filter(None, _KNOWN)}
 _KNOWN["users"] = {"positions_m", "association", *DEFAULT_USERS}
 CELL_KEYS = ("initial_cell", "final_cell")  # of each entry in the abs list
+# Largest array, in elements, that a config size may make: the user
+# placement (K, 2), one step's gains (J, K, N) and each Q-table (cells^2, 4).
+MAX_ARRAY_ELEMENTS = 2 ** 26
 
 
 class ConfigValidationError(ValueError):
@@ -186,6 +189,14 @@ def _place_users(area, count, placement_seed):
     return np.column_stack([x, y])
 
 
+def _fits(errors, label, what, shape):
+    if math.prod(shape) <= MAX_ARRAY_ELEMENTS:
+        return True
+    errors.append(f"{label}: {what} would hold {' x '.join(map(str, shape))} elements, "
+                  f"more than {MAX_ARRAY_ELEMENTS}")
+    return False
+
+
 def load_config(path=None):
     """Build (ScenarioConfig, LearningParams) from a JSON file over the defaults.
 
@@ -231,6 +242,9 @@ def _build_config(data):
             failed.add(name)
     built = {name: attempt(lambda: cls(**values[name]), name)
              for name, cls in _BUILDS.items() if name in values and name not in failed}
+    if built.get("area") is not None:
+        _fits(errors, "area.cells_per_axis", "each Q-table",
+              (built["area"].n_states, len(Action)))
 
     entries = data.get("abs", DEFAULT_ABS)
     if type(entries) is not list:
@@ -254,7 +268,8 @@ def _build_config(data):
                                f"users.{key}") for key, default in DEFAULT_USERS.items())
         if count is not None and count < 1:
             errors.append("users.count: must be at least 1")
-        elif count is not None and seed is not None and built.get("area") is not None:
+        elif count is not None and _fits(errors, "users.count", "the placement", (count, 2)) \
+                and seed is not None and built.get("area") is not None:
             users_xy = _place_users(built["area"], count, seed)
     if "association" in users:
         assoc = attempt(lambda: _association(users["association"]), "users.association")
@@ -262,6 +277,9 @@ def _build_config(data):
         # split in listing order: half to each station for two
         k = len(users_xy)
         assoc = np.array([i * len(entries) // k for i in range(k)], dtype=int)
+    if users_xy is not None and "n_subchannels" in values[None]:
+        _fits(errors, "scenario", "one step's gains (abs x users x n_subchannels)",
+              (len(entries), len(users_xy), values[None]["n_subchannels"]))
 
     config = None
     if not errors:

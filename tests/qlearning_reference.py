@@ -1,9 +1,12 @@
-"""The numpy formulation of epsilon-greedy selection and the TD update.
+"""Reference versions of the learner, kept for the tests.
 
 ``absim.qlearning`` scans the 4-float rows as Python lists, which is
-cheaper per step than numpy calls on arrays that small. These are the
-array versions it replaced, kept as the reference it must match: the same
-actions, the same draws from the generator and the same table bits.
+cheaper per step than numpy calls on arrays that small. ``select_action``
+and ``update`` here are the array versions it replaced, kept as the
+reference it must match: the same actions, the same draws from the
+generator and the same table bits. ``value_iteration`` is the exact
+fixed point over small deterministic worlds that the learner must
+approach.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from absim.qlearning import LearningParams, QTable, Transition
+
+_ORACLE_MAX_STATES = 4096
 
 
 def select_action(q: QTable, state: int, params: LearningParams,
@@ -40,3 +45,35 @@ def update(q: QTable, t: Transition, params: LearningParams) -> None:
     current = q.values[t.state, t.action]
     target = t.reward + params.gamma * q.values[t.next_state].max()
     q.values[t.state, t.action] = current + alpha * (target - current)
+
+
+def value_iteration(next_state: np.ndarray, rewards: np.ndarray,
+                    terminal: np.ndarray, gamma: float,
+                    tol: float = 1e-12, max_sweeps: int = 1_000_000) -> np.ndarray:
+    """Exact Q for a small deterministic world by fixed-point iteration.
+
+    next_state[s, a] and rewards[s, a] define the model; terminal[s] marks
+    absorbing states whose rows stay zero. Sweeps Q(s,a) <- r(s,a) +
+    gamma * max_a' Q(s',a') until the largest change is below tol.
+    """
+    next_state = np.asarray(next_state, dtype=int)
+    rewards = np.asarray(rewards, dtype=float)
+    terminal = np.asarray(terminal, dtype=bool)
+    n_states, n_actions = next_state.shape
+    if n_states > _ORACLE_MAX_STATES:
+        raise ValueError(f"world too large for exact iteration ({n_states} states)")
+    if rewards.shape != (n_states, n_actions) or terminal.shape != (n_states,):
+        raise ValueError("model shapes are inconsistent")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma must lie in [0, 1)")
+
+    q = np.zeros((n_states, n_actions))
+    for _ in range(max_sweeps):
+        v_next = q.max(axis=1)[next_state]  # (S, A) value of successor states
+        q_new = rewards + gamma * v_next
+        q_new[terminal, :] = 0.0
+        delta = np.abs(q_new - q).max()
+        q = q_new
+        if delta <= tol:
+            return q
+    raise RuntimeError("value iteration did not converge")

@@ -11,14 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from absim.allocator import (AllocationProblem, brute_force_oracle, solve,
-                             sum_rate, waterfill_power)
-from absim.channel import (FadingMode, PropagationParams, average_path_loss,
-                           free_space_path_loss, los_probability)
+from allocator_reference import brute_force_oracle, sum_rate, waterfill_power
+from channel_reference import average_path_loss
+from qlearning_reference import value_iteration
+
+from absim.allocator import AllocationProblem, solve
+from absim.channel import (FadingMode, PropagationParams, free_space_path_loss,
+                           los_probability)
 from absim.geometry import (Action, AreaSpec, GridState, Position3D, apply_action,
                             cell_center, dist_to_final, state_index)
 from absim.qlearning import (LearningParams, QTable, Transition, select_action,
-                             update, value_iteration)
+                             update)
 from absim.environment import extract_trajectory, train
 from absim.simcli import load_config, read_metrics, run_train, smooth_series
 
@@ -68,12 +71,13 @@ def test_criterion_2_kkt_and_feasibility(allocator_batch):
     cases, _ = allocator_batch
     worst_rel = 0.0
     for problem, res, _ in cases:
+        n_users, n_subchannels = problem.gains.shape
         assert res.powers.sum() <= problem.p_max * (1.0 + 1e-6)
         # each sub-channel carries exactly one winner index
-        assert res.assignment.shape == (problem.n_subchannels,)
-        assert np.all((res.assignment >= 0) & (res.assignment < problem.n_users))
+        assert res.assignment.shape == (n_subchannels,)
+        assert np.all((res.assignment >= 0) & (res.assignment < n_users))
         assert res.sum_rate == sum_rate(res.assignment, res.powers, problem)
-        for n in range(problem.n_subchannels):
+        for n in range(n_subchannels):
             k = int(res.assignment[n])
             expected = waterfill_power(res.lam, problem.gains[k, n],
                                        problem.interference[k, n],

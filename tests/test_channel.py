@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from channel_reference import average_path_loss, elevation_angle, interference
+
 from absim.channel import (ChannelRealization, FadingMode, PropagationParams,
-                           average_path_loss, draw_realization, elevation_angle,
-                           free_space_path_loss, interference, interference_for_abs,
+                           draw_realization, free_space_path_loss, interference_for_abs,
                            los_probability, path_loss_to_users)
 from absim.geometry import Position3D
 

@@ -9,10 +9,11 @@ from absim.environment import (Environment, extract_trajectory, pessimistic_q_in
                                run_episode, train)
 from absim.geometry import (Action, GridState, cell_center, dist_to_final,
                             state_index)
-from absim.qlearning import LearningParams, QTable, greedy_policy, value_iteration
+from absim.qlearning import LearningParams, QTable, greedy_policy
 from absim.rng import PURPOSE_EPISODE, derive_stream
 
 from conftest import make_scenario
+from qlearning_reference import value_iteration
 from test_qlearning import grid_world
 
 

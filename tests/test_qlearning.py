@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qlearning_reference as reference
+from qlearning_reference import value_iteration
 from absim.geometry import (Action, AreaSpec, GridState, apply_action, cell_center,
                             dist_to_final, state_index)
 from absim.qlearning import (LearningParams, QTable, Transition, greedy_policy,
-                             load_qtable, save_qtable, select_action, update,
-                             value_iteration)
+                             load_qtable, save_qtable, select_action, update)
 
 # Exact action values of the 4x4 single-agent fixture (goal at (4,4),
 # reward -0.25 * distance of the successor cell to the goal, gamma 0.9),

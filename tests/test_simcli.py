@@ -257,6 +257,13 @@ class TestLoadConfig:
          "scenario: fading must be one of 'none', 'rayleigh', got 'Rayleigh'"),
         ({"learning": {"alpha_schedule": 1}},
          "learning: alpha_schedule must be one of 'constant', 'visit_count', got 1"),
+        # sizes whose arrays would not fit in memory
+        ({"users": {"count": 1e12}},
+         "users.count: the placement would hold 1000000000000 x 2 elements"),
+        ({"n_subchannels": 1e12}, "scenario: one step's gains (abs x users x n_subchannels) "
+                                  "would hold 2 x 20 x 1000000000000 elements"),
+        ({"area": {"cells_per_axis": 1e9}},
+         "area.cells_per_axis: each Q-table would hold 1000000000000000000 x 4 elements"),
     ])
     def test_config_error_named(self, tmp_path, capsys, data, message):
         assert main(["validate-config", "--config", write_config(tmp_path, data)]) == 2
@@ -555,6 +562,21 @@ class TestCli:
         path = write_config(tmp_path, {"users": {"count": "ten"}})
         assert main(["validate-config", "--config", path]) == 2
         assert "users.count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, field", [
+        ({"users": {"count": 1e12}}, "users.count"),
+        ({"users": {"count": 2 ** 25 + 1}}, "users.count"),
+        ({"n_subchannels": 1e12}, "n_subchannels"),
+        ({"area": {"cells_per_axis": 1e9}}, "area.cells_per_axis"),
+    ])
+    def test_oversize_config_exits_2(self, tmp_path, capsys, data, field):
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        for args in (["validate-config"], ["train", "--out-dir", str(out)]):
+            assert main(args + ["--config", path]) == 2
+            err = capsys.readouterr().err
+            assert field in err and f"more than {2 ** 26}" in err
+        assert not out.exists()
 
     def test_validate_truncated_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"
