@@ -9,6 +9,7 @@ update) converges to, reached without iterating.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,10 +26,13 @@ LN2 = math.log(2.0)
 # Budget-match tolerance behind AllocationResult.converged, relative to p_max.
 _BUDGET_TOL_REL = 1e-6
 
-# Whole-array reductions without the Python wrapper of ndarray.min/max;
-# AllocationProblem checks every instance on the training path.
+# Whole-array reductions without the Python wrapper of ndarray.min/max/sum
+# (np.add.reduce adds pairwise, as ndarray.sum does); on the training path.
 _amin = np.minimum.reduce
 _amax = np.maximum.reduce
+_sum = np.add.reduce
+# np.arange(n) per sub-channel count, shared by every solve: never written to
+_columns = functools.cache(np.arange)
 
 
 @dataclass(frozen=True)
@@ -100,25 +104,20 @@ def solve(problem: AllocationProblem) -> AllocationResult:
     noise = problem.interference + problem.noise_power
     floors = noise / problem.gains
     winners = floors.argmin(axis=0)
-    cols = np.arange(floors.shape[1])
-    best = floors[winners, cols]
+    # flat (winner, sub-channel) positions in the row-major (K, N) arrays
+    n = floors.shape[1]
+    won = winners * n + _columns(n)
+    best = floors.ravel()[won]
     p_max = problem.p_max
     lam = 1.0 / (LN2 * _waterfill_level(best, p_max))
     # through the multiplier, not from the level directly, so that the
     # powers are bit-identical to the per-link water-filling power at lam
     powers = np.maximum(1.0 / (LN2 * lam) - best, 0.0)
-    rate = float(np.log2(1.0 + powers * problem.gains[winners, cols]
-                         / noise[winners, cols]).sum())
-    slack = p_max - float(powers.sum())
-    return AllocationResult(
-        assignment=winners,
-        powers=powers,
-        sum_rate=rate,
-        lam=lam,
-        iterations=1,
-        converged=abs(slack) <= _BUDGET_TOL_REL * p_max,
-        budget_slack=slack,
-    )
+    rate = float(_sum(np.log2(1.0 + powers * problem.gains.ravel()[won]
+                              / noise.ravel()[won])))
+    slack = p_max - float(_sum(powers))
+    return AllocationResult(winners, powers, rate, lam, 1,
+                            abs(slack) <= _BUDGET_TOL_REL * p_max, slack)
 
 
 def _waterfill_level(floors: np.ndarray, p_max: float) -> float:

@@ -23,6 +23,7 @@ __all__ = [
     "PropagationParams",
     "draw_realization",
     "free_space_path_loss",
+    "interference_field",
     "interference_for_abs",
     "los_probability",
 ]
@@ -166,19 +167,29 @@ def draw_realization(path_loss: np.ndarray, fading: FadingMode,
     return ChannelRealization(gains=gains, gbs_gains=gbs_gains, gbs_power=gbs_power)
 
 
-def interference_for_abs(realization: ChannelRealization, abs_powers: np.ndarray,
-                         target_abs: int) -> np.ndarray:
-    """(K, N) interference in watts seen by each user of one station.
+def interference_field(realization: ChannelRealization,
+                       powers: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(field, ground): the (K, N) interference terms every station shares.
 
-    Sums every other station's transmit power times its gain to the user,
-    plus the ground transmitter's contribution when present; the scalar
-    per-link sum in tests/channel_reference.py is its reference.
+    field sums each station's power times its gain to every user, own
+    station included; ground is the ground transmitter's term, or None.
     """
-    abs_powers = np.asarray(abs_powers, dtype=float)
-    field = np.einsum("jn,jkn->kn", abs_powers, realization.gains)
-    own = abs_powers[target_abs][None, :] * realization.gains[target_abs]
+    field = np.einsum("jn,jkn->kn", powers, realization.gains)
+    ground = (None if realization.gbs_gains is None
+              else realization.gbs_power * realization.gbs_gains)
+    return field, ground
+
+
+def interference_for_abs(field_rows: np.ndarray, own_powers: np.ndarray,
+                         own_gains: np.ndarray,
+                         ground_rows: np.ndarray | None = None) -> np.ndarray:
+    """(K_j, N) interference in watts seen by each user of one station.
+
+    Its users' rows of interference_field's terms less its own power (N,)
+    times gains (K_j, N); tests/channel_reference.py holds its references.
+    """
     # field-minus-own can round a hair below zero; interference is >= 0
-    table = np.maximum(field - own, 0.0)
-    if realization.gbs_gains is not None:
-        table = table + realization.gbs_power * realization.gbs_gains
+    table = np.maximum(field_rows - own_powers * own_gains, 0.0)
+    if ground_rows is not None:
+        table = table + ground_rows
     return table

@@ -18,7 +18,7 @@ import numpy as np
 
 from .allocator import AllocationProblem, solve
 from .channel import (FadingMode, GbsSpec, PropagationParams, draw_realization,
-                      interference_for_abs, path_loss_to_users)
+                      interference_field, interference_for_abs, path_loss_to_users)
 from .geometry import (Action, AreaSpec, Position3D, apply_action, cell_center,
                        dist_to_final, pairwise_dist, state_index)
 from .qlearning import LearningParams, QTable, Transition, greedy_policy, select_action, update
@@ -193,9 +193,10 @@ class Environment:
 
         need_allocation = cfg.beta1 != 0.0
         if need_allocation:
-            pl = np.stack([self._pl_row(s) for s in new_states])
+            pl = np.array([self._pl_row(s) for s in new_states])
             realization = draw_realization(pl, cfg.fading, rng, cfg.n_subchannels,
                                            self._gbs_pl, cfg.gbs.power_per_subchannel)
+            field, ground = interference_field(realization, self._prev_powers)
 
         transitions = []
         terms = [(0.0, 0.0, 0.0)] * j_count
@@ -204,9 +205,11 @@ class Environment:
             s = new_states[j]
             if need_allocation:
                 users_j = self._user_idx[j]
-                inter = interference_for_abs(realization, self._prev_powers, j)[users_j]
-                problem = AllocationProblem(gains=realization.gains[j][users_j],
-                                            interference=inter,
+                g_j = realization.gains[j][users_j]
+                inter = interference_for_abs(
+                    field[users_j], self._prev_powers[j], g_j,
+                    None if ground is None else ground[users_j])
+                problem = AllocationProblem(gains=g_j, interference=inter,
                                             noise_power=cfg.propagation.noise_power,
                                             p_max=cfg.p_max)
                 alloc = solve(problem)

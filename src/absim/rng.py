@@ -19,13 +19,15 @@ import numpy as np
 PURPOSE_USER_PLACEMENT = 1
 PURPOSE_EPISODE = 2
 
-_MASK64 = (1 << 64) - 1
+SEED_END = 1 << 64  # Philox key and counter words: larger ones would alias
 
 
 def derive_stream(master_seed: int, purpose: int, index: int = 0) -> np.random.Generator:
     """Return the Generator for (purpose, index) under the given master seed."""
-    if purpose < 0 or index < 0:
-        raise ValueError("purpose and index must be non-negative")
-    bits = np.random.Philox(key=master_seed & _MASK64,
-                            counter=[purpose & _MASK64, index & _MASK64, 0, 0])
-    return np.random.Generator(bits)
+    if not 0 <= master_seed < SEED_END:
+        raise ValueError(f"master seed must be in [0, 2^64), got {master_seed}")
+    if not (0 <= purpose < SEED_END and 0 <= index < SEED_END):
+        raise ValueError("purpose and index must be in [0, 2^64)")
+    # uint64: a plain list holding a word >= 2^63 would pass through float64
+    counter = np.array([purpose, index, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=master_seed, counter=counter))

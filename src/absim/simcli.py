@@ -28,7 +28,7 @@ from .channel import FadingMode, GbsSpec, PropagationParams
 from .environment import (ScenarioConfig, extract_trajectory, train)
 from .geometry import Action, AreaSpec, GridState
 from .qlearning import LearningParams, load_qtable, save_qtable
-from .rng import PURPOSE_USER_PLACEMENT, derive_stream
+from .rng import PURPOSE_USER_PLACEMENT, SEED_END, derive_stream
 
 __all__ = [
     "ConfigValidationError",
@@ -266,6 +266,9 @@ def _build_config(data):
     else:
         count, seed = (attempt(lambda: _convert(users.get(key, default), int, key),
                                f"users.{key}") for key, default in DEFAULT_USERS.items())
+        if seed is not None and not 0 <= seed < SEED_END:
+            errors.append(f"users.placement_seed: must be in [0, 2^64), got {seed}")
+            seed = None
         if count is not None and count < 1:
             errors.append("users.count: must be at least 1")
         elif count is not None and _fits(errors, "users.count", "the placement", (count, 2)) \
@@ -512,6 +515,9 @@ def _cmd_validate(args, config, params) -> int:
 
 @_with_config
 def _cmd_train(args, config, params) -> int:
+    if not 0 <= args.seed < SEED_END:
+        print(f"invalid --seed: must be in [0, 2^64), got {args.seed}", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.episodes is not None:
         try:
             params = replace(params, max_episodes=args.episodes)

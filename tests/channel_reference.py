@@ -1,9 +1,11 @@
 """Scalar references for the vectorized channel code.
 
 ``absim.channel.path_loss_to_users`` computes the path loss to every user
-at once and ``interference_for_abs`` the interference to every user and
-sub-channel of a station at once. These are the per-link versions they
-replaced, kept for the tests to compare against.
+at once, and ``interference_field`` with ``interference_for_abs`` the
+interference to every user and sub-channel of a station at once. These are
+the per-link versions they replaced, plus the whole-table interference
+formula that computed the all-station field once per station, kept for the
+tests to compare against.
 """
 
 from __future__ import annotations
@@ -53,3 +55,20 @@ def interference(realization: ChannelRealization, abs_powers: np.ndarray,
     if realization.gbs_gains is not None:
         total += realization.gbs_power * realization.gbs_gains[user, subchannel]
     return total
+
+
+def interference_table(realization: ChannelRealization, abs_powers: np.ndarray,
+                       target_abs: int, users: np.ndarray) -> np.ndarray:
+    """(K_j, N) interference for the given users of one station, the old way.
+
+    Builds the all-station field over every user, subtracts the station's
+    own term, clamps at zero and adds the ground transmitter over the whole
+    (K, N) table, and only then gathers the station's users.
+    """
+    abs_powers = np.asarray(abs_powers, dtype=float)
+    field = np.einsum("jn,jkn->kn", abs_powers, realization.gains)
+    own = abs_powers[target_abs][None, :] * realization.gains[target_abs]
+    table = np.maximum(field - own, 0.0)
+    if realization.gbs_gains is not None:
+        table = table + realization.gbs_power * realization.gbs_gains
+    return table[users]

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from channel_reference import average_path_loss, elevation_angle, interference
+from channel_reference import (average_path_loss, elevation_angle, interference,
+                               interference_table)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from absim.channel import (ChannelRealization, FadingMode, PropagationParams,
-                           draw_realization, free_space_path_loss, interference_for_abs,
-                           los_probability, path_loss_to_users)
+                           draw_realization, free_space_path_loss, interference_field,
+                           interference_for_abs, los_probability, path_loss_to_users)
 from absim.geometry import Position3D
 
 PARAMS = PropagationParams()
@@ -237,8 +241,9 @@ class TestInterference:
         gbs_gains = rng.uniform(1e-11, 1e-9, size=(4, 2))
         real = self.make_real(gains, gbs_gains=gbs_gains, gbs_power=0.2)
         powers = rng.uniform(0.0, 0.1, size=(3, 2))
+        field, ground = interference_field(real, powers)
         for j in range(3):
-            table = interference_for_abs(real, powers, j)
+            table = interference_for_abs(field, powers[j], gains[j], ground)
             for k in range(4):
                 for n in range(2):
                     assert table[k, n] == pytest.approx(
@@ -249,5 +254,34 @@ class TestInterference:
         gains = rng.uniform(1e-12, 1e-6, size=(2, 3, 4))
         real = self.make_real(gains)
         powers = rng.uniform(0.0, 0.2, size=(2, 4))
+        field, _ = interference_field(real, powers)
         for j in range(2):
-            assert np.all(interference_for_abs(real, powers, j) >= 0.0)
+            assert np.all(interference_for_abs(field, powers[j], gains[j]) >= 0.0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_per_station_path_matches_whole_table(self, data):
+        # the once-per-step field gathered per station reproduces, bit for
+        # bit, the whole-table formula it replaced
+        j_count = data.draw(st.integers(1, 5), label="J")
+        k = data.draw(st.integers(1, 8), label="K")
+        n = data.draw(st.integers(1, 10), label="N")
+        exps = hnp.arrays(float, (j_count, k, n), elements=st.floats(-12.0, -6.0))
+        real = self.make_real(10.0 ** data.draw(exps, label="gain exponents"))
+        if data.draw(st.booleans(), label="ground transmitter"):
+            gbs = data.draw(hnp.arrays(float, (k, n), elements=st.floats(-12.0, -6.0)))
+            real = self.make_real(real.gains, gbs_gains=10.0 ** gbs,
+                                  gbs_power=data.draw(st.floats(0.0, 1.0)))
+        powers = data.draw(hnp.arrays(float, (j_count, n), elements=st.floats(0.0, 0.5)),
+                           label="previous powers")
+        for j in data.draw(st.sets(st.integers(0, j_count - 1)), label="parked"):
+            powers[j] = 0.0
+        association = np.array(data.draw(
+            st.lists(st.integers(0, j_count - 1), min_size=k, max_size=k),
+            label="association"))
+        field, ground = interference_field(real, powers)
+        for j in range(j_count):
+            users = np.flatnonzero(association == j)
+            table = interference_for_abs(field[users], powers[j], real.gains[j][users],
+                                         None if ground is None else ground[users])
+            assert table.tolist() == interference_table(real, powers, j, users).tolist()

@@ -206,6 +206,14 @@ class TestRunEpisode:
             np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
         assert s1.collision_steps == s2.collision_steps
 
+    @pytest.mark.parametrize("seed, purpose, index", [
+        (-1, PURPOSE_EPISODE, 0), (2 ** 64, PURPOSE_EPISODE, 0),
+        (0, -1, 0), (0, PURPOSE_EPISODE, 2 ** 64)])
+    def test_stream_outside_64_bits_rejected(self, seed, purpose, index):
+        # masking to 64 bits would alias -1 with 2^64 - 1
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            derive_stream(seed, purpose, index)
+
     def test_parked_agents_get_no_updates(self):
         cfg = make_scenario(m=4, n_agents=2, beta2=0.25,
                             initial=[GridState(3, 4), GridState(1, 1)],

@@ -18,7 +18,7 @@ from absim.simcli import config_to_dict, load_config, run_train
 HEADLINE = ({"learning": {"max_episodes": 2}}, 0)
 
 # four stations, a ground transmitter and 16 sub-channels: exercises the
-# J > 2 interference sums and the per-step ground-station path loss
+# J > 2 interference sums and the ground transmitter's interference term
 DENSE_FLEET = ({
     "area": {"cells_per_axis": 20},
     "abs": [{"initial_cell": [1, 1], "final_cell": [20, 20]},

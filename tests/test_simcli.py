@@ -264,6 +264,13 @@ class TestLoadConfig:
                                   "would hold 2 x 20 x 1000000000000 elements"),
         ({"area": {"cells_per_axis": 1e9}},
          "area.cells_per_axis: each Q-table would hold 1000000000000000000 x 4 elements"),
+        # seeds outside Philox's 64-bit key would alias seeds inside it
+        ({"users": {"placement_seed": -1}},
+         "users.placement_seed: must be in [0, 2^64), got -1"),
+        ({"users": {"placement_seed": 2 ** 64}},
+         f"users.placement_seed: must be in [0, 2^64), got {2 ** 64}"),
+        ({"users": {"placement_seed": 1e30}},
+         f"users.placement_seed: must be in [0, 2^64), got {int(1e30)}"),
     ])
     def test_config_error_named(self, tmp_path, capsys, data, message):
         assert main(["validate-config", "--config", write_config(tmp_path, data)]) == 2
@@ -676,6 +683,13 @@ class TestCli:
                      "--out", str(tmp_path / "roll.csv")])
         assert code == 2
         assert "qtable_agent0.txt: line 3: entry (0, 1) holds nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_train_seed_out_of_range(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        assert main(["train", "--out-dir", str(out), f"--seed={seed}"]) == 2
+        assert f"invalid --seed: must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_negative_episodes(self, tmp_path, capsys):
         out = tmp_path / "out"
