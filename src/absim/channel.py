@@ -49,14 +49,17 @@ class PropagationParams:
     noise_power: float = 1.0e-9
 
     def __post_init__(self) -> None:
+        errors = []
         if self.a <= 0 or self.b <= 0:
-            raise ValueError("a and b must be positive")
+            errors.append("a and b must be positive")
         if not 1.0 <= self.eta_los <= self.eta_nlos:
-            raise ValueError("need eta_nlos >= eta_los >= 1")
+            errors.append("need eta_nlos >= eta_los >= 1")
         if self.carrier_freq <= 0 or self.speed_of_light <= 0:
-            raise ValueError("carrier_freq and speed_of_light must be positive")
+            errors.append("carrier_freq and speed_of_light must be positive")
         if self.noise_power <= 0:
-            raise ValueError("noise_power must be positive")
+            errors.append("noise_power must be positive")
+        if errors:
+            raise ValueError("\n".join(errors))
 
 
 class FadingMode(Enum):
@@ -79,12 +82,15 @@ class GbsSpec:
     power_per_subchannel: float = 0.0
 
     def __post_init__(self) -> None:
+        errors = []
         if not isinstance(self.enabled, bool):  # bool("false") is True
-            raise ValueError(f"enabled must be true or false, got {self.enabled!r}")
+            errors.append(f"enabled must be true or false, got {self.enabled!r}")
         if self.power_per_subchannel < 0:
-            raise ValueError("GBS power must be non-negative")
+            errors.append("GBS power must be non-negative")
         if self.enabled and self.height <= 0:
-            raise ValueError("GBS height must be positive when enabled")
+            errors.append("GBS height must be positive when enabled")
+        if errors:
+            raise ValueError("\n".join(errors))
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,6 @@ def path_loss_to_users(abs_pos: Position3D, users_xy: np.ndarray,
     dy = abs_pos.y - users_xy[:, 1]
     horizontal = np.hypot(dx, dy)
     d3 = np.sqrt(horizontal * horizontal + abs_pos.h * abs_pos.h)
-    if np.any(d3 == 0.0):
-        raise ValueError("coincident transmitter and receiver")
     theta = np.degrees(np.arctan2(abs_pos.h, horizontal))
     pr = los_probability(theta, params)
     return pr * free_space_path_loss(d3, params, params.eta_los) + \
@@ -148,23 +152,18 @@ def draw_realization(path_loss: np.ndarray, fading: FadingMode,
         user, or None when it is disabled
     gbs_power : the ground transmitter's power per sub-channel in watts
     """
-    j_count, k_count = path_loss.shape
-    base = 1.0 / path_loss[:, :, None]
-    if fading == FadingMode.RAYLEIGH:
-        # squared magnitude of a unit-variance complex Gaussian: Exp(1)
-        rho2 = rng.exponential(1.0, size=(j_count, k_count, n_subchannels))
-        gains = rho2 * base
-    else:
-        gains = np.broadcast_to(base, (j_count, k_count, n_subchannels)).copy()
+    def gains(pl):  # (J, K) or (K,) path loss -> gains with a trailing N axis
+        shape = pl.shape + (n_subchannels,)
+        base = 1.0 / pl[..., None]
+        if fading == FadingMode.RAYLEIGH:
+            # squared magnitude of a unit-variance complex Gaussian: Exp(1)
+            return rng.exponential(1.0, size=shape) * base
+        return np.broadcast_to(base, shape).copy()
 
+    station_gains = gains(path_loss)  # drawn before the ground row
     if gbs_path_loss is None:
-        return ChannelRealization(gains=gains)
-    gbs_base = 1.0 / gbs_path_loss[:, None]
-    if fading == FadingMode.RAYLEIGH:
-        gbs_gains = rng.exponential(1.0, size=(k_count, n_subchannels)) * gbs_base
-    else:
-        gbs_gains = np.broadcast_to(gbs_base, (k_count, n_subchannels)).copy()
-    return ChannelRealization(gains=gains, gbs_gains=gbs_gains, gbs_power=gbs_power)
+        return ChannelRealization(gains=station_gains)
+    return ChannelRealization(station_gains, gains(gbs_path_loss), gbs_power)
 
 
 def interference_field(realization: ChannelRealization,

@@ -11,7 +11,6 @@ coordination is needed.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,29 +61,33 @@ class ScenarioConfig:
         object.__setattr__(self, "users_xy", users)
         object.__setattr__(self, "association", assoc)
         j = len(self.initial_states)
+        errors = []
         if j < 1 or len(self.final_states) != j:
-            raise ValueError("need matching non-empty initial/final state lists")
+            errors.append("need matching non-empty initial/final state lists")
         for s in list(self.initial_states) + list(self.final_states):
-            state_index(self.area, s)  # rejects cells outside the grid
+            try:
+                state_index(self.area, s)  # rejects cells outside the grid
+            except ValueError as exc:
+                errors.append(str(exc))
         if users.ndim != 2 or users.shape[1] != 2 or users.shape[0] < 1:
-            raise ValueError("users_xy must be a (K, 2) array")
-        if assoc.shape != (users.shape[0],):
-            raise ValueError("association must give one station per user")
+            errors.append("users_xy must be a (K, 2) array")
+        elif assoc.shape != (users.shape[0],):
+            errors.append("association must give one station per user")
         if np.any(assoc < 0) or np.any(assoc >= j):
-            raise ValueError("association indices outside the fleet")
-        for station in range(j):
-            if not np.any(assoc == station):
-                raise ValueError(f"station {station} serves no users")
+            errors.append("association indices outside the fleet")
+        errors += [f"station {i} serves no users" for i in range(j) if not np.any(assoc == i)]
         if self.n_subchannels < 1:
-            raise ValueError("n_subchannels must be at least 1")
+            errors.append("n_subchannels must be at least 1")
         if self.p_max <= 0:
-            raise ValueError("p_max must be positive")
+            errors.append("p_max must be positive")
         if self.d_min <= 0:
-            raise ValueError("d_min must be positive")
+            errors.append("d_min must be positive")
         if self.beta1 < 0 or self.beta2 < 0 or self.beta3 < 0:
-            raise ValueError("reward weights must be non-negative")
+            errors.append("reward weights must be non-negative")
         if self.distance_exponent not in (1, 2):
-            raise ValueError("distance_exponent must be 1 or 2")
+            errors.append("distance_exponent must be 1 or 2")
+        if errors:
+            raise ValueError("\n".join(errors))
 
     @property
     def n_agents(self) -> int:
@@ -110,58 +113,79 @@ class EpisodeStats:
 class Environment:
     """Owns the mutable per-episode state of one scenario.
 
-    States are flat cell indices (see geometry.state_index). Path losses
-    depend only on (cell, user), so they are cached per visited cell, and
-    the ground transmitter's row is computed once; fading is drawn fresh
-    every step from the caller's stream. Distances to the destination are
-    cached per (agent, cell).
+    States, and each station's final cell, are flat cell indices (see
+    geometry.state_index). Cell centres and path losses are cached per
+    visited cell, and distances to the destination per (agent, cell); the
+    ground transmitter's row is computed at the first step that allocates,
+    so a rollout does no radio work. Fading is drawn fresh every step.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         area = config.area
         self._initial = [state_index(area, s) for s in config.initial_states]
-        self._final = [state_index(area, s) for s in config.final_states]
+        self.final = [state_index(area, s) for s in config.final_states]
         self._centers = {}
         self._pl_cache = {}
-        self._final_pos = [self._center(s) for s in self._final]
-        gbs = config.gbs
-        self._gbs_pl = (path_loss_to_users(Position3D(gbs.x, gbs.y, gbs.height),
-                                           config.users_xy, config.propagation)
-                        if gbs.enabled else None)
+        self._final_pos = [self._center(s) for s in self.final]
+        self._gbs_pl = None
         self._f2_cache = [{} for _ in range(config.n_agents)]
         self._user_idx = [np.flatnonzero(config.association == j)
                           for j in range(config.n_agents)]
-        self._uniform_power = config.p_max / config.n_subchannels
-        self.states: list[int] = []
-        self.parked: list[bool] = []
-        self._prev_powers = np.zeros((config.n_agents, config.n_subchannels))
         self.reset()
 
     def _center(self, s: int) -> Position3D:
         pos = self._centers.get(s)
         if pos is None:
-            pos = cell_center(self.config.area, s)
-            self._centers[s] = pos
+            pos = self._centers[s] = cell_center(self.config.area, s)
         return pos
 
     def _pl_row(self, s: int) -> np.ndarray:
         row = self._pl_cache.get(s)
         if row is None:
-            row = path_loss_to_users(self._center(s), self.config.users_xy,
-                                     self.config.propagation)
-            self._pl_cache[s] = row
+            row = self._pl_cache[s] = path_loss_to_users(
+                self._center(s), self.config.users_xy, self.config.propagation)
         return row
 
     def reset(self) -> None:
         cfg = self.config
-        self.states = list(self._initial)
-        self.parked = [s == f for s, f in zip(self._initial, self._final)]
+        self.states: list[int] = list(self._initial)
+        self.parked: list[bool] = [s == f for s, f in zip(self._initial, self.final)]
         self._prev_powers = np.full((cfg.n_agents, cfg.n_subchannels),
-                                    self._uniform_power)
+                                    cfg.p_max / cfg.n_subchannels)
         for j, parked in enumerate(self.parked):
             if parked:
                 self._prev_powers[j] = 0.0
+
+    def move(self, actions: dict):
+        """Move each acting station one cell; park the ones that arrive.
+
+        actions maps each unparked station to an Action (or its int value);
+        {} moves none. Returns each station's cell centre, the smallest
+        separation between two stations in meters (inf for one) and, per
+        station, whether another one is closer than d_min.
+        """
+        cfg = self.config
+        states, parked, final = self.states, self.parked, self.final
+        for j in actions:
+            if parked[j]:
+                raise ValueError(f"agent {j} is parked at its terminal state")
+        for j, a in actions.items():
+            states[j] = apply_action(cfg.area, states[j], a)
+            parked[j] = states[j] == final[j]
+        positions = [self._center(s) for s in states]
+        j_count = len(positions)
+        near = [False] * j_count
+        min_pairwise = float("inf")
+        for i in range(j_count):
+            for k in range(i + 1, j_count):
+                # separation check is always in plain meters
+                d = pairwise_dist(positions[i], positions[k])
+                if d < min_pairwise:
+                    min_pairwise = d
+                if d < cfg.d_min:
+                    near[i] = near[k] = True
+        return positions, min_pairwise, near
 
     def step_all(self, actions: dict, rng: np.random.Generator):
         """Advance every acting agent one synchronized step.
@@ -174,35 +198,26 @@ class Environment:
         (0.0, 0.0, 0.0) for agents that did not act.
         """
         cfg = self.config
-        j_count = cfg.n_agents
-        states, final = self.states, self._final
-        for j in actions:
-            if self.parked[j]:
-                raise ValueError(f"agent {j} is parked at its terminal state")
-
-        new_states = list(states)
-        for j, a in actions.items():
-            new_states[j] = apply_action(cfg.area, states[j], a)
-        positions = [self._center(s) for s in new_states]
-        near = [False] * j_count
-        for i in range(j_count):
-            for k in range(i + 1, j_count):
-                # separation check is always in plain meters
-                if pairwise_dist(positions[i], positions[k]) < cfg.d_min:
-                    near[i] = near[k] = True
+        old_states = list(self.states)
+        positions, _, near = self.move(actions)
+        states, parked = self.states, self.parked
 
         need_allocation = cfg.beta1 != 0.0
         if need_allocation:
-            pl = np.array([self._pl_row(s) for s in new_states])
+            gbs = cfg.gbs
+            if gbs.enabled and self._gbs_pl is None:
+                self._gbs_pl = path_loss_to_users(Position3D(gbs.x, gbs.y, gbs.height),
+                                                  cfg.users_xy, cfg.propagation)
+            pl = np.array([self._pl_row(s) for s in states])
             realization = draw_realization(pl, cfg.fading, rng, cfg.n_subchannels,
-                                           self._gbs_pl, cfg.gbs.power_per_subchannel)
+                                           self._gbs_pl, gbs.power_per_subchannel)
             field, ground = interference_field(realization, self._prev_powers)
 
         transitions = []
-        terms = [(0.0, 0.0, 0.0)] * j_count
+        terms = [(0.0, 0.0, 0.0)] * cfg.n_agents
         new_powers = self._prev_powers.copy()
         for j in sorted(actions):
-            s = new_states[j]
+            s = states[j]
             if need_allocation:
                 users_j = self._user_idx[j]
                 g_j = realization.gains[j][users_j]
@@ -219,6 +234,8 @@ class Environment:
                 # a zero rate weight makes the allocation irrelevant to the
                 # reward; skip the solver
                 f1 = 0.0
+            if parked[j]:
+                new_powers[j] = 0.0  # parked stations stop transmitting
 
             f2_cache = self._f2_cache[j]
             f2 = f2_cache.get(s)
@@ -228,14 +245,8 @@ class Environment:
             f3 = 1.0 if near[j] else 0.0
             total = cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
             terms[j] = f1, f2, f3
-            transitions.append(Transition(states[j], int(actions[j]), total, s,
-                                          s == final[j]))
-
-        for j in actions:
-            states[j] = new_states[j]
-            if new_states[j] == final[j]:
-                self.parked[j] = True
-                new_powers[j] = 0.0  # parked stations stop transmitting
+            transitions.append(Transition(old_states[j], int(actions[j]), total, s,
+                                          parked[j]))
         self._prev_powers = new_powers
         return transitions, terms
 
@@ -321,13 +332,11 @@ def train(config: ScenarioConfig, params: LearningParams, master_seed: int):
     pinned as terminals.
     """
     env = Environment(config)
-    area = config.area
     q0 = params.initial_q if params.initial_q is not None \
         else pessimistic_q_init(config, params.gamma)
-    qtables = [QTable(area.n_states, len(Action),
-                      terminal_state=state_index(area, config.final_states[j]),
+    qtables = [QTable(config.area.n_states, len(Action), terminal_state=final,
                       initial_value=q0)
-               for j in range(config.n_agents)]
+               for final in env.final]
     stats_list = []
     eps = params.epsilon
     for e in range(params.max_episodes):
@@ -360,61 +369,36 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
                        max_steps: int | None = None) -> TrajectoryRollout:
     """Deterministic greedy rollout of the trained policies.
 
-    Movement only: exploration is off, fading plays no role, and the
-    allocator is not consulted. A revisited joint state before all agents
-    arrive means the greedy policies cycle; that is reported, not raised.
+    Movement only, through Environment.move: exploration and fading play no
+    role. A revisited joint state before all agents arrive means the greedy
+    policies cycle; that is reported, not raised.
     """
-    area = config.area
-    j_count = config.n_agents
+    env = Environment(config)
     policies = [greedy_policy(q).tolist() for q in qtables]
-    cap = _step_cap(max_steps, area)
-
-    states = [state_index(area, s) for s in config.initial_states]
-    final = [state_index(area, s) for s in config.final_states]
-    parked = [states[j] == final[j] for j in range(j_count)]
-    # greedy paths revisit cells; one Position3D per cell is enough
-    center = functools.cache(lambda s: cell_center(area, s))
-    positions = [center(s) for s in states]
-    trajectories = [[positions[j]] for j in range(j_count)]
-
-    def snapshot_min_dist():
-        best = float("inf")
-        for a in range(j_count):
-            for b in range(a + 1, j_count):
-                best = min(best, pairwise_dist(positions[a], positions[b]))
-        return best
-
-    min_pairwise = snapshot_min_dist()
-    violation_steps = [] if min_pairwise >= config.d_min else [0]
-    seen = {(tuple(states), tuple(parked))}
-    cycle = False
-    steps = 0
-
-    while not all(parked) and steps < cap:
-        for j in range(j_count):
-            if parked[j]:
-                continue
-            states[j] = apply_action(area, states[j], policies[j][states[j]])
-        steps += 1
-        positions = [center(s) for s in states]
-        for j in range(j_count):
-            if not parked[j]:
-                trajectories[j].append(positions[j])
-                if states[j] == final[j]:
-                    parked[j] = True
-        d = snapshot_min_dist()
+    cap = _step_cap(max_steps, config.area)
+    trajectories = [[] for _ in policies]
+    min_pairwise, violation_steps, seen = float("inf"), [], set()
+    # step 0 moves nobody: it records the initial snapshot
+    active, actions, steps = range(len(policies)), {}, 0
+    while True:
+        positions, d, near = env.move(actions)
+        for j in active:
+            trajectories[j].append(positions[j])
         min_pairwise = min(min_pairwise, d)
-        if d < config.d_min:
+        if any(near):
             violation_steps.append(steps)
-        key = (tuple(states), tuple(parked))
-        if key in seen:
-            cycle = True
+        key = (tuple(env.states), tuple(env.parked))
+        cycle = key in seen
+        if cycle or all(env.parked) or steps >= cap:
             break
         seen.add(key)
+        active = [j for j, parked in enumerate(env.parked) if not parked]
+        actions = {j: policies[j][env.states[j]] for j in active}
+        steps += 1
 
     return TrajectoryRollout(
         trajectories=trajectories,
-        reached=[states[j] == final[j] for j in range(j_count)],
+        reached=list(env.parked),
         steps=steps,
         min_pairwise=min_pairwise,
         violation_steps=violation_steps,

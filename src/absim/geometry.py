@@ -53,14 +53,17 @@ class AreaSpec:
     altitude: float
 
     def __post_init__(self) -> None:
+        errors = []
         if not self.x_min < self.x_max:
-            raise ValueError("x_min must be strictly below x_max")
+            errors.append("x_min must be strictly below x_max")
         if not self.y_min < self.y_max:
-            raise ValueError("y_min must be strictly below y_max")
+            errors.append("y_min must be strictly below y_max")
         if self.cells_per_axis < 2:
-            raise ValueError("cells_per_axis must be at least 2")
+            errors.append("cells_per_axis must be at least 2")
         if not self.altitude > 0:
-            raise ValueError("altitude must be positive")
+            errors.append("altitude must be positive")
+        if errors:
+            raise ValueError("\n".join(errors))
 
     @property
     def cell_width_x(self) -> float:

@@ -7,6 +7,8 @@ rewards.
 
 from __future__ import annotations
 
+import os
+from collections import defaultdict
 from dataclasses import dataclass
 from math import isfinite
 from typing import NamedTuple
@@ -48,22 +50,25 @@ class LearningParams:
     initial_q: float | None = None
 
     def __post_init__(self) -> None:
+        errors = []
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+            errors.append("alpha must lie in [0, 1]")
         if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
+            errors.append("gamma must lie in [0, 1)")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
+            errors.append("epsilon must lie in [0, 1]")
         if self.max_episodes < 0:
-            raise ValueError("max_episodes must be non-negative")
+            errors.append("max_episodes must be non-negative")
         if self.max_steps_per_episode is not None and self.max_steps_per_episode < 0:
-            raise ValueError("max_steps_per_episode must be non-negative")
+            errors.append("max_steps_per_episode must be non-negative")
         if self.alpha_schedule not in ("constant", "visit_count"):
-            raise ValueError("alpha_schedule must be 'constant' or 'visit_count'")
+            errors.append("alpha_schedule must be 'constant' or 'visit_count'")
         if not 0.0 < self.epsilon_decay <= 1.0:
-            raise ValueError("epsilon_decay must lie in (0, 1]")
+            errors.append("epsilon_decay must lie in (0, 1]")
         if self.initial_q is not None and not np.isfinite(self.initial_q):
-            raise ValueError("initial_q must be finite")
+            errors.append("initial_q must be finite")
+        if errors:
+            raise ValueError("\n".join(errors))
 
 
 class Transition(NamedTuple):
@@ -150,7 +155,9 @@ def load_qtable(path) -> QTable:
     value, and the terminal row must read 0.0. A malformed header or row,
     an entry outside the table, a repeated, missing or non-finite entry or
     a non-zero terminal entry raises ValueError naming the file and line,
-    because a wrong entry would quietly steer the greedy rollout.
+    because a wrong entry would quietly steer the greedy rollout. Nothing
+    larger than the file allows is allocated, so a header that overstates
+    the rows cannot exhaust memory.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -159,11 +166,15 @@ def load_qtable(path) -> QTable:
             n_states = int(fields["states"])
             n_actions = int(fields["actions"])
             terminal = int(fields["terminal"])
-            q = QTable(n_states, n_actions,
-                       terminal_state=None if terminal < 0 else terminal)
+            if n_states < 1 or n_actions < 1 or terminal >= n_states:
+                raise ValueError("no table has that shape and terminal state")
         except (ValueError, KeyError) as exc:
             raise ValueError(f"{path}: line 1: bad header {header!r} ({exc})") from None
-        values = [None] * (n_states * n_actions)
+        n = n_states * n_actions
+        # a row takes at least 5 bytes ("0 0 0"); a file too small for n rows
+        # fails below, and its rows go in a dict that reads None when unseen
+        values = [None] * n if 5 * n <= os.fstat(fh.fileno()).st_size \
+            else defaultdict(type(None))
         lineno = 1
         for lineno, line in enumerate(fh, start=2):
             try:
@@ -186,8 +197,9 @@ def load_qtable(path) -> QTable:
                 raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) repeated")
             values[flat] = v
     rows = lineno - 1
-    if rows != len(values):
+    if rows != n:
         raise ValueError(f"{path}: line {lineno + 1}: file ends after {rows} of "
-                         f"{len(values)} entries")
+                         f"{n} entries")
+    q = QTable(n_states, n_actions, terminal_state=None if terminal < 0 else terminal)
     q.values[:] = np.array(values).reshape(n_states, n_actions)
     return q

@@ -223,8 +223,8 @@ def _build_config(data):
     def attempt(build, label):
         try:
             return build()
-        except ValueError as exc:
-            errors.append(f"{label}: {exc}")
+        except ValueError as exc:  # one line per violated invariant
+            errors.extend(f"{label}: {line}" for line in str(exc).splitlines())
             return None
 
     objects = {name: _object(data if name is None else data.get(name, {}), known,

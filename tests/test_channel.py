@@ -116,6 +116,9 @@ class TestAveragePathLoss:
         ground = PropagationParams()
         with pytest.raises(ValueError):
             average_path_loss(Position3D(0, 0, 0.0), (0.0, 0.0), ground)
+        with pytest.raises(ValueError, match="singular at zero distance"):
+            path_loss_to_users(Position3D(0, 0, 0.0), np.array([[5.0, 5.0], [0.0, 0.0]]),
+                               ground)
 
     def test_vectorized_matches_scalar(self):
         users = np.array([[0.0, 0.0], [250.0, -80.0], [999.0, 1500.0]])
@@ -183,18 +186,25 @@ class TestDrawRealization:
         real = draw_realization(self.pl, FadingMode.NONE, rng, n_subchannels=2)
         assert real.gbs_gains is None and real.gbs_power is None
 
-    def test_gbs_row_drawn_after_station_fading(self):
-        # one (J, K, N) draw for the stations, then one (K, N) draw for the
-        # ground transmitter, from the same stream
+    @pytest.mark.parametrize("fading", [FadingMode.RAYLEIGH, FadingMode.NONE],
+                             ids=["RAYLEIGH", "NONE"])
+    def test_gbs_row_drawn_after_station_fading(self, fading):
+        # Rayleigh: one (J, K, N) draw for the stations, then one (K, N)
+        # draw for the ground transmitter, from the same stream; no fading
+        # draws nothing
         gbs_pl = path_loss_to_users(Position3D(200, 50, 10), self.users, PARAMS)
-        real = draw_realization(self.pl, FadingMode.RAYLEIGH, np.random.default_rng(3),
-                                4, gbs_pl, 0.5)
+        stream = np.random.default_rng(3)
+        real = draw_realization(self.pl, fading, stream, 4, gbs_pl, 0.5)
         rng = np.random.default_rng(3)
-        rho2 = rng.exponential(1.0, size=(2, 3, 4))
+        if fading == FadingMode.RAYLEIGH:
+            rho2 = rng.exponential(1.0, size=(2, 3, 4))
+            gbs_rho2 = rng.exponential(1.0, size=(3, 4))
+        else:
+            rho2, gbs_rho2 = np.ones((2, 3, 4)), np.ones((3, 4))
         np.testing.assert_array_equal(real.gains, rho2 * (1.0 / self.pl[:, :, None]))
-        gbs_rho2 = rng.exponential(1.0, size=(3, 4))
         np.testing.assert_array_equal(real.gbs_gains, gbs_rho2 * (1.0 / gbs_pl[:, None]))
         assert real.gbs_power == 0.5
+        assert stream.bit_generator.state == rng.bit_generator.state
 
 
 class TestInterference:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from absim.allocator import AllocationProblem, solve
-from absim.channel import FadingMode, PropagationParams
+from absim.channel import FadingMode, GbsSpec, PropagationParams
 from absim.environment import (Environment, extract_trajectory, pessimistic_q_init,
                                run_episode, train)
 from absim.geometry import (Action, GridState, cell_center, dist_to_final,
@@ -130,10 +130,37 @@ class TestStepAll:
         assert np.any(env._prev_powers[1] > 0.0)
 
 
+class TestMove:
+    def test_separation_and_flags(self):
+        cfg = make_scenario(m=4, n_agents=2, d_min=150.0,
+                            initial=[GridState(1, 1), GridState(4, 1)],
+                            final=[GridState(4, 4), GridState(1, 4)])
+        env = Environment(cfg)
+        positions, min_pairwise, near = env.move({})
+        assert positions == [cell_center(cfg.area, s) for s in (0, 3)]
+        assert min_pairwise == 300.0 and near == [False, False]
+        positions, min_pairwise, near = env.move({0: Action.RIGHT, 1: Action.LEFT})
+        assert env.states == [1, 2] and env.parked == [False, False]
+        assert min_pairwise == 100.0 and near == [True, True]
+
+    def test_single_station_has_no_neighbour(self):
+        cfg = make_scenario(m=4, n_agents=1, initial=[GridState(3, 4)])
+        env = Environment(cfg)
+        _, min_pairwise, near = env.move({0: Action.RIGHT})
+        assert min_pairwise == float("inf") and near == [False]
+        assert env.parked == [True]
+
+    def test_parked_station_rejected_before_any_move(self):
+        cfg = make_scenario(m=4, n_agents=2, initial=[GridState(1, 1), GridState(1, 4)],
+                            final=[GridState(4, 4), GridState(1, 4)])
+        env = Environment(cfg)
+        with pytest.raises(ValueError, match="agent 1 is parked"):
+            env.move({0: Action.RIGHT, 1: Action.LEFT})
+        assert env.states == [0, 12] and env.parked == [False, True]
+
+
 class TestGroundInterferer:
     def test_enabled_gbs_raises_interference(self):
-        from absim.channel import GbsSpec
-
         base = make_scenario(m=4, n_agents=1, beta1=1.0, n_subchannels=2,
                              fading=FadingMode.NONE)
         noisy = make_scenario(m=4, n_agents=1, beta1=1.0, n_subchannels=2,
@@ -353,6 +380,23 @@ class TestExtractTrajectory:
         assert sorted(calls) == [0, 1, 2, 3, 7, 11, 12, 15]
         assert rollout.trajectories[0] == [cell_center(cfg.area, s)
                                            for s in (0, 1, 2, 3, 7, 11, 15)]
+
+    def test_rollout_is_radio_free(self, monkeypatch):
+        cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,
+                            fading=FadingMode.RAYLEIGH,
+                            gbs=GbsSpec(enabled=True, x=150.0, y=150.0, height=10.0,
+                                        power_per_subchannel=0.5))
+        qtables, _ = train(cfg, LearningParams(max_episodes=3, max_steps_per_episode=20),
+                           master_seed=4)
+
+        def radio(*args, **kwargs):
+            raise AssertionError("the greedy rollout did radio work")
+
+        for name in ("path_loss_to_users", "draw_realization", "interference_for_abs",
+                     "AllocationProblem", "solve"):
+            monkeypatch.setattr(f"absim.environment.{name}", radio)
+        rollout = extract_trajectory(cfg, qtables, max_steps=30)
+        assert rollout.steps > 0
 
     def test_min_pairwise_reported(self):
         cfg = make_scenario(m=4, n_agents=2, beta2=0.25,

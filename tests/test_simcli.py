@@ -174,6 +174,35 @@ class TestLoadConfig:
         assert err.value.errors == ["scenario: p_max_watts must be a finite number, got nan",
                                     "area: cells_per_axis must be at least 2"]
 
+    @pytest.mark.parametrize("data, errors", [
+        ({"p_max_watts": -1, "d_min_m": -1, "n_subchannels": 0,
+          "reward_weights": {"beta1": -1}, "distance_exponent": 3},
+         ["scenario: n_subchannels must be at least 1",
+          "scenario: p_max must be positive",
+          "scenario: d_min must be positive",
+          "scenario: reward weights must be non-negative",
+          "scenario: distance_exponent must be 1 or 2"]),
+        ({"area": {"cells_per_axis": 1, "altitude_m": -5},
+          "learning": {"alpha": 2, "gamma": 1.5}},
+         ["area: cells_per_axis must be at least 2",
+          "area: altitude must be positive",
+          "learning: alpha must lie in [0, 1]",
+          "learning: gamma must lie in [0, 1)"]),
+        ({"abs": [{"initial_cell": [0, 1], "final_cell": [31, 30]}],
+          "users": {"positions_m": [[10, 10], [20, 20], [30, 30]],
+                    "association": [0, 5, 0]}},
+         ["scenario: grid state GridState(k1=0, k2=1) outside 30x30 grid",
+          "scenario: grid state GridState(k1=31, k2=30) outside 30x30 grid",
+          "scenario: association indices outside the fleet"]),
+    ])
+    def test_every_violated_invariant_listed(self, tmp_path, capsys, data, errors):
+        path = write_config(tmp_path, data)
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(path)
+        assert err.value.errors == errors
+        assert main(["validate-config", "--config", path]) == 2
+        assert capsys.readouterr().err.splitlines()[1:] == [f"  {e}" for e in errors]
+
     def test_explicit_users(self, tmp_path):
         path = write_config(tmp_path, small_config_dict() | {
             "users": {"positions_m": [[10.0, 10.0], [350.0, 350.0]],
@@ -602,6 +631,21 @@ class TestCli:
         assert code == 2
         assert "qtable_agent1.txt: line 3: file ends after 1 of 64 entries" \
             in capsys.readouterr().err
+
+    def test_rollout_header_overstating_rows(self, tmp_path, capsys):
+        # rows are counted before anything the header's size is allocated
+        cfg = write_config(tmp_path, small_config_dict(2))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+        (out / "manifest.json").unlink()
+        (out / "qtable_agent0.txt").write_text(
+            "# states=10000000000000 actions=4 terminal=-1\n0 0 1.0\n0 1 1.0\n0 2 1.0\n")
+        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
+                     "--out", str(tmp_path / "roll.csv")])
+        assert code == 2
+        assert "qtable_agent0.txt: line 5: file ends after 3 of 40000000000000 entries" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "roll.csv").exists()
 
     def test_rollout_checkpoint_shape_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_dict(2))
