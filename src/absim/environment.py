@@ -75,7 +75,9 @@ class ScenarioConfig:
             errors.append("association must give one station per user")
         if np.any(assoc < 0) or np.any(assoc >= j):
             errors.append("association indices outside the fleet")
-        errors += [f"station {i} serves no users" for i in range(j) if not np.any(assoc == i)]
+        for station in range(j):
+            if not np.any(assoc == station):
+                errors.append(f"station {station} serves no users")
         if self.n_subchannels < 1:
             errors.append("n_subchannels must be at least 1")
         if self.p_max <= 0:
@@ -132,27 +134,33 @@ class Environment:
         self._f2_cache = [{} for _ in range(config.n_agents)]
         self._user_idx = [np.flatnonzero(config.association == j)
                           for j in range(config.n_agents)]
+        self._uniform_power = config.p_max / config.n_subchannels
+        self.states: list[int] = []
+        self.parked: list[bool] = []
+        self._prev_powers = np.zeros((config.n_agents, config.n_subchannels))
         self.reset()
 
     def _center(self, s: int) -> Position3D:
         pos = self._centers.get(s)
         if pos is None:
-            pos = self._centers[s] = cell_center(self.config.area, s)
+            pos = cell_center(self.config.area, s)
+            self._centers[s] = pos
         return pos
 
     def _pl_row(self, s: int) -> np.ndarray:
         row = self._pl_cache.get(s)
         if row is None:
-            row = self._pl_cache[s] = path_loss_to_users(
-                self._center(s), self.config.users_xy, self.config.propagation)
+            row = path_loss_to_users(self._center(s), self.config.users_xy,
+                                     self.config.propagation)
+            self._pl_cache[s] = row
         return row
 
     def reset(self) -> None:
         cfg = self.config
-        self.states: list[int] = list(self._initial)
-        self.parked: list[bool] = [s == f for s, f in zip(self._initial, self.final)]
+        self.states = list(self._initial)
+        self.parked = [s == f for s, f in zip(self._initial, self.final)]
         self._prev_powers = np.full((cfg.n_agents, cfg.n_subchannels),
-                                    cfg.p_max / cfg.n_subchannels)
+                                    self._uniform_power)
         for j, parked in enumerate(self.parked):
             if parked:
                 self._prev_powers[j] = 0.0
@@ -167,13 +175,15 @@ class Environment:
         """
         cfg = self.config
         states, parked, final = self.states, self.parked, self.final
-        for j in actions:
+        new_states = list(states)  # stored only once every action applies
+        for j, a in actions.items():
             if parked[j]:
                 raise ValueError(f"agent {j} is parked at its terminal state")
-        for j, a in actions.items():
-            states[j] = apply_action(cfg.area, states[j], a)
-            parked[j] = states[j] == final[j]
-        positions = [self._center(s) for s in states]
+            new_states[j] = apply_action(cfg.area, states[j], a)
+        self.states = new_states
+        for j in actions:
+            parked[j] = new_states[j] == final[j]
+        positions = [self._center(s) for s in new_states]
         j_count = len(positions)
         near = [False] * j_count
         min_pairwise = float("inf")
@@ -198,7 +208,7 @@ class Environment:
         (0.0, 0.0, 0.0) for agents that did not act.
         """
         cfg = self.config
-        old_states = list(self.states)
+        old_states = self.states  # move stores a new list
         positions, _, near = self.move(actions)
         states, parked = self.states, self.parked
 
@@ -377,9 +387,13 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
     policies = [greedy_policy(q).tolist() for q in qtables]
     cap = _step_cap(max_steps, config.area)
     trajectories = [[] for _ in policies]
-    min_pairwise, violation_steps, seen = float("inf"), [], set()
+    min_pairwise = float("inf")
+    violation_steps = []
+    seen = set()
     # step 0 moves nobody: it records the initial snapshot
-    active, actions, steps = range(len(policies)), {}, 0
+    active = range(len(policies))
+    actions = {}
+    steps = 0
     while True:
         positions, d, near = env.move(actions)
         for j in active:

@@ -7,8 +7,6 @@ rewards.
 
 from __future__ import annotations
 
-import os
-from collections import defaultdict
 from dataclasses import dataclass
 from math import isfinite
 from typing import NamedTuple
@@ -79,21 +77,25 @@ class Transition(NamedTuple):
     terminal: bool
 
 
+def _check_shape(n_states: int, n_actions: int, terminal_state: int | None) -> None:
+    if n_states < 1 or n_actions < 1:
+        raise ValueError("table needs at least one state and action")
+    if terminal_state is not None and not 0 <= terminal_state < n_states:
+        raise ValueError("terminal_state outside the table")
+
+
 class QTable:
     """Action-value table for one agent, with its terminal row pinned to zero."""
 
     def __init__(self, n_states: int, n_actions: int = 4,
                  terminal_state: int | None = None, initial_value: float = 0.0):
-        if n_states < 1 or n_actions < 1:
-            raise ValueError("table needs at least one state and action")
+        _check_shape(n_states, n_actions, terminal_state)
         self.n_states = n_states
         self.n_actions = n_actions
         self.terminal_state = terminal_state
         self.values = np.full((n_states, n_actions), float(initial_value))
         self.visits = np.zeros((n_states, n_actions), dtype=np.int64)
         if terminal_state is not None:
-            if not 0 <= terminal_state < n_states:
-                raise ValueError("terminal_state outside the table")
             self.values[terminal_state, :] = 0.0
 
 
@@ -155,9 +157,9 @@ def load_qtable(path) -> QTable:
     value, and the terminal row must read 0.0. A malformed header or row,
     an entry outside the table, a repeated, missing or non-finite entry or
     a non-zero terminal entry raises ValueError naming the file and line,
-    because a wrong entry would quietly steer the greedy rollout. Nothing
-    larger than the file allows is allocated, so a header that overstates
-    the rows cannot exhaust memory.
+    because a wrong entry would quietly steer the greedy rollout. The table
+    is allocated only once every row has been read, so a header that
+    overstates the rows cannot exhaust memory.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -166,15 +168,11 @@ def load_qtable(path) -> QTable:
             n_states = int(fields["states"])
             n_actions = int(fields["actions"])
             terminal = int(fields["terminal"])
-            if n_states < 1 or n_actions < 1 or terminal >= n_states:
-                raise ValueError("no table has that shape and terminal state")
+            terminal_state = None if terminal < 0 else terminal
+            _check_shape(n_states, n_actions, terminal_state)
         except (ValueError, KeyError) as exc:
             raise ValueError(f"{path}: line 1: bad header {header!r} ({exc})") from None
-        n = n_states * n_actions
-        # a row takes at least 5 bytes ("0 0 0"); a file too small for n rows
-        # fails below, and its rows go in a dict that reads None when unseen
-        values = [None] * n if 5 * n <= os.fstat(fh.fileno()).st_size \
-            else defaultdict(type(None))
+        values = {}  # flat index -> value, sized by the rows read
         lineno = 1
         for lineno, line in enumerate(fh, start=2):
             try:
@@ -193,13 +191,14 @@ def load_qtable(path) -> QTable:
                 raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) holds {v!r}, "
                                  "but the terminal row must read 0.0")
             flat = s * n_actions + a
-            if values[flat] is not None:
+            if flat in values:
                 raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) repeated")
             values[flat] = v
     rows = lineno - 1
-    if rows != n:
+    if rows != n_states * n_actions:
         raise ValueError(f"{path}: line {lineno + 1}: file ends after {rows} of "
-                         f"{n} entries")
-    q = QTable(n_states, n_actions, terminal_state=None if terminal < 0 else terminal)
-    q.values[:] = np.array(values).reshape(n_states, n_actions)
+                         f"{n_states * n_actions} entries")
+    q = QTable(n_states, n_actions, terminal_state=terminal_state)
+    flat = np.fromiter(values, np.intp, rows)
+    q.values.ravel()[flat] = np.fromiter(values.values(), float, rows)  # ravel is a view here
     return q

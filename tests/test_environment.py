@@ -158,6 +158,14 @@ class TestMove:
             env.move({0: Action.RIGHT, 1: Action.LEFT})
         assert env.states == [0, 12] and env.parked == [False, True]
 
+    def test_bad_action_moves_nobody(self):
+        cfg = make_scenario(m=4, n_agents=2, initial=[GridState(1, 1), GridState(1, 3)],
+                            final=[GridState(2, 1), GridState(1, 4)])
+        env = Environment(cfg)
+        with pytest.raises(ValueError, match="unknown action"):
+            env.move({0: Action.RIGHT, 1: 7})
+        assert env.states == [0, 8] and env.parked == [False, False]
+
 
 class TestGroundInterferer:
     def test_enabled_gbs_raises_interference(self):

@@ -366,6 +366,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match="line 1: bad header"):
             load_qtable(path)
 
+    @pytest.mark.parametrize("header, reason", [
+        ("# states=0 actions=4 terminal=-1", "table needs at least one state and action"),
+        ("# states=4 actions=4 terminal=9", "terminal_state outside the table"),
+    ])
+    def test_bad_header_gives_table_reason(self, tmp_path, header, reason):
+        # the header is checked with the table's own rules, before any row is read
+        path = tmp_path / "q.txt"
+        path.write_text(header + "\n0 0 0.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 1: bad header {header!r} "
+                                                       f"({reason})")):
+            load_qtable(path)
+
 
 class TestLearningParams:
     @pytest.mark.parametrize("kwargs", [
