@@ -137,7 +137,6 @@ class Environment:
         self._uniform_power = config.p_max / config.n_subchannels
         self.states: list[int] = []
         self.parked: list[bool] = []
-        self._prev_powers = np.zeros((config.n_agents, config.n_subchannels))
         self.reset()
 
     def _center(self, s: int) -> Position3D:
@@ -211,9 +210,12 @@ class Environment:
         old_states = self.states  # move stores a new list
         positions, _, near = self.move(actions)
         states, parked = self.states, self.parked
+        acting = sorted(actions)
 
-        need_allocation = cfg.beta1 != 0.0
-        if need_allocation:
+        # a zero rate weight makes the allocation irrelevant to the reward:
+        # no channel draw, no solver and no transmit powers kept
+        rates = [0.0] * cfg.n_agents
+        if cfg.beta1 != 0.0:
             gbs = cfg.gbs
             if gbs.enabled and self._gbs_pl is None:
                 self._gbs_pl = path_loss_to_users(Position3D(gbs.x, gbs.y, gbs.height),
@@ -221,43 +223,36 @@ class Environment:
             pl = np.array([self._pl_row(s) for s in states])
             realization = draw_realization(pl, cfg.fading, rng, cfg.n_subchannels,
                                            self._gbs_pl, gbs.power_per_subchannel)
-            field, ground = interference_field(realization, self._prev_powers)
+            prev = self._prev_powers
+            field, ground = interference_field(realization, prev)
+            new_powers = prev.copy()
+            for j in acting:
+                users_j = self._user_idx[j]
+                g_j = realization.gains[j][users_j]
+                inter = interference_for_abs(field[users_j], prev[j], g_j,
+                                             None if ground is None else ground[users_j])
+                alloc = solve(AllocationProblem(gains=g_j, interference=inter,
+                                                noise_power=cfg.propagation.noise_power,
+                                                p_max=cfg.p_max))
+                rates[j] = alloc.sum_rate
+                # parked stations stop transmitting
+                new_powers[j] = 0.0 if parked[j] else alloc.powers
+            self._prev_powers = new_powers
 
         transitions = []
         terms = [(0.0, 0.0, 0.0)] * cfg.n_agents
-        new_powers = self._prev_powers.copy()
-        for j in sorted(actions):
+        for j in acting:
             s = states[j]
-            if need_allocation:
-                users_j = self._user_idx[j]
-                g_j = realization.gains[j][users_j]
-                inter = interference_for_abs(
-                    field[users_j], self._prev_powers[j], g_j,
-                    None if ground is None else ground[users_j])
-                problem = AllocationProblem(gains=g_j, interference=inter,
-                                            noise_power=cfg.propagation.noise_power,
-                                            p_max=cfg.p_max)
-                alloc = solve(problem)
-                f1 = alloc.sum_rate
-                new_powers[j] = alloc.powers
-            else:
-                # a zero rate weight makes the allocation irrelevant to the
-                # reward; skip the solver
-                f1 = 0.0
-            if parked[j]:
-                new_powers[j] = 0.0  # parked stations stop transmitting
-
             f2_cache = self._f2_cache[j]
             f2 = f2_cache.get(s)
             if f2 is None:
                 f2 = f2_cache[s] = dist_to_final(positions[j], self._final_pos[j],
                                                  cfg.distance_exponent)
-            f3 = 1.0 if near[j] else 0.0
+            f1, f3 = rates[j], 1.0 if near[j] else 0.0
             total = cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
             terms[j] = f1, f2, f3
             transitions.append(Transition(old_states[j], int(actions[j]), total, s,
                                           parked[j]))
-        self._prev_powers = new_powers
         return transitions, terms
 
 
@@ -279,14 +274,14 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
     j_count = cfg.n_agents
     max_steps = _step_cap(params.max_steps_per_episode, cfg.area)
 
-    # per-agent tallies stay Python scalars until the episode ends
+    # per-agent tallies stay Python scalars until the episode ends; an agent
+    # acts every step until it parks, so step_count is its steps to terminal
     f1_sum = [0.0] * j_count
     step_count = [0] * j_count
     cum_reward = [0.0] * j_count
-    reach_step = [-1] * j_count
     collisions = 0
 
-    for t in range(max_steps):
+    for _ in range(max_steps):
         active = [j for j in range(j_count) if not env.parked[j]]
         if not active:
             break
@@ -302,16 +297,11 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
             cum_reward[j] += tr.reward
             if terms[j][2]:
                 collisions += 1
-            if tr.terminal:
-                reach_step[j] = t + 1
 
-    # agents parked from the start count as reached in zero steps
-    steps_to_terminal = [r if r >= 0 else 0 if parked else n
-                         for r, parked, n in zip(reach_step, env.parked, step_count)]
     return EpisodeStats(
         episode=episode_index if episode_index is not None else 0,
         avg_sum_rate=np.array(f1_sum) / np.maximum(step_count, 1),
-        steps_to_terminal=np.array(steps_to_terminal),
+        steps_to_terminal=np.array(step_count),
         cumulative_reward=np.array(cum_reward),
         reached=np.array(env.parked),
         collision_steps=collisions,
@@ -401,7 +391,7 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
         min_pairwise = min(min_pairwise, d)
         if any(near):
             violation_steps.append(steps)
-        key = (tuple(env.states), tuple(env.parked))
+        key = tuple(env.states)  # a station is parked exactly on its final cell
         cycle = key in seen
         if cycle or all(env.parked) or steps >= cap:
             break
