@@ -27,6 +27,7 @@ __all__ = [
     "Environment",
     "EpisodeStats",
     "ScenarioConfig",
+    "TableMismatch",
     "TrajectoryRollout",
     "extract_trajectory",
     "pessimistic_q_init",
@@ -347,6 +348,14 @@ def train(config: ScenarioConfig, params: LearningParams, master_seed: int):
     return qtables, stats_list
 
 
+class TableMismatch(ValueError):
+    """A Q-table that cannot drive its station; agent is the station's index."""
+
+    def __init__(self, agent: int, reason: str):
+        super().__init__(f"table {agent} {reason}")
+        self.agent, self.reason = agent, reason
+
+
 @dataclass
 class TrajectoryRollout:
     """Greedy rollout result with its safety diagnostics.
@@ -371,9 +380,16 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
 
     Movement only, through Environment.move: exploration and fading play no
     role. A revisited joint state before all agents arrive means the greedy
-    policies cycle; that is reported, not raised.
+    policies cycle; that is reported, not raised. A table whose shape or
+    terminal state does not fit its station raises TableMismatch.
     """
     env = Environment(config)
+    n_states, n_actions = config.area.n_states, len(Action)
+    for j, (q, final) in enumerate(zip(qtables, env.final)):
+        if (q.n_states, q.n_actions, q.terminal_state) != (n_states, n_actions, final):
+            raise TableMismatch(j, f"is {q.n_states} x {q.n_actions} with terminal state "
+                                   f"{q.terminal_state}, the config needs {n_states} x "
+                                   f"{n_actions} with terminal state {final}")
     policies = [greedy_policy(q).tolist() for q in qtables]
     cap = _step_cap(max_steps, config.area)
     trajectories = [[] for _ in policies]

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .channel import FadingMode, GbsSpec, PropagationParams
-from .environment import (ScenarioConfig, extract_trajectory, train)
+from .environment import ScenarioConfig, TableMismatch, extract_trajectory, train
 from .geometry import Action, AreaSpec, GridState
 from .qlearning import LearningParams, load_qtable, save_qtable
 from .rng import PURPOSE_USER_PLACEMENT, SEED_END, derive_stream
@@ -228,21 +228,18 @@ def _build_config(data):
             return None
 
     objects = {name: _object(data if name is None else data.get(name, {}), known,
-                             name or "scenario", errors) for name, known in _KNOWN.items()}
-    values = {name: {} for name, obj in objects.items() if obj is not None}
-    failed = set()  # sections with a field that does not convert
+                             name or "scenario", errors) or {}
+               for name, known in _KNOWN.items()}
+    values = {name: {} for name in objects}
     for name, key, attr, kind, default in _FIELDS:
-        if name not in values:
-            continue
         value = objects[name].get(key, default)
         try:  # a default is stored as it is, and a None one makes null valid
             values[name][attr] = value if value is default else _convert(value, kind, key)
-        except ValueError as exc:
+        except ValueError as exc:  # its default stands in, so the section still builds
             errors.append(f"{name or 'scenario'}: {exc}")
-            failed.add(name)
-    built = {name: attempt(lambda: cls(**values[name]), name)
-             for name, cls in _BUILDS.items() if name in values and name not in failed}
-    if built.get("area") is not None:
+            values[name][attr] = default
+    built = {name: attempt(lambda: cls(**values[name]), name) for name, cls in _BUILDS.items()}
+    if built["area"] is not None:
         _fits(errors, "area.cells_per_axis", "each Q-table",
               (built["area"].n_states, len(Action)))
 
@@ -257,7 +254,7 @@ def _build_config(data):
             initial.append(attempt(lambda: _cell(entry, "initial_cell"), label))
             final.append(attempt(lambda: _cell(entry, "final_cell"), label))
 
-    users = objects["users"] or {}
+    users = objects["users"]
     users_xy = assoc = None
     if "positions_m" in users:
         if users.keys() & DEFAULT_USERS:
@@ -272,7 +269,7 @@ def _build_config(data):
         if count is not None and count < 1:
             errors.append("users.count: must be at least 1")
         elif count is not None and _fits(errors, "users.count", "the placement", (count, 2)) \
-                and seed is not None and built.get("area") is not None:
+                and seed is not None and built["area"] is not None:
             users_xy = _place_users(built["area"], count, seed)
     if "association" in users:
         assoc = attempt(lambda: _association(users["association"]), "users.association")
@@ -280,7 +277,7 @@ def _build_config(data):
         # split in listing order: half to each station for two
         k = len(users_xy)
         assoc = np.array([i * len(entries) // k for i in range(k)], dtype=int)
-    if users_xy is not None and "n_subchannels" in values[None]:
+    if users_xy is not None:
         _fits(errors, "scenario", "one step's gains (abs x users x n_subchannels)",
               (len(entries), len(users_xy), values[None]["n_subchannels"]))
 
@@ -331,10 +328,34 @@ def write_metrics(stats_list, path, n_agents: int) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _read_lines(path):
+    """Lines of an ASCII text file; a non-ASCII byte raises PlotDataError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # a character appended to the text before the byte lands on its line
+        lineno = len((data[:exc.start].decode("ascii") + "x").splitlines())
+        raise PlotDataError(f"{path}: line {lineno}: byte {data[exc.start]:#04x} "
+                            "is not ASCII") from None
+
+
+def _number(text, kind, name):
+    """One delimited field as an int, or as a finite float; ValueError names it."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{name} must be {what}, got {text!r}")
+    return value
+
+
 def read_metrics(path):
     """Parse a metrics file back into column arrays; errors carry line numbers."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise PlotDataError(f"{path}: line 1: empty metrics file")
     header = lines[0].split(",")
@@ -350,8 +371,8 @@ def read_metrics(path):
             raise PlotDataError(f"{path}: line {lineno}: expected "
                                 f"{len(header)} fields, got {len(parts)}")
         try:
-            episodes.append(int(parts[ep_idx]))
-            means.append(float(parts[mean_idx]))
+            episodes.append(_number(parts[ep_idx], int, "episode"))
+            means.append(_number(parts[mean_idx], float, "mean_sum_rate"))
         except ValueError as exc:
             raise PlotDataError(f"{path}: line {lineno}: {exc}") from None
     return np.asarray(episodes), np.asarray(means)
@@ -366,8 +387,7 @@ def write_trajectory(rollout, path) -> None:
 
 
 def read_trajectory(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != "agent,step,x_m,y_m":
         raise PlotDataError(f"{path}: line 1: unexpected trajectory header")
     agents = {}
@@ -376,10 +396,12 @@ def read_trajectory(path):
         if len(parts) != 4:
             raise PlotDataError(f"{path}: line {lineno}: expected 4 fields")
         try:
-            agents.setdefault(int(parts[0]), []).append((float(parts[2]),
-                                                         float(parts[3])))
+            agent = _number(parts[0], int, "agent")
+            _number(parts[1], int, "step")
+            xy = _number(parts[2], float, "x_m"), _number(parts[3], float, "y_m")
         except ValueError as exc:
             raise PlotDataError(f"{path}: line {lineno}: {exc}") from None
+        agents.setdefault(agent, []).append(xy)
     return agents
 
 
@@ -558,18 +580,18 @@ def _cmd_rollout(args, config, params) -> int:
     except ValueError as exc:
         print(f"invalid checkpoint: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    for path, q in zip(paths, qtables):
+    for path in paths:
         name = os.path.basename(path)
-        if (q.n_states, q.n_actions) != (config.area.n_states, len(Action)):
-            print(f"invalid checkpoint: {name} is {q.n_states} x "
-                  f"{q.n_actions}, the config needs {config.area.n_states} x "
-                  f"{len(Action)}", file=sys.stderr)
-            return EXIT_VALIDATION
         if digests is not None and _sha256(path) != digests.get(name):
             print(f"invalid checkpoint: {name} does not match manifest.json",
                   file=sys.stderr)
             return EXIT_VALIDATION
-    rollout = extract_trajectory(config, qtables)
+    try:
+        rollout = extract_trajectory(config, qtables)
+    except TableMismatch as exc:
+        print(f"invalid checkpoint: {os.path.basename(paths[exc.agent])} {exc.reason}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         write_trajectory(rollout, args.out)
     except OSError as exc:

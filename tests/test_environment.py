@@ -5,8 +5,8 @@ import pytest
 
 from absim.allocator import AllocationProblem, solve
 from absim.channel import FadingMode, GbsSpec, PropagationParams
-from absim.environment import (Environment, extract_trajectory, pessimistic_q_init,
-                               run_episode, train)
+from absim.environment import (Environment, TableMismatch, extract_trajectory,
+                               pessimistic_q_init, run_episode, train)
 from absim.geometry import (Action, GridState, cell_center, dist_to_final,
                             state_index)
 from absim.qlearning import LearningParams, QTable, greedy_policy
@@ -100,14 +100,21 @@ class TestStepAll:
         assert terms[0][0] == pytest.approx(solve(prob).sum_rate, rel=1e-9)
 
     def test_beta1_zero_skips_allocator(self, monkeypatch):
-        def no_solve(problem):
-            raise AssertionError("allocator called with beta1 = 0")
+        def radio(*args, **kwargs):
+            raise AssertionError("radio work done with beta1 = 0")
 
-        monkeypatch.setattr("absim.environment.solve", no_solve)
-        cfg = make_scenario(m=4, n_agents=1, beta1=0.0)
+        for name in ("draw_realization", "interference_field", "interference_for_abs",
+                     "path_loss_to_users", "AllocationProblem", "solve"):
+            monkeypatch.setattr(f"absim.environment.{name}", radio)
+        cfg = make_scenario(m=4, n_agents=2, beta1=0.0,
+                            gbs=GbsSpec(enabled=True, x=150.0, y=150.0, height=10.0,
+                                        power_per_subchannel=0.5))
         env = Environment(cfg)
-        _, terms = env.step_all({0: Action.FORWARD}, np.random.default_rng(4))
-        assert terms[0][0] == 0.0
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            _, terms = env.step_all({0: Action.FORWARD, 1: Action.RIGHT}, rng)
+            assert terms[0][0] == terms[1][0] == 0.0
+        assert env.states != [state_index(cfg.area, s) for s in cfg.initial_states]
 
     def test_parked_agent_rejected(self):
         cfg = make_scenario(m=4, n_agents=1, initial=[GridState(4, 4)],
@@ -405,6 +412,17 @@ class TestExtractTrajectory:
             monkeypatch.setattr(f"absim.environment.{name}", radio)
         rollout = extract_trajectory(cfg, qtables, max_steps=30)
         assert rollout.steps > 0
+
+    @pytest.mark.parametrize("n_states, terminal", [(25, 15), (16, 12), (16, None)])
+    def test_table_that_does_not_fit_its_station_rejected(self, n_states, terminal):
+        cfg = make_scenario(m=4, n_agents=2)  # finals: states 15 and 12
+        tables = fresh_tables(cfg)
+        tables[0] = QTable(n_states, 4, terminal_state=terminal)
+        with pytest.raises(TableMismatch) as err:
+            extract_trajectory(cfg, tables)
+        assert err.value.agent == 0
+        assert err.value.reason == (f"is {n_states} x 4 with terminal state {terminal}, "
+                                    "the config needs 16 x 4 with terminal state 15")
 
     def test_min_pairwise_reported(self):
         cfg = make_scenario(m=4, n_agents=2, beta2=0.25,

@@ -194,6 +194,17 @@ class TestLoadConfig:
          ["scenario: grid state GridState(k1=0, k2=1) outside 30x30 grid",
           "scenario: grid state GridState(k1=31, k2=30) outside 30x30 grid",
           "scenario: association indices outside the fleet"]),
+        # a field that does not convert is reported and its default stands
+        # in, so the section's other invariants are still checked
+        ({"learning": {"max_steps_per_episode": -1, "epsilon_decay": 0,
+                       "alpha_schedule": "x"}},
+         ["learning: alpha_schedule must be one of 'constant', 'visit_count', got 'x'",
+          "learning: max_steps_per_episode must be non-negative",
+          "learning: epsilon_decay must lie in (0, 1]"]),
+        ({"area": {"cells_per_axis": 2.5, "altitude_m": -5, "x_max_m": -1}},
+         ["area: cells_per_axis must be an integer, got 2.5",
+          "area: x_min must be strictly below x_max",
+          "area: altitude must be positive"]),
     ])
     def test_every_violated_invariant_listed(self, tmp_path, capsys, data, errors):
         path = write_config(tmp_path, data)
@@ -579,6 +590,38 @@ class TestPlotData:
         with pytest.raises(PlotDataError, match="line 3"):
             emit_plot_data(str(bad), str(traj), str(tmp_path / "p"), window=1)
 
+    METRICS = b"episode,mean_sum_rate,collision_steps\n1,0.5,0\n2,0.6,0\n"
+    TRAJECTORY = b"agent,step,x_m,y_m\n0,0,0.0,0.0\n0,1,100.0,0.0\n"
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("metrics.csv", METRICS.replace(b"0.6", b"0.\xff6"), "line 3: byte 0xff is not ASCII"),
+        ("metrics.csv", b"episode,mean_sum_rate\n1,nan\n2,inf\n",
+         "line 2: mean_sum_rate must be a finite number, got 'nan'"),
+        ("metrics.csv", b"episode,mean_sum_rate\n1,0.5\n2,inf\n",
+         "line 3: mean_sum_rate must be a finite number, got 'inf'"),
+        ("metrics.csv", b"episode,mean_sum_rate\n1.5,0.5\n",
+         "line 2: episode must be an integer, got '1.5'"),
+        ("trajectory.csv", TRAJECTORY + b"\xff", "line 4: byte 0xff is not ASCII"),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,zz,nan,1.0\n",
+         "line 2: step must be an integer, got 'zz'"),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,nan,1.0\n",
+         "line 2: x_m must be a finite number, got 'nan'"),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0,1.0\n0,1,0.0,-inf\n",
+         "line 3: y_m must be a finite number, got '-inf'"),
+    ])
+    def test_bad_input_named_by_file_and_line(self, tmp_path, capsys, name, content,
+                                              message):
+        files = {"metrics.csv": self.METRICS, "trajectory.csv": self.TRAJECTORY}
+        files[name] = content
+        for file_name, data in files.items():
+            (tmp_path / file_name).write_bytes(data)
+        plots = tmp_path / "plots"
+        assert main(["plot-data", "--metrics", str(tmp_path / "metrics.csv"),
+                     "--trajectory", str(tmp_path / "trajectory.csv"),
+                     "--out-dir", str(plots), "--window", "1"]) == 2
+        assert capsys.readouterr().err == f"{tmp_path / name}: {message}\n"
+        assert not plots.exists()
+
     def test_window_longer_than_series_rejected(self):
         with pytest.raises(ValueError):
             smooth_series(np.arange(5.0), 6)
@@ -657,6 +700,33 @@ class TestCli:
                      "--qtable-dir", str(out), "--out", str(tmp_path / "roll.csv")])
         assert code == 2
         assert "the config needs 25 x 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, found, needed", [
+        ("final_cell", "15", "12"),  # rolled out for another final cell
+        ("header", "None", "15"),    # header edited to terminal=-1
+    ])
+    def test_rollout_checkpoint_for_another_final_cell(self, tmp_path, capsys, edit,
+                                                       found, needed):
+        data = {"area": {"cells_per_axis": 4},
+                "abs": [{"initial_cell": [1, 1], "final_cell": [4, 4]}],
+                "users": {"count": 2}, "learning": {"max_episodes": 30}}
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_config(tmp_path, data),
+                     "--out-dir", str(out)]) == 0
+        (out / "manifest.json").unlink()
+        if edit == "final_cell":
+            data["abs"][0]["final_cell"] = [1, 4]
+        else:
+            table = out / "qtable_agent0.txt"
+            table.write_text(table.read_text().replace("terminal=15", "terminal=-1", 1))
+        roll = tmp_path / "roll.csv"
+        code = main(["rollout", "--config", write_config(tmp_path, data, "roll.json"),
+                     "--qtable-dir", str(out), "--out", str(roll)])
+        assert code == 2
+        assert (f"invalid checkpoint: qtable_agent0.txt is 16 x 4 with terminal state "
+                f"{found}, the config needs 16 x 4 with terminal state {needed}"
+                in capsys.readouterr().err)
+        assert not roll.exists()
 
     @staticmethod
     def edit_checkpoint(out, name="qtable_agent0.txt"):
