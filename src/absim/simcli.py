@@ -345,12 +345,12 @@ def _number(text, kind, name):
     """One delimited field as an int, or as a finite float; ValueError names it."""
     try:
         value = kind(text)
+        if kind is int or math.isfinite(value):  # isfinite overflows on a huge int
+            return value
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        what = "an integer" if kind is int else "a finite number"
-        raise ValueError(f"{name} must be {what}, got {text!r}")
-    return value
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"{name} must be {what}, got {text!r}")
 
 
 def read_metrics(path):
