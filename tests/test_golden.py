@@ -9,10 +9,11 @@ never a side effect of a speed-up or a cleanup.
 
 import hashlib
 import json
+import os
 
 import pytest
 
-from absim.simcli import config_to_dict, load_config, run_train
+from absim.simcli import config_to_dict, emit_plot_data, load_config, run_train
 
 # the default two-station scenario, cut to two episodes
 HEADLINE = ({"learning": {"max_episodes": 2}}, 0)
@@ -42,6 +43,23 @@ INTERLEAVED = ({
               "association": [1, 0, 1, 0, 1, 0, 1, 0]},
     "learning": {"max_episodes": 2, "max_steps_per_episode": 150},
 }, 5)
+
+# three stations serving 2, 5 and 9 users, the third parked on its final
+# cell from the start; no fading with the ground transmitter on, the
+# visit-count step size, epsilon decay and a squared distance penalty
+UNEVEN = ({
+    "area": {"cells_per_axis": 12},
+    "abs": [{"initial_cell": [1, 1], "final_cell": [12, 12]},
+            {"initial_cell": [12, 1], "final_cell": [1, 12]},
+            {"initial_cell": [6, 6], "final_cell": [6, 6]}],
+    "users": {"count": 16, "placement_seed": 7,
+              "association": [0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2]},
+    "fading": "none",
+    "distance_exponent": 2,
+    "gbs": {"enabled": True, "power_per_subchannel_watts": 0.001},
+    "learning": {"max_episodes": 2, "max_steps_per_episode": 150,
+                 "alpha_schedule": "visit_count", "epsilon_decay": 0.9},
+}, 11)
 
 GOLDEN = {
     "headline": (HEADLINE, {
@@ -78,6 +96,28 @@ GOLDEN = {
         "trajectory.csv":
             "ae74dd4151d8ab8094975ddf7cc06c66d0b088785966f4cfac1b28d863e8a808",
     }),
+    "uneven": (UNEVEN, {
+        "metrics.csv":
+            "71548524837124e00d5d35a3c0695fdb6e8ae2efb42e4accdc39167dfd1e5c7f",
+        "qtable_agent0.txt":
+            "8d535ae9aebfe7030ff58d26706be0baa84e21ec907aa5d5776daef02c6069d7",
+        "qtable_agent1.txt":
+            "3c739b53e6e33fba9ceaf73770e629b02ee2d917f51070f7b695074ea0fc0e37",
+        "qtable_agent2.txt":
+            "85da67748afbe91ae058ae0ee15dbb6a42d95443dcd68476efeb362ef5e191ee",
+        "trajectory.csv":
+            "9831e2dd9b3a3c4b290c3fe1912ef43643795e960493fa2e6d97db032dab17d5",
+    }),
+}
+
+# plot-data's outputs for the headline golden run at window 1
+PLOT_DATA = {
+    "trajectory_agent0.csv":
+        "25bfa3bb7b99a5c32841dcb6bfc0b3558f76b8e5c287eb13a8754f03fddb2d5f",
+    "trajectory_agent1.csv":
+        "368e5ba810097d2e2f79798beae3981a0998ba8578001216382d97d0d4838666",
+    "sum_rate_smoothed.csv":
+        "41976aa7b74e252182d948da46601c5e2170112e842c19f272711fa4c199f8ec",
 }
 
 # SHA-256 of each config's manifest snapshot, serialized as write_manifest
@@ -87,6 +127,7 @@ SNAPSHOT = {
     "dense_fleet": "a3be65bf88ca6e6da4f455bc37796a99b6bcc25d0d0e336d73f82ade93373911",
     "headline": "756e27bd54cb64c7f0328ad283cc44164cdf44d5a619d6b70687f5f1b67e0431",
     "interleaved": "8ef08d239fb494c0b890c140dfce263da2ba0c52100fe3a2b65fda2a42f90245",
+    "uneven": "f33df6ce03407707597b2f820b74f623ad4f9c77c1fa4b1665b15fb19166ea89",
 }
 
 
@@ -101,14 +142,30 @@ def test_config_snapshot_pinned(case, tmp_path):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SNAPSHOT[case]
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_artifact_digests_pinned(case, tmp_path):
-    (overrides, seed), expected = GOLDEN[case]
+def _train(case, tmp_path):
+    """Train a golden case into tmp_path/out; its manifest."""
+    overrides, seed = GOLDEN[case][0]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(overrides), encoding="utf-8")
     config, params = load_config(str(cfg))
-    out = tmp_path / "out"
-    manifest = run_train(config, params, master_seed=seed, out_dir=str(out))
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in manifest.files}
-    assert got == expected
+    return run_train(config, params, master_seed=seed, out_dir=str(tmp_path / "out"))
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_artifact_digests_pinned(case, tmp_path):
+    manifest = _train(case, tmp_path)
+    got = {name: _digest(tmp_path / "out" / name) for name in manifest.files}
+    assert got == GOLDEN[case][1]
+
+
+def test_plot_data_digests_pinned(tmp_path):
+    _train("headline", tmp_path)
+    out, plots = tmp_path / "out", tmp_path / "plots"
+    outputs = emit_plot_data(str(out / "metrics.csv"), str(out / "trajectory.csv"),
+                             str(plots), window=1)
+    assert {os.path.basename(path): _digest(plots / os.path.basename(path))
+            for path in outputs} == PLOT_DATA
