@@ -11,6 +11,7 @@ coordination is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,12 +90,58 @@ class ScenarioConfig:
             errors.append("reward weights must be non-negative")
         if self.distance_exponent not in (1, 2):
             errors.append("distance_exponent must be 1 or 2")
+        if not errors:
+            errors += _overflow_errors(self)
         if errors:
             raise ValueError("\n".join(errors))
 
     @property
     def n_agents(self) -> int:
         return len(self.initial_states)
+
+
+def _overflow_errors(config: ScenarioConfig) -> list[str]:
+    """A gain that would be zero or not finite, or an area diagonal that overflows.
+
+    Path loss lies between eta_los and eta_nlos times the free-space loss,
+    and both grow with distance, so the gains from a transmitter are bounded
+    by its nearest and farthest links. A station may fly straight over a
+    user or across the box that holds the area and the users; the ground
+    transmitter's links are its row to the users.
+    """
+    area, prop, gbs, users = config.area, config.propagation, config.gbs, config.users_xy
+    (x0, y0), (x1, y1) = users.min(axis=0).tolist(), users.max(axis=0).tolist()
+    # per transmitter: its section, height and horizontal reach to the users
+    reach = {"stations": ("area", area.altitude, 0.0,
+                          math.hypot(max(x1, area.x_max) - min(x0, area.x_min),
+                                     max(y1, area.y_max) - min(y0, area.y_min)))}
+    if gbs.enabled:
+        row = np.hypot(gbs.x - users[:, 0], gbs.y - users[:, 1])
+        reach["the ground transmitter"] = ("gbs", gbs.height, float(row.min()),
+                                           float(row.max()))
+    per_meter = 4.0 * math.pi * prop.carrier_freq / prop.speed_of_light
+    errors = []
+    for name, (section, height, nearest, farthest) in reach.items():
+        gains = []
+        for horizontal, excess in ((farthest, prop.eta_nlos), (nearest, prop.eta_los)):
+            # free-space loss as in path_loss_to_users; ** would raise on overflow
+            ratio = per_meter * math.sqrt(horizontal * horizontal + height * height)
+            loss = ratio * ratio * excess
+            gains.append(1.0 / loss if loss else math.inf)
+        if not (gains[0] > 0.0 and gains[1] < math.inf):
+            errors.append(f"gains from {name} would span {gains[0]!r} to {gains[1]!r}; "
+                          f"{section}, users and propagation must keep them finite and "
+                          "positive")
+    try:  # the largest separation of two stations, as a distance penalty too
+        diagonal = dist_to_final(Position3D(area.x_min, area.y_min, 0.0),
+                                 Position3D(area.x_max, area.y_max, 0.0),
+                                 config.distance_exponent)
+    except OverflowError:
+        diagonal = math.inf
+    if diagonal == math.inf:
+        errors.append("the area diagonal overflows as a distance or its square; "
+                      "area must be smaller")
+    return errors
 
 
 @dataclass
@@ -380,9 +427,12 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
 
     Movement only, through Environment.move: exploration and fading play no
     role. A revisited joint state before all agents arrive means the greedy
-    policies cycle; that is reported, not raised. A table whose shape or
+    policies cycle; that is reported, not raised. A table count other than
+    the station count raises ValueError, and a table whose shape or
     terminal state does not fit its station raises TableMismatch.
     """
+    if len(qtables) != config.n_agents:
+        raise ValueError(f"{len(qtables)} Q-tables for {config.n_agents} stations")
     env = Environment(config)
     n_states, n_actions = config.area.n_states, len(Action)
     for j, (q, final) in enumerate(zip(qtables, env.final)):

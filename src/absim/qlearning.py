@@ -145,9 +145,9 @@ def save_qtable(q: QTable, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         term = -1 if q.terminal_state is None else q.terminal_state
         fh.write(f"# states={q.n_states} actions={q.n_actions} terminal={term}\n")
-        for s in range(q.n_states):
-            for a in range(q.n_actions):
-                fh.write(f"{s} {a} {float(q.values[s, a])!r}\n")
+        for s, row in enumerate(q.values.tolist()):
+            for a, value in enumerate(row):
+                fh.write(f"{s} {a} {value!r}\n")
 
 
 def load_qtable(path) -> QTable:

@@ -310,22 +310,25 @@ def config_to_dict(config: ScenarioConfig, params: LearningParams) -> dict:
     return snapshot
 
 
-def write_metrics(stats_list, path, n_agents: int) -> None:
-    cols = ["episode", "mean_sum_rate", "collision_steps"]
-    cols += [f"avg_sum_rate_agent{j}" for j in range(n_agents)]
-    cols += [f"steps_to_terminal_agent{j}" for j in range(n_agents)]
-    cols += [f"cumulative_reward_agent{j}" for j in range(n_agents)]
-    cols += [f"reached_agent{j}" for j in range(n_agents)]
+def _write_rows(path, header, rows):
+    """Write delimited text: the header's names, then each row's text fields."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
-        for st in stats_list:
-            # convert numpy scalars first: their repr differs from float's
-            row = [str(st.episode), repr(st.mean_sum_rate), str(st.collision_steps)]
-            row += [repr(float(v)) for v in st.avg_sum_rate]
-            row += [str(int(v)) for v in st.steps_to_terminal]
-            row += [repr(float(v)) for v in st.cumulative_reward]
-            row += [str(int(v)) for v in st.reached]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def write_metrics(stats_list, path, n_agents: int) -> None:
+    groups = ("avg_sum_rate", "steps_to_terminal", "cumulative_reward", "reached")
+    header = ["episode", "mean_sum_rate", "collision_steps"]
+    header += [f"{name}_agent{j}" for name in groups for j in range(n_agents)]
+    # convert numpy scalars first: their repr differs from float's
+    _write_rows(path, header, ([str(st.episode), repr(st.mean_sum_rate),
+                                str(st.collision_steps),
+                                *(repr(float(v)) for v in st.avg_sum_rate),
+                                *(str(int(v)) for v in st.steps_to_terminal),
+                                *(repr(float(v)) for v in st.cumulative_reward),
+                                *(str(int(v)) for v in st.reached)]
+                               for st in stats_list))
 
 
 def _read_lines(path):
@@ -353,55 +356,53 @@ def _number(text, kind, name):
     raise ValueError(f"{name} must be {what}, got {text!r}")
 
 
-def read_metrics(path):
-    """Parse a metrics file back into column arrays; errors carry line numbers."""
+def _read_columns(path, columns, kinds):
+    """The named columns of a delimited file, one list each, fields read by _number.
+
+    Columns are found by name in the header row. A missing column, a row
+    whose field count differs from the header's, or a field that does not
+    convert raises PlotDataError naming the file and line.
+    """
     lines = _read_lines(path)
-    if not lines:
-        raise PlotDataError(f"{path}: line 1: empty metrics file")
-    header = lines[0].split(",")
-    try:
-        mean_idx = header.index("mean_sum_rate")
-        ep_idx = header.index("episode")
-    except ValueError:
-        raise PlotDataError(f"{path}: line 1: missing required columns") from None
-    episodes, means = [], []
+    header = lines[0].split(",") if lines else []
+    for name in columns:
+        if name not in header:
+            raise PlotDataError(f"{path}: line 1: no {name} column")
+    picks = [(header.index(name), kind, name) for name, kind in zip(columns, kinds)]
+    values = [[] for _ in columns]
     for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(header):
+        fields = line.split(",")
+        if len(fields) != len(header):
             raise PlotDataError(f"{path}: line {lineno}: expected "
-                                f"{len(header)} fields, got {len(parts)}")
+                                f"{len(header)} fields, got {len(fields)}")
         try:
-            episodes.append(_number(parts[ep_idx], int, "episode"))
-            means.append(_number(parts[mean_idx], float, "mean_sum_rate"))
+            for column, (i, kind, name) in zip(values, picks):
+                column.append(_number(fields[i], kind, name))
         except ValueError as exc:
             raise PlotDataError(f"{path}: line {lineno}: {exc}") from None
+    return values
+
+
+def read_metrics(path):
+    """The episode and mean_sum_rate columns of a metrics file, as arrays."""
+    episodes, means = _read_columns(path, ("episode", "mean_sum_rate"), (int, float))
     return np.asarray(episodes), np.asarray(means)
 
 
 def write_trajectory(rollout, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("agent,step,x_m,y_m\n")
-        for j, positions in enumerate(rollout.trajectories):
-            for t, pos in enumerate(positions):
-                fh.write(f"{j},{t},{pos.x!r},{pos.y!r}\n")
+    _write_rows(path, ("agent", "step", "x_m", "y_m"),
+                ((str(j), str(t), repr(pos.x), repr(pos.y))
+                 for j, positions in enumerate(rollout.trajectories)
+                 for t, pos in enumerate(positions)))
 
 
 def read_trajectory(path):
-    lines = _read_lines(path)
-    if not lines or lines[0] != "agent,step,x_m,y_m":
-        raise PlotDataError(f"{path}: line 1: unexpected trajectory header")
+    """Each agent's (x, y) points in file order, keyed by agent index."""
+    agent, _, x, y = _read_columns(path, ("agent", "step", "x_m", "y_m"),
+                                   (int, int, float, float))
     agents = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise PlotDataError(f"{path}: line {lineno}: expected 4 fields")
-        try:
-            agent = _number(parts[0], int, "agent")
-            _number(parts[1], int, "step")
-            xy = _number(parts[2], float, "x_m"), _number(parts[3], float, "y_m")
-        except ValueError as exc:
-            raise PlotDataError(f"{path}: line {lineno}: {exc}") from None
-        agents.setdefault(agent, []).append(xy)
+    for j, point in zip(agent, zip(x, y)):
+        agents.setdefault(j, []).append(point)
     return agents
 
 
@@ -495,20 +496,13 @@ def emit_plot_data(metrics_path, trajectory_path, out_dir, window: int = 100):
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     for j in sorted(agents):
-        path = os.path.join(out_dir, f"trajectory_agent{j}.csv")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("x_m,y_m\n")
-            for x, y in agents[j]:
-                fh.write(f"{x!r},{y!r}\n")
-        outputs.append(path)
-
-    path = os.path.join(out_dir, "sum_rate_smoothed.csv")
-    with open(path, "w", encoding="ascii") as fh:
-        # each row's episode is the last episode inside its window
-        fh.write("episode,smoothed_mean_sum_rate\n")
-        for i, value in enumerate(smoothed):
-            fh.write(f"{episodes[i + window - 1]},{float(value)!r}\n")
-    outputs.append(path)
+        outputs.append(os.path.join(out_dir, f"trajectory_agent{j}.csv"))
+        _write_rows(outputs[-1], ("x_m", "y_m"), ((repr(x), repr(y)) for x, y in agents[j]))
+    outputs.append(os.path.join(out_dir, "sum_rate_smoothed.csv"))
+    # each row's episode is the last episode inside its window
+    _write_rows(outputs[-1], ("episode", "smoothed_mean_sum_rate"),
+                ((str(int(episodes[i + window - 1])), repr(float(value)))
+                 for i, value in enumerate(smoothed)))
     return outputs
 
 
@@ -560,37 +554,31 @@ def _cmd_train(args, config, params) -> int:
 
 @_with_config
 def _cmd_rollout(args, config, params) -> int:
-    paths = [os.path.join(args.qtable_dir, f"qtable_agent{j}.txt")
-             for j in range(config.n_agents)]
+    names = [f"qtable_agent{j}.txt" for j in range(config.n_agents)]
+    paths = [os.path.join(args.qtable_dir, name) for name in names]
     manifest = os.path.join(args.qtable_dir, "manifest.json")
     try:
         qtables = [load_qtable(path) for path in paths]
-        digests = None  # a directory without a manifest is not checked
-        if os.path.exists(manifest):
-            with open(manifest, "r", encoding="utf-8") as fh:
-                try:
+        if os.path.exists(manifest):  # a directory without a manifest is not checked
+            try:
+                with open(manifest, "r", encoding="utf-8") as fh:
                     digests = json.load(fh)["files"]
-                except (ValueError, KeyError, TypeError):
-                    pass
-            if not isinstance(digests, dict):
-                raise ValueError("manifest.json lists no file digests")
+                if not isinstance(digests, dict):
+                    raise TypeError("files is not a JSON object")
+            except (ValueError, KeyError, TypeError):
+                raise ValueError("manifest.json lists no file digests") from None
+            for name, path in zip(names, paths):
+                if _sha256(path) != digests.get(name):
+                    raise ValueError(f"{name} does not match manifest.json")
+        rollout = extract_trajectory(config, qtables)
     except OSError as exc:
         print(f"cannot read checkpoints: {exc}", file=sys.stderr)
         return EXIT_IO
+    except TableMismatch as exc:
+        print(f"invalid checkpoint: {names[exc.agent]} {exc.reason}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"invalid checkpoint: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    for path in paths:
-        name = os.path.basename(path)
-        if digests is not None and _sha256(path) != digests.get(name):
-            print(f"invalid checkpoint: {name} does not match manifest.json",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-    try:
-        rollout = extract_trajectory(config, qtables)
-    except TableMismatch as exc:
-        print(f"invalid checkpoint: {os.path.basename(paths[exc.agent])} {exc.reason}",
-              file=sys.stderr)
         return EXIT_VALIDATION
     try:
         write_trajectory(rollout, args.out)

@@ -1,11 +1,16 @@
 """Acceptance suite: one test per exit criterion, one PASS line each.
 
 The headline two-station experiment (criteria 7 and 8) is executed twice by
-a session fixture so the determinism check compares two genuinely
-independent runs of the same (config, seed).
+a module fixture so the determinism check compares two genuinely
+independent runs of the same (config, seed): one in this process, one
+through the CLI in a fresh interpreter with another hash seed.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -22,8 +27,9 @@ from absim.geometry import (Action, AreaSpec, GridState, Position3D, apply_actio
                             cell_center, dist_to_final, state_index)
 from absim.qlearning import (LearningParams, QTable, Transition, select_action,
                              update)
+import absim
 from absim.environment import extract_trajectory, train
-from absim.simcli import load_config, read_metrics, run_train, smooth_series
+from absim.simcli import RunManifest, load_config, read_metrics, run_train, smooth_series
 
 HEADLINE_SEED = 0
 
@@ -225,14 +231,31 @@ def test_criterion_6_pure_distance_shortest_path():
 
 @pytest.fixture(scope="module")
 def headline_runs(tmp_path_factory):
+    """Runs (out_dir, manifest, seconds): the first in this process, the
+    second `absim train` in a subprocess started first and joined last, so
+    the two share no module state and run side by side."""
     config, params = load_config()
-    runs = []
-    for label in ("a", "b"):
-        out_dir = tmp_path_factory.mktemp(f"headline_{label}")
-        started = time.perf_counter()
-        manifest = run_train(config, params, HEADLINE_SEED, str(out_dir))
-        runs.append((out_dir, manifest, time.perf_counter() - started))
-    return config, runs
+    dir_a, dir_b = (tmp_path_factory.mktemp(f"headline_{label}") for label in "ab")
+    src = os.path.dirname(os.path.dirname(absim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])),
+        PYTHONHASHSEED="1" if os.environ.get("PYTHONHASHSEED") == "0" else "0")
+    started = time.perf_counter()
+    second = subprocess.Popen(
+        [sys.executable, "-m", "absim.simcli", "train", "--seed", str(HEADLINE_SEED),
+         "--out-dir", str(dir_b)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        manifest_a = run_train(config, params, HEADLINE_SEED, str(dir_a))
+        elapsed_a = time.perf_counter() - started
+        _, err = second.communicate(timeout=600.0)
+    finally:
+        second.kill()  # a no-op once it has exited
+        second.wait()
+    assert second.returncode == 0, err
+    manifest_b = RunManifest(**json.loads((dir_b / "manifest.json").read_text()))
+    return config, [(dir_a, manifest_a, elapsed_a),
+                    (dir_b, manifest_b, time.perf_counter() - started)]
 
 
 def test_criterion_7_headline_scenario(headline_runs):

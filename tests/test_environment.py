@@ -424,6 +424,13 @@ class TestExtractTrajectory:
         assert err.value.reason == (f"is {n_states} x 4 with terminal state {terminal}, "
                                     "the config needs 16 x 4 with terminal state 15")
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_table_count_must_match_stations(self, count):
+        cfg = make_scenario(m=4, n_agents=2)
+        tables = (fresh_tables(cfg) * 2)[:count]
+        with pytest.raises(ValueError, match=f"^{count} Q-tables for 2 stations$"):
+            extract_trajectory(cfg, tables)
+
     def test_min_pairwise_reported(self):
         cfg = make_scenario(m=4, n_agents=2, beta2=0.25,
                             initial=[GridState(1, 1), GridState(4, 1)],

@@ -608,6 +608,11 @@ class TestPlotData:
          "line 2: x_m must be a finite number, got 'nan'"),
         ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0,1.0\n0,1,0.0,-inf\n",
          "line 3: y_m must be a finite number, got '-inf'"),
+        ("metrics.csv", b"episode,collision_steps\n1,0\n", "line 1: no mean_sum_rate column"),
+        ("metrics.csv", b"", "line 1: no episode column"),
+        ("trajectory.csv", b"agent,x_m,y_m\n0,0.0,0.0\n", "line 1: no step column"),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0\n",
+         "line 2: expected 4 fields, got 3"),
     ])
     def test_bad_input_named_by_file_and_line(self, tmp_path, capsys, name, content,
                                               message):
@@ -621,6 +626,17 @@ class TestPlotData:
                      "--out-dir", str(plots), "--window", "1"]) == 2
         assert capsys.readouterr().err == f"{tmp_path / name}: {message}\n"
         assert not plots.exists()
+
+    def test_columns_read_by_name(self, tmp_path):
+        # reordered and extra columns: only the named ones are read
+        path = tmp_path / "trajectory.csv"
+        path.write_text("y_m,note,agent,x_m,step\n2.0,a,1,1.0,0\n4.0,b,1,3.0,1\n"
+                        "6.0,c,0,5.0,0\n")
+        assert read_trajectory(str(path)) == {1: [(1.0, 2.0), (3.0, 4.0)], 0: [(5.0, 6.0)]}
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("mean_sum_rate,episode\n0.5,1\n0.25,2\n")
+        episodes, means = read_metrics(str(metrics))
+        assert episodes.tolist() == [1, 2] and means.tolist() == [0.5, 0.25]
 
     def test_window_longer_than_series_rejected(self):
         with pytest.raises(ValueError):
@@ -655,6 +671,30 @@ class TestCli:
             assert main(args + ["--config", path]) == 2
             err = capsys.readouterr().err
             assert field in err and f"more than {2 ** 26}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, section, message", [
+        # an infinite path loss: every gain would be 0.0
+        ({"propagation": {"carrier_freq_hz": 1e300}}, "propagation",
+         "gains from stations would span 0.0 to 0.0"),
+        # a separation of 1.4e200 m overflows when squared
+        ({"area": {"x_max_m": 1e200, "y_max_m": 1e200}}, "area",
+         "the area diagonal overflows"),
+        # a user at the foot of a ground transmitter 1e-200 m tall: a link of
+        # length 0.0 once squared, so its gain would be infinite
+        ({"users": {"positions_m": [[100.0, 100.0], [2000.0, 2000.0]]},
+          "gbs": {"enabled": True, "x_m": 100.0, "y_m": 100.0, "height_m": 1e-200,
+                  "power_per_subchannel_watts": 0.001}},
+         "gbs", "gains from the ground transmitter would span"),
+    ])
+    def test_overflowing_config_exits_2(self, tmp_path, capsys, data, section, message):
+        data["learning"] = {"max_episodes": 1, "max_steps_per_episode": 3}
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        for args in (["validate-config"], ["train", "--out-dir", str(out)]):
+            assert main(args + ["--config", path]) == 2
+            err = capsys.readouterr().err
+            assert message in err and section in err and "Traceback" not in err
         assert not out.exists()
 
     def test_validate_truncated_json(self, tmp_path, capsys):
