@@ -20,6 +20,7 @@ from allocator_reference import brute_force_oracle, sum_rate, waterfill_power
 from channel_reference import average_path_loss
 from qlearning_reference import value_iteration
 
+import absim
 from absim.allocator import AllocationProblem, solve
 from absim.channel import (FadingMode, PropagationParams, free_space_path_loss,
                            los_probability)
@@ -27,7 +28,6 @@ from absim.geometry import (Action, AreaSpec, GridState, Position3D, apply_actio
                             cell_center, dist_to_final, state_index)
 from absim.qlearning import (LearningParams, QTable, Transition, select_action,
                              update)
-import absim
 from absim.environment import extract_trajectory, train
 from absim.simcli import RunManifest, load_config, read_metrics, run_train, smooth_series
 
