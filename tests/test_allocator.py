@@ -383,6 +383,15 @@ class TestClosedFormProperties:
         assert res.sum_rate == sum_rate(res.assignment, res.powers, prob)
 
     @PROPERTY_SETTINGS
+    @given(problems(max_users=10, max_subchannels=33))
+    def test_inputs_unchanged(self, prob):
+        # solve works in place only on arrays it made: step_all's problems
+        # hold views of the step's gains
+        before = prob.gains.tobytes(), prob.interference.tobytes()
+        solve(prob)
+        assert (prob.gains.tobytes(), prob.interference.tobytes()) == before
+
+    @PROPERTY_SETTINGS
     @given(problems())
     def test_rate_reaches_oracle(self, prob):
         res = solve(prob)

@@ -268,6 +268,25 @@ class TestInterference:
         for j in range(2):
             assert np.all(interference_for_abs(field, powers[j], gains[j]) >= 0.0)
 
+    @pytest.mark.parametrize("with_ground", [False, True], ids=["no ground", "ground"])
+    def test_inputs_unchanged(self, with_ground):
+        # step_all hands each station views of the step's shared field,
+        # gains, ground term and powers: none of them may be written to
+        rng = np.random.default_rng(9)
+        gains = rng.uniform(1e-12, 1e-6, size=(3, 6, 4))
+        real = self.make_real(gains)
+        if with_ground:
+            real = self.make_real(gains, gbs_gains=rng.uniform(1e-12, 1e-9, size=(6, 4)),
+                                  gbs_power=0.3)
+        powers = rng.uniform(0.0, 0.2, size=(3, 4))
+        field, ground = interference_field(real, powers)
+        inputs = [field, powers, gains] + ([] if ground is None else [ground])
+        before = [a.tobytes() for a in inputs]
+        for j, rows in enumerate((slice(0, 2), slice(2, 3), slice(3, 6))):
+            interference_for_abs(field[rows], powers[j], gains[j][rows],
+                                 None if ground is None else ground[rows])
+        assert [a.tobytes() for a in inputs] == before
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.data())
     def test_per_station_path_matches_whole_table(self, data):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absim.allocator import AllocationProblem, solve
 from absim.channel import FadingMode, GbsSpec, PropagationParams
@@ -13,6 +15,7 @@ from absim.qlearning import LearningParams, QTable, greedy_policy
 from absim.rng import PURPOSE_EPISODE, derive_stream
 
 from conftest import make_scenario
+from environment_reference import initial_powers, joint_step
 from qlearning_reference import value_iteration
 from test_qlearning import grid_world
 
@@ -135,6 +138,59 @@ class TestStepAll:
         assert env.parked[0] and not env.parked[1]
         assert np.all(env._prev_powers[0] == 0.0)
         assert np.any(env._prev_powers[1] > 0.0)
+
+
+class TestMatchesReference:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_step_all_matches_reference_step(self, data):
+        # uneven, interleaved associations, stations parked from the start,
+        # the ground transmitter on or off, both fading modes: every step of
+        # step_all equals the plain step written from the model, bit for bit
+        j_count = data.draw(st.integers(1, 4), label="J")
+        m = data.draw(st.integers(2, 5), label="cells per axis")
+        extra = data.draw(st.lists(st.integers(0, j_count - 1), max_size=6),
+                          label="extra users' stations")
+        assoc = data.draw(st.permutations(list(range(j_count)) + extra),
+                          label="association")
+        side = 100.0 * m
+        users = data.draw(st.lists(st.tuples(st.floats(0.0, side), st.floats(0.0, side)),
+                                   min_size=len(assoc), max_size=len(assoc)), label="users")
+        cells = st.builds(GridState, st.integers(1, m), st.integers(1, m))
+        initial = data.draw(st.lists(cells, min_size=j_count, max_size=j_count),
+                            label="initial")
+        final = data.draw(st.lists(cells, min_size=j_count, max_size=j_count), label="final")
+        for j in data.draw(st.sets(st.integers(0, j_count - 1)), label="parked"):
+            final[j] = initial[j]
+        gbs = GbsSpec()
+        if data.draw(st.booleans(), label="ground transmitter"):
+            gbs = GbsSpec(enabled=True, x=data.draw(st.floats(0.0, side)),
+                          y=data.draw(st.floats(0.0, side)), height=10.0,
+                          power_per_subchannel=data.draw(st.floats(0.0, 0.5)))
+        cfg = make_scenario(m=m, n_agents=j_count,
+                            n_subchannels=data.draw(st.integers(1, 6), label="N"),
+                            beta1=data.draw(st.sampled_from([0.0, 2.0]), label="beta1"),
+                            beta3=1000.0, fading=data.draw(st.sampled_from(FadingMode)),
+                            users=users, assoc=assoc, initial=initial, final=final,
+                            d_min=150.0, gbs=gbs)
+        env = Environment(cfg)
+        states, parked = list(env.states), list(env.parked)
+        powers = initial_powers(cfg, parked)
+        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            active = [j for j in range(j_count) if not parked[j]]
+            if not active:
+                break
+            actions = {j: data.draw(st.integers(0, 3)) for j in active}
+            transitions, terms = env.step_all(actions, rng)
+            states, parked, powers, ref_transitions, ref_terms = joint_step(
+                cfg, states, parked, powers, actions, ref_rng)
+            assert [tuple(t) for t in transitions] == [tuple(t) for t in ref_transitions]
+            assert terms == ref_terms
+            assert (env.states, env.parked) == (states, parked)
+            assert env._prev_powers.tolist() == powers.tolist()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestMove:
