@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,25 +35,23 @@ _sum = np.add.reduce
 _columns = functools.cache(np.arange)
 
 
-@dataclass(frozen=True)
 class AllocationProblem:
     """One station's allocation instance.
 
     gains[k, n] and interference[k, n] describe user k on sub-channel n;
     both in linear scale (gains dimensionless, interference and
     noise_power in watts). p_max is the total transmit power budget.
+    A slotted class: one is built per station and step.
     """
 
-    gains: np.ndarray
-    interference: np.ndarray
-    noise_power: float
-    p_max: float
+    __slots__ = ("gains", "interference", "noise_power", "p_max")
 
-    def __post_init__(self) -> None:
-        g = np.asarray(self.gains, dtype=float)
-        i = np.asarray(self.interference, dtype=float)
-        object.__setattr__(self, "gains", g)
-        object.__setattr__(self, "interference", i)
+    def __init__(self, gains: np.ndarray, interference: np.ndarray, noise_power: float,
+                 p_max: float) -> None:
+        g = np.asarray(gains, dtype=float)
+        i = np.asarray(interference, dtype=float)
+        self.gains, self.interference = g, i
+        self.noise_power, self.p_max = noise_power, p_max
         if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
             raise ValueError("gains must be a (K, N) matrix with K, N >= 1")
         if i.shape != g.shape:
@@ -63,14 +61,17 @@ class AllocationProblem:
             raise ValueError("gains must be finite and positive")
         if not (_amin(i, axis=None) >= 0.0 and _amax(i, axis=None) < math.inf):
             raise ValueError("interference must be finite and non-negative")
-        if not self.noise_power > 0:
+        if not noise_power > 0:
             raise ValueError("noise_power must be positive")
-        if not self.p_max > 0:
+        if not p_max > 0:
             raise ValueError("p_max must be positive")
 
+    def __repr__(self) -> str:
+        return (f"AllocationProblem(gains={self.gains!r}, interference={self.interference!r}, "
+                f"noise_power={self.noise_power!r}, p_max={self.p_max!r})")
 
-@dataclass(frozen=True)
-class AllocationResult:
+
+class AllocationResult(NamedTuple):
     """Solver output: per-sub-channel winners and powers plus diagnostics.
 
     lam is the budget multiplier of the water level; budget_slack is p_max
@@ -106,15 +107,21 @@ def solve(problem: AllocationProblem) -> AllocationResult:
     winners = floors.argmin(axis=0)
     # flat (winner, sub-channel) positions in the row-major (K, N) arrays
     n = floors.shape[1]
-    won = winners * n + _columns(n)
+    won = winners * n
+    won += _columns(n)
     best = floors.ravel()[won]
     p_max = problem.p_max
     lam = 1.0 / (LN2 * _waterfill_level(best, p_max))
     # through the multiplier, not from the level directly, so that the
-    # powers are bit-identical to the per-link water-filling power at lam
-    powers = np.maximum(1.0 / (LN2 * lam) - best, 0.0)
-    rate = float(_sum(np.log2(1.0 + powers * problem.gains.ravel()[won]
-                              / noise.ravel()[won])))
+    # powers are bit-identical to the per-link water-filling power at lam;
+    # from here on the arithmetic runs in place on solve's own gathers
+    powers = np.subtract(1.0 / (LN2 * lam), best, out=best)
+    np.maximum(powers, 0.0, out=powers)
+    snr = problem.gains.ravel()[won]
+    np.multiply(powers, snr, out=snr)
+    snr /= noise.ravel()[won]
+    snr += 1.0
+    rate = float(_sum(np.log2(snr, out=snr)))
     slack = p_max - float(_sum(powers))
     return AllocationResult(winners, powers, rate, lam, 1,
                             abs(slack) <= _BUDGET_TOL_REL * p_max, slack)

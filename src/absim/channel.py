@@ -157,7 +157,8 @@ def draw_realization(path_loss: np.ndarray, fading: FadingMode,
         base = 1.0 / pl[..., None]
         if fading == FadingMode.RAYLEIGH:
             # squared magnitude of a unit-variance complex Gaussian: Exp(1)
-            return rng.exponential(1.0, size=shape) * base
+            # the same draws and stream as rng.exponential(1.0, shape)
+            return rng.standard_exponential(shape) * base
         return np.broadcast_to(base, shape).copy()
 
     station_gains = gains(path_loss)  # drawn before the ground row
@@ -187,8 +188,10 @@ def interference_for_abs(field_rows: np.ndarray, own_powers: np.ndarray,
     Its users' rows of interference_field's terms less its own power (N,)
     times gains (K_j, N); tests/channel_reference.py holds its references.
     """
+    table = own_powers * own_gains  # the one new array; the rest runs in place
+    np.subtract(field_rows, table, out=table)
     # field-minus-own can round a hair below zero; interference is >= 0
-    table = np.maximum(field_rows - own_powers * own_gains, 0.0)
+    np.maximum(table, 0.0, out=table)
     if ground_rows is not None:
-        table = table + ground_rows
+        table += ground_rows
     return table

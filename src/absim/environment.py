@@ -166,8 +166,9 @@ class Environment:
     States, and each station's final cell, are flat cell indices (see
     geometry.state_index). Cell centres and path losses are cached per
     visited cell, and distances to the destination per (agent, cell); the
-    ground transmitter's row is computed at the first step that allocates,
-    so a rollout does no radio work. Fading is drawn fresh every step.
+    ground transmitter's row, and the users grouped by station, are made
+    at the first step that allocates, so a rollout does no radio work.
+    Fading is drawn fresh every step.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -179,9 +180,8 @@ class Environment:
         self._pl_cache = {}
         self._final_pos = [self._center(s) for s in self.final]
         self._gbs_pl = None
+        self._groups = None
         self._f2_cache = [{} for _ in range(config.n_agents)]
-        self._user_idx = [np.flatnonzero(config.association == j)
-                          for j in range(config.n_agents)]
         self._uniform_power = config.p_max / config.n_subchannels
         self.states: list[int] = []
         self.parked: list[bool] = []
@@ -268,17 +268,30 @@ class Environment:
             if gbs.enabled and self._gbs_pl is None:
                 self._gbs_pl = path_loss_to_users(Position3D(gbs.x, gbs.y, gbs.height),
                                                   cfg.users_xy, cfg.propagation)
+            if self._groups is None:  # users sorted stably by station, a slice each
+                assoc = cfg.association
+                order = np.argsort(assoc, kind="stable")
+                bounds = np.searchsorted(assoc[order], np.arange(cfg.n_agents + 1)).tolist()
+                # own: each user's row of the (J * K, N) gains, from its own station
+                self._groups = (order, assoc[order] * len(assoc) + order,
+                                [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+            order, own, rows = self._groups
             pl = np.array([self._pl_row(s) for s in states])
             realization = draw_realization(pl, cfg.fading, rng, cfg.n_subchannels,
                                            self._gbs_pl, gbs.power_per_subchannel)
             prev = self._prev_powers
             field, ground = interference_field(realization, prev)
+            # one gather each, in grouped order (take is numpy's fastest row
+            # gather); every station then takes views of its slice
+            gains = realization.gains.reshape(-1, cfg.n_subchannels).take(own, axis=0)
+            field = field.take(order, axis=0)
+            if ground is not None:
+                ground = ground.take(order, axis=0)
             new_powers = prev.copy()
             for j in acting:
-                users_j = self._user_idx[j]
-                g_j = realization.gains[j][users_j]
-                inter = interference_for_abs(field[users_j], prev[j], g_j,
-                                             None if ground is None else ground[users_j])
+                g_j = gains[rows[j]]
+                inter = interference_for_abs(field[rows[j]], prev[j], g_j,
+                                             None if ground is None else ground[rows[j]])
                 alloc = solve(AllocationProblem(gains=g_j, interference=inter,
                                                 noise_power=cfg.propagation.noise_power,
                                                 p_max=cfg.p_max))
@@ -333,10 +346,8 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
         active = [j for j in range(j_count) if not env.parked[j]]
         if not active:
             break
-        actions = {}
-        for j in active:
-            actions[j] = select_action(qtables[j], env.states[j], params, rng,
-                                       epsilon=epsilon)
+        actions = {j: select_action(qtables[j], env.states[j], params, rng, epsilon=epsilon)
+                   for j in active}
         transitions, terms = env.step_all(actions, rng)
         for j, tr in zip(active, transitions):
             update(qtables[j], tr, params)

@@ -121,17 +121,22 @@ def cell_center(area: AreaSpec, s: int) -> Position3D:
                       area.y_min + area.cell_width_y * (s // m), area.altitude)
 
 
+# the actions' values as plain ints: apply_action runs once per move, and a
+# comparison with these skips the enum attribute lookup
+_LEFT, _RIGHT, _FORWARD, _BACKWARD = map(int, Action)
+
+
 def apply_action(area: AreaSpec, s: int, a: Action) -> int:
     """One-cell move from cell index s; a move off the grid leaves s unchanged."""
     _check_index(area, s)
     m = area.cells_per_axis
-    if a == Action.LEFT:
+    if a == _LEFT:
         return s - 1 if s % m > 0 else s
-    if a == Action.RIGHT:
+    if a == _RIGHT:
         return s + 1 if s % m < m - 1 else s
-    if a == Action.FORWARD:
+    if a == _FORWARD:
         return s + m if s // m < m - 1 else s
-    if a == Action.BACKWARD:
+    if a == _BACKWARD:
         return s - m if s // m > 0 else s
     raise ValueError(f"unknown action {a!r}")
 

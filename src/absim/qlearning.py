@@ -110,9 +110,9 @@ def select_action(q: QTable, state: int, params: LearningParams,
     # a 4-float row is cheaper to scan as a Python list than through numpy
     row = q.values[state].tolist()
     best = max(row)
+    if row.count(best) == 1:
+        return row.index(best)
     ties = [a for a, v in enumerate(row) if v == best]
-    if len(ties) == 1:
-        return ties[0]
     return ties[rng.integers(len(ties))]
 
 
@@ -120,19 +120,25 @@ def update(q: QTable, t: Transition, params: LearningParams) -> None:
     """Temporal-difference update of one (state, action) entry.
 
     The bootstrap term reads the next state's row directly; for terminal
-    next states that row is pinned to zero, so no branching is needed.
+    next states that row is pinned to zero, so no branching is needed. A
+    non-finite new value raises ValueError and leaves the table unchanged.
     """
     if t.state == q.terminal_state:
         raise ValueError("transitions cannot originate from the terminal state")
     s, a = t.state, t.action
+    visits = q.visits.item(s, a)  # Python scalars: the same IEEE arithmetic as numpy's
     if params.alpha_schedule == "visit_count":
-        alpha = 1.0 / (1.0 + q.visits[s, a])
+        alpha = 1.0 / (1.0 + visits)
     else:
         alpha = params.alpha
-    q.visits[s, a] += 1
-    current = q.values[s, a]
+    current = q.values.item(s, a)
     target = t.reward + params.gamma * max(q.values[t.next_state].tolist())
-    q.values[s, a] = current + alpha * (target - current)
+    value = current + alpha * (target - current)
+    if not isfinite(value):  # an overflow would turn the table to NaN quietly
+        raise ValueError(f"update of entry ({s}, {a}) gives {value!r}; rewards and "
+                         "table values must stay finite")
+    q.visits[s, a] = visits + 1
+    q.values[s, a] = value
 
 
 def greedy_policy(q: QTable) -> np.ndarray:

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .channel import FadingMode, GbsSpec, PropagationParams
-from .environment import ScenarioConfig, TableMismatch, extract_trajectory, train
+from .environment import (ScenarioConfig, TableMismatch, extract_trajectory,
+                          pessimistic_q_init, train)
 from .geometry import Action, AreaSpec, GridState
 from .qlearning import LearningParams, load_qtable, save_qtable
 from .rng import PURPOSE_USER_PLACEMENT, SEED_END, derive_stream
@@ -287,6 +288,12 @@ def _build_config(data):
             area=built["area"], initial_states=tuple(initial), final_states=tuple(final),
             users_xy=users_xy, association=assoc, propagation=built["propagation"],
             gbs=built["gbs"], **values[None], **values["reward_weights"]), "scenario")
+    if config is not None and built["learning"].initial_q is None:
+        floor = pessimistic_q_init(config, built["learning"].gamma)
+        if not math.isfinite(floor):  # a -inf table fails at its first update
+            errors.append(f"learning.initial_q: null seeds the tables at -(beta2 x diagonal "
+                          f"+ beta3) / (1 - gamma) = {floor!r}; lower beta2, beta3 or "
+                          "gamma, or give initial_q")
     if errors:
         raise ConfigValidationError(errors)
     return config, built["learning"]

@@ -141,14 +141,14 @@ class TestStepAll:
 
 
 class TestMatchesReference:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_step_all_matches_reference_step(self, data):
         # uneven, interleaved associations, stations parked from the start,
         # the ground transmitter on or off, both fading modes: every step of
         # step_all equals the plain step written from the model, bit for bit
         j_count = data.draw(st.integers(1, 4), label="J")
-        m = data.draw(st.integers(2, 5), label="cells per axis")
+        m = data.draw(st.integers(2, 4), label="cells per axis")
         extra = data.draw(st.lists(st.integers(0, j_count - 1), max_size=6),
                           label="extra users' stations")
         assoc = data.draw(st.permutations(list(range(j_count)) + extra),
@@ -160,16 +160,18 @@ class TestMatchesReference:
         initial = data.draw(st.lists(cells, min_size=j_count, max_size=j_count),
                             label="initial")
         final = data.draw(st.lists(cells, min_size=j_count, max_size=j_count), label="final")
-        for j in data.draw(st.sets(st.integers(0, j_count - 1)), label="parked"):
+        # at least one station acts; on a small grid random moves often park one
+        for j in data.draw(st.sets(st.integers(0, j_count - 1), max_size=j_count - 1),
+                           label="parked"):
             final[j] = initial[j]
         gbs = GbsSpec()
         if data.draw(st.booleans(), label="ground transmitter"):
             gbs = GbsSpec(enabled=True, x=data.draw(st.floats(0.0, side)),
                           y=data.draw(st.floats(0.0, side)), height=10.0,
-                          power_per_subchannel=data.draw(st.floats(0.0, 0.5)))
+                          power_per_subchannel=data.draw(st.floats(1e-3, 0.5)))
         cfg = make_scenario(m=m, n_agents=j_count,
                             n_subchannels=data.draw(st.integers(1, 6), label="N"),
-                            beta1=data.draw(st.sampled_from([0.0, 2.0]), label="beta1"),
+                            beta1=data.draw(st.sampled_from([2.0, 0.0]), label="beta1"),
                             beta3=1000.0, fading=data.draw(st.sampled_from(FadingMode)),
                             users=users, assoc=assoc, initial=initial, final=final,
                             d_min=150.0, gbs=gbs)
@@ -178,7 +180,7 @@ class TestMatchesReference:
         powers = initial_powers(cfg, parked)
         seed = data.draw(st.integers(0, 2 ** 32), label="seed")
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+        for _ in range(data.draw(st.integers(1, 8), label="steps")):
             active = [j for j in range(j_count) if not parked[j]]
             if not active:
                 break

@@ -145,6 +145,17 @@ class TestUpdate:
         with pytest.raises(ValueError):
             update(q, Transition(1, 0, 0.0, 0, False), LearningParams())
 
+    @pytest.mark.parametrize("reward, value", [(-np.inf, 0.0), (-1e308, -1e308),
+                                               (np.nan, 0.0)])
+    def test_non_finite_result_rejected(self, reward, value):
+        # -inf, an overflow of two finite values, and NaN would each spread
+        # through the table; the entry and its visit count stay as they were
+        q = QTable(3, 4, initial_value=value)
+        with pytest.raises(ValueError, match=r"update of entry \(0, 1\) gives"):
+            update(q, Transition(0, 1, reward, 2, False),
+                   LearningParams(alpha=1.0, gamma=0.9))
+        assert q.values[0, 1] == value and q.visits[0, 1] == 0
+
     def test_visit_count_schedule(self):
         q = QTable(2, 4)
         params = LearningParams(alpha_schedule="visit_count", gamma=0.0)

@@ -697,6 +697,23 @@ class TestCli:
             assert message in err and section in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("data", [
+        {"reward_weights": {"beta2": 1e306}},
+        {"reward_weights": {"beta3": 1e300}, "learning": {"gamma": 0.9999999999999999}},
+    ], ids=["beta2", "gamma"])
+    def test_infinite_q_floor_exits_2(self, tmp_path, capsys, data):
+        # with initial_q null the tables start at the pessimistic floor, which
+        # these weights push to -inf
+        data.setdefault("learning", {}).update(max_episodes=2, max_steps_per_episode=20)
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        for args in (["validate-config"], ["train", "--out-dir", str(out)]):
+            assert main(args + ["--config", path]) == 2
+            err = capsys.readouterr().err
+            assert "learning.initial_q: null seeds the tables at" in err
+            assert "= -inf" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_validate_truncated_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text('{"area": {"cells_per_axis": 3')
