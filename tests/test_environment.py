@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absim.allocator import AllocationProblem, solve
-from absim.channel import FadingMode, GbsSpec, PropagationParams
+from absim.channel import FadingMode, GbsSpec, PropagationParams, path_loss_to_users
 from absim.environment import (Environment, TableMismatch, extract_trajectory,
                                pessimistic_q_init, run_episode, train)
-from absim.geometry import (Action, GridState, cell_center, dist_to_final,
+from absim.geometry import (Action, GridState, Position3D, cell_center, dist_to_final,
                             state_index)
 from absim.qlearning import LearningParams, QTable, greedy_policy
 from absim.rng import PURPOSE_EPISODE, derive_stream
@@ -245,6 +245,42 @@ class TestGroundInterferer:
         _, jammed = Environment(noisy).step_all({0: Action.RIGHT},
                                                 np.random.default_rng(0))
         assert jammed[0][0] < quiet[0][0]
+
+
+class TestPerCellValues:
+    """Cell centres and path-loss rows are made once per distinct cell, and
+    distances to the destination once per station and cell, each when first
+    needed; the ground transmitter's row is made once per Environment."""
+
+    def test_no_per_cell_value_made_twice(self, monkeypatch):
+        gbs = GbsSpec(enabled=True, x=150.0, y=150.0, height=10.0,
+                      power_per_subchannel=0.5)
+        cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,
+                            fading=FadingMode.RAYLEIGH, gbs=gbs)
+        made = {}
+        # each records the arguments that identify the value it makes
+        for name, original, key in (
+                ("cell_center", cell_center, lambda args: args[1]),
+                ("path_loss_to_users", path_loss_to_users, lambda args: args[0]),
+                ("dist_to_final", dist_to_final, lambda args: args[:2])):
+            keys = made[name] = []
+            monkeypatch.setattr(f"absim.environment.{name}",
+                                lambda *args, f=original, key=key, keys=keys:
+                                keys.append(key(args)) or f(*args))
+        env = Environment(cfg)
+        tables = fresh_tables(cfg)
+        agent_steps = 0
+        for e in range(4):
+            stats = run_episode(env, tables, LearningParams(max_steps_per_episode=30),
+                                derive_stream(5, PURPOSE_EPISODE, e))
+            agent_steps += int(stats.steps_to_terminal.sum())
+        for keys in made.values():
+            assert len(set(keys)) == len(keys)
+        ground = Position3D(gbs.x, gbs.y, gbs.height)
+        assert made["path_loss_to_users"].count(ground) == 1
+        # stations came back to cells they had been in, so values were reused
+        assert 0 < len(made["dist_to_final"]) < agent_steps
+        assert len(made["path_loss_to_users"]) - 1 < agent_steps
 
 
 class TestSingleAgentRun:
