@@ -160,54 +160,51 @@ class EpisodeStats:
         return float(self.avg_sum_rate.mean())
 
 
+class _PerCell(dict):
+    """Values of fn at cells, each computed at its first lookup and kept."""
+
+    def __init__(self, fn):  # dict.__new__ has already made the empty dict
+        self.fn = fn
+
+    def __missing__(self, s):
+        value = self[s] = self.fn(s)
+        return value
+
+
 class Environment:
     """Owns the mutable per-episode state of one scenario.
 
     States, and each station's final cell, are flat cell indices (see
-    geometry.state_index). Cell centres and path losses are cached per
-    visited cell, and distances to the destination per (agent, cell); the
-    ground transmitter's row, and the users grouped by station, are made
-    at the first step that allocates, so a rollout does no radio work.
-    Fading is drawn fresh every step.
+    geometry.state_index). Three _PerCell tables fill as cells are first
+    visited: centres (_pos), path-loss rows (_pl_rows) and, per station,
+    distances to its final cell (_to_final[j]). The ground transmitter's
+    row, and the users grouped by station, are made at the first step that
+    allocates, so a rollout does no radio work. Fading is drawn fresh every
+    step.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        area = config.area
+        area, users, prop = config.area, config.users_xy, config.propagation
         self._initial = [state_index(area, s) for s in config.initial_states]
         self.final = [state_index(area, s) for s in config.final_states]
-        self._centers = {}
-        self._pl_cache = {}
-        self._final_pos = [self._center(s) for s in self.final]
-        self._gbs_pl = None
-        self._groups = None
-        self._f2_cache = [{} for _ in range(config.n_agents)]
-        self._uniform_power = config.p_max / config.n_subchannels
+        # each lambda finds its function here when called, so a wrapper sees every call
+        pos = self._pos = _PerCell(lambda s: cell_center(area, s))
+        self._pl_rows = _PerCell(lambda s: path_loss_to_users(pos[s], users, prop))
+        self._to_final = [_PerCell(lambda s, f=f: dist_to_final(pos[s], pos[f],
+                                                                config.distance_exponent))
+                          for f in self.final]
+        self._radio = None
         self.states: list[int] = []
         self.parked: list[bool] = []
         self.reset()
-
-    def _center(self, s: int) -> Position3D:
-        pos = self._centers.get(s)
-        if pos is None:
-            pos = cell_center(self.config.area, s)
-            self._centers[s] = pos
-        return pos
-
-    def _pl_row(self, s: int) -> np.ndarray:
-        row = self._pl_cache.get(s)
-        if row is None:
-            row = path_loss_to_users(self._center(s), self.config.users_xy,
-                                     self.config.propagation)
-            self._pl_cache[s] = row
-        return row
 
     def reset(self) -> None:
         cfg = self.config
         self.states = list(self._initial)
         self.parked = [s == f for s, f in zip(self._initial, self.final)]
         self._prev_powers = np.full((cfg.n_agents, cfg.n_subchannels),
-                                    self._uniform_power)
+                                    cfg.p_max / cfg.n_subchannels)
         for j, parked in enumerate(self.parked):
             if parked:
                 self._prev_powers[j] = 0.0
@@ -230,7 +227,7 @@ class Environment:
         self.states = new_states
         for j in actions:
             parked[j] = new_states[j] == final[j]
-        positions = [self._center(s) for s in new_states]
+        positions = [self._pos[s] for s in new_states]
         j_count = len(positions)
         near = [False] * j_count
         min_pairwise = float("inf")
@@ -265,20 +262,19 @@ class Environment:
         rates = [0.0] * cfg.n_agents
         if cfg.beta1 != 0.0:
             gbs = cfg.gbs
-            if gbs.enabled and self._gbs_pl is None:
-                self._gbs_pl = path_loss_to_users(Position3D(gbs.x, gbs.y, gbs.height),
-                                                  cfg.users_xy, cfg.propagation)
-            if self._groups is None:  # users sorted stably by station, a slice each
+            if self._radio is None:  # the ground row; users sorted stably by station
+                ground_pl = None if not gbs.enabled else path_loss_to_users(
+                    Position3D(gbs.x, gbs.y, gbs.height), cfg.users_xy, cfg.propagation)
                 assoc = cfg.association
                 order = np.argsort(assoc, kind="stable")
                 bounds = np.searchsorted(assoc[order], np.arange(cfg.n_agents + 1)).tolist()
                 # own: each user's row of the (J * K, N) gains, from its own station
-                self._groups = (order, assoc[order] * len(assoc) + order,
-                                [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
-            order, own, rows = self._groups
-            pl = np.array([self._pl_row(s) for s in states])
+                self._radio = (ground_pl, order, assoc[order] * len(assoc) + order,
+                               [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+            ground_pl, order, own, rows = self._radio
+            pl = np.array([self._pl_rows[s] for s in states])
             realization = draw_realization(pl, cfg.fading, rng, cfg.n_subchannels,
-                                           self._gbs_pl, gbs.power_per_subchannel)
+                                           ground_pl, gbs.power_per_subchannel)
             prev = self._prev_powers
             field, ground = interference_field(realization, prev)
             # one gather each, in grouped order (take is numpy's fastest row
@@ -304,12 +300,7 @@ class Environment:
         terms = [(0.0, 0.0, 0.0)] * cfg.n_agents
         for j in acting:
             s = states[j]
-            f2_cache = self._f2_cache[j]
-            f2 = f2_cache.get(s)
-            if f2 is None:
-                f2 = f2_cache[s] = dist_to_final(positions[j], self._final_pos[j],
-                                                 cfg.distance_exponent)
-            f1, f3 = rates[j], 1.0 if near[j] else 0.0
+            f1, f2, f3 = rates[j], self._to_final[j][s], 1.0 if near[j] else 0.0
             total = cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
             terms[j] = f1, f2, f3
             transitions.append(Transition(old_states[j], int(actions[j]), total, s,

@@ -161,15 +161,19 @@ def load_qtable(path) -> QTable:
 
     Every (state, action) entry must appear exactly once with a finite
     value, and the terminal row must read 0.0. A malformed header or row,
-    an entry outside the table, a repeated, missing or non-finite entry or
-    a non-zero terminal entry raises ValueError naming the file and line,
-    because a wrong entry would quietly steer the greedy rollout. The table
-    is allocated only once every row has been read, so a header that
-    overstates the rows cannot exhaust memory.
+    a byte that is not ASCII, an entry outside the table, a repeated,
+    missing or non-finite entry or a non-zero terminal entry raises
+    ValueError naming the file and line, because a wrong entry would
+    quietly steer the greedy rollout. The table is allocated only once
+    every row has been read, so a header that overstates the rows cannot
+    exhaust memory.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte that is not ASCII reads as U+FFFD, which no row parses
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().strip()
         try:
+            if "\ufffd" in header:  # even in a key that is not read
+                raise ValueError("a byte is not ASCII")
             fields = dict(part.split("=") for part in header.lstrip("# ").split())
             n_states = int(fields["states"])
             n_actions = int(fields["actions"])

@@ -288,6 +288,9 @@ def _build_config(data):
             area=built["area"], initial_states=tuple(initial), final_states=tuple(final),
             users_xy=users_xy, association=assoc, propagation=built["propagation"],
             gbs=built["gbs"], **values[None], **values["reward_weights"]), "scenario")
+    if config is not None and not math.isfinite(pessimistic_q_init(config, 0.0)):
+        errors.append("reward_weights: one step's penalty beta2 x diagonal + beta3 is not "
+                      "finite; lower beta2 or beta3")  # every table's first update takes it
     if config is not None and built["learning"].initial_q is None:
         floor = pessimistic_q_init(config, built["learning"].gamma)
         if not math.isfinite(floor):  # a -inf table fails at its first update

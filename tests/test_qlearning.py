@@ -390,6 +390,19 @@ class TestPersistence:
             load_qtable(path)
 
 
+    @pytest.mark.parametrize("data, message", [
+        (b"# states=4 actions=4 terminal=3\xc3\n0 0 -1.5\n",
+         "line 1: bad header '# states=4 actions=4 terminal=3\ufffd' (a byte is not ASCII)"),
+        (b"# states=4 actions=4 terminal=3\n0 0 -1.5\n0 1 -2\xc3\xa9\n",
+         "line 3: expected 'state action value'"),
+    ], ids=["header", "row"])
+    def test_non_ascii_byte_named_by_file_and_line(self, tmp_path, data, message):
+        path = tmp_path / "q.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_qtable(path)
+
+
 class TestLearningParams:
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=1.5),

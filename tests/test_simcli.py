@@ -697,21 +697,27 @@ class TestCli:
             assert message in err and section in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("data", [
-        {"reward_weights": {"beta2": 1e306}},
-        {"reward_weights": {"beta3": 1e300}, "learning": {"gamma": 0.9999999999999999}},
-    ], ids=["beta2", "gamma"])
-    def test_infinite_q_floor_exits_2(self, tmp_path, capsys, data):
+    NULL_FLOOR = "learning.initial_q: null seeds the tables at -(beta2 x diagonal + beta3) " \
+        "/ (1 - gamma) = -inf"
+
+    @pytest.mark.parametrize("data, message", [
+        ({"reward_weights": {"beta2": 1e306}}, NULL_FLOOR),
+        ({"reward_weights": {"beta3": 1e300}, "learning": {"gamma": 0.9999999999999999}},
+         NULL_FLOOR),
+        ({"reward_weights": {"beta2": 1e306}, "learning": {"initial_q": 0.0}},
+         "reward_weights: one step's penalty beta2 x diagonal + beta3 is not finite"),
+    ], ids=["beta2", "gamma", "initial_q"])
+    def test_infinite_q_floor_exits_2(self, tmp_path, capsys, data, message):
         # with initial_q null the tables start at the pessimistic floor, which
-        # these weights push to -inf
+        # these weights push to -inf; with it given, the first update's penalty
+        # is still one step's -inf
         data.setdefault("learning", {}).update(max_episodes=2, max_steps_per_episode=20)
         path = write_config(tmp_path, data)
         out = tmp_path / "out"
         for args in (["validate-config"], ["train", "--out-dir", str(out)]):
             assert main(args + ["--config", path]) == 2
             err = capsys.readouterr().err
-            assert "learning.initial_q: null seeds the tables at" in err
-            assert "= -inf" in err and "Traceback" not in err
+            assert message in err and "Traceback" not in err
         assert not out.exists()
 
     def test_validate_truncated_json(self, tmp_path, capsys):
