@@ -253,7 +253,7 @@ class Environment:
         """
         cfg = self.config
         old_states = self.states  # move stores a new list
-        positions, _, near = self.move(actions)
+        _, _, near = self.move(actions)
         states, parked = self.states, self.parked
         acting = sorted(actions)
 
