@@ -709,8 +709,8 @@ class TestCli:
     ], ids=["beta2", "gamma", "initial_q"])
     def test_infinite_q_floor_exits_2(self, tmp_path, capsys, data, message):
         # with initial_q null the tables start at the pessimistic floor, which
-        # these weights push to -inf; with it given, the first update's penalty
-        # is still one step's -inf
+        # these weights push to -inf; with it given, one step's penalty is still
+        # infinite
         data.setdefault("learning", {}).update(max_episodes=2, max_steps_per_episode=20)
         path = write_config(tmp_path, data)
         out = tmp_path / "out"
