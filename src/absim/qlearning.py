@@ -148,12 +148,45 @@ def greedy_policy(q: QTable) -> np.ndarray:
 
 def save_qtable(q: QTable, path) -> None:
     """Write the table as flat text rows: state index, action index, value."""
+    # each distinct value is formatted once; told apart by bits, -0.0 keeps its sign
+    bits, at = np.unique(np.ascontiguousarray(q.values, float).view(np.int64),
+                         return_inverse=True)
+    text = [repr(v) for v in bits.view(float).tolist()]
+    term = -1 if q.terminal_state is None else q.terminal_state
     with open(path, "w", encoding="ascii") as fh:
-        term = -1 if q.terminal_state is None else q.terminal_state
         fh.write(f"# states={q.n_states} actions={q.n_actions} terminal={term}\n")
-        for s, row in enumerate(q.values.tolist()):
-            for a, value in enumerate(row):
-                fh.write(f"{s} {a} {value!r}\n")
+        fh.write("".join([f"{s} {a} {text[i]}\n"
+                          for s, row in enumerate(at.reshape(q.values.shape).tolist())
+                          for a, i in enumerate(row)]))
+
+
+def _rows_at_once(lines, n_states, n_actions, terminal):
+    """(flat indices, values) of a table's rows, or None if any row has a fault.
+
+    Reads the rows by columns and parses each distinct token once. Only when
+    this finds a fault does load_qtable check the rows one by one, to name
+    the line.
+    """
+    if len(lines) != n_states * n_actions or set(map(len, map(str.split, lines))) != {3}:
+        return None
+    tokens = " ".join(lines).split()
+    s_col, a_col, v_col = tokens[0::3], tokens[1::3], tokens[2::3]
+    try:
+        ints = {t: int(t) for t in {*s_col, *a_col}}
+        reals = {t: float(t) for t in set(v_col)}
+    except ValueError:
+        return None
+    s, a = [ints[t] for t in s_col], [ints[t] for t in a_col]
+    if min(s) < 0 or max(s) >= n_states or min(a) < 0 or max(a) >= n_actions:
+        return None
+    s = np.array(s)
+    flat = s * n_actions + np.array(a)
+    values = np.array([reals[t] for t in v_col])
+    seen = np.zeros(len(lines), bool)
+    seen[flat] = True  # one row per entry: every entry seen means none repeated
+    if seen.all() and np.isfinite(values).all() and not values[s == terminal].any():
+        return flat, values
+    return None
 
 
 def load_qtable(path) -> QTable:
@@ -182,9 +215,13 @@ def load_qtable(path) -> QTable:
             _check_shape(n_states, n_actions, terminal_state)
         except (ValueError, KeyError) as exc:
             raise ValueError(f"{path}: line 1: bad header {header!r} ({exc})") from None
+        lines = fh.read().split("\n")
+    if lines[-1] == "":  # what follows the last row's newline
+        lines.pop()
+    entries = _rows_at_once(lines, n_states, n_actions, terminal)
+    if entries is None:
         values = {}  # flat index -> value, sized by the rows read
-        lineno = 1
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(lines, start=2):
             try:
                 s_str, a_str, v_str = line.split()
                 s, a, v = int(s_str), int(a_str), float(v_str)
@@ -204,11 +241,11 @@ def load_qtable(path) -> QTable:
             if flat in values:
                 raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) repeated")
             values[flat] = v
-    rows = lineno - 1
-    if rows != n_states * n_actions:
-        raise ValueError(f"{path}: line {lineno + 1}: file ends after {rows} of "
-                         f"{n_states * n_actions} entries")
+        rows = len(lines)
+        if rows != n_states * n_actions:
+            raise ValueError(f"{path}: line {rows + 2}: file ends after {rows} of "
+                             f"{n_states * n_actions} entries")
+        entries = np.fromiter(values, np.intp, rows), np.fromiter(values.values(), float, rows)
     q = QTable(n_states, n_actions, terminal_state=terminal_state)
-    flat = np.fromiter(values, np.intp, rows)
-    q.values.ravel()[flat] = np.fromiter(values.values(), float, rows)  # ravel is a view here
+    q.values.ravel()[entries[0]] = entries[1]  # ravel is a view here
     return q

@@ -370,6 +370,42 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_qtable(path)
 
+    def test_saved_bytes_format_each_entry(self, tmp_path):
+        # repeated values, both signed zeros and an unloadable nan, written as one
+        # f"{s} {a} {value!r}" row per entry
+        q = QTable(3, 3)
+        q.values[:] = [[-0.0, 0.0, -0.0], [1.5, 1.5, 0.1 + 0.2], [np.nan, -1e300, 1.5]]
+        path = tmp_path / "q.txt"
+        save_qtable(q, path)
+        rows = "".join(f"{s} {a} {v!r}\n" for s, row in enumerate(q.values.tolist())
+                       for a, v in enumerate(row))
+        assert path.read_text() == "# states=3 actions=3 terminal=-1\n" + rows
+
+    def test_rows_in_any_layout_load_alike(self, tmp_path):
+        # out of order, padded, tab-separated, signed or zero-padded, no final newline
+        path = tmp_path / "q.txt"
+        path.write_text("# states=2 actions=2 terminal=1\n1 1 0.0\n  0\t+1 -2.5 \n"
+                        "1 0 -0.0\n00 0 1_0.5")
+        loaded = load_qtable(path)
+        np.testing.assert_array_equal(loaded.values, [[10.5, -2.5], [0.0, 0.0]])
+        assert np.signbit(loaded.values[1, 0])
+
+    @pytest.mark.parametrize("body, message", [
+        # every file holds as many rows and tokens as the 2 x 2 table has entries
+        ("0 0\n-1.5 0 1 -2.5\n1 0 0.0\n1 1 0.0\n", "line 2: expected 'state action value'"),
+        ("0 0 -1.5\n0 0 -2.5\n1 0 0.0\n1 1 0.0\n", "line 3: entry (0, 0) repeated"),
+        ("0 0 -1.5\n2 1 -2.5\n1 0 0.0\n1 1 0.0\n", "line 3: entry (2, 1) outside"),
+        ("0 0 -1.5\n0 1 -2.5\n1 0 0.0\n1 1 1e-300\n", "line 5: entry (1, 1) holds 1e-300"),
+        ("0 0 -1.5\n0 1 nan\n1 0 0.0\n1 1 0.0\n", "line 3: entry (0, 1) holds nan"),
+        ("0 0 -1.5\n0 1 x\n1 0 0.0\n1 1 0.0\n", "line 3: expected 'state action value'"),
+        ("0 0 -1.5\n0 1 -2.5\n1 0 0.0\n\n", "line 5: expected 'state action value'"),
+    ])
+    def test_full_length_faults_named(self, tmp_path, body, message):
+        path = tmp_path / "q.txt"
+        path.write_text("# states=2 actions=2 terminal=1\n" + body)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_qtable(path)
+
     @pytest.mark.parametrize("header", ["", "# states=4 actions=4\n",
                                         "# states=4 actions=4 terminal=9\n",
                                         "# states=4 actions=4 terminal=3 \u00e9=1\n"])
