@@ -7,6 +7,8 @@ rewards.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from math import isfinite
 from typing import NamedTuple
@@ -160,92 +162,61 @@ def save_qtable(q: QTable, path) -> None:
                           for a, i in enumerate(row)]))
 
 
-def _rows_at_once(lines, n_states, n_actions, terminal):
-    """(flat indices, values) of a table's rows, or None if any row has a fault.
-
-    Reads the rows by columns and parses each distinct token once. Only when
-    this finds a fault does load_qtable check the rows one by one, to name
-    the line.
-    """
-    if len(lines) != n_states * n_actions or set(map(len, map(str.split, lines))) != {3}:
-        return None
-    tokens = " ".join(lines).split()
-    s_col, a_col, v_col = tokens[0::3], tokens[1::3], tokens[2::3]
-    try:
-        ints = {t: int(t) for t in {*s_col, *a_col}}
-        reals = {t: float(t) for t in set(v_col)}
-    except ValueError:
-        return None
-    s, a = [ints[t] for t in s_col], [ints[t] for t in a_col]
-    if min(s) < 0 or max(s) >= n_states or min(a) < 0 or max(a) >= n_actions:
-        return None
-    s = np.array(s)
-    flat = s * n_actions + np.array(a)
-    values = np.array([reals[t] for t in v_col])
-    seen = np.zeros(len(lines), bool)
-    seen[flat] = True  # one row per entry: every entry seen means none repeated
-    if seen.all() and np.isfinite(values).all() and not values[s == terminal].any():
-        return flat, values
-    return None
-
-
 def load_qtable(path) -> QTable:
     """Inverse of save_qtable; visit counts are not persisted.
 
-    Every (state, action) entry must appear exactly once with a finite
-    value, and the terminal row must read 0.0. A malformed header or row,
-    a byte that is not ASCII, an entry outside the table, a repeated,
-    missing or non-finite entry or a non-zero terminal entry raises
-    ValueError naming the file and line, because a wrong entry would
-    quietly steer the greedy rollout. The table is allocated only once
-    every row has been read, so a header that overstates the rows cannot
-    exhaust memory.
+    One pass reads the rows and parses each distinct token once. The header
+    must be the line save_qtable writes, every (state, action) entry must
+    appear exactly once with a finite value, and the terminal row must read
+    0.0. A malformed header or row, a byte that is not ASCII, an entry
+    outside the table, a repeated, missing or non-finite entry or a non-zero
+    terminal entry raises ValueError naming the file and line, because a
+    wrong entry would quietly steer the greedy rollout. The table is
+    allocated only once every row has been read, so a header that
+    overstates the rows cannot exhaust memory.
     """
-    # a byte that is not ASCII reads as U+FFFD, which no row parses
+    # a byte that is not ASCII reads as U+FFFD, which neither header nor row parses
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        header = fh.readline().strip()
+        header = fh.readline().rstrip("\n")
         try:
-            if "\ufffd" in header:  # even in a key that is not read
-                raise ValueError("a byte is not ASCII")
-            fields = dict(part.split("=") for part in header.lstrip("# ").split())
-            n_states = int(fields["states"])
-            n_actions = int(fields["actions"])
-            terminal = int(fields["terminal"])
+            match = re.fullmatch(r"# states=(\d+) actions=(\d+) terminal=(-1|\d+)", header)
+            if match is None:
+                raise ValueError("expected '# states=S actions=A terminal=T'")
+            n_states, n_actions, terminal = map(int, match.groups())
             terminal_state = None if terminal < 0 else terminal
             _check_shape(n_states, n_actions, terminal_state)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: line 1: bad header {header!r} ({exc})") from None
         lines = fh.read().split("\n")
     if lines[-1] == "":  # what follows the last row's newline
         lines.pop()
-    entries = _rows_at_once(lines, n_states, n_actions, terminal)
-    if entries is None:
-        values = {}  # flat index -> value, sized by the rows read
-        for lineno, line in enumerate(lines, start=2):
-            try:
-                s_str, a_str, v_str = line.split()
-                s, a, v = int(s_str), int(a_str), float(v_str)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected 'state action value', "
-                                 f"got {line.strip()!r}") from None
-            if not (0 <= s < n_states and 0 <= a < n_actions):
-                raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) outside the "
-                                 f"{n_states} x {n_actions} table")
-            if not isfinite(v):
-                raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) holds {v!r}, "
-                                 "not a finite value")
-            if s == terminal and v != 0.0:
-                raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) holds {v!r}, "
-                                 "but the terminal row must read 0.0")
-            flat = s * n_actions + a
-            if flat in values:
-                raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) repeated")
-            values[flat] = v
-        rows = len(lines)
-        if rows != n_states * n_actions:
-            raise ValueError(f"{path}: line {rows + 2}: file ends after {rows} of "
-                             f"{n_states * n_actions} entries")
-        entries = np.fromiter(values, np.intp, rows), np.fromiter(values.values(), float, rows)
+    as_int, as_float = functools.cache(int), functools.cache(float)  # tables repeat tokens
+    values = {}  # flat index -> value, sized by the rows read
+    for lineno, line in enumerate(lines, start=2):
+        try:
+            s_str, a_str, v_str = line.split()
+            s, a, v = as_int(s_str), as_int(a_str), as_float(v_str)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: expected 'state action value', "
+                             f"got {line.strip()!r}") from None
+        if not (0 <= s < n_states and 0 <= a < n_actions):
+            raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) outside the "
+                             f"{n_states} x {n_actions} table")
+        if not isfinite(v):
+            raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) holds {v!r}, "
+                             "not a finite value")
+        if s == terminal and v != 0.0:
+            raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) holds {v!r}, "
+                             "but the terminal row must read 0.0")
+        flat = s * n_actions + a
+        if flat in values:
+            raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) repeated")
+        values[flat] = v
+    rows = len(lines)
+    if rows != n_states * n_actions:
+        raise ValueError(f"{path}: line {rows + 2}: file ends after {rows} of "
+                         f"{n_states * n_actions} entries")
+    entries = np.fromiter(values, np.intp, rows), np.fromiter(values.values(), float, rows)
     q = QTable(n_states, n_actions, terminal_state=terminal_state)
     q.values.ravel()[entries[0]] = entries[1]  # ravel is a view here
     return q

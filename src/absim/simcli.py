@@ -198,6 +198,15 @@ def _fits(errors, label, what, shape):
     return False
 
 
+def _unique_keys(pairs):  # json.load alone keeps the last of a repeated key's values
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path=None):
     """Build (ScenarioConfig, LearningParams) from a JSON file over the defaults.
 
@@ -210,7 +219,7 @@ def load_config(path=None):
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=_unique_keys)
             except ValueError as exc:
                 raise ConfigValidationError([f"{path}: not valid JSON: {exc}"]) from None
         if not isinstance(data, dict):

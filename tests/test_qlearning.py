@@ -327,6 +327,9 @@ class TestConvergenceToOracle:
         assert np.array_equal(learned[unique], oracle[unique])
 
 
+ROWS_2X2 = "0 0 -1.5\n0 1 -2.5\n1 0 0.0\n1 1 0.0\n"  # a 2 x 2 table, terminal state 1
+
+
 class TestPersistence:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -339,6 +342,15 @@ class TestPersistence:
         assert loaded.n_states == 12 and loaded.n_actions == 4
         assert loaded.terminal_state == 7
         np.testing.assert_array_equal(loaded.values, q.values)
+        # repeated values from a small pool: signed zeros, the extremes and a subnormal
+        # keep their bits, whether saved once per distinct value or read once per token
+        pool = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                0.1 + 0.2, -2.5, 1e-300]
+        q = QTable(30, 4)
+        q.values[:] = rng.choice(pool, size=(30, 4))
+        save_qtable(q, path)
+        loaded = load_qtable(path)
+        np.testing.assert_array_equal(loaded.values.view(np.int64), q.values.view(np.int64))
 
     def test_no_terminal_roundtrip(self, tmp_path):
         q = QTable(3, 2)
@@ -408,7 +420,13 @@ class TestPersistence:
 
     @pytest.mark.parametrize("header", ["", "# states=4 actions=4\n",
                                         "# states=4 actions=4 terminal=9\n",
-                                        "# states=4 actions=4 terminal=3 \u00e9=1\n"])
+                                        "# states=4 actions=4 terminal=3 \u00e9=1\n",
+                                        # headers save_qtable never writes, each followed
+                                        # by the rows of a 2 x 2 table with terminal state 1
+                                        "states=2 actions=2 terminal=1\n" + ROWS_2X2,
+                                        "# actions=2 states=2 terminal=1\n" + ROWS_2X2,
+                                        "# states=2 actions=2 terminal=1 users=2\n" + ROWS_2X2,
+                                        "# states=3 actions=2 terminal=1 states=2\n" + ROWS_2X2])
     def test_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "q.txt"
         path.write_text(header, encoding="utf-8")

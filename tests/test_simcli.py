@@ -720,11 +720,19 @@ class TestCli:
             assert message in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_validate_truncated_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ('{"area": {"cells_per_axis": 3', "not valid JSON"),
+        # json.load alone would keep the second section and train 2,000 episodes
+        ('{"learning": {"max_episodes": 3}, "learning": {"gamma": 0.5}}',
+         "key 'learning' appears twice in one object"),
+        ('{"learning": {"gamma": 0.5, "gamma": 0.6}}', "key 'gamma' appears twice"),
+    ], ids=["truncated", "repeated_section", "repeated_field"])
+    def test_validate_truncated_json(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
-        path.write_text('{"area": {"cells_per_axis": 3')
+        path.write_text(text)
         assert main(["validate-config", "--config", str(path)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err and "Traceback" not in err
 
     def test_rollout_truncated_checkpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_dict(2))
