@@ -148,7 +148,6 @@ def _overflow_errors(config: ScenarioConfig) -> list[str]:
 class EpisodeStats:
     """Per-episode aggregates; arrays are indexed by agent."""
 
-    episode: int
     avg_sum_rate: np.ndarray
     steps_to_terminal: np.ndarray
     cumulative_reward: np.ndarray
@@ -303,19 +302,12 @@ class Environment:
             f1, f2, f3 = rates[j], self._to_final[j][s], 1.0 if near[j] else 0.0
             total = cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
             terms[j] = f1, f2, f3
-            transitions.append(Transition(old_states[j], int(actions[j]), total, s,
-                                          parked[j]))
+            transitions.append(Transition(old_states[j], actions[j], total, s))
         return transitions, terms
 
 
-def _step_cap(max_steps: int | None, area: AreaSpec) -> int:
-    """Step cap of an episode or a rollout: the given one, else four per cell."""
-    return max_steps if max_steps is not None else 4 * area.n_states
-
-
 def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
-                rng: np.random.Generator, epsilon: float | None = None,
-                episode_index: int | None = None) -> EpisodeStats:
+                rng: np.random.Generator, epsilon: float) -> EpisodeStats:
     """One learning episode from the initial states to all-terminal or the step cap.
 
     Agents that reach their terminal cell park there: no more actions,
@@ -324,7 +316,9 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
     env.reset()
     cfg = env.config
     j_count = cfg.n_agents
-    max_steps = _step_cap(params.max_steps_per_episode, cfg.area)
+    max_steps = params.max_steps_per_episode
+    if max_steps is None:  # four steps per cell, as in the greedy rollout
+        max_steps = 4 * cfg.area.n_states
 
     # per-agent tallies stay Python scalars until the episode ends; an agent
     # acts every step until it parks, so step_count is its steps to terminal
@@ -337,8 +331,7 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
         active = [j for j in range(j_count) if not env.parked[j]]
         if not active:
             break
-        actions = {j: select_action(qtables[j], env.states[j], params, rng, epsilon=epsilon)
-                   for j in active}
+        actions = {j: select_action(qtables[j], env.states[j], epsilon, rng) for j in active}
         transitions, terms = env.step_all(actions, rng)
         for j, tr in zip(active, transitions):
             update(qtables[j], tr, params)
@@ -349,7 +342,6 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
                 collisions += 1
 
     return EpisodeStats(
-        episode=episode_index if episode_index is not None else 0,
         avg_sum_rate=np.array(f1_sum) / np.maximum(step_count, 1),
         steps_to_terminal=np.array(step_count),
         cumulative_reward=np.array(cum_reward),
@@ -391,8 +383,7 @@ def train(config: ScenarioConfig, params: LearningParams, master_seed: int):
     eps = params.epsilon
     for e in range(params.max_episodes):
         rng = derive_stream(master_seed, PURPOSE_EPISODE, e)
-        stats_list.append(run_episode(env, qtables, params, rng, epsilon=eps,
-                                      episode_index=e + 1))
+        stats_list.append(run_episode(env, qtables, params, rng, eps))
         eps *= params.epsilon_decay
     return qtables, stats_list
 
@@ -423,9 +414,8 @@ class TrajectoryRollout:
     cycle_detected: bool
 
 
-def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
-                       max_steps: int | None = None) -> TrajectoryRollout:
-    """Deterministic greedy rollout of the trained policies.
+def extract_trajectory(config: ScenarioConfig, qtables: list[QTable]) -> TrajectoryRollout:
+    """Deterministic greedy rollout of the trained policies, capped at four steps per cell.
 
     Movement only, through Environment.move: exploration and fading play no
     role. A revisited joint state before all agents arrive means the greedy
@@ -443,7 +433,6 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
                                    f"{q.terminal_state}, the config needs {n_states} x "
                                    f"{n_actions} with terminal state {final}")
     policies = [greedy_policy(q).tolist() for q in qtables]
-    cap = _step_cap(max_steps, config.area)
     trajectories = [[] for _ in policies]
     min_pairwise = float("inf")
     violation_steps = []
@@ -461,7 +450,7 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable],
             violation_steps.append(steps)
         key = tuple(env.states)  # a station is parked exactly on its final cell
         cycle = key in seen
-        if cycle or all(env.parked) or steps >= cap:
+        if cycle or all(env.parked) or steps >= 4 * n_states:
             break
         seen.add(key)
         active = [j for j, parked in enumerate(env.parked) if not parked]

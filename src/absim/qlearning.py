@@ -76,38 +76,34 @@ class Transition(NamedTuple):
     action: int
     reward: float
     next_state: int
-    terminal: bool
 
 
-def _check_shape(n_states: int, n_actions: int, terminal_state: int | None) -> None:
+def _check_shape(n_states: int, n_actions: int, terminal_state: int) -> None:
     if n_states < 1 or n_actions < 1:
         raise ValueError("table needs at least one state and action")
-    if terminal_state is not None and not 0 <= terminal_state < n_states:
+    if not 0 <= terminal_state < n_states:
         raise ValueError("terminal_state outside the table")
 
 
 class QTable:
     """Action-value table for one agent, with its terminal row pinned to zero."""
 
-    def __init__(self, n_states: int, n_actions: int = 4,
-                 terminal_state: int | None = None, initial_value: float = 0.0):
+    def __init__(self, n_states: int, n_actions: int, terminal_state: int,
+                 initial_value: float = 0.0):
         _check_shape(n_states, n_actions, terminal_state)
         self.n_states = n_states
         self.n_actions = n_actions
         self.terminal_state = terminal_state
         self.values = np.full((n_states, n_actions), float(initial_value))
         self.visits = np.zeros((n_states, n_actions), dtype=np.int64)
-        if terminal_state is not None:
-            self.values[terminal_state, :] = 0.0
+        self.values[terminal_state, :] = 0.0
 
 
-def select_action(q: QTable, state: int, params: LearningParams,
-                  rng: np.random.Generator, epsilon: float | None = None) -> int:
+def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy draw: explore uniformly, else argmax with random tie-break."""
     if state == q.terminal_state:
         raise ValueError("cannot select an action from the terminal state")
-    eps = params.epsilon if epsilon is None else epsilon
-    if eps > 0.0 and rng.random() < eps:
+    if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(q.n_actions))
     # a 4-float row is cheaper to scan as a Python list than through numpy
     row = q.values[state].tolist()
@@ -154,9 +150,8 @@ def save_qtable(q: QTable, path) -> None:
     bits, at = np.unique(np.ascontiguousarray(q.values, float).view(np.int64),
                          return_inverse=True)
     text = [repr(v) for v in bits.view(float).tolist()]
-    term = -1 if q.terminal_state is None else q.terminal_state
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# states={q.n_states} actions={q.n_actions} terminal={term}\n")
+        fh.write(f"# states={q.n_states} actions={q.n_actions} terminal={q.terminal_state}\n")
         fh.write("".join([f"{s} {a} {text[i]}\n"
                           for s, row in enumerate(at.reshape(q.values.shape).tolist())
                           for a, i in enumerate(row)]))
@@ -179,12 +174,11 @@ def load_qtable(path) -> QTable:
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         try:
-            match = re.fullmatch(r"# states=(\d+) actions=(\d+) terminal=(-1|\d+)", header)
+            match = re.fullmatch(r"# states=(\d+) actions=(\d+) terminal=(\d+)", header)
             if match is None:
                 raise ValueError("expected '# states=S actions=A terminal=T'")
             n_states, n_actions, terminal = map(int, match.groups())
-            terminal_state = None if terminal < 0 else terminal
-            _check_shape(n_states, n_actions, terminal_state)
+            _check_shape(n_states, n_actions, terminal)
         except ValueError as exc:
             raise ValueError(f"{path}: line 1: bad header {header!r} ({exc})") from None
         lines = fh.read().split("\n")
@@ -217,6 +211,6 @@ def load_qtable(path) -> QTable:
         raise ValueError(f"{path}: line {rows + 2}: file ends after {rows} of "
                          f"{n_states * n_actions} entries")
     entries = np.fromiter(values, np.intp, rows), np.fromiter(values.values(), float, rows)
-    q = QTable(n_states, n_actions, terminal_state=terminal_state)
+    q = QTable(n_states, n_actions, terminal)
     q.values.ravel()[entries[0]] = entries[1]  # ravel is a view here
     return q

@@ -94,11 +94,10 @@ _BUILDS = {"area": AreaSpec, "propagation": PropagationParams, "gbs": GbsSpec,
 DEFAULT_ABS = [{"initial_cell": [1, 1], "final_cell": [30, 30]},
                {"initial_cell": [30, 1], "final_cell": [1, 30]}]
 DEFAULT_USERS = {"count": 20, "placement_seed": 101}
-RETIRED_KEYS = ("velocity_m_per_s",)  # top-level keys older configs may still name
 
 # the keys each JSON object of the config may hold; None is the top level
 _KNOWN = {section: {row[1] for row in _FIELDS if row[0] == section} for section, *_ in _FIELDS}
-_KNOWN[None] |= {"abs", "users", *RETIRED_KEYS, *filter(None, _KNOWN)}
+_KNOWN[None] |= {"abs", "users", *filter(None, _KNOWN)}
 _KNOWN["users"] = {"positions_m", "association", *DEFAULT_USERS}
 CELL_KEYS = ("initial_cell", "final_cell")  # of each entry in the abs list
 # Largest array, in elements, that a config size may make: the user
@@ -341,13 +340,12 @@ def write_metrics(stats_list, path, n_agents: int) -> None:
     header = ["episode", "mean_sum_rate", "collision_steps"]
     header += [f"{name}_agent{j}" for name in groups for j in range(n_agents)]
     # convert numpy scalars first: their repr differs from float's
-    _write_rows(path, header, ([str(st.episode), repr(st.mean_sum_rate),
-                                str(st.collision_steps),
+    _write_rows(path, header, ([str(e), repr(st.mean_sum_rate), str(st.collision_steps),
                                 *(repr(float(v)) for v in st.avg_sum_rate),
                                 *(str(int(v)) for v in st.steps_to_terminal),
                                 *(repr(float(v)) for v in st.cumulative_reward),
                                 *(str(int(v)) for v in st.reached)]
-                               for st in stats_list))
+                               for e, st in enumerate(stats_list, start=1)))
 
 
 def _read_lines(path):

@@ -99,6 +99,5 @@ def joint_step(config, states, parked, powers, actions, rng):
         f3 = 1.0 if near[j] else 0.0
         terms[j] = (f1, f2, f3)
         reward = config.beta1 * f1 - config.beta2 * f2 - config.beta3 * f3
-        transitions.append(Transition(states[j], int(actions[j]), reward, new_states[j],
-                                      new_parked[j]))
+        transitions.append(Transition(states[j], int(actions[j]), reward, new_states[j]))
     return new_states, new_parked, new_powers, transitions, terms

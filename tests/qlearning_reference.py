@@ -18,13 +18,11 @@ from absim.qlearning import LearningParams, QTable, Transition
 _ORACLE_MAX_STATES = 4096
 
 
-def select_action(q: QTable, state: int, params: LearningParams,
-                  rng: np.random.Generator, epsilon: float | None = None) -> int:
+def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy draw: explore uniformly, else argmax with random tie-break."""
     if state == q.terminal_state:
         raise ValueError("cannot select an action from the terminal state")
-    eps = params.epsilon if epsilon is None else epsilon
-    if eps > 0.0 and rng.random() < eps:
+    if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(q.n_actions))
     row = q.values[state]
     ties = np.flatnonzero(row == row.max())

@@ -179,12 +179,11 @@ def test_criterion_5_qlearning_convergence_oracle():
         a = int(rng.integers(4))
         for _ in range(100):
             s2 = int(next_state[s, a])
-            update(q, Transition(s, a, float(rewards[s, a]), s2,
-                                 bool(terminal[s2])), params)
+            update(q, Transition(s, a, float(rewards[s, a]), s2), params)
             if terminal[s2]:
                 break
             s = s2
-            a = select_action(q, s, params, rng)
+            a = select_action(q, s, params.epsilon, rng)
         episodes += 1
         if episodes % 2000 == 0:
             gap = float(np.abs(q.values - q_star).max())

@@ -57,34 +57,31 @@ def grid_world(m=4, goal=None, beta2=0.25, gamma=0.9):
 
 class TestSelectAction:
     def test_pure_exploration_uniform(self):
-        q = QTable(4, 4)
+        q = QTable(4, 4, terminal_state=3)
         q.values[0] = [5.0, 0.0, 0.0, 0.0]
-        params = LearningParams(epsilon=1.0)
         rng = np.random.default_rng(0)
         counts = np.zeros(4)
         draws = 10_000
         for _ in range(draws):
-            counts[select_action(q, 0, params, rng)] += 1
+            counts[select_action(q, 0, 1.0, rng)] += 1
         # each frequency within 3 sigma of 1/4
         sigma = np.sqrt(0.25 * 0.75 / draws)
         assert np.all(np.abs(counts / draws - 0.25) < 3 * sigma)
 
     def test_pure_exploitation_argmax(self):
-        q = QTable(4, 4)
+        q = QTable(4, 4, terminal_state=3)
         q.values[2] = [1.0, 0.0, 0.0, 0.0]
-        params = LearningParams(epsilon=0.0)
         rng = np.random.default_rng(1)
-        assert all(select_action(q, 2, params, rng) == 0 for _ in range(50))
+        assert all(select_action(q, 2, 0.0, rng) == 0 for _ in range(50))
 
     def test_tie_break_uniform(self):
-        q = QTable(2, 4)
+        q = QTable(2, 4, terminal_state=1)
         q.values[0] = [1.0, 1.0, 0.0, 0.0]
-        params = LearningParams(epsilon=0.0)
         rng = np.random.default_rng(2)
         draws = 10_000
         counts = np.zeros(4)
         for _ in range(draws):
-            counts[select_action(q, 0, params, rng)] += 1
+            counts[select_action(q, 0, 0.0, rng)] += 1
         assert counts[2] == counts[3] == 0
         sigma = np.sqrt(0.5 * 0.5 / draws)
         assert abs(counts[0] / draws - 0.5) < 3 * sigma
@@ -92,49 +89,41 @@ class TestSelectAction:
     def test_terminal_state_rejected(self):
         q = QTable(4, 4, terminal_state=3)
         with pytest.raises(ValueError):
-            select_action(q, 3, LearningParams(), np.random.default_rng(0))
-
-    def test_epsilon_override(self):
-        q = QTable(2, 4)
-        q.values[0] = [1.0, 0.0, 0.0, 0.0]
-        params = LearningParams(epsilon=1.0)
-        rng = np.random.default_rng(3)
-        assert all(select_action(q, 0, params, rng, epsilon=0.0) == 0
-                   for _ in range(20))
+            select_action(q, 3, 0.1, np.random.default_rng(0))
 
 
 class TestUpdate:
     def test_zero_alpha_no_change(self):
-        q = QTable(3, 4)
+        q = QTable(3, 4, terminal_state=1)
         q.values[:] = 7.0
-        update(q, Transition(0, 1, 5.0, 2, False), LearningParams(alpha=0.0))
+        update(q, Transition(0, 1, 5.0, 2), LearningParams(alpha=0.0))
         assert q.values[0, 1] == 7.0
 
     def test_full_replacement_no_bootstrap(self):
-        q = QTable(3, 4)
-        update(q, Transition(0, 2, 5.0, 1, False),
+        q = QTable(3, 4, terminal_state=2)
+        update(q, Transition(0, 2, 5.0, 1),
                LearningParams(alpha=1.0, gamma=0.0))
         assert q.values[0, 2] == 5.0
 
     def test_hand_computed_target(self):
-        q = QTable(3, 4)
+        q = QTable(3, 4, terminal_state=2)
         q.values[1] = [0.0, 2.0, 1.0, 0.0]
-        update(q, Transition(0, 0, 1.0, 1, False),
+        update(q, Transition(0, 0, 1.0, 1),
                LearningParams(alpha=0.5, gamma=0.9))
         assert q.values[0, 0] == pytest.approx(1.4, abs=1e-12)
 
     def test_update_is_local(self):
-        q = QTable(4, 4)
+        q = QTable(4, 4, terminal_state=0)
         q.values[:] = -3.0
         before = q.values.copy()
-        update(q, Transition(1, 2, 8.0, 3, False), LearningParams(alpha=0.3))
+        update(q, Transition(1, 2, 8.0, 3), LearningParams(alpha=0.3))
         changed = q.values != before
         assert changed.sum() == 1 and changed[1, 2]
 
     def test_terminal_bootstrap_is_zero(self):
         q = QTable(3, 4, terminal_state=2)
         q.values[0, 1] = -1.0
-        update(q, Transition(0, 1, 4.0, 2, True),
+        update(q, Transition(0, 1, 4.0, 2),
                LearningParams(alpha=1.0, gamma=0.9))
         # target r + gamma * 0, because the terminal row is pinned
         assert q.values[0, 1] == 4.0
@@ -143,27 +132,27 @@ class TestUpdate:
     def test_transition_from_terminal_rejected(self):
         q = QTable(3, 4, terminal_state=1)
         with pytest.raises(ValueError):
-            update(q, Transition(1, 0, 0.0, 0, False), LearningParams())
+            update(q, Transition(1, 0, 0.0, 0), LearningParams())
 
     @pytest.mark.parametrize("reward, value", [(-np.inf, 0.0), (-1e308, -1e308),
                                                (np.nan, 0.0)])
     def test_non_finite_result_rejected(self, reward, value):
         # -inf, an overflow of two finite values, and NaN would each spread
         # through the table; the entry and its visit count stay as they were
-        q = QTable(3, 4, initial_value=value)
+        q = QTable(3, 4, terminal_state=1, initial_value=value)
         with pytest.raises(ValueError, match=r"update of entry \(0, 1\) gives"):
-            update(q, Transition(0, 1, reward, 2, False),
+            update(q, Transition(0, 1, reward, 2),
                    LearningParams(alpha=1.0, gamma=0.9))
         assert q.values[0, 1] == value and q.visits[0, 1] == 0
 
     def test_visit_count_schedule(self):
-        q = QTable(2, 4)
+        q = QTable(2, 4, terminal_state=1)
         params = LearningParams(alpha_schedule="visit_count", gamma=0.0)
-        update(q, Transition(0, 0, 10.0, 1, False), params)  # alpha = 1
+        update(q, Transition(0, 0, 10.0, 1), params)  # alpha = 1
         assert q.values[0, 0] == 10.0
-        update(q, Transition(0, 0, 0.0, 1, False), params)   # alpha = 1/2
+        update(q, Transition(0, 0, 0.0, 1), params)   # alpha = 1/2
         assert q.values[0, 0] == 5.0
-        update(q, Transition(0, 0, 2.0, 1, False), params)   # alpha = 1/3
+        update(q, Transition(0, 0, 2.0, 1), params)   # alpha = 1/3
         assert q.values[0, 0] == 4.0
 
     def test_bounded_values_envelope(self):
@@ -171,13 +160,13 @@ class TestUpdate:
         # [min(0, r_min)/(1-g), max(0, r_max)/(1-g)]
         rng = np.random.default_rng(5)
         params = LearningParams(alpha=0.5, gamma=0.8)
-        q = QTable(6, 4)
+        q = QTable(7, 4, terminal_state=6)  # the updates use states 0-5 only
         r_min, r_max = -3.0, 2.0
         lo, hi = r_min / (1 - 0.8), r_max / (1 - 0.8)
         for _ in range(3000):
             s, a, s2 = rng.integers(6), rng.integers(4), rng.integers(6)
             r = rng.uniform(r_min, r_max)
-            update(q, Transition(int(s), int(a), float(r), int(s2), False), params)
+            update(q, Transition(int(s), int(a), float(r), int(s2)), params)
             assert np.all(q.values >= lo - 1e-9) and np.all(q.values <= hi + 1e-9)
 
 
@@ -208,12 +197,11 @@ class TestMatchesNumpyReference:
            seed=st.integers(0, 2**32 - 1))
     def test_select_action_same_action_and_draws(self, values, states, epsilon, seed):
         q, q_ref = table_pair(values)
-        params = LearningParams(epsilon=epsilon)
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for s in states:
-            got = select_action(q, s, params, rng)
+            got = select_action(q, s, epsilon, rng)
             assert type(got) is int
-            assert got == reference.select_action(q_ref, s, params, rng_ref)
+            assert got == reference.select_action(q_ref, s, epsilon, rng_ref)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     @REFERENCE_SETTINGS
@@ -229,7 +217,7 @@ class TestMatchesNumpyReference:
         q, q_ref = table_pair(values, visits)
         params = LearningParams(alpha=alpha, gamma=gamma, alpha_schedule=schedule)
         for s, a, r, s_next in steps:
-            t = Transition(s, a, r, s_next, s_next == 4)
+            t = Transition(s, a, r, s_next)
             update(q, t, params)
             reference.update(q_ref, t, params)
         assert q.values.tobytes() == q_ref.values.tobytes()
@@ -238,11 +226,11 @@ class TestMatchesNumpyReference:
 
 class TestGreedyPolicy:
     def test_all_zero_ties_to_first_action(self):
-        q = QTable(5, 4)
+        q = QTable(5, 4, terminal_state=4)
         assert greedy_policy(q).tolist() == [0] * 5
 
     def test_argmax(self):
-        q = QTable(2, 4)
+        q = QTable(3, 4, terminal_state=2)
         q.values[0] = [0.0, 0.0, 5.0, 0.0]
         q.values[1] = [1.0, 3.0, 2.0, 3.0]
         policy = greedy_policy(q)
@@ -306,12 +294,11 @@ class TestConvergenceToOracle:
             a = int(rng.integers(4))
             for _ in range(100):
                 s2 = int(next_state[s, a])
-                update(q, Transition(s, a, float(rewards[s, a]), s2,
-                                     bool(terminal[s2])), params)
+                update(q, Transition(s, a, float(rewards[s, a]), s2), params)
                 if terminal[s2]:
                     break
                 s = s2
-                a = select_action(q, s, params, rng)
+                a = select_action(q, s, params.epsilon, rng)
         gap = np.abs(q.values - q_star).max()
         assert gap <= 0.05  # loose here; the acceptance suite pins 1e-2 at 50k
 
@@ -346,20 +333,11 @@ class TestPersistence:
         # keep their bits, whether saved once per distinct value or read once per token
         pool = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                 0.1 + 0.2, -2.5, 1e-300]
-        q = QTable(30, 4)
-        q.values[:] = rng.choice(pool, size=(30, 4))
+        q = QTable(30, 4, terminal_state=29)
+        q.values[:29] = rng.choice(pool, size=(29, 4))
         save_qtable(q, path)
         loaded = load_qtable(path)
         np.testing.assert_array_equal(loaded.values.view(np.int64), q.values.view(np.int64))
-
-    def test_no_terminal_roundtrip(self, tmp_path):
-        q = QTable(3, 2)
-        q.values[1, 1] = -0.123456789012345
-        path = tmp_path / "q.txt"
-        save_qtable(q, path)
-        loaded = load_qtable(path)
-        assert loaded.terminal_state is None
-        np.testing.assert_array_equal(loaded.values, q.values)
 
     @pytest.mark.parametrize("body, message", [
         # header promises 16 entries, one row follows
@@ -385,13 +363,13 @@ class TestPersistence:
     def test_saved_bytes_format_each_entry(self, tmp_path):
         # repeated values, both signed zeros and an unloadable nan, written as one
         # f"{s} {a} {value!r}" row per entry
-        q = QTable(3, 3)
-        q.values[:] = [[-0.0, 0.0, -0.0], [1.5, 1.5, 0.1 + 0.2], [np.nan, -1e300, 1.5]]
+        q = QTable(4, 3, terminal_state=3)
+        q.values[:3] = [[-0.0, 0.0, -0.0], [1.5, 1.5, 0.1 + 0.2], [np.nan, -1e300, 1.5]]
         path = tmp_path / "q.txt"
         save_qtable(q, path)
         rows = "".join(f"{s} {a} {v!r}\n" for s, row in enumerate(q.values.tolist())
                        for a, v in enumerate(row))
-        assert path.read_text() == "# states=3 actions=3 terminal=-1\n" + rows
+        assert path.read_text() == "# states=4 actions=3 terminal=3\n" + rows
 
     def test_rows_in_any_layout_load_alike(self, tmp_path):
         # out of order, padded, tab-separated, signed or zero-padded, no final newline
@@ -426,7 +404,9 @@ class TestPersistence:
                                         "states=2 actions=2 terminal=1\n" + ROWS_2X2,
                                         "# actions=2 states=2 terminal=1\n" + ROWS_2X2,
                                         "# states=2 actions=2 terminal=1 users=2\n" + ROWS_2X2,
-                                        "# states=3 actions=2 terminal=1 states=2\n" + ROWS_2X2])
+                                        "# states=3 actions=2 terminal=1 states=2\n" + ROWS_2X2,
+                                        # a table needs a terminal state
+                                        "# states=2 actions=2 terminal=-1\n" + ROWS_2X2])
     def test_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "q.txt"
         path.write_text(header, encoding="utf-8")
@@ -434,7 +414,7 @@ class TestPersistence:
             load_qtable(path)
 
     @pytest.mark.parametrize("header, reason", [
-        ("# states=0 actions=4 terminal=-1", "table needs at least one state and action"),
+        ("# states=0 actions=4 terminal=0", "table needs at least one state and action"),
         ("# states=4 actions=4 terminal=9", "terminal_state outside the table"),
     ])
     def test_bad_header_gives_table_reason(self, tmp_path, header, reason):

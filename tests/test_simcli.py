@@ -240,15 +240,6 @@ class TestLoadConfig:
         assert "users.positions_m: every coordinate must be a finite number" \
             in capsys.readouterr().err
 
-    def test_velocity_key_ignored(self, tmp_path):
-        # velocity_m_per_s entered no computation and is no longer a field;
-        # it is a retired key: older configs that name it still load, while
-        # any other unknown key is rejected
-        config, params = load_config(write_config(tmp_path, {"velocity_m_per_s": 10.0}))
-        snapshot = config_to_dict(config, params)
-        assert "velocity_m_per_s" not in snapshot
-        assert snapshot == config_to_dict(*load_config())
-
     def test_unknown_keys_listed_with_field_errors(self, tmp_path):
         path = write_config(tmp_path, {"p_max_watt": 5, "n_subchannels": 0.5,
                                        "learning": {"max_episode": 3, "gamma": 2.0}})
@@ -311,6 +302,8 @@ class TestLoadConfig:
          f"users.placement_seed: must be in [0, 2^64), got {2 ** 64}"),
         ({"users": {"placement_seed": 1e30}},
          f"users.placement_seed: must be in [0, 2^64), got {int(1e30)}"),
+        # a key that entered no computation, and is no field now
+        ({"velocity_m_per_s": 10.0}, "scenario: unknown key 'velocity_m_per_s'"),
     ])
     def test_config_error_named(self, tmp_path, capsys, data, message):
         assert main(["validate-config", "--config", write_config(tmp_path, data)]) == 2
@@ -753,7 +746,7 @@ class TestCli:
         assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
         (out / "manifest.json").unlink()
         (out / "qtable_agent0.txt").write_text(
-            "# states=10000000000000 actions=4 terminal=-1\n0 0 1.0\n0 1 1.0\n0 2 1.0\n")
+            "# states=10000000000000 actions=4 terminal=1\n0 0 1.0\n0 1 1.0\n0 2 1.0\n")
         code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
                      "--out", str(tmp_path / "roll.csv")])
         assert code == 2
@@ -774,7 +767,6 @@ class TestCli:
 
     @pytest.mark.parametrize("edit, found, needed", [
         ("final_cell", "15", "12"),  # rolled out for another final cell
-        ("header", "None", "15"),    # header edited to terminal=-1
     ])
     def test_rollout_checkpoint_for_another_final_cell(self, tmp_path, capsys, edit,
                                                        found, needed):
@@ -785,11 +777,7 @@ class TestCli:
         assert main(["train", "--config", write_config(tmp_path, data),
                      "--out-dir", str(out)]) == 0
         (out / "manifest.json").unlink()
-        if edit == "final_cell":
-            data["abs"][0]["final_cell"] = [1, 4]
-        else:
-            table = out / "qtable_agent0.txt"
-            table.write_text(table.read_text().replace("terminal=15", "terminal=-1", 1))
+        data["abs"][0][edit] = [1, 4]
         roll = tmp_path / "roll.csv"
         code = main(["rollout", "--config", write_config(tmp_path, data, "roll.json"),
                      "--qtable-dir", str(out), "--out", str(roll)])
