@@ -76,8 +76,8 @@ class GbsSpec:
     """
 
     enabled: bool = False
-    x: float = 0.0
-    y: float = 0.0
+    x: float = 1500.0
+    y: float = 1500.0
     height: float = 10.0
     power_per_subchannel: float = 0.0
 

@@ -101,13 +101,16 @@ class ScenarioConfig:
 
 
 def _overflow_errors(config: ScenarioConfig) -> list[str]:
-    """A gain that would be zero or not finite, or an area diagonal that overflows.
+    """A gain, or a product one step makes of gains, that would be zero or not
+    finite, or an area diagonal that overflows.
 
     Path loss lies between eta_los and eta_nlos times the free-space loss,
     and both grow with distance, so the gains from a transmitter are bounded
     by its nearest and farthest links. A station may fly straight over a
     user or across the box that holds the area and the users; the ground
-    transmitter's links are its row to the users.
+    transmitter's links are its row to the users. From those bounds come
+    the interference, the water level over its floors (interference +
+    noise) / gain, and the SNR that one step can reach.
     """
     area, prop, gbs, users = config.area, config.propagation, config.gbs, config.users_xy
     (x0, y0), (x1, y1) = users.min(axis=0).tolist(), users.max(axis=0).tolist()
@@ -121,8 +124,9 @@ def _overflow_errors(config: ScenarioConfig) -> list[str]:
                                            float(row.max()))
     per_meter = 4.0 * math.pi * prop.carrier_freq / prop.speed_of_light
     errors = []
+    bounds = {}  # per transmitter: its weakest and strongest gain
     for name, (section, height, nearest, farthest) in reach.items():
-        gains = []
+        gains = bounds[name] = []
         for horizontal, excess in ((farthest, prop.eta_nlos), (nearest, prop.eta_los)):
             # free-space loss as in path_loss_to_users; ** would raise on overflow
             ratio = per_meter * math.sqrt(horizontal * horizontal + height * height)
@@ -132,6 +136,18 @@ def _overflow_errors(config: ScenarioConfig) -> list[str]:
             errors.append(f"gains from {name} would span {gains[0]!r} to {gains[1]!r}; "
                           f"{section}, users and propagation must keep them finite and "
                           "positive")
+    if not errors:  # a station sends at most p_max on a sub-channel
+        margin = 2.0 ** 64  # how far a fading draw may scale a gain, either way
+        weakest, strongest = bounds["stations"]
+        ground = bounds.get("the ground transmitter", [0.0, 0.0])[1] * gbs.power_per_subchannel
+        interference = (config.n_agents * config.p_max * strongest + ground) * margin
+        floor = (interference + prop.noise_power) / weakest * margin
+        for what, value in (("interference", interference),
+                            ("the water level", config.p_max + config.n_subchannels * floor),
+                            ("the SNR", config.p_max * strongest * margin / prop.noise_power)):
+            if not value < math.inf:
+                errors.append(f"{what} of one step could reach {value!r}; p_max, gbs and "
+                              "propagation must keep it finite")
     try:  # the largest separation of two stations, as a distance penalty too
         diagonal = dist_to_final(Position3D(area.x_min, area.y_min, 0.0),
                                  Position3D(area.x_max, area.y_max, 0.0),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absim.environment import ScenarioConfig
 from absim.geometry import GridState
-from absim.simcli import (ConfigValidationError, PlotDataError, config_to_dict,
-                          emit_plot_data, load_config, main, read_metrics,
+from absim.simcli import (_BUILDS, _FIELDS, ConfigValidationError, PlotDataError,
+                          config_to_dict, emit_plot_data, load_config, main, read_metrics,
                           read_trajectory, run_train, smooth_series)
 
 
@@ -59,6 +61,14 @@ def write_with_token(tmp_path, data, token):
 
 
 class TestLoadConfig:
+    def test_dataclass_defaults_match_fields(self):
+        # _FIELDS holds the config defaults; a class default that differs is a second source
+        owners = {**_BUILDS, None: ScenarioConfig, "reward_weights": ScenarioConfig}
+        for section, key, attr, _, default in _FIELDS:
+            field = {f.name: f for f in dataclasses.fields(owners[section])}[attr]
+            if field.default is not dataclasses.MISSING:
+                assert field.default == default, key
+
     def test_defaults_mirror_headline_scenario(self):
         config, params = load_config()
         assert config.area.cells_per_axis == 30
@@ -679,6 +689,17 @@ class TestCli:
           "gbs": {"enabled": True, "x_m": 100.0, "y_m": 100.0, "height_m": 1e-200,
                   "power_per_subchannel_watts": 0.001}},
          "gbs", "gains from the ground transmitter would span"),
+        # gains that stay finite, but not one step's products of them: noise over
+        # a gain, station and ground powers times gains, and the SNR
+        ({"propagation": {"noise_power_watts": 1e300}}, "propagation",
+         "the water level of one step could reach inf"),
+        ({"p_max_watts": 1e308, "propagation": {"carrier_freq_hz": 1.0}}, "p_max",
+         "interference of one step could reach inf"),
+        ({"gbs": {"enabled": True, "power_per_subchannel_watts": 1e308},
+          "propagation": {"carrier_freq_hz": 1.0}}, "gbs",
+         "interference of one step could reach inf"),
+        ({"p_max_watts": 1e300, "propagation": {"noise_power_watts": 1e-300}}, "p_max",
+         "the SNR of one step could reach inf"),
     ])
     def test_overflowing_config_exits_2(self, tmp_path, capsys, data, section, message):
         data["learning"] = {"max_episodes": 1, "max_steps_per_episode": 3}
