@@ -136,10 +136,11 @@ def _overflow_errors(config: ScenarioConfig) -> list[str]:
             errors.append(f"gains from {name} would span {gains[0]!r} to {gains[1]!r}; "
                           f"{section}, users and propagation must keep them finite and "
                           "positive")
-    if not errors:  # a station sends at most p_max on a sub-channel
+    if not errors:
         margin = 2.0 ** 64  # how far a fading draw may scale a gain, either way
         weakest, strongest = bounds["stations"]
         ground = bounds.get("the ground transmitter", [0.0, 0.0])[1] * gbs.power_per_subchannel
+        # a station sends at most p_max on a sub-channel
         interference = (config.n_agents * config.p_max * strongest + ground) * margin
         floor = (interference + prop.noise_power) / weakest * margin
         for what, value in (("interference", interference),
