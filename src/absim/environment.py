@@ -31,6 +31,7 @@ __all__ = [
     "TableMismatch",
     "TrajectoryRollout",
     "extract_trajectory",
+    "overflow_errors",
     "pessimistic_q_init",
     "run_episode",
     "train",
@@ -90,8 +91,6 @@ class ScenarioConfig:
             errors.append("reward weights must be non-negative")
         if self.distance_exponent not in (1, 2):
             errors.append("distance_exponent must be 1 or 2")
-        if not errors:
-            errors += _overflow_errors(self)
         if errors:
             raise ValueError("\n".join(errors))
 
@@ -100,9 +99,9 @@ class ScenarioConfig:
         return len(self.initial_states)
 
 
-def _overflow_errors(config: ScenarioConfig) -> list[str]:
-    """A gain, or a product one step makes of gains, that would be zero or not
-    finite, or an area diagonal that overflows.
+def overflow_errors(config: ScenarioConfig, params: LearningParams) -> list[str]:
+    """One line per number that training with config and params could make
+    zero or not finite; [] when there is none.
 
     Path loss lies between eta_los and eta_nlos times the free-space loss,
     and both grow with distance, so the gains from a transmitter are bounded
@@ -110,7 +109,8 @@ def _overflow_errors(config: ScenarioConfig) -> list[str]:
     user or across the box that holds the area and the users; the ground
     transmitter's links are its row to the users. From those bounds come
     the interference, the water level over its floors (interference +
-    noise) / gain, and the SNR that one step can reach.
+    noise) / gain, and the SNR that one step can reach. The area diagonal
+    bounds every distance, so one step's penalty and the table floor.
     """
     area, prop, gbs, users = config.area, config.propagation, config.gbs, config.users_xy
     (x0, y0), (x1, y1) = users.min(axis=0).tolist(), users.max(axis=0).tolist()
@@ -149,16 +149,29 @@ def _overflow_errors(config: ScenarioConfig) -> list[str]:
             if not value < math.inf:
                 errors.append(f"{what} of one step could reach {value!r}; p_max, gbs and "
                               "propagation must keep it finite")
-    try:  # the largest separation of two stations, as a distance penalty too
-        diagonal = dist_to_final(Position3D(area.x_min, area.y_min, 0.0),
-                                 Position3D(area.x_max, area.y_max, 0.0),
-                                 config.distance_exponent)
-    except OverflowError:
-        diagonal = math.inf
+    diagonal = _diagonal(config)
+    worst = config.beta2 * diagonal + config.beta3  # one step's penalty
     if diagonal == math.inf:
         errors.append("the area diagonal overflows as a distance or its square; "
                       "area must be smaller")
+    elif not worst < math.inf:  # every table's first update takes it
+        errors.append("one step's penalty beta2 x diagonal + beta3 is not finite; "
+                      "lower beta2 or beta3")
+    elif params.initial_q is None and not worst / (1.0 - params.gamma) < math.inf:
+        errors.append("a null initial_q seeds the tables at -(beta2 x diagonal + beta3) "
+                      "/ (1 - gamma) = -inf; lower beta2, beta3 or gamma, or give initial_q")
     return errors
+
+
+def _diagonal(config: ScenarioConfig) -> float:
+    """The area diagonal as a distance penalty, or inf where that overflows."""
+    area = config.area
+    try:  # float ** raises instead of giving inf
+        return dist_to_final(Position3D(area.x_min, area.y_min, area.altitude),
+                             Position3D(area.x_max, area.y_max, area.altitude),
+                             config.distance_exponent)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -376,11 +389,7 @@ def pessimistic_q_init(config: ScenarioConfig, gamma: float) -> float:
     agent has actually learned, which keeps greedy readouts on explored
     ground.
     """
-    corner_a = Position3D(config.area.x_min, config.area.y_min, config.area.altitude)
-    corner_b = Position3D(config.area.x_max, config.area.y_max, config.area.altitude)
-    worst = config.beta2 * dist_to_final(corner_a, corner_b,
-                                         config.distance_exponent) + config.beta3
-    return -worst / (1.0 - gamma)
+    return -(config.beta2 * _diagonal(config) + config.beta3) / (1.0 - gamma)
 
 
 def train(config: ScenarioConfig, params: LearningParams, master_seed: int):
@@ -388,8 +397,11 @@ def train(config: ScenarioConfig, params: LearningParams, master_seed: int):
 
     Returns (qtables, stats_list). Tables start at params.initial_q (the
     scenario's pessimistic floor when None) with the agents' final cells
-    pinned as terminals.
+    pinned as terminals. overflow_errors' lines, if any, raise ValueError first.
     """
+    errors = overflow_errors(config, params)
+    if errors:
+        raise ValueError("\n".join(errors))
     env = Environment(config)
     q0 = params.initial_q if params.initial_q is not None \
         else pessimistic_q_init(config, params.gamma)

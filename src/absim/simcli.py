@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .channel import FadingMode, GbsSpec, PropagationParams
 from .environment import (ScenarioConfig, TableMismatch, extract_trajectory,
-                          pessimistic_q_init, train)
+                          overflow_errors, train)
 from .geometry import Action, AreaSpec, GridState
 from .qlearning import LearningParams, load_qtable, save_qtable
 from .rng import PURPOSE_USER_PLACEMENT, SEED_END, derive_stream
@@ -296,15 +296,8 @@ def _build_config(data):
             area=built["area"], initial_states=tuple(initial), final_states=tuple(final),
             users_xy=users_xy, association=assoc, propagation=built["propagation"],
             gbs=built["gbs"], **values[None], **values["reward_weights"]), "scenario")
-    if config is not None and not math.isfinite(pessimistic_q_init(config, 0.0)):
-        errors.append("reward_weights: one step's penalty beta2 x diagonal + beta3 is not "
-                      "finite; lower beta2 or beta3")  # every table's first update takes it
-    if config is not None and built["learning"].initial_q is None:
-        floor = pessimistic_q_init(config, built["learning"].gamma)
-        if not math.isfinite(floor):  # a -inf table fails at its first update
-            errors.append(f"learning.initial_q: null seeds the tables at -(beta2 x diagonal "
-                          f"+ beta3) / (1 - gamma) = {floor!r}; lower beta2, beta3 or "
-                          "gamma, or give initial_q")
+    if config is not None:  # one line per number that training could overflow
+        errors += (f"scenario: {line}" for line in overflow_errors(config, built["learning"]))
     if errors:
         raise ConfigValidationError(errors)
     return config, built["learning"]

@@ -711,15 +711,16 @@ class TestCli:
             assert message in err and section in err and "Traceback" not in err
         assert not out.exists()
 
-    NULL_FLOOR = "learning.initial_q: null seeds the tables at -(beta2 x diagonal + beta3) " \
+    NULL_FLOOR = "scenario: a null initial_q seeds the tables at -(beta2 x diagonal + beta3) " \
         "/ (1 - gamma) = -inf"
 
     @pytest.mark.parametrize("data, message", [
-        ({"reward_weights": {"beta2": 1e306}}, NULL_FLOOR),
+        ({"reward_weights": {"beta2": 1e306}},
+         "scenario: one step's penalty beta2 x diagonal + beta3 is not finite"),
         ({"reward_weights": {"beta3": 1e300}, "learning": {"gamma": 0.9999999999999999}},
          NULL_FLOOR),
         ({"reward_weights": {"beta2": 1e306}, "learning": {"initial_q": 0.0}},
-         "reward_weights: one step's penalty beta2 x diagonal + beta3 is not finite"),
+         "scenario: one step's penalty beta2 x diagonal + beta3 is not finite"),
     ], ids=["beta2", "gamma", "initial_q"])
     def test_infinite_q_floor_exits_2(self, tmp_path, capsys, data, message):
         # with initial_q null the tables start at the pessimistic floor, which
