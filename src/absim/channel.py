@@ -109,7 +109,8 @@ class ChannelRealization:
 
 def los_probability(theta_deg, params: PropagationParams):
     """Probability of a line-of-sight link at elevation angle theta (degrees)."""
-    return 1.0 / (1.0 + params.a * np.exp(-params.b * (theta_deg - params.a)))
+    with np.errstate(over="ignore"):  # an exp past the float range gives inf, then the limit 0
+        return 1.0 / (1.0 + params.a * np.exp(-params.b * (theta_deg - params.a)))
 
 
 def free_space_path_loss(distance: float, params: PropagationParams, excess: float = 1.0):

@@ -109,8 +109,11 @@ def overflow_errors(config: ScenarioConfig, params: LearningParams) -> list[str]
     user or across the box that holds the area and the users; the ground
     transmitter's links are its row to the users. From those bounds come
     the interference, the water level over its floors (interference +
-    noise) / gain, and the SNR that one step can reach. The area diagonal
-    bounds every distance, so one step's penalty and the table floor.
+    noise) / gain, and the SNR that one step can reach. A step's rate is at
+    most log2(1 + SNR) per sub-channel and its distance the area diagonal,
+    which bounds its reward R. Each TD update mixes the old value with r +
+    gamma x max, so no table value passes max(|q0|, R / (1 - gamma)), and
+    target - current forms twice that; an episode sums R at most cap times.
     """
     area, prop, gbs, users = config.area, config.propagation, config.gbs, config.users_xy
     (x0, y0), (x1, y1) = users.min(axis=0).tolist(), users.max(axis=0).tolist()
@@ -136,31 +139,36 @@ def overflow_errors(config: ScenarioConfig, params: LearningParams) -> list[str]
             errors.append(f"gains from {name} would span {gains[0]!r} to {gains[1]!r}; "
                           f"{section}, users and propagation must keep them finite and "
                           "positive")
-    if not errors:
-        margin = 2.0 ** 64  # how far a fading draw may scale a gain, either way
-        weakest, strongest = bounds["stations"]
-        ground = bounds.get("the ground transmitter", [0.0, 0.0])[1] * gbs.power_per_subchannel
-        # a station sends at most p_max on a sub-channel
-        interference = (config.n_agents * config.p_max * strongest + ground) * margin
-        floor = (interference + prop.noise_power) / weakest * margin
-        for what, value in (("interference", interference),
-                            ("the water level", config.p_max + config.n_subchannels * floor),
-                            ("the SNR", config.p_max * strongest * margin / prop.noise_power)):
-            if not value < math.inf:
-                errors.append(f"{what} of one step could reach {value!r}; p_max, gbs and "
-                              "propagation must keep it finite")
     diagonal = _diagonal(config)
-    worst = config.beta2 * diagonal + config.beta3  # one step's penalty
-    if diagonal == math.inf:
+    if diagonal == math.inf:  # apart from beta2: 0 x inf is NaN, and NaN fails no < test
         errors.append("the area diagonal overflows as a distance or its square; "
                       "area must be smaller")
-    elif not worst < math.inf:  # every table's first update takes it
-        errors.append("one step's penalty beta2 x diagonal + beta3 is not finite; "
-                      "lower beta2 or beta3")
-    elif params.initial_q is None and not worst / (1.0 - params.gamma) < math.inf:
-        errors.append("a null initial_q seeds the tables at -(beta2 x diagonal + beta3) "
-                      "/ (1 - gamma) = -inf; lower beta2, beta3 or gamma, or give initial_q")
-    return errors
+    if errors:
+        return errors
+    margin = 2.0 ** 64  # how far a fading draw may scale a gain, either way
+    weakest, strongest = bounds["stations"]
+    ground = bounds.get("the ground transmitter", [0.0, 0.0])[1] * gbs.power_per_subchannel
+    # a station sends at most p_max on a sub-channel
+    interference = (config.n_agents * config.p_max * strongest + ground) * margin
+    floor = (interference + prop.noise_power) / weakest * margin
+    snr = config.p_max * strongest * margin / prop.noise_power
+    checks = {"interference of one step": interference,
+              "the water level of one step": config.p_max + config.n_subchannels * floor,
+              "the SNR of one step": snr}
+    fix = "p_max, gbs and propagation"
+    if all(value < math.inf for value in checks.values()):  # the next stage builds on these
+        # beta1 multiplies last: a rate below 1 may keep a large beta1 finite
+        reward = (config.beta1 * (config.n_subchannels * math.log2(1.0 + snr))
+                  + config.beta2 * diagonal + config.beta3)
+        twice = 2.0 * max(abs(params.initial_q or 0.0), reward / (1.0 - params.gamma))
+        cap = params.max_steps_per_episode  # null: 4 per cell; no episode runs 2^1023 steps
+        cap = 4 * area.n_states if cap is None else min(cap, 2 ** 1023)  # else float() may fail
+        fix = "reward_weights, n_subchannels and learning"
+        checks = {"one step's reward": reward}
+        if reward < math.inf:
+            checks = {"twice a table value": twice, "an episode's reward sum": reward * cap}
+    return [f"{what} could reach {value!r}; {fix} must keep it finite"
+            for what, value in checks.items() if not value < math.inf]
 
 
 def _diagonal(config: ScenarioConfig) -> float:
@@ -399,12 +407,10 @@ def train(config: ScenarioConfig, params: LearningParams, master_seed: int):
     scenario's pessimistic floor when None) with the agents' final cells
     pinned as terminals. overflow_errors' lines, if any, raise ValueError first.
     """
-    errors = overflow_errors(config, params)
-    if errors:
+    if errors := overflow_errors(config, params):
         raise ValueError("\n".join(errors))
     env = Environment(config)
-    q0 = params.initial_q if params.initial_q is not None \
-        else pessimistic_q_init(config, params.gamma)
+    q0 = pessimistic_q_init(config, params.gamma) if params.initial_q is None else params.initial_q
     qtables = [QTable(config.area.n_states, len(Action), terminal_state=final,
                       initial_value=q0)
                for final in env.final]

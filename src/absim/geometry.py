@@ -112,8 +112,8 @@ def cell_center(area: AreaSpec, s: int) -> Position3D:
     """Reference point of cell index s at flight altitude.
 
     Cell s is anchored at (x_min + width * (s % M), y_min + width * (s // M)),
-    the cell's lower-left corner; a uniform translation of the geometric
-    centers, so relative geometry is unchanged.
+    its lower-left corner: the centres moved by half a cell, which keeps the
+    distances between stations but not those from a station to its users.
     """
     _check_index(area, s)
     m = area.cells_per_axis

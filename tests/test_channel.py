@@ -44,6 +44,15 @@ class TestLosProbability:
         assert abs(los_probability(0.0, PARAMS) - expected) < 1e-15
         assert los_probability(0.0, PARAMS) == pytest.approx(0.016151, abs=1e-6)
 
+    @pytest.mark.parametrize("params, expected", [
+        # exp(-b (theta - a)) overflows below theta = a and vanishes above it
+        (PropagationParams(b=4.4e82), [0.0, 1.0]),
+        (PropagationParams(a=1e300), [0.0, 0.0]),
+    ])
+    def test_overflowing_exp_gives_the_limit(self, params, expected):
+        # an overflow warning would fail this test, as pytest turns warnings into errors
+        assert los_probability(np.array([0.0, 90.0]), params).tolist() == expected
+
     def test_strictly_increasing(self):
         grid = np.linspace(0.0, 90.0, 1000)
         values = los_probability(grid, PARAMS)

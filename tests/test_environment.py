@@ -13,6 +13,7 @@ from absim.geometry import (Action, GridState, Position3D, cell_center, dist_to_
                             state_index)
 from absim.qlearning import LearningParams, QTable, greedy_policy
 from absim.rng import PURPOSE_EPISODE, derive_stream
+from absim.simcli import load_config
 
 from conftest import make_scenario
 from environment_reference import initial_powers, joint_step
@@ -434,6 +435,27 @@ class TestTrain:
         learned = greedy_policy(qtables[0])
         oracle = q_star.argmax(axis=1)
         assert np.array_equal(learned[unique & ~terminal], oracle[unique & ~terminal])
+
+    @pytest.mark.parametrize("scenario, learning, message", [
+        ({"beta1": 1e308, "p_max": 100.0}, {"max_episodes": 2, "max_steps_per_episode": 20},
+         "one step's reward could reach inf"),
+        ({"beta1": 1e307, "beta2": 0.0},
+         {"alpha": 1.0, "gamma": 0.99, "max_episodes": 4, "max_steps_per_episode": 3000},
+         "one step's reward could reach inf"),
+        ({"beta2": 3e301},
+         {"gamma": 0.0, "epsilon": 1.0, "max_episodes": 1, "max_steps_per_episode": 100000},
+         "an episode's reward sum could reach inf"),
+    ])
+    def test_overflowing_config_raises_before_building(self, monkeypatch, scenario, learning,
+                                                       message):
+        # the defaults with fields that ScenarioConfig and LearningParams each accept
+        config, params = load_config()
+        config = dataclasses.replace(config, **scenario)
+        params = dataclasses.replace(params, **learning)
+        monkeypatch.setattr("absim.environment.Environment",
+                            lambda config: pytest.fail("train built an Environment"))
+        with pytest.raises(ValueError, match=message):
+            train(config, params, master_seed=0)
 
     def test_stats_are_finite(self):
         cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,

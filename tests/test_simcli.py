@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from absim.environment import ScenarioConfig
 from absim.geometry import GridState
+from absim.qlearning import load_qtable
 from absim.simcli import (_BUILDS, _FIELDS, ConfigValidationError, PlotDataError,
                           config_to_dict, emit_plot_data, load_config, main, read_metrics,
                           read_trajectory, run_train, smooth_series)
@@ -401,6 +403,49 @@ def test_snapshot_roundtrip_property(data):
     assert snapshot == data
 
 
+@st.composite
+def extreme_configs(draw):
+    """Small grids and short runs, with up to five float fields drawn
+    log-uniformly over 1e-300..1e308 or 1e290..1e308 (now and then negative)
+    and the rest at their defaults."""
+    m = draw(st.integers(2, 4))
+    cells = [{"initial_cell": [1, 1], "final_cell": [m, m]},
+             {"initial_cell": [m, 1], "final_cell": [1, m]}]
+    data = {"area": {"cells_per_axis": m}, "abs": cells[:draw(st.integers(1, 2))],
+            "users": {"count": draw(st.integers(2, 4)), "placement_seed": 5},
+            "n_subchannels": draw(st.integers(1, 4)),
+            "fading": draw(st.sampled_from(["none", "rayleigh"])),
+            "distance_exponent": draw(st.sampled_from([1, 2])),
+            "gbs": {"enabled": draw(st.booleans())},
+            "learning": {"max_episodes": draw(st.integers(1, 2)),
+                         "max_steps_per_episode": draw(st.none() | st.integers(0, 60))}}
+    # overflow lives in the top decades, so half the draws come from there
+    magnitude = (st.floats(-300.0, 308.0) | st.floats(290.0, 308.0)).map(lambda e: 10.0 ** e)
+    for section, key in draw(st.sets(st.sampled_from(FLOAT_FIELDS), min_size=1, max_size=5)):
+        value = draw(magnitude) * draw(st.sampled_from([1.0, 1.0, 1.0, -1.0]))
+        (data if section is None else data.setdefault(section, {}))[key] = value
+    return data
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(extreme_configs())
+def test_validated_config_trains_finite(data):
+    """validate-config exits 0 or 2, and a config it accepts trains to finite
+    numbers in metrics.csv and every Q-table (an overflow warning fails it too,
+    as pytest turns warnings into errors)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), data)
+        code = main(["validate-config", "--config", path])
+        assert code in (0, 2)
+        if code == 0:
+            out = Path(tmp) / "out"
+            assert main(["train", "--config", path, "--out-dir", str(out)]) == 0
+            rows = (out / "metrics.csv").read_text().splitlines()[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+            for j in range(len(data["abs"])):  # load_qtable also rejects non-finite rows
+                assert np.isfinite(load_qtable(out / f"qtable_agent{j}.txt").values).all()
+
+
 class TestRunTrain:
     def test_artifacts_and_manifest(self, tmp_path):
         config, params = load_config(write_config(tmp_path, small_config_dict(2)))
@@ -700,9 +745,32 @@ class TestCli:
          "interference of one step could reach inf"),
         ({"p_max_watts": 1e300, "propagation": {"noise_power_watts": 1e-300}}, "p_max",
          "the SNR of one step could reach inf"),
+        # the reward chain: one step's reward, a table value and an episode's sum
+        ({"reward_weights": {"beta2": 1e306}}, "reward_weights",
+         "one step's reward could reach inf"),
+        ({"reward_weights": {"beta2": 1e306}, "learning": {"initial_q": 0.0}},
+         "reward_weights", "one step's reward could reach inf"),
+        # a finite reward over 1 - gamma = 1.1e-16
+        ({"reward_weights": {"beta3": 1e300}, "learning": {"gamma": 0.9999999999999999}},
+         "learning", "twice a table value could reach inf"),
+        # beta1 x rate: train ended with "update of entry (0, 1) gives inf"
+        ({"reward_weights": {"beta1": 1e308}, "p_max_watts": 100.0,
+          "learning": {"max_episodes": 2, "max_steps_per_episode": 20}}, "reward_weights",
+         "one step's reward could reach inf"),
+        # values climbing towards r / (1 - gamma): "update of entry (241, 3) gives inf"
+        ({"reward_weights": {"beta1": 1e307, "beta2": 0.0},
+          "learning": {"alpha": 1.0, "gamma": 0.99, "max_episodes": 4,
+                       "max_steps_per_episode": 3000}}, "reward_weights",
+         "one step's reward could reach inf"),
+        # every reward finite, but train wrote -inf cumulative rewards to metrics.csv
+        ({"reward_weights": {"beta2": 3e301},
+          "learning": {"gamma": 0.0, "epsilon": 1.0, "max_episodes": 1,
+                       "max_steps_per_episode": 100000}}, "learning",
+         "an episode's reward sum could reach inf"),
     ])
     def test_overflowing_config_exits_2(self, tmp_path, capsys, data, section, message):
-        data["learning"] = {"max_episodes": 1, "max_steps_per_episode": 3}
+        data["learning"] = {"max_episodes": 1, "max_steps_per_episode": 3,
+                            **data.get("learning", {})}
         path = write_config(tmp_path, data)
         out = tmp_path / "out"
         for args in (["validate-config"], ["train", "--out-dir", str(out)]):
@@ -711,29 +779,14 @@ class TestCli:
             assert message in err and section in err and "Traceback" not in err
         assert not out.exists()
 
-    NULL_FLOOR = "scenario: a null initial_q seeds the tables at -(beta2 x diagonal + beta3) " \
-        "/ (1 - gamma) = -inf"
-
-    @pytest.mark.parametrize("data, message", [
-        ({"reward_weights": {"beta2": 1e306}},
-         "scenario: one step's penalty beta2 x diagonal + beta3 is not finite"),
-        ({"reward_weights": {"beta3": 1e300}, "learning": {"gamma": 0.9999999999999999}},
-         NULL_FLOOR),
-        ({"reward_weights": {"beta2": 1e306}, "learning": {"initial_q": 0.0}},
-         "scenario: one step's penalty beta2 x diagonal + beta3 is not finite"),
-    ], ids=["beta2", "gamma", "initial_q"])
-    def test_infinite_q_floor_exits_2(self, tmp_path, capsys, data, message):
-        # with initial_q null the tables start at the pessimistic floor, which
-        # these weights push to -inf; with it given, one step's penalty is still
-        # infinite
-        data.setdefault("learning", {}).update(max_episodes=2, max_steps_per_episode=20)
-        path = write_config(tmp_path, data)
-        out = tmp_path / "out"
-        for args in (["validate-config"], ["train", "--out-dir", str(out)]):
-            assert main(args + ["--config", path]) == 2
-            err = capsys.readouterr().err
-            assert message in err and "Traceback" not in err
-        assert not out.exists()
+    @pytest.mark.parametrize("propagation", [{"b": 4.4e82}, {"a": 1e300}])
+    def test_los_exp_overflow_trains(self, tmp_path, capsys, propagation):
+        # exp overflows at low elevation angles, where the LoS probability is 0;
+        # a RuntimeWarning would fail this test, as pytest turns warnings into errors
+        path = write_config(tmp_path, {"propagation": propagation, "learning": {
+            "max_episodes": 1, "max_steps_per_episode": 50}})
+        assert main(["train", "--config", path, "--out-dir", str(tmp_path / "out")]) == 0
+        assert "Warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
         ('{"area": {"cells_per_axis": 3', "not valid JSON"),
