@@ -40,13 +40,13 @@ class PropagationParams:
     noise_power     receiver thermal noise, watts
     """
 
-    a: float = 5.0
-    b: float = 0.5
-    eta_los: float = 1.0
-    eta_nlos: float = 20.0
-    carrier_freq: float = 2.0e9
-    speed_of_light: float = 299792458.0
-    noise_power: float = 1.0e-9
+    a: float
+    b: float
+    eta_los: float
+    eta_nlos: float
+    carrier_freq: float
+    speed_of_light: float
+    noise_power: float
 
     def __post_init__(self) -> None:
         errors = []
@@ -71,15 +71,15 @@ class FadingMode(Enum):
 class GbsSpec:
     """Optional fixed ground transmitter acting as an interferer.
 
-    Default-disabled; when enabled its per-sub-channel transmit power adds
-    to every user's interference through the same propagation model.
+    When enabled, its per-sub-channel transmit power adds to every user's
+    interference through the same propagation model.
     """
 
-    enabled: bool = False
-    x: float = 1500.0
-    y: float = 1500.0
-    height: float = 10.0
-    power_per_subchannel: float = 0.0
+    enabled: bool
+    x: float
+    y: float
+    height: float
+    power_per_subchannel: float
 
     def __post_init__(self) -> None:
         errors = []
@@ -113,9 +113,9 @@ def los_probability(theta_deg, params: PropagationParams):
         return 1.0 / (1.0 + params.a * np.exp(-params.b * (theta_deg - params.a)))
 
 
-def free_space_path_loss(distance: float, params: PropagationParams, excess: float = 1.0):
+def free_space_path_loss(distance: float, params: PropagationParams, excess: float):
     """Linear free-space loss (4 pi f d / c)^2 scaled by an excess factor."""
-    if np.any(np.asarray(distance) <= 0):
+    if (np.asarray(distance) <= 0).any():  # the method: np.any costs more on a scalar
         raise ValueError("free-space path loss is singular at zero distance")
     ratio = 4.0 * math.pi * params.carrier_freq * distance / params.speed_of_light
     return ratio * ratio * excess
@@ -139,8 +139,8 @@ def path_loss_to_users(abs_pos: Position3D, users_xy: np.ndarray,
 
 def draw_realization(path_loss: np.ndarray, fading: FadingMode,
                      rng: np.random.Generator, n_subchannels: int,
-                     gbs_path_loss: np.ndarray | None = None,
-                     gbs_power: float | None = None) -> ChannelRealization:
+                     gbs_path_loss: np.ndarray | None,
+                     gbs_power: float | None) -> ChannelRealization:
     """Draw the per-link power gains for one time step.
 
     Parameters
@@ -183,7 +183,7 @@ def interference_field(realization: ChannelRealization,
 
 def interference_for_abs(field_rows: np.ndarray, own_powers: np.ndarray,
                          own_gains: np.ndarray,
-                         ground_rows: np.ndarray | None = None) -> np.ndarray:
+                         ground_rows: np.ndarray | None) -> np.ndarray:
     """(K_j, N) interference in watts seen by each user of one station.
 
     Its users' rows of interference_field's terms less its own power (N,)

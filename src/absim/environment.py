@@ -12,13 +12,14 @@ coordination is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .allocator import AllocationProblem, solve
 from .channel import (FadingMode, GbsSpec, PropagationParams, draw_realization,
-                      interference_field, interference_for_abs, path_loss_to_users)
+                      free_space_path_loss, interference_field, interference_for_abs,
+                      path_loss_to_users)
 from .geometry import (Action, AreaSpec, Position3D, apply_action, cell_center,
                        dist_to_final, pairwise_dist, state_index)
 from .qlearning import LearningParams, QTable, Transition, greedy_policy, select_action, update
@@ -37,6 +38,8 @@ __all__ = [
     "train",
 ]
 
+_STEPS_PER_CELL = 4  # the rollout's step cap per cell, and by default an episode's
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -54,9 +57,9 @@ class ScenarioConfig:
     beta2: float
     beta3: float
     propagation: PropagationParams
-    fading: FadingMode = FadingMode.RAYLEIGH
-    gbs: GbsSpec = field(default_factory=GbsSpec)
-    distance_exponent: int = 1
+    fading: FadingMode
+    gbs: GbsSpec
+    distance_exponent: int
 
     def __post_init__(self) -> None:
         users = np.asarray(self.users_xy, dtype=float)
@@ -125,15 +128,14 @@ def overflow_errors(config: ScenarioConfig, params: LearningParams) -> list[str]
         row = np.hypot(gbs.x - users[:, 0], gbs.y - users[:, 1])
         reach["the ground transmitter"] = ("gbs", gbs.height, float(row.min()),
                                            float(row.max()))
-    per_meter = 4.0 * math.pi * prop.carrier_freq / prop.speed_of_light
     errors = []
     bounds = {}  # per transmitter: its weakest and strongest gain
     for name, (section, height, nearest, farthest) in reach.items():
         gains = bounds[name] = []
         for horizontal, excess in ((farthest, prop.eta_nlos), (nearest, prop.eta_los)):
-            # free-space loss as in path_loss_to_users; ** would raise on overflow
-            ratio = per_meter * math.sqrt(horizontal * horizontal + height * height)
-            loss = ratio * ratio * excess
+            # both as path_loss_to_users computes them; a link of 0 m has a loss of 0.0
+            distance = math.sqrt(horizontal * horizontal + height * height)
+            loss = free_space_path_loss(distance, prop, excess) if distance else 0.0
             gains.append(1.0 / loss if loss else math.inf)
         if not (gains[0] > 0.0 and gains[1] < math.inf):
             errors.append(f"gains from {name} would span {gains[0]!r} to {gains[1]!r}; "
@@ -161,8 +163,8 @@ def overflow_errors(config: ScenarioConfig, params: LearningParams) -> list[str]
         reward = (config.beta1 * (config.n_subchannels * math.log2(1.0 + snr))
                   + config.beta2 * diagonal + config.beta3)
         twice = 2.0 * max(abs(params.initial_q or 0.0), reward / (1.0 - params.gamma))
-        cap = params.max_steps_per_episode  # null: 4 per cell; no episode runs 2^1023 steps
-        cap = 4 * area.n_states if cap is None else min(cap, 2 ** 1023)  # else float() may fail
+        cap = params.max_steps_per_episode  # none runs 2^1023 steps, where float() may fail
+        cap = _STEPS_PER_CELL * area.n_states if cap is None else min(cap, 2 ** 1023)
         fix = "reward_weights, n_subchannels and learning"
         checks = {"one step's reward": reward}
         if reward < math.inf:
@@ -355,8 +357,7 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
     cfg = env.config
     j_count = cfg.n_agents
     max_steps = params.max_steps_per_episode
-    if max_steps is None:  # four steps per cell, as in the greedy rollout
-        max_steps = 4 * cfg.area.n_states
+    max_steps = _STEPS_PER_CELL * cfg.area.n_states if max_steps is None else max_steps
 
     # per-agent tallies stay Python scalars until the episode ends; an agent
     # acts every step until it parks, so step_count is its steps to terminal
@@ -485,7 +486,7 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable]) -> Traject
             violation_steps.append(steps)
         key = tuple(env.states)  # a station is parked exactly on its final cell
         cycle = key in seen
-        if cycle or all(env.parked) or steps >= 4 * n_states:
+        if cycle or all(env.parked) or steps >= _STEPS_PER_CELL * n_states:
             break
         seen.add(key)
         active = [j for j, parked in enumerate(env.parked) if not parked]

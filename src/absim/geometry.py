@@ -1,12 +1,12 @@
 """Grid-world geometry: service area discretization, movements, distances.
 
 The service area is an axis-aligned rectangle split into an M x M grid of
-square cells at a fixed flight altitude. The simulator carries a cell as
-its flat 0-based index s = (k2 - 1) * M + (k1 - 1); configs name cells by
-their 1-based (k1, k2) indices along the x and y axes (GridState), and
-state_index converts one to the other. Every cell maps to a fixed
-reference point in the plane; all propagation and reward distances are
-computed from these points.
+rectangular cells, whose x and y widths need not match, at a fixed flight
+altitude. The simulator carries a cell as its flat 0-based index
+s = (k2 - 1) * M + (k1 - 1); configs name cells by their 1-based (k1, k2)
+indices along the x and y axes (GridState), and state_index converts one
+to the other. Every cell maps to a fixed reference point in the plane; all
+propagation and reward distances are computed from these points.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ class Action(IntEnum):
 
 @dataclass(frozen=True)
 class AreaSpec:
-    """Rectangular service area split into cells_per_axis**2 square cells.
+    """Rectangular service area split into cells_per_axis**2 rectangular cells.
 
-    All lengths are meters. ``altitude`` is the constant flight height of
-    every aerial station.
+    All lengths are meters. A cell is cell_width_x by cell_width_y. ``altitude``
+    is the constant flight height of every aerial station.
     """
 
     x_min: float
@@ -111,9 +111,9 @@ def _check_index(area: AreaSpec, s: int) -> None:
 def cell_center(area: AreaSpec, s: int) -> Position3D:
     """Reference point of cell index s at flight altitude.
 
-    Cell s is anchored at (x_min + width * (s % M), y_min + width * (s // M)),
-    its lower-left corner: the centres moved by half a cell, which keeps the
-    distances between stations but not those from a station to its users.
+    Cell s is anchored at its lower-left corner, (x_min + cell_width_x * (s % M),
+    y_min + cell_width_y * (s // M)): the centres moved by half a cell would keep
+    the distances between stations but not those from a station to its users.
     """
     _check_index(area, s)
     m = area.cells_per_axis
@@ -146,7 +146,7 @@ def pairwise_dist(p1: Position3D, p2: Position3D) -> float:
     return math.sqrt((p1.x - p2.x) ** 2 + (p1.y - p2.y) ** 2 + (p1.h - p2.h) ** 2)
 
 
-def dist_to_final(p: Position3D, p_final: Position3D, exponent: int = 1) -> float:
+def dist_to_final(p: Position3D, p_final: Position3D, exponent: int) -> float:
     """Distance in meters (exponent 1) or squared meters (exponent 2) to the destination."""
     d = pairwise_dist(p, p_final)
     if exponent == 1:

@@ -40,14 +40,14 @@ class LearningParams:
     unattractive instead of spuriously promising in greedy rollouts.
     """
 
-    alpha: float = 0.1
-    gamma: float = 0.9
-    epsilon: float = 0.1
-    max_episodes: int = 2000
-    max_steps_per_episode: int | None = None
-    alpha_schedule: str = "constant"
-    epsilon_decay: float = 1.0
-    initial_q: float | None = None
+    alpha: float
+    gamma: float
+    epsilon: float
+    max_episodes: int
+    max_steps_per_episode: int | None
+    alpha_schedule: str
+    epsilon_decay: float
+    initial_q: float | None
 
     def __post_init__(self) -> None:
         errors = []

@@ -49,10 +49,10 @@ EXIT_DIAGNOSTIC = 4
 
 # One row per scalar config field: (section, JSON key, attribute, kind,
 # default); section None is the top level. A kind is float (finite), int,
-# bool, or a choice: a tuple of strings or an Enum. A default is stored as
-# it is; a None one makes the field optional (null allowed). The rows of a
-# section in _BUILDS build that dataclass; the top level and reward_weights
-# feed ScenarioConfig itself. abs and users are read by hand in _build_config.
+# bool, or a choice: a tuple of strings or an Enum. Defaults live only here,
+# stored as they are; a None one makes the field optional (null allowed).
+# The rows of a section in _BUILDS build that dataclass; the top level and
+# reward_weights feed ScenarioConfig. abs and users are read in _build_config.
 _FIELDS = (
     ("area", "x_min_m", "x_min", float, 0.0),
     ("area", "x_max_m", "x_max", float, 3000.0),
@@ -498,7 +498,7 @@ def smooth_series(values: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(values, kernel, mode="valid")
 
 
-def emit_plot_data(metrics_path, trajectory_path, out_dir, window: int = 100):
+def emit_plot_data(metrics_path, trajectory_path, out_dir, window: int):
     """Write per-agent trajectory files and the smoothed sum-rate series."""
     episodes, means = read_metrics(metrics_path)
     smoothed = smooth_series(means, window)
@@ -605,8 +605,7 @@ def _cmd_rollout(args, config, params) -> int:
 
 def _cmd_plot_data(args) -> int:
     try:
-        outputs = emit_plot_data(args.metrics, args.trajectory, args.out_dir,
-                                 window=args.window)
+        outputs = emit_plot_data(args.metrics, args.trajectory, args.out_dir, args.window)
     except PlotDataError as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,20 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from absim.channel import FadingMode, GbsSpec, PropagationParams
-from absim.environment import ScenarioConfig
+from absim.channel import FadingMode
 from absim.geometry import AreaSpec, GridState
+from absim.simcli import load_config
+
+# The default scenario and learning values. Config defaults are written only
+# in simcli._FIELDS, and the library's constructors take every value, so a
+# test starts from these and changes fields with dataclasses.replace.
+DEFAULT_CONFIG, DEFAULT_LEARNING = load_config()
 
 
 def make_area(m=4, width=100.0, altitude=100.0):
     return AreaSpec(0.0, m * width, 0.0, m * width, m, altitude)
 
 
-def make_scenario(m=4, n_agents=1, n_subchannels=2, beta1=0.0, beta2=0.25,
-                  beta3=0.0, fading=FadingMode.NONE, users=None, assoc=None,
-                  initial=None, final=None, noise=1e-9, d_min=5.0, p_max=0.2,
-                  gbs=None):
-    """Small scenario with sane defaults for unit tests."""
+def make_scenario(m=4, n_agents=1, n_subchannels=2, beta1=0.0, beta3=0.0,
+                  fading=FadingMode.NONE, users=None, assoc=None, initial=None,
+                  final=None, **changes):
+    """Small scenario for unit tests: the default config on an m x m grid of
+    100 m cells, without fading or rate and proximity weights, with one
+    user per station unless users are given; changes sets other fields."""
     area = make_area(m)
     if initial is None:
         initial = [GridState(1, 1), GridState(m, 1)][:n_agents]
@@ -27,23 +35,10 @@ def make_scenario(m=4, n_agents=1, n_subchannels=2, beta1=0.0, beta2=0.25,
     users = np.asarray(users, dtype=float)
     if assoc is None:
         assoc = np.array([min(i, n_agents - 1) for i in range(users.shape[0])])
-    prop = PropagationParams(noise_power=noise)
-    return ScenarioConfig(
-        area=area,
-        initial_states=tuple(initial),
-        final_states=tuple(final),
-        users_xy=users,
-        association=np.asarray(assoc),
-        n_subchannels=n_subchannels,
-        p_max=p_max,
-        d_min=d_min,
-        beta1=beta1,
-        beta2=beta2,
-        beta3=beta3,
-        propagation=prop,
-        fading=fading,
-        gbs=gbs if gbs is not None else GbsSpec(),
-    )
+    return replace(DEFAULT_CONFIG, area=area, initial_states=tuple(initial),
+                   final_states=tuple(final), users_xy=users,
+                   association=np.asarray(assoc), n_subchannels=n_subchannels,
+                   beta1=beta1, beta3=beta3, fading=fading, **changes)
 
 
 @pytest.fixture

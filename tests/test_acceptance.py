@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,15 +20,14 @@ import pytest
 from allocator_reference import brute_force_oracle, sum_rate, waterfill_power
 from channel_reference import average_path_loss
 from qlearning_reference import value_iteration
+from conftest import DEFAULT_CONFIG, DEFAULT_LEARNING
 
 import absim
 from absim.allocator import AllocationProblem, solve
-from absim.channel import (FadingMode, PropagationParams, free_space_path_loss,
-                           los_probability)
+from absim.channel import FadingMode, free_space_path_loss, los_probability
 from absim.geometry import (Action, AreaSpec, GridState, Position3D, apply_action,
                             cell_center, dist_to_final, state_index)
-from absim.qlearning import (LearningParams, QTable, Transition, select_action,
-                             update)
+from absim.qlearning import QTable, Transition, select_action, update
 from absim.environment import extract_trajectory, train
 from absim.simcli import RunManifest, load_config, read_metrics, run_train, smooth_series
 
@@ -97,7 +97,7 @@ def test_criterion_2_kkt_and_feasibility(allocator_batch):
 
 
 def test_criterion_3_channel_closed_forms():
-    params = PropagationParams()
+    params = DEFAULT_CONFIG.propagation
     assert abs(los_probability(5.0, params) - 1.0 / 6.0) < 1e-12
 
     # independent high-precision evaluation through the log domain
@@ -113,7 +113,7 @@ def test_criterion_3_channel_closed_forms():
     assert np.all(diffs[probs[:-1] < 1.0 - 1e-12] > 0)
 
     distances = np.linspace(50.0, 5000.0, 1000)
-    losses = free_space_path_loss(distances, params)
+    losses = free_space_path_loss(distances, params, 1.0)
     assert np.all(np.diff(losses) > 0)
     mixture = [average_path_loss(Position3D(3.0 * c, 4.0 * c, 5.0 * c),
                                  (0.0, 0.0), params)
@@ -127,13 +127,13 @@ def test_criterion_4_fading_normalization():
     from absim.channel import draw_realization, path_loss_to_users
 
     started = time.perf_counter()
-    params = PropagationParams()
+    params = DEFAULT_CONFIG.propagation
     rng = np.random.default_rng(4)
     pos = Position3D(70.0, -30.0, 100.0)
     users = np.array([[0.0, 0.0]])
     loss = path_loss_to_users(pos, users, params)[0]
-    real = draw_realization(np.array([[loss]]), FadingMode.RAYLEIGH, rng,
-                            n_subchannels=1_000_000)
+    real = draw_realization(np.array([[loss]]), FadingMode.RAYLEIGH, rng, 1_000_000,
+                            None, None)
     # dividing out the deterministic path loss recovers the fading powers
     mean = float(np.mean(real.gains[0, 0] * loss))
     elapsed = time.perf_counter() - started
@@ -157,7 +157,7 @@ def _unit_grid_fixture(m=4, penalty=0.25):
         for a in Action:
             nxt = apply_action(area, s, a)
             next_state[s, a] = nxt
-            rewards[s, a] = -penalty * dist_to_final(cell_center(area, nxt), goal_pos)
+            rewards[s, a] = -penalty * dist_to_final(cell_center(area, nxt), goal_pos, 1)
     return next_state, rewards, terminal, goal_idx
 
 
@@ -168,7 +168,7 @@ def test_criterion_5_qlearning_convergence_oracle():
     q_star = value_iteration(next_state, rewards, terminal, gamma=gamma, tol=1e-13)
 
     q = QTable(16, 4, terminal_state=goal_idx)
-    params = LearningParams(epsilon=0.2, gamma=gamma, alpha_schedule="visit_count")
+    params = replace(DEFAULT_LEARNING, epsilon=0.2, gamma=gamma, alpha_schedule="visit_count")
     rng = np.random.default_rng(23)
     nonterminal = np.flatnonzero(~terminal)
     episodes = 0
@@ -210,9 +210,8 @@ def test_criterion_6_pure_distance_shortest_path():
     started = time.perf_counter()
     cfg = make_scenario(m=10, n_agents=1, beta1=0.0, beta2=0.25,
                         initial=[GridState(1, 1)], final=[GridState(10, 10)])
-    params = LearningParams(alpha=1.0, epsilon=0.2, gamma=0.9,
-                            max_episodes=4000, max_steps_per_episode=400,
-                            initial_q=0.0)
+    params = replace(DEFAULT_LEARNING, alpha=1.0, epsilon=0.2, gamma=0.9,
+                     max_episodes=4000, max_steps_per_episode=400, initial_q=0.0)
     qtables, _ = train(cfg, params, master_seed=6)
     rollout = extract_trajectory(cfg, qtables)
     elapsed = time.perf_counter() - started

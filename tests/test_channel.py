@@ -1,20 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from channel_reference import (average_path_loss, elevation_angle, interference,
                                interference_table)
+from conftest import DEFAULT_CONFIG
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from absim.channel import (ChannelRealization, FadingMode, PropagationParams,
-                           draw_realization, free_space_path_loss, interference_field,
-                           interference_for_abs, los_probability, path_loss_to_users)
+from absim.channel import (ChannelRealization, FadingMode, draw_realization,
+                           free_space_path_loss, interference_field, interference_for_abs,
+                           los_probability, path_loss_to_users)
 from absim.geometry import Position3D
 
-PARAMS = PropagationParams()
+PARAMS = DEFAULT_CONFIG.propagation
 
 
 class TestElevationAngle:
@@ -46,8 +48,8 @@ class TestLosProbability:
 
     @pytest.mark.parametrize("params, expected", [
         # exp(-b (theta - a)) overflows below theta = a and vanishes above it
-        (PropagationParams(b=4.4e82), [0.0, 1.0]),
-        (PropagationParams(a=1e300), [0.0, 0.0]),
+        (replace(DEFAULT_CONFIG.propagation, b=4.4e82), [0.0, 1.0]),
+        (replace(DEFAULT_CONFIG.propagation, a=1e300), [0.0, 0.0]),
     ])
     def test_overflowing_exp_gives_the_limit(self, params, expected):
         # an overflow warning would fail this test, as pytest turns warnings into errors
@@ -67,31 +69,31 @@ class TestLosProbability:
 class TestFreeSpacePathLoss:
     def test_unit_distance(self):
         d = PARAMS.speed_of_light / (4 * math.pi * PARAMS.carrier_freq)
-        assert free_space_path_loss(d, PARAMS) == pytest.approx(1.0, rel=1e-12)
+        assert free_space_path_loss(d, PARAMS, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_reference_value_log_domain(self):
         # independent evaluation through logarithms
         expected = math.exp(2.0 * (math.log(4 * math.pi * 2.0e9 * 100.0)
                                    - math.log(PARAMS.speed_of_light)))
-        got = free_space_path_loss(100.0, PARAMS)
+        got = free_space_path_loss(100.0, PARAMS, 1.0)
         assert abs(got - expected) / expected < 1e-9
 
     def test_square_law(self):
-        assert free_space_path_loss(200.0, PARAMS) == \
-            pytest.approx(4.0 * free_space_path_loss(100.0, PARAMS), rel=1e-12)
+        assert free_space_path_loss(200.0, PARAMS, 1.0) == \
+            pytest.approx(4.0 * free_space_path_loss(100.0, PARAMS, 1.0), rel=1e-12)
 
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
-            free_space_path_loss(0.0, PARAMS)
+            free_space_path_loss(0.0, PARAMS, 1.0)
 
     def test_excess_factor(self):
         assert free_space_path_loss(50.0, PARAMS, excess=20.0) == \
-            pytest.approx(20.0 * free_space_path_loss(50.0, PARAMS), rel=1e-12)
+            pytest.approx(20.0 * free_space_path_loss(50.0, PARAMS, 1.0), rel=1e-12)
 
 
 class TestAveragePathLoss:
     def test_equal_excess_collapses_to_free_space(self):
-        params = PropagationParams(eta_los=3.0, eta_nlos=3.0)
+        params = replace(DEFAULT_CONFIG.propagation, eta_los=3.0, eta_nlos=3.0)
         pos = Position3D(120, 40, 100)
         user = (0.0, 0.0)
         d3 = math.sqrt(120 ** 2 + 40 ** 2 + 100 ** 2)
@@ -122,7 +124,7 @@ class TestAveragePathLoss:
         assert np.all(np.diff(losses) > 0)
 
     def test_coincident_rejected(self):
-        ground = PropagationParams()
+        ground = DEFAULT_CONFIG.propagation
         with pytest.raises(ValueError):
             average_path_loss(Position3D(0, 0, 0.0), (0.0, 0.0), ground)
         with pytest.raises(ValueError, match="singular at zero distance"):
@@ -149,7 +151,7 @@ class TestPropagationParams:
     ])
     def test_invariants_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            PropagationParams(**kwargs)
+            replace(DEFAULT_CONFIG.propagation, **kwargs)
 
 
 class TestDrawRealization:
@@ -161,7 +163,7 @@ class TestDrawRealization:
 
     def test_no_fading_flat_across_subchannels(self):
         rng = np.random.default_rng(0)
-        real = draw_realization(self.pl, FadingMode.NONE, rng, n_subchannels=4)
+        real = draw_realization(self.pl, FadingMode.NONE, rng, 4, None, None)
         assert real.gains.shape == (2, 3, 4)
         for j in range(2):
             pl = path_loss_to_users(self.positions[j], self.users, PARAMS)
@@ -170,29 +172,29 @@ class TestDrawRealization:
 
     def test_same_seed_same_realization(self):
         real1 = draw_realization(self.pl, FadingMode.RAYLEIGH, np.random.default_rng(42),
-                                 n_subchannels=4)
+                                 4, None, None)
         real2 = draw_realization(self.pl, FadingMode.RAYLEIGH, np.random.default_rng(42),
-                                 n_subchannels=4)
+                                 4, None, None)
         np.testing.assert_array_equal(real1.gains, real2.gains)
 
     def test_rayleigh_unit_mean(self):
         rng = np.random.default_rng(7)
         users = np.array([[0.0, 0.0]])
         pl = path_loss_to_users(Position3D(0, 0, 100), users, PARAMS)[0]
-        real = draw_realization(np.array([[pl]]), FadingMode.RAYLEIGH, rng,
-                                n_subchannels=200_000)
+        real = draw_realization(np.array([[pl]]), FadingMode.RAYLEIGH, rng, 200_000,
+                                None, None)
         mean_rho2 = float(np.mean(real.gains[0, 0] * pl))
         assert 0.98 < mean_rho2 < 1.02
 
     def test_gains_positive_finite(self):
         rng = np.random.default_rng(1)
-        real = draw_realization(self.pl, FadingMode.RAYLEIGH, rng, n_subchannels=8)
+        real = draw_realization(self.pl, FadingMode.RAYLEIGH, rng, 8, None, None)
         assert np.all(np.isfinite(real.gains))
         assert np.all(real.gains >= 0)
 
     def test_gbs_disabled_by_default(self):
         rng = np.random.default_rng(2)
-        real = draw_realization(self.pl, FadingMode.NONE, rng, n_subchannels=2)
+        real = draw_realization(self.pl, FadingMode.NONE, rng, 2, None, None)
         assert real.gbs_gains is None and real.gbs_power is None
 
     @pytest.mark.parametrize("fading", [FadingMode.RAYLEIGH, FadingMode.NONE],
@@ -275,7 +277,7 @@ class TestInterference:
         powers = rng.uniform(0.0, 0.2, size=(2, 4))
         field, _ = interference_field(real, powers)
         for j in range(2):
-            assert np.all(interference_for_abs(field, powers[j], gains[j]) >= 0.0)
+            assert np.all(interference_for_abs(field, powers[j], gains[j], None) >= 0.0)
 
     @pytest.mark.parametrize("with_ground", [False, True], ids=["no ground", "ground"])
     def test_inputs_unchanged(self, with_ground):

@@ -1,4 +1,4 @@
-import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absim.allocator import AllocationProblem, solve
-from absim.channel import FadingMode, GbsSpec, PropagationParams, path_loss_to_users
+from absim.channel import FadingMode, path_loss_to_users
 from absim.environment import (Environment, TableMismatch, extract_trajectory,
                                pessimistic_q_init, run_episode, train)
 from absim.geometry import (Action, GridState, Position3D, cell_center, dist_to_final,
                             state_index)
-from absim.qlearning import LearningParams, QTable, greedy_policy
+from absim.qlearning import QTable, greedy_policy
 from absim.rng import PURPOSE_EPISODE, derive_stream
-from absim.simcli import load_config
 
-from conftest import make_scenario
+from conftest import DEFAULT_CONFIG, DEFAULT_LEARNING, make_scenario
 from environment_reference import initial_powers, joint_step
 from qlearning_reference import value_iteration
 from test_qlearning import grid_world
@@ -111,8 +110,8 @@ class TestStepAll:
                      "path_loss_to_users", "AllocationProblem", "solve"):
             monkeypatch.setattr(f"absim.environment.{name}", radio)
         cfg = make_scenario(m=4, n_agents=2, beta1=0.0,
-                            gbs=GbsSpec(enabled=True, x=150.0, y=150.0, height=10.0,
-                                        power_per_subchannel=0.5))
+                            gbs=replace(DEFAULT_CONFIG.gbs, enabled=True, x=150.0, y=150.0,
+                                        height=10.0, power_per_subchannel=0.5))
         env = Environment(cfg)
         rng = np.random.default_rng(4)
         for _ in range(3):
@@ -165,9 +164,10 @@ class TestMatchesReference:
         for j in data.draw(st.sets(st.integers(0, j_count - 1), max_size=j_count - 1),
                            label="parked"):
             final[j] = initial[j]
-        gbs = GbsSpec()
+        gbs = DEFAULT_CONFIG.gbs
         if data.draw(st.booleans(), label="ground transmitter"):
-            gbs = GbsSpec(enabled=True, x=data.draw(st.floats(0.0, side)),
+            gbs = replace(DEFAULT_CONFIG.gbs, enabled=True,
+                          x=data.draw(st.floats(0.0, side)),
                           y=data.draw(st.floats(0.0, side)), height=10.0,
                           power_per_subchannel=data.draw(st.floats(1e-3, 0.5)))
         cfg = make_scenario(m=m, n_agents=j_count,
@@ -239,7 +239,7 @@ class TestGroundInterferer:
                              fading=FadingMode.NONE)
         noisy = make_scenario(m=4, n_agents=1, beta1=1.0, n_subchannels=2,
                               fading=FadingMode.NONE,
-                              gbs=GbsSpec(enabled=True, x=150.0, y=150.0,
+                              gbs=replace(DEFAULT_CONFIG.gbs, enabled=True, x=150.0, y=150.0,
                                           height=10.0, power_per_subchannel=0.5))
         _, quiet = Environment(base).step_all({0: Action.RIGHT},
                                               np.random.default_rng(0))
@@ -254,7 +254,7 @@ class TestPerCellValues:
     needed; the ground transmitter's row is made once per Environment."""
 
     def test_no_per_cell_value_made_twice(self, monkeypatch):
-        gbs = GbsSpec(enabled=True, x=150.0, y=150.0, height=10.0,
+        gbs = replace(DEFAULT_CONFIG.gbs, enabled=True, x=150.0, y=150.0, height=10.0,
                       power_per_subchannel=0.5)
         cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,
                             fading=FadingMode.RAYLEIGH, gbs=gbs)
@@ -272,7 +272,8 @@ class TestPerCellValues:
         tables = fresh_tables(cfg)
         agent_steps = 0
         for e in range(4):
-            stats = run_episode(env, tables, LearningParams(max_steps_per_episode=30),
+            stats = run_episode(env, tables,
+                                replace(DEFAULT_LEARNING, max_steps_per_episode=30),
                                 derive_stream(5, PURPOSE_EPISODE, e), 0.1)
             agent_steps += int(stats.steps_to_terminal.sum())
         for keys in made.values():
@@ -289,7 +290,7 @@ class TestSingleAgentRun:
         cfg = make_scenario(m=4, n_agents=1, beta1=1.0, beta3=1000.0,
                             fading=FadingMode.RAYLEIGH)
         env = Environment(cfg)
-        params = LearningParams(max_steps_per_episode=50)
+        params = replace(DEFAULT_LEARNING, max_steps_per_episode=50)
         stats = run_episode(env, fresh_tables(cfg), params, np.random.default_rng(7),
                             params.epsilon)
         assert stats.steps_to_terminal[0] > 0
@@ -306,9 +307,9 @@ class TestPureDistancePolicy:
         for s in range(36):
             if terminal[s]:
                 continue
-            here = dist_to_final(cell_center(area, s), goal_pos)
+            here = dist_to_final(cell_center(area, s), goal_pos, 1)
             best = int(q_star[s].argmax())
-            there = dist_to_final(cell_center(area, int(next_state[s, best])), goal_pos)
+            there = dist_to_final(cell_center(area, int(next_state[s, best])), goal_pos, 1)
             assert there < here
 
 
@@ -316,7 +317,7 @@ class TestRunEpisode:
     def test_zero_step_cap_empty_trace(self):
         cfg = make_scenario(m=4, n_agents=1)
         env = Environment(cfg)
-        params = LearningParams(max_steps_per_episode=0)
+        params = replace(DEFAULT_LEARNING, max_steps_per_episode=0)
         tables = fresh_tables(cfg)
         stats = run_episode(env, tables, params, np.random.default_rng(0), params.epsilon)
         assert tables[0].visits.sum() == 0
@@ -325,7 +326,7 @@ class TestRunEpisode:
     def test_identical_seeds_identical_traces(self):
         cfg = make_scenario(m=4, n_agents=2, beta1=2.0, beta3=1000.0,
                             fading=FadingMode.RAYLEIGH)
-        params = LearningParams(max_steps_per_episode=50)
+        params = replace(DEFAULT_LEARNING, max_steps_per_episode=50)
 
         def run_once():
             env = Environment(cfg)
@@ -358,7 +359,7 @@ class TestRunEpisode:
                             final=[GridState(4, 4), GridState(4, 1)])
         env = Environment(cfg)
         tables = fresh_tables(cfg)
-        params = LearningParams(epsilon=0.0, max_steps_per_episode=30, alpha=0.5)
+        params = replace(DEFAULT_LEARNING, epsilon=0.0, max_steps_per_episode=30, alpha=0.5)
         run_episode(env, tables, params, np.random.default_rng(9), params.epsilon)
         # agent 0 reaches (4,4) quickly; its terminal row must stay zero
         assert np.all(tables[0].values[tables[0].terminal_state] == 0.0)
@@ -370,7 +371,7 @@ class TestRunEpisode:
                             final=[GridState(4, 4), GridState(4, 1)])
         env = Environment(cfg)
         tables = fresh_tables(cfg)
-        params = LearningParams(epsilon=0.0, max_steps_per_episode=60)
+        params = replace(DEFAULT_LEARNING, epsilon=0.0, max_steps_per_episode=60)
         stats = run_episode(env, tables, params, np.random.default_rng(10), params.epsilon)
         assert stats.reached.any()
         visits = [int(q.visits.sum()) for q in tables]
@@ -399,7 +400,7 @@ class TestIntegerStates:
         env = Environment(cfg)
         tables = fresh_tables(cfg)
         calls = self.count_state_index(monkeypatch)
-        run_episode(env, tables, LearningParams(max_steps_per_episode=50),
+        run_episode(env, tables, replace(DEFAULT_LEARNING, max_steps_per_episode=50),
                     np.random.default_rng(12), 0.1)
         assert sum(int(q.visits.sum()) for q in tables) > 0
         assert calls == []
@@ -415,7 +416,7 @@ class TestIntegerStates:
 class TestTrain:
     def test_single_episode_single_record(self):
         cfg = make_scenario(m=4, n_agents=1)
-        params = LearningParams(max_episodes=1, max_steps_per_episode=10)
+        params = replace(DEFAULT_LEARNING, max_episodes=1, max_steps_per_episode=10)
         qtables, stats = train(cfg, params, master_seed=5)
         assert len(stats) == 1
         assert stats[0].steps_to_terminal.shape == (1,)
@@ -424,9 +425,8 @@ class TestTrain:
         # pure-distance reward: learned greedy actions must match the
         # exact fixed point wherever its argmax is unique
         cfg = make_scenario(m=4, n_agents=1, beta1=0.0, beta2=0.25)
-        params = LearningParams(alpha=1.0, epsilon=0.2, gamma=0.9,
-                                max_episodes=1500, max_steps_per_episode=64,
-                                initial_q=0.0)
+        params = replace(DEFAULT_LEARNING, alpha=1.0, epsilon=0.2, gamma=0.9,
+                         max_episodes=1500, max_steps_per_episode=64, initial_q=0.0)
         qtables, _ = train(cfg, params, master_seed=11)
         _, next_state, rewards, terminal, _ = grid_world(4)
         q_star = value_iteration(next_state, rewards, terminal, gamma=0.9, tol=1e-12)
@@ -445,13 +445,16 @@ class TestTrain:
         ({"beta2": 3e301},
          {"gamma": 0.0, "epsilon": 1.0, "max_episodes": 1, "max_steps_per_episode": 100000},
          "an episode's reward sum could reach inf"),
+        # 4 pi f d overflows before the division by c: the farthest gain would be 0.0
+        ({"propagation": replace(DEFAULT_CONFIG.propagation, carrier_freq=1e305,
+                                 speed_of_light=1e305)},
+         {"max_episodes": 1, "max_steps_per_episode": 3}, "gains from stations would span"),
     ])
     def test_overflowing_config_raises_before_building(self, monkeypatch, scenario, learning,
                                                        message):
         # the defaults with fields that ScenarioConfig and LearningParams each accept
-        config, params = load_config()
-        config = dataclasses.replace(config, **scenario)
-        params = dataclasses.replace(params, **learning)
+        config = replace(DEFAULT_CONFIG, **scenario)
+        params = replace(DEFAULT_LEARNING, **learning)
         monkeypatch.setattr("absim.environment.Environment",
                             lambda config: pytest.fail("train built an Environment"))
         with pytest.raises(ValueError, match=message):
@@ -460,7 +463,7 @@ class TestTrain:
     def test_stats_are_finite(self):
         cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,
                             fading=FadingMode.RAYLEIGH)
-        params = LearningParams(max_episodes=5, max_steps_per_episode=40)
+        params = replace(DEFAULT_LEARNING, max_episodes=5, max_steps_per_episode=40)
         _, stats = train(cfg, params, master_seed=3)
         for st in stats:
             assert np.isfinite(st.avg_sum_rate).all()
@@ -479,9 +482,8 @@ class TestExtractTrajectory:
 
     def test_rollout_length_is_manhattan_distance(self):
         cfg = make_scenario(m=6, n_agents=1, beta1=0.0, beta2=0.25)
-        params = LearningParams(alpha=1.0, epsilon=0.2, gamma=0.9,
-                                max_episodes=2500, max_steps_per_episode=144,
-                                initial_q=0.0)
+        params = replace(DEFAULT_LEARNING, alpha=1.0, epsilon=0.2, gamma=0.9,
+                         max_episodes=2500, max_steps_per_episode=144, initial_q=0.0)
         qtables, _ = train(cfg, params, master_seed=21)
         rollout = extract_trajectory(cfg, qtables)
         assert rollout.reached == [True]
@@ -516,10 +518,10 @@ class TestExtractTrajectory:
     def test_rollout_is_radio_free(self, monkeypatch):
         cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,
                             fading=FadingMode.RAYLEIGH,
-                            gbs=GbsSpec(enabled=True, x=150.0, y=150.0, height=10.0,
-                                        power_per_subchannel=0.5))
-        qtables, _ = train(cfg, LearningParams(max_episodes=3, max_steps_per_episode=20),
-                           master_seed=4)
+                            gbs=replace(DEFAULT_CONFIG.gbs, enabled=True, x=150.0, y=150.0,
+                                        height=10.0, power_per_subchannel=0.5))
+        params = replace(DEFAULT_LEARNING, max_episodes=3, max_steps_per_episode=20)
+        qtables, _ = train(cfg, params, master_seed=4)
 
         def radio(*args, **kwargs):
             raise AssertionError("the greedy rollout did radio work")
@@ -552,9 +554,8 @@ class TestExtractTrajectory:
         cfg = make_scenario(m=4, n_agents=2, beta2=0.25,
                             initial=[GridState(1, 1), GridState(4, 1)],
                             final=[GridState(4, 4), GridState(1, 4)])
-        params = LearningParams(alpha=1.0, epsilon=0.3, gamma=0.9,
-                                max_episodes=3000, max_steps_per_episode=64,
-                                initial_q=0.0)
+        params = replace(DEFAULT_LEARNING, alpha=1.0, epsilon=0.3, gamma=0.9,
+                         max_episodes=3000, max_steps_per_episode=64, initial_q=0.0)
         qtables, _ = train(cfg, params, master_seed=2)
         rollout = extract_trajectory(cfg, qtables)
         assert rollout.min_pairwise >= 0.0
@@ -583,7 +584,7 @@ class TestConfigValidation:
     def test_pessimistic_init_is_reward_floor(self):
         cfg = make_scenario(m=4, beta2=0.25, beta3=1000.0)
         q0 = pessimistic_q_init(cfg, gamma=0.9)
-        diag = dist_to_final(cell_center(cfg.area, 0), cell_center(cfg.area, 15))
+        diag = dist_to_final(cell_center(cfg.area, 0), cell_center(cfg.area, 15), 1)
         # floor is below any reachable single-step penalty over the horizon
         assert q0 < -(0.25 * diag) / (1 - 0.9)
         assert q0 == pytest.approx(-(0.25 * np.hypot(400, 400) + 1000.0) / 0.1)

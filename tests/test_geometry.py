@@ -137,15 +137,15 @@ class TestStateIndex:
 class TestDistances:
     def test_identity(self):
         p = Position3D(0, 0, 100)
-        assert dist_to_final(p, p) == 0.0
+        assert dist_to_final(p, p, 1) == 0.0
         assert pairwise_dist(p, p) == 0.0
 
     def test_345_triangle(self):
-        assert dist_to_final(Position3D(300, 400, 100), Position3D(0, 0, 100)) == 500.0
+        assert dist_to_final(Position3D(300, 400, 100), Position3D(0, 0, 100), 1) == 500.0
         assert pairwise_dist(Position3D(0, 0, 100), Position3D(3, 4, 100)) == 5.0
 
     def test_axis_aligned(self):
-        assert dist_to_final(Position3D(100, 0, 100), Position3D(0, 0, 100)) == 100.0
+        assert dist_to_final(Position3D(100, 0, 100), Position3D(0, 0, 100), 1) == 100.0
 
     def test_collision_threshold(self):
         # coincident stations violate any positive separation threshold

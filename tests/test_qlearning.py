@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis.extra import numpy as hnp
 
 import qlearning_reference as reference
 from qlearning_reference import value_iteration
+from conftest import DEFAULT_LEARNING
 from absim.geometry import (Action, AreaSpec, GridState, apply_action, cell_center,
                             dist_to_final, state_index)
-from absim.qlearning import (LearningParams, QTable, Transition, greedy_policy,
-                             load_qtable, save_qtable, select_action, update)
+from absim.qlearning import (QTable, Transition, greedy_policy, load_qtable, save_qtable,
+                             select_action, update)
 
 # Exact action values of the 4x4 single-agent fixture (goal at (4,4),
 # reward -0.25 * distance of the successor cell to the goal, gamma 0.9),
@@ -51,7 +53,7 @@ def grid_world(m=4, goal=None, beta2=0.25, gamma=0.9):
         for a in Action:
             nxt = apply_action(area, s, a)
             next_state[s, a] = nxt
-            rewards[s, a] = -beta2 * dist_to_final(cell_center(area, nxt), goal_pos)
+            rewards[s, a] = -beta2 * dist_to_final(cell_center(area, nxt), goal_pos, 1)
     return area, next_state, rewards, terminal, goal_idx
 
 
@@ -96,27 +98,27 @@ class TestUpdate:
     def test_zero_alpha_no_change(self):
         q = QTable(3, 4, terminal_state=1)
         q.values[:] = 7.0
-        update(q, Transition(0, 1, 5.0, 2), LearningParams(alpha=0.0))
+        update(q, Transition(0, 1, 5.0, 2), replace(DEFAULT_LEARNING, alpha=0.0))
         assert q.values[0, 1] == 7.0
 
     def test_full_replacement_no_bootstrap(self):
         q = QTable(3, 4, terminal_state=2)
         update(q, Transition(0, 2, 5.0, 1),
-               LearningParams(alpha=1.0, gamma=0.0))
+               replace(DEFAULT_LEARNING, alpha=1.0, gamma=0.0))
         assert q.values[0, 2] == 5.0
 
     def test_hand_computed_target(self):
         q = QTable(3, 4, terminal_state=2)
         q.values[1] = [0.0, 2.0, 1.0, 0.0]
         update(q, Transition(0, 0, 1.0, 1),
-               LearningParams(alpha=0.5, gamma=0.9))
+               replace(DEFAULT_LEARNING, alpha=0.5, gamma=0.9))
         assert q.values[0, 0] == pytest.approx(1.4, abs=1e-12)
 
     def test_update_is_local(self):
         q = QTable(4, 4, terminal_state=0)
         q.values[:] = -3.0
         before = q.values.copy()
-        update(q, Transition(1, 2, 8.0, 3), LearningParams(alpha=0.3))
+        update(q, Transition(1, 2, 8.0, 3), replace(DEFAULT_LEARNING, alpha=0.3))
         changed = q.values != before
         assert changed.sum() == 1 and changed[1, 2]
 
@@ -124,7 +126,7 @@ class TestUpdate:
         q = QTable(3, 4, terminal_state=2)
         q.values[0, 1] = -1.0
         update(q, Transition(0, 1, 4.0, 2),
-               LearningParams(alpha=1.0, gamma=0.9))
+               replace(DEFAULT_LEARNING, alpha=1.0, gamma=0.9))
         # target r + gamma * 0, because the terminal row is pinned
         assert q.values[0, 1] == 4.0
         assert np.all(q.values[2] == 0.0)
@@ -132,7 +134,7 @@ class TestUpdate:
     def test_transition_from_terminal_rejected(self):
         q = QTable(3, 4, terminal_state=1)
         with pytest.raises(ValueError):
-            update(q, Transition(1, 0, 0.0, 0), LearningParams())
+            update(q, Transition(1, 0, 0.0, 0), DEFAULT_LEARNING)
 
     @pytest.mark.parametrize("reward, value", [(-np.inf, 0.0), (-1e308, -1e308),
                                                (np.nan, 0.0)])
@@ -142,12 +144,12 @@ class TestUpdate:
         q = QTable(3, 4, terminal_state=1, initial_value=value)
         with pytest.raises(ValueError, match=r"update of entry \(0, 1\) gives"):
             update(q, Transition(0, 1, reward, 2),
-                   LearningParams(alpha=1.0, gamma=0.9))
+                   replace(DEFAULT_LEARNING, alpha=1.0, gamma=0.9))
         assert q.values[0, 1] == value and q.visits[0, 1] == 0
 
     def test_visit_count_schedule(self):
         q = QTable(2, 4, terminal_state=1)
-        params = LearningParams(alpha_schedule="visit_count", gamma=0.0)
+        params = replace(DEFAULT_LEARNING, alpha_schedule="visit_count", gamma=0.0)
         update(q, Transition(0, 0, 10.0, 1), params)  # alpha = 1
         assert q.values[0, 0] == 10.0
         update(q, Transition(0, 0, 0.0, 1), params)   # alpha = 1/2
@@ -159,7 +161,7 @@ class TestUpdate:
         # rewards in [r_min, r_max] keep zero-initialized entries inside
         # [min(0, r_min)/(1-g), max(0, r_max)/(1-g)]
         rng = np.random.default_rng(5)
-        params = LearningParams(alpha=0.5, gamma=0.8)
+        params = replace(DEFAULT_LEARNING, alpha=0.5, gamma=0.8)
         q = QTable(7, 4, terminal_state=6)  # the updates use states 0-5 only
         r_min, r_max = -3.0, 2.0
         lo, hi = r_min / (1 - 0.8), r_max / (1 - 0.8)
@@ -215,7 +217,7 @@ class TestMatchesNumpyReference:
            gamma=st.floats(0.0, 0.99))
     def test_update_bit_equal(self, values, visits, steps, schedule, alpha, gamma):
         q, q_ref = table_pair(values, visits)
-        params = LearningParams(alpha=alpha, gamma=gamma, alpha_schedule=schedule)
+        params = replace(DEFAULT_LEARNING, alpha=alpha, gamma=gamma, alpha_schedule=schedule)
         for s, a, r, s_next in steps:
             t = Transition(s, a, r, s_next)
             update(q, t, params)
@@ -286,7 +288,8 @@ class TestConvergenceToOracle:
         rewards = rewards_m / 1000.0  # 0.025 per cell of distance
         q_star = value_iteration(next_state, rewards, terminal, gamma=0.9, tol=1e-13)
         q = QTable(16, 4, terminal_state=goal_idx)
-        params = LearningParams(epsilon=0.2, gamma=0.9, alpha_schedule="visit_count")
+        params = replace(DEFAULT_LEARNING, epsilon=0.2, gamma=0.9,
+                         alpha_schedule="visit_count")
         rng = np.random.default_rng(23)
         nonterminal = np.flatnonzero(~terminal)
         for _ in range(8000):
@@ -438,4 +441,4 @@ class TestLearningParams:
     ])
     def test_invariants_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            LearningParams(**kwargs)
+            replace(DEFAULT_LEARNING, **kwargs)
