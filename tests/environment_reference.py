@@ -16,6 +16,10 @@ is the step as the model describes it, with no cache and no shared work:
   per-station ``solve``; a parked station stops transmitting;
 - the reward is beta1 * rate - beta2 * distance to the final cell -
   beta3 * (another station closer than d_min).
+
+``reference_episode`` and ``reference_train`` compose that step with the
+array learner of ``qlearning_reference`` into the episode loop and the
+training run, the reference for ``run_episode`` and ``train``.
 """
 
 from __future__ import annotations
@@ -24,11 +28,14 @@ import numpy as np
 
 from absim.allocator import AllocationProblem, solve
 from absim.channel import ChannelRealization, FadingMode, path_loss_to_users
+from absim.environment import EpisodeStats
 from absim.geometry import (Position3D, apply_action, cell_center, dist_to_final,
                             pairwise_dist, state_index)
-from absim.qlearning import Transition
+from absim.qlearning import QTable, Transition
+from absim.rng import PURPOSE_EPISODE, derive_stream
 
 from channel_reference import interference_table
+from qlearning_reference import select_action, update
 
 
 def initial_powers(config, parked):
@@ -101,3 +108,68 @@ def joint_step(config, states, parked, powers, actions, rng):
         reward = config.beta1 * f1 - config.beta2 * f2 - config.beta3 * f3
         transitions.append(Transition(states[j], int(actions[j]), reward, new_states[j]))
     return new_states, new_parked, new_powers, transitions, terms
+
+
+def reference_episode(config, tables, params, rng, epsilon):
+    """One learning episode from the initial cells, as EpisodeStats.
+
+    Each step every unparked station picks its action in station order,
+    joint_step moves the fleet and draws the channel from the same stream,
+    and each acting station updates its own table with its transition. The
+    episode ends once every station is parked, or after the step cap (four
+    steps per cell when it is null). A parked station neither acts nor
+    learns; its tallies count the steps it took, and collision_steps counts
+    one per acting station flagged as too close, per step.
+    """
+    area, j_count = config.area, config.n_agents
+    states = [state_index(area, s) for s in config.initial_states]
+    parked = [s == state_index(area, f) for s, f in zip(states, config.final_states)]
+    powers = initial_powers(config, parked)
+    cap = params.max_steps_per_episode
+    if cap is None:
+        cap = 4 * area.n_states
+    rate_sum, steps, reward_sum, collisions = [0.0] * j_count, [0] * j_count, [0.0] * j_count, 0
+    for _ in range(cap):
+        acting = [j for j in range(j_count) if not parked[j]]
+        if not acting:
+            break
+        actions = {j: select_action(tables[j], states[j], epsilon, rng) for j in acting}
+        states, parked, powers, transitions, terms = joint_step(
+            config, states, parked, powers, actions, rng)
+        for j, t in zip(acting, transitions):
+            update(tables[j], t, params)
+            rate_sum[j] += terms[j][0]
+            steps[j] += 1
+            reward_sum[j] += t.reward
+            collisions += int(terms[j][2])
+    return EpisodeStats(
+        avg_sum_rate=np.array([r / max(n, 1) for r, n in zip(rate_sum, steps)]),
+        steps_to_terminal=np.array(steps), cumulative_reward=np.array(reward_sum),
+        reached=np.array(parked), collision_steps=collisions)
+
+
+def reference_train(config, params, master_seed):
+    """A training run: (tables, stats per episode, stream per episode).
+
+    Tables start at initial_q, or when it is null at the pessimistic floor
+    -(beta2 * area diagonal + beta3) / (1 - gamma), with each station's
+    final cell as its terminal state. Episode e draws only from its own
+    stream derive_stream(master_seed, PURPOSE_EPISODE, e) and runs at
+    epsilon * epsilon_decay^e.
+    """
+    area = config.area
+    q0 = params.initial_q
+    if q0 is None:
+        diagonal = dist_to_final(Position3D(area.x_min, area.y_min, area.altitude),
+                                 Position3D(area.x_max, area.y_max, area.altitude),
+                                 config.distance_exponent)
+        q0 = -(config.beta2 * diagonal + config.beta3) / (1.0 - params.gamma)
+    tables = [QTable(area.n_states, 4, terminal_state=state_index(area, f), initial_value=q0)
+              for f in config.final_states]
+    stats, streams = [], []
+    epsilon = params.epsilon
+    for e in range(params.max_episodes):
+        streams.append(derive_stream(master_seed, PURPOSE_EPISODE, e))
+        stats.append(reference_episode(config, tables, params, streams[-1], epsilon))
+        epsilon *= params.epsilon_decay
+    return tables, stats, streams

@@ -15,7 +15,7 @@ from absim.qlearning import QTable, greedy_policy
 from absim.rng import PURPOSE_EPISODE, derive_stream
 
 from conftest import DEFAULT_CONFIG, DEFAULT_LEARNING, make_scenario
-from environment_reference import initial_powers, joint_step
+from environment_reference import initial_powers, joint_step, reference_train
 from qlearning_reference import value_iteration
 from test_qlearning import grid_world
 
@@ -140,6 +140,13 @@ class TestStepAll:
         assert np.any(env._prev_powers[1] > 0.0)
 
 
+def _philox_state(rng):
+    """A derived stream's state as plain, comparable values."""
+    state = rng.bit_generator.state
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in {**state.pop("state"), **state}.items()}
+
+
 class TestMatchesReference:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
@@ -194,6 +201,75 @@ class TestMatchesReference:
             assert (env.states, env.parked) == (states, parked)
             assert env._prev_powers.tolist() == powers.tolist()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_train_matches_reference_train(self, data):
+        # train composes step_all with select_action and update; over whole
+        # episodes it must equal reference_train: the same stats, table bits,
+        # visits and per-episode stream state
+        j_count = data.draw(st.integers(1, 4), label="J")
+        m = data.draw(st.integers(3, 6), label="cells per axis")
+        extra = data.draw(st.lists(st.integers(0, j_count - 1), max_size=4),
+                          label="extra users' stations")
+        assoc = data.draw(st.permutations(list(range(j_count)) + extra),
+                          label="association")
+        side = 100.0 * m
+        users = data.draw(st.lists(st.tuples(st.floats(0.0, side), st.floats(0.0, side)),
+                                   min_size=len(assoc), max_size=len(assoc)), label="users")
+        cells = st.builds(GridState, st.integers(1, m), st.integers(1, m))
+        initial = data.draw(st.lists(cells, min_size=j_count, max_size=j_count),
+                            label="initial")
+        final = data.draw(st.lists(cells, min_size=j_count, max_size=j_count), label="final")
+        for j in data.draw(st.sets(st.integers(0, j_count - 1), max_size=j_count - 1),
+                           label="parked"):
+            final[j] = initial[j]
+        gbs = DEFAULT_CONFIG.gbs
+        if data.draw(st.booleans(), label="ground transmitter"):
+            gbs = replace(DEFAULT_CONFIG.gbs, enabled=True,
+                          x=data.draw(st.floats(0.0, side)),
+                          y=data.draw(st.floats(0.0, side)), height=10.0,
+                          power_per_subchannel=data.draw(st.floats(1e-3, 0.5)))
+        cfg = make_scenario(m=m, n_agents=j_count,
+                            n_subchannels=data.draw(st.integers(1, 4), label="N"),
+                            beta1=data.draw(st.sampled_from([2.0, 0.0]), label="beta1"),
+                            beta2=data.draw(st.sampled_from([0.25, 0.0]), label="beta2"),
+                            beta3=data.draw(st.sampled_from([1000.0, 0.0]), label="beta3"),
+                            fading=data.draw(st.sampled_from(FadingMode)), users=users,
+                            assoc=assoc, initial=initial, final=final, d_min=150.0, gbs=gbs,
+                            distance_exponent=data.draw(st.sampled_from([1, 2])))
+        params = replace(
+            DEFAULT_LEARNING,
+            alpha=data.draw(st.sampled_from([0.1, 0.5, 1.0]), label="alpha"),
+            gamma=data.draw(st.sampled_from([0.0, 0.9]), label="gamma"),
+            epsilon=data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="epsilon"),
+            epsilon_decay=data.draw(st.sampled_from([1.0, 0.5]), label="epsilon_decay"),
+            alpha_schedule=data.draw(st.sampled_from(["constant", "visit_count"])),
+            max_episodes=data.draw(st.integers(1, 3), label="episodes"),
+            max_steps_per_episode=data.draw(st.none() | st.integers(0, 25), label="cap"),
+            initial_q=data.draw(st.none() | st.sampled_from([-5.0, 0.0, 2.5]),
+                                label="initial_q"))
+        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        streams = []
+
+        def recorded(*args):
+            streams.append(derive_stream(*args))
+            return streams[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("absim.environment.derive_stream", recorded)
+            tables, stats = train(cfg, params, seed)
+        ref_tables, ref_stats, ref_streams = reference_train(cfg, params, seed)
+        # a stream is used by its own episode only, so its state now is its
+        # state when that episode ended
+        assert [_philox_state(s) for s in streams] == [_philox_state(s) for s in ref_streams]
+        for got, want in zip(stats, ref_stats, strict=True):
+            for name in ("avg_sum_rate", "steps_to_terminal", "cumulative_reward", "reached"):
+                assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+            assert got.collision_steps == want.collision_steps
+        for got, want in zip(tables, ref_tables, strict=True):
+            assert got.values.view(np.int64).tolist() == want.values.view(np.int64).tolist()
+            assert got.visits.tolist() == want.visits.tolist()
 
 
 class TestMove:
