@@ -3,7 +3,8 @@
 Each link mixes line-of-sight and obstructed free-space path loss, weighted
 by an elevation-angle-dependent LoS probability, and is optionally scaled
 by unit-mean Rayleigh fading power. The model produces linear power gains
-per (station, user, sub-channel) plus the cross-station interference terms.
+per (station, user, sub-channel) and from the ground transmitter; it does
+no arithmetic with transmit power.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +25,6 @@ __all__ = [
     "PropagationParams",
     "draw_realization",
     "free_space_path_loss",
-    "interference_field",
-    "interference_for_abs",
     "los_probability",
 ]
 
@@ -93,18 +93,16 @@ class GbsSpec:
             raise ValueError("\n".join(errors))
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
+class ChannelRealization(NamedTuple):
     """Per-link linear power gains for one time step.
 
     gains[j, k, n] is the power gain from station j to user k on
-    sub-channel n. gbs_gains/gbs_power are None when the ground
-    transmitter is disabled.
+    sub-channel n, gbs_gains[k, n] the ground transmitter's, or None when
+    it is disabled.
     """
 
     gains: np.ndarray
     gbs_gains: np.ndarray | None = None
-    gbs_power: float | None = None
 
 
 def los_probability(theta_deg, params: PropagationParams):
@@ -139,8 +137,7 @@ def path_loss_to_users(abs_pos: Position3D, users_xy: np.ndarray,
 
 def draw_realization(path_loss: np.ndarray, fading: FadingMode,
                      rng: np.random.Generator, n_subchannels: int,
-                     gbs_path_loss: np.ndarray | None,
-                     gbs_power: float | None) -> ChannelRealization:
+                     gbs_path_loss: np.ndarray | None) -> ChannelRealization:
     """Draw the per-link power gains for one time step.
 
     Parameters
@@ -151,7 +148,6 @@ def draw_realization(path_loss: np.ndarray, fading: FadingMode,
     rng : caller-owned seeded stream, consumed only when fading is drawn
     gbs_path_loss : (K,) path loss from the ground transmitter to each
         user, or None when it is disabled
-    gbs_power : the ground transmitter's power per sub-channel in watts
     """
     def gains(pl):  # (J, K) or (K,) path loss -> gains with a trailing N axis
         shape = pl.shape + (n_subchannels,)
@@ -163,36 +159,5 @@ def draw_realization(path_loss: np.ndarray, fading: FadingMode,
         return np.broadcast_to(base, shape).copy()
 
     station_gains = gains(path_loss)  # drawn before the ground row
-    if gbs_path_loss is None:
-        return ChannelRealization(gains=station_gains)
-    return ChannelRealization(station_gains, gains(gbs_path_loss), gbs_power)
-
-
-def interference_field(realization: ChannelRealization,
-                       powers: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(field, ground): the (K, N) interference terms every station shares.
-
-    field sums each station's power times its gain to every user, own
-    station included; ground is the ground transmitter's term, or None.
-    """
-    field = np.einsum("jn,jkn->kn", powers, realization.gains)
-    ground = (None if realization.gbs_gains is None
-              else realization.gbs_power * realization.gbs_gains)
-    return field, ground
-
-
-def interference_for_abs(field_rows: np.ndarray, own_powers: np.ndarray,
-                         own_gains: np.ndarray,
-                         ground_rows: np.ndarray | None) -> np.ndarray:
-    """(K_j, N) interference in watts seen by each user of one station.
-
-    Its users' rows of interference_field's terms less its own power (N,)
-    times gains (K_j, N); tests/channel_reference.py holds its references.
-    """
-    table = own_powers * own_gains  # the one new array; the rest runs in place
-    np.subtract(field_rows, table, out=table)
-    # field-minus-own can round a hair below zero; interference is >= 0
-    np.maximum(table, 0.0, out=table)
-    if ground_rows is not None:
-        table += ground_rows
-    return table
+    return ChannelRealization(station_gains,
+                              None if gbs_path_loss is None else gains(gbs_path_loss))

@@ -18,8 +18,7 @@ import numpy as np
 
 from .allocator import AllocationProblem, solve
 from .channel import (FadingMode, GbsSpec, PropagationParams, draw_realization,
-                      free_space_path_loss, interference_field, interference_for_abs,
-                      path_loss_to_users)
+                      free_space_path_loss, path_loss_to_users)
 from .geometry import (Action, AreaSpec, Position3D, apply_action, cell_center,
                        dist_to_final, pairwise_dist, state_index)
 from .qlearning import LearningParams, QTable, Transition, greedy_policy, select_action, update
@@ -210,6 +209,24 @@ class _PerCell(dict):
         return value
 
 
+def interference_for_abs(field_rows: np.ndarray, own_powers: np.ndarray,
+                         own_gains: np.ndarray,
+                         ground_rows: np.ndarray | None) -> np.ndarray:
+    """(K_j, N) interference in watts seen by each user of one station.
+
+    Its users' rows of step_all's field (every station's previous power
+    times its gain) less its own power (N,) times gains (K_j, N), plus the
+    ground term's rows; tests/channel_reference.py holds its references.
+    """
+    table = own_powers * own_gains  # the one new array; the rest runs in place
+    np.subtract(field_rows, table, out=table)
+    # field-minus-own can round a hair below zero; interference is >= 0
+    np.maximum(table, 0.0, out=table)
+    if ground_rows is not None:
+        table += ground_rows
+    return table
+
+
 class Environment:
     """Owns the mutable per-episode state of one scenario.
 
@@ -312,16 +329,18 @@ class Environment:
                                [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
             ground_pl, order, own, rows = self._radio
             pl = np.array([self._pl_rows[s] for s in states])
-            realization = draw_realization(pl, cfg.fading, rng, cfg.n_subchannels,
-                                           ground_pl, gbs.power_per_subchannel)
+            station, ground = draw_realization(pl, cfg.fading, rng, cfg.n_subchannels,
+                                               ground_pl)
             prev = self._prev_powers
-            field, ground = interference_field(realization, prev)
-            # one gather each, in grouped order (take is numpy's fastest row
+            # the terms every station shares: the field sums each station's
+            # previous power times its gain, own station included, and the
+            # ground term is the ground transmitter's power times its gain.
+            # One gather each, in grouped order (take is numpy's fastest row
             # gather); every station then takes views of its slice
-            gains = realization.gains.reshape(-1, cfg.n_subchannels).take(own, axis=0)
-            field = field.take(order, axis=0)
-            if ground is not None:
-                ground = ground.take(order, axis=0)
+            gains = station.reshape(-1, cfg.n_subchannels).take(own, axis=0)
+            field = np.einsum("jn,jkn->kn", prev, station).take(order, axis=0)
+            if ground is not None:  # scaling after the gather gives the same bits
+                ground = gbs.power_per_subchannel * ground.take(order, axis=0)
             new_powers = prev.copy()
             for j in acting:
                 g_j = gains[rows[j]]

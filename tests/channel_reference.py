@@ -1,11 +1,14 @@
-"""Scalar references for the vectorized channel code.
+"""Scalar references for the vectorized channel and interference code.
 
 ``absim.channel.path_loss_to_users`` computes the path loss to every user
-at once, and ``interference_field`` with ``interference_for_abs`` the
-interference to every user and sub-channel of a station at once. These are
-the per-link versions they replaced, plus the whole-table interference
+at once. ``Environment.step_all`` forms the interference field and the
+ground term once per step, inline, and ``absim.environment.
+interference_for_abs`` turns a station's users' rows of them into its
+interference to every user and sub-channel at once. These are the
+per-link versions they replaced, plus the whole-table interference
 formula that computed the all-station field once per station, kept for the
-tests to compare against.
+tests to compare against. The channel draws gains only, so the ground
+transmitter's power is an argument here.
 """
 
 from __future__ import annotations
@@ -40,11 +43,13 @@ def average_path_loss(abs_pos: Position3D, user_xy, params: PropagationParams) -
 
 
 def interference(realization: ChannelRealization, abs_powers: np.ndarray,
-                 target_abs: int, user: int, subchannel: int) -> float:
+                 target_abs: int, user: int, subchannel: int,
+                 gbs_power: float | None = None) -> float:
     """Total interference in watts seen by one user of one station.
 
     Sums every other station's transmit power times its gain to the user,
-    plus the ground transmitter's contribution when present.
+    plus the ground transmitter's power gbs_power times its gain when its
+    gains are present.
     """
     abs_powers = np.asarray(abs_powers, dtype=float)
     total = 0.0
@@ -53,22 +58,24 @@ def interference(realization: ChannelRealization, abs_powers: np.ndarray,
             continue
         total += abs_powers[j, subchannel] * realization.gains[j, user, subchannel]
     if realization.gbs_gains is not None:
-        total += realization.gbs_power * realization.gbs_gains[user, subchannel]
+        total += gbs_power * realization.gbs_gains[user, subchannel]
     return total
 
 
 def interference_table(realization: ChannelRealization, abs_powers: np.ndarray,
-                       target_abs: int, users: np.ndarray) -> np.ndarray:
+                       target_abs: int, users: np.ndarray,
+                       gbs_power: float | None = None) -> np.ndarray:
     """(K_j, N) interference for the given users of one station, the old way.
 
     Builds the all-station field over every user, subtracts the station's
-    own term, clamps at zero and adds the ground transmitter over the whole
-    (K, N) table, and only then gathers the station's users.
+    own term, clamps at zero and adds the ground transmitter's power
+    gbs_power times its gains over the whole (K, N) table, and only then
+    gathers the station's users.
     """
     abs_powers = np.asarray(abs_powers, dtype=float)
     field = np.einsum("jn,jkn->kn", abs_powers, realization.gains)
     own = abs_powers[target_abs][None, :] * realization.gains[target_abs]
     table = np.maximum(field - own, 0.0)
     if realization.gbs_gains is not None:
-        table = table + realization.gbs_power * realization.gbs_gains
+        table = table + gbs_power * realization.gbs_gains
     return table[users]

@@ -86,14 +86,14 @@ def joint_step(config, states, parked, powers, actions, rng):
         if gbs.enabled:
             gbs_pl = path_loss_to_users(Position3D(gbs.x, gbs.y, gbs.height), users_xy, prop)
             realization = ChannelRealization(
-                gains, _gains(gbs_pl, config.fading, rng, config.n_subchannels),
-                gbs.power_per_subchannel)
+                gains, _gains(gbs_pl, config.fading, rng, config.n_subchannels))
         new_powers = powers.copy()
         for j in acting:
             users = np.flatnonzero(config.association == j)
             alloc = solve(AllocationProblem(
                 gains=gains[j][users],
-                interference=interference_table(realization, powers, j, users),
+                interference=interference_table(realization, powers, j, users,
+                                                gbs.power_per_subchannel),
                 noise_power=prop.noise_power, p_max=config.p_max))
             rates[j] = alloc.sum_rate
             new_powers[j] = 0.0 if new_parked[j] else alloc.powers

@@ -132,8 +132,7 @@ def test_criterion_4_fading_normalization():
     pos = Position3D(70.0, -30.0, 100.0)
     users = np.array([[0.0, 0.0]])
     loss = path_loss_to_users(pos, users, params)[0]
-    real = draw_realization(np.array([[loss]]), FadingMode.RAYLEIGH, rng, 1_000_000,
-                            None, None)
+    real = draw_realization(np.array([[loss]]), FadingMode.RAYLEIGH, rng, 1_000_000, None)
     # dividing out the deterministic path loss recovers the fading powers
     mean = float(np.mean(real.gains[0, 0] * loss))
     elapsed = time.perf_counter() - started

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from absim.channel import (ChannelRealization, FadingMode, draw_realization,
-                           free_space_path_loss, interference_field, interference_for_abs,
-                           los_probability, path_loss_to_users)
+                           free_space_path_loss, los_probability, path_loss_to_users)
+from absim.environment import interference_for_abs
 from absim.geometry import Position3D
 
 PARAMS = DEFAULT_CONFIG.propagation
@@ -163,7 +163,7 @@ class TestDrawRealization:
 
     def test_no_fading_flat_across_subchannels(self):
         rng = np.random.default_rng(0)
-        real = draw_realization(self.pl, FadingMode.NONE, rng, 4, None, None)
+        real = draw_realization(self.pl, FadingMode.NONE, rng, 4, None)
         assert real.gains.shape == (2, 3, 4)
         for j in range(2):
             pl = path_loss_to_users(self.positions[j], self.users, PARAMS)
@@ -172,30 +172,29 @@ class TestDrawRealization:
 
     def test_same_seed_same_realization(self):
         real1 = draw_realization(self.pl, FadingMode.RAYLEIGH, np.random.default_rng(42),
-                                 4, None, None)
+                                 4, None)
         real2 = draw_realization(self.pl, FadingMode.RAYLEIGH, np.random.default_rng(42),
-                                 4, None, None)
+                                 4, None)
         np.testing.assert_array_equal(real1.gains, real2.gains)
 
     def test_rayleigh_unit_mean(self):
         rng = np.random.default_rng(7)
         users = np.array([[0.0, 0.0]])
         pl = path_loss_to_users(Position3D(0, 0, 100), users, PARAMS)[0]
-        real = draw_realization(np.array([[pl]]), FadingMode.RAYLEIGH, rng, 200_000,
-                                None, None)
+        real = draw_realization(np.array([[pl]]), FadingMode.RAYLEIGH, rng, 200_000, None)
         mean_rho2 = float(np.mean(real.gains[0, 0] * pl))
         assert 0.98 < mean_rho2 < 1.02
 
     def test_gains_positive_finite(self):
         rng = np.random.default_rng(1)
-        real = draw_realization(self.pl, FadingMode.RAYLEIGH, rng, 8, None, None)
+        real = draw_realization(self.pl, FadingMode.RAYLEIGH, rng, 8, None)
         assert np.all(np.isfinite(real.gains))
         assert np.all(real.gains >= 0)
 
     def test_gbs_disabled_by_default(self):
         rng = np.random.default_rng(2)
-        real = draw_realization(self.pl, FadingMode.NONE, rng, 2, None, None)
-        assert real.gbs_gains is None and real.gbs_power is None
+        real = draw_realization(self.pl, FadingMode.NONE, rng, 2, None)
+        assert real.gbs_gains is None
 
     @pytest.mark.parametrize("fading", [FadingMode.RAYLEIGH, FadingMode.NONE],
                              ids=["RAYLEIGH", "NONE"])
@@ -205,7 +204,7 @@ class TestDrawRealization:
         # draws nothing
         gbs_pl = path_loss_to_users(Position3D(200, 50, 10), self.users, PARAMS)
         stream = np.random.default_rng(3)
-        real = draw_realization(self.pl, fading, stream, 4, gbs_pl, 0.5)
+        real = draw_realization(self.pl, fading, stream, 4, gbs_pl)
         rng = np.random.default_rng(3)
         if fading == FadingMode.RAYLEIGH:
             rho2 = rng.exponential(1.0, size=(2, 3, 4))
@@ -214,14 +213,18 @@ class TestDrawRealization:
             rho2, gbs_rho2 = np.ones((2, 3, 4)), np.ones((3, 4))
         np.testing.assert_array_equal(real.gains, rho2 * (1.0 / self.pl[:, :, None]))
         np.testing.assert_array_equal(real.gbs_gains, gbs_rho2 * (1.0 / gbs_pl[:, None]))
-        assert real.gbs_power == 0.5
         assert stream.bit_generator.state == rng.bit_generator.state
 
 
 class TestInterference:
-    def make_real(self, gains, gbs_gains=None, gbs_power=None):
-        return ChannelRealization(gains=np.asarray(gains, dtype=float),
-                                  gbs_gains=gbs_gains, gbs_power=gbs_power)
+    def make_real(self, gains, gbs_gains=None):
+        return ChannelRealization(gains=np.asarray(gains, dtype=float), gbs_gains=gbs_gains)
+
+    @staticmethod
+    def shared_terms(real, powers, gbs_power=None):
+        # step_all's field and ground term, before it gathers them by station
+        ground = None if real.gbs_gains is None else gbs_power * real.gbs_gains
+        return np.einsum("jn,jkn->kn", powers, real.gains), ground
 
     def test_single_station_no_gbs_is_zero(self):
         real = self.make_real(np.ones((1, 1, 2)))
@@ -239,10 +242,10 @@ class TestInterference:
         gains = np.zeros((2, 1, 1))
         gains[1, 0, 0] = 2e-9
         gbs_gains = np.full((1, 1), 5e-10)
-        real = self.make_real(gains, gbs_gains=gbs_gains, gbs_power=0.4)
+        real = self.make_real(gains, gbs_gains=gbs_gains)
         powers = np.array([[0.05], [0.1]])
         expected = 0.1 * 2e-9 + 0.4 * 5e-10
-        assert interference(real, powers, 0, 0, 0) == pytest.approx(expected, rel=1e-12)
+        assert interference(real, powers, 0, 0, 0, 0.4) == pytest.approx(expected, rel=1e-12)
 
     def test_linear_in_each_power(self):
         rng = np.random.default_rng(5)
@@ -260,22 +263,22 @@ class TestInterference:
         rng = np.random.default_rng(6)
         gains = rng.uniform(1e-10, 1e-8, size=(3, 4, 2))
         gbs_gains = rng.uniform(1e-11, 1e-9, size=(4, 2))
-        real = self.make_real(gains, gbs_gains=gbs_gains, gbs_power=0.2)
+        real = self.make_real(gains, gbs_gains=gbs_gains)
         powers = rng.uniform(0.0, 0.1, size=(3, 2))
-        field, ground = interference_field(real, powers)
+        field, ground = self.shared_terms(real, powers, 0.2)
         for j in range(3):
             table = interference_for_abs(field, powers[j], gains[j], ground)
             for k in range(4):
                 for n in range(2):
                     assert table[k, n] == pytest.approx(
-                        interference(real, powers, j, k, n), rel=1e-9)
+                        interference(real, powers, j, k, n, 0.2), rel=1e-9)
 
     def test_table_nonnegative(self):
         rng = np.random.default_rng(8)
         gains = rng.uniform(1e-12, 1e-6, size=(2, 3, 4))
         real = self.make_real(gains)
         powers = rng.uniform(0.0, 0.2, size=(2, 4))
-        field, _ = interference_field(real, powers)
+        field, _ = self.shared_terms(real, powers)
         for j in range(2):
             assert np.all(interference_for_abs(field, powers[j], gains[j], None) >= 0.0)
 
@@ -287,10 +290,9 @@ class TestInterference:
         gains = rng.uniform(1e-12, 1e-6, size=(3, 6, 4))
         real = self.make_real(gains)
         if with_ground:
-            real = self.make_real(gains, gbs_gains=rng.uniform(1e-12, 1e-9, size=(6, 4)),
-                                  gbs_power=0.3)
+            real = self.make_real(gains, gbs_gains=rng.uniform(1e-12, 1e-9, size=(6, 4)))
         powers = rng.uniform(0.0, 0.2, size=(3, 4))
-        field, ground = interference_field(real, powers)
+        field, ground = self.shared_terms(real, powers, 0.3)
         inputs = [field, powers, gains] + ([] if ground is None else [ground])
         before = [a.tobytes() for a in inputs]
         for j, rows in enumerate((slice(0, 2), slice(2, 3), slice(3, 6))):
@@ -308,10 +310,11 @@ class TestInterference:
         n = data.draw(st.integers(1, 10), label="N")
         exps = hnp.arrays(float, (j_count, k, n), elements=st.floats(-12.0, -6.0))
         real = self.make_real(10.0 ** data.draw(exps, label="gain exponents"))
+        gbs_power = None
         if data.draw(st.booleans(), label="ground transmitter"):
             gbs = data.draw(hnp.arrays(float, (k, n), elements=st.floats(-12.0, -6.0)))
-            real = self.make_real(real.gains, gbs_gains=10.0 ** gbs,
-                                  gbs_power=data.draw(st.floats(0.0, 1.0)))
+            real = self.make_real(real.gains, gbs_gains=10.0 ** gbs)
+            gbs_power = data.draw(st.floats(0.0, 1.0))
         powers = data.draw(hnp.arrays(float, (j_count, n), elements=st.floats(0.0, 0.5)),
                            label="previous powers")
         for j in data.draw(st.sets(st.integers(0, j_count - 1)), label="parked"):
@@ -319,9 +322,10 @@ class TestInterference:
         association = np.array(data.draw(
             st.lists(st.integers(0, j_count - 1), min_size=k, max_size=k),
             label="association"))
-        field, ground = interference_field(real, powers)
+        field, ground = self.shared_terms(real, powers, gbs_power)
         for j in range(j_count):
             users = np.flatnonzero(association == j)
             table = interference_for_abs(field[users], powers[j], real.gains[j][users],
                                          None if ground is None else ground[users])
-            assert table.tolist() == interference_table(real, powers, j, users).tolist()
+            assert table.tolist() == interference_table(real, powers, j, users,
+                                                        gbs_power).tolist()

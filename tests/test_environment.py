@@ -106,8 +106,8 @@ class TestStepAll:
         def radio(*args, **kwargs):
             raise AssertionError("radio work done with beta1 = 0")
 
-        for name in ("draw_realization", "interference_field", "interference_for_abs",
-                     "path_loss_to_users", "AllocationProblem", "solve"):
+        for name in ("draw_realization", "interference_for_abs", "path_loss_to_users",
+                     "AllocationProblem", "solve"):
             monkeypatch.setattr(f"absim.environment.{name}", radio)
         cfg = make_scenario(m=4, n_agents=2, beta1=0.0,
                             gbs=replace(DEFAULT_CONFIG.gbs, enabled=True, x=150.0, y=150.0,
