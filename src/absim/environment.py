@@ -268,15 +268,19 @@ class Environment:
     def move(self, actions: dict):
         """Move each acting station one cell; park the ones that arrive.
 
-        actions maps each unparked station to an Action (or its int value);
-        {} moves none. Returns each station's cell centre, the smallest
+        actions maps each unparked station's index to an Action (or its
+        int value); {} moves none, and a bad entry raises ValueError before
+        any station moves. Returns each station's cell centre, the smallest
         separation between two stations in meters (inf for one) and, per
         station, whether another one is closer than d_min.
         """
         cfg = self.config
         states, parked, final = self.states, self.parked, self.final
+        j_count = len(states)
         new_states = list(states)  # stored only once every action applies
         for j, a in actions.items():
+            if not 0 <= j < j_count:  # a negative index would move another station
+                raise ValueError(f"no agent {j} in a fleet of {j_count}")
             if parked[j]:
                 raise ValueError(f"agent {j} is parked at its terminal state")
             new_states[j] = apply_action(cfg.area, states[j], a)
@@ -284,7 +288,6 @@ class Environment:
         for j in actions:
             parked[j] = new_states[j] == final[j]
         positions = [self._pos[s] for s in new_states]
-        j_count = len(positions)
         near = [False] * j_count
         min_pairwise = float("inf")
         for i in range(j_count):

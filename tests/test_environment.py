@@ -304,9 +304,12 @@ class TestMove:
         cfg = make_scenario(m=4, n_agents=2, initial=[GridState(1, 1), GridState(1, 3)],
                             final=[GridState(2, 1), GridState(1, 4)])
         env = Environment(cfg)
-        with pytest.raises(ValueError, match="unknown action"):
-            env.move({0: Action.RIGHT, 1: 7})
-        assert env.states == [0, 8] and env.parked == [False, False]
+        # an unknown action, and agent indices outside the fleet of two
+        for bad, message in (({1: 7}, "unknown action"), ({-1: Action.LEFT}, "no agent -1"),
+                             ({2: Action.LEFT}, "no agent 2")):
+            with pytest.raises(ValueError, match=message):
+                env.move({0: Action.RIGHT, **bad})
+            assert env.states == [0, 8] and env.parked == [False, False]
 
 
 class TestGroundInterferer:

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from absim.simcli import config_to_dict, emit_plot_data, load_config, run_train
@@ -159,7 +160,9 @@ def _digest(path):
 def test_artifact_digests_pinned(case, tmp_path):
     manifest = _train(case, tmp_path)
     got = {name: _digest(tmp_path / "out" / name) for name in manifest.files}
-    assert got == GOLDEN[case][1]
+    # the fading draws and the float arithmetic come from numpy
+    assert got == GOLDEN[case][1], (
+        f"the digests were pinned with numpy 2.4.6; this run used numpy {np.__version__}")
 
 
 def test_plot_data_digests_pinned(tmp_path):

@@ -1,4 +1,5 @@
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -14,3 +15,16 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_console_script_targets_run():
+    # the command pip installs calls [project.scripts]' module:func; check
+    # that each resolves and validates the default config, without installing
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, func = target.split(":")
+        main = getattr(importlib.import_module(module), func)
+        assert main(["validate-config"]) == 0, name
