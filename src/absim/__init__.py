@@ -9,7 +9,7 @@ probabilistic air-to-ground channel.
 __version__ = "0.1.0"
 
 from .geometry import Action, AreaSpec, GridState, Position3D
-from .channel import FadingMode, GbsSpec, PropagationParams
+from .channel import GbsSpec, PropagationParams
 from .allocator import AllocationProblem, AllocationResult
 from .qlearning import LearningParams, QTable
 from .environment import Environment, ScenarioConfig
@@ -20,7 +20,6 @@ __all__ = [
     "AllocationResult",
     "AreaSpec",
     "Environment",
-    "FadingMode",
     "GbsSpec",
     "GridState",
     "LearningParams",

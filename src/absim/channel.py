@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -20,13 +19,15 @@ from .geometry import Position3D
 
 __all__ = [
     "ChannelRealization",
-    "FadingMode",
+    "FADING_MODES",
     "GbsSpec",
     "PropagationParams",
     "draw_realization",
     "free_space_path_loss",
     "los_probability",
 ]
+
+FADING_MODES = ("none", "rayleigh")  # the values of draw_realization's fading
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,6 @@ class PropagationParams:
             errors.append("noise_power must be positive")
         if errors:
             raise ValueError("\n".join(errors))
-
-
-class FadingMode(Enum):
-    NONE = "none"
-    RAYLEIGH = "rayleigh"
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ def path_loss_to_users(abs_pos: Position3D, users_xy: np.ndarray,
         (1.0 - pr) * free_space_path_loss(d3, params, params.eta_nlos)
 
 
-def draw_realization(path_loss: np.ndarray, fading: FadingMode,
+def draw_realization(path_loss: np.ndarray, fading: str,
                      rng: np.random.Generator, n_subchannels: int,
                      gbs_path_loss: np.ndarray | None) -> ChannelRealization:
     """Draw the per-link power gains for one time step.
@@ -143,7 +139,7 @@ def draw_realization(path_loss: np.ndarray, fading: FadingMode,
     Parameters
     ----------
     path_loss : (J, K) average path loss from each station to each user
-    fading : FadingMode.NONE gives deterministic gains 1/PL; RAYLEIGH
+    fading : "none" gives deterministic gains 1/PL; "rayleigh"
         multiplies each (j, k, n) gain by an i.i.d. unit-mean fading power
     rng : caller-owned seeded stream, consumed only when fading is drawn
     gbs_path_loss : (K,) path loss from the ground transmitter to each
@@ -152,7 +148,7 @@ def draw_realization(path_loss: np.ndarray, fading: FadingMode,
     def gains(pl):  # (J, K) or (K,) path loss -> gains with a trailing N axis
         shape = pl.shape + (n_subchannels,)
         base = 1.0 / pl[..., None]
-        if fading == FadingMode.RAYLEIGH:
+        if fading == "rayleigh":
             # squared magnitude of a unit-variance complex Gaussian: Exp(1)
             # the same draws and stream as rng.exponential(1.0, shape)
             return rng.standard_exponential(shape) * base

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocator import AllocationProblem, solve
-from .channel import (FadingMode, GbsSpec, PropagationParams, draw_realization,
+from .channel import (FADING_MODES, GbsSpec, PropagationParams, draw_realization,
                       free_space_path_loss, path_loss_to_users)
 from .geometry import (Action, AreaSpec, Position3D, apply_action, cell_center,
                        dist_to_final, pairwise_dist, state_index)
@@ -56,7 +56,7 @@ class ScenarioConfig:
     beta2: float
     beta3: float
     propagation: PropagationParams
-    fading: FadingMode
+    fading: str
     gbs: GbsSpec
     distance_exponent: int
 
@@ -91,6 +91,8 @@ class ScenarioConfig:
             errors.append("d_min must be positive")
         if self.beta1 < 0 or self.beta2 < 0 or self.beta3 < 0:
             errors.append("reward weights must be non-negative")
+        if self.fading not in FADING_MODES:
+            errors.append(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
         if self.distance_exponent not in (1, 2):
             errors.append("distance_exponent must be 1 or 2")
         if errors:

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "ALPHA_SCHEDULES",
     "LearningParams",
     "QTable",
     "Transition",
@@ -25,6 +26,8 @@ __all__ = [
     "select_action",
     "update",
 ]
+
+ALPHA_SCHEDULES = ("constant", "visit_count")  # the values of LearningParams.alpha_schedule
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,9 @@ class LearningParams:
             errors.append("max_episodes must be non-negative")
         if self.max_steps_per_episode is not None and self.max_steps_per_episode < 0:
             errors.append("max_steps_per_episode must be non-negative")
-        if self.alpha_schedule not in ("constant", "visit_count"):
-            errors.append("alpha_schedule must be 'constant' or 'visit_count'")
+        if self.alpha_schedule not in ALPHA_SCHEDULES:
+            errors.append(f"alpha_schedule must be one of {ALPHA_SCHEDULES}, "
+                          f"got {self.alpha_schedule!r}")
         if not 0.0 < self.epsilon_decay <= 1.0:
             errors.append("epsilon_decay must lie in (0, 1]")
         if self.initial_q is not None and not np.isfinite(self.initial_q):

@@ -19,16 +19,15 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from . import __version__
-from .channel import FadingMode, GbsSpec, PropagationParams
+from .channel import FADING_MODES, GbsSpec, PropagationParams
 from .environment import (ScenarioConfig, TableMismatch, extract_trajectory,
                           overflow_errors, train)
 from .geometry import Action, AreaSpec, GridState
-from .qlearning import LearningParams, load_qtable, save_qtable
+from .qlearning import ALPHA_SCHEDULES, LearningParams, load_qtable, save_qtable
 from .rng import PURPOSE_USER_PLACEMENT, SEED_END, derive_stream
 
 __all__ = [
@@ -49,7 +48,7 @@ EXIT_DIAGNOSTIC = 4
 
 # One row per scalar config field: (section, JSON key, attribute, kind,
 # default); section None is the top level. A kind is float (finite), int,
-# bool, or a choice: a tuple of strings or an Enum. Defaults live only here,
+# bool, or a choice: the tuple of its strings. Defaults live only here,
 # stored as they are; a None one makes the field optional (null allowed).
 # The rows of a section in _BUILDS build that dataclass; the top level and
 # reward_weights feed ScenarioConfig. abs and users are read in _build_config.
@@ -63,7 +62,7 @@ _FIELDS = (
     (None, "n_subchannels", "n_subchannels", int, 8),
     (None, "p_max_watts", "p_max", float, 0.2),
     (None, "d_min_m", "d_min", float, 5.0),
-    (None, "fading", "fading", FadingMode, FadingMode.RAYLEIGH),
+    (None, "fading", "fading", FADING_MODES, "rayleigh"),
     (None, "distance_exponent", "distance_exponent", int, 1),
     ("reward_weights", "beta1", "beta1", float, 10.0),
     ("reward_weights", "beta2", "beta2", float, 0.25),
@@ -81,7 +80,7 @@ _FIELDS = (
     ("gbs", "height_m", "height", float, 10.0),
     ("gbs", "power_per_subchannel_watts", "power_per_subchannel", float, 0.0),
     ("learning", "alpha", "alpha", float, 0.1),
-    ("learning", "alpha_schedule", "alpha_schedule", ("constant", "visit_count"), "constant"),
+    ("learning", "alpha_schedule", "alpha_schedule", ALPHA_SCHEDULES, "constant"),
     ("learning", "gamma", "gamma", float, 0.9),
     ("learning", "epsilon", "epsilon", float, 0.1),
     ("learning", "epsilon_decay", "epsilon_decay", float, 1.0),
@@ -140,8 +139,7 @@ def _convert(value, kind, key):
     elif kind is bool:  # bool("false") is True
         ok, what = type(value) is bool, "true or false"
     else:
-        options = [getattr(option, "value", option) for option in kind]
-        ok, what = value in options, "one of " + ", ".join(map(repr, options))
+        ok, what = value in kind, "one of " + ", ".join(map(repr, kind))
     if not ok:
         raise ValueError(f"{key} must be {what}, got {value!r}")
     return kind(value) if isinstance(kind, type) else value
@@ -315,8 +313,6 @@ def config_to_dict(config: ScenarioConfig, params: LearningParams) -> dict:
     }
     for section, key, attr, _, _ in _FIELDS:
         value = getattr(owners[section], attr)
-        if isinstance(value, Enum):
-            value = value.value
         (snapshot if section is None else snapshot.setdefault(section, {}))[key] = value
     return snapshot
 

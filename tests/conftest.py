@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from absim.channel import FadingMode
 from absim.geometry import AreaSpec, GridState
 from absim.simcli import load_config
 
@@ -18,7 +17,7 @@ def make_area(m=4, width=100.0, altitude=100.0):
 
 
 def make_scenario(m=4, n_agents=1, n_subchannels=2, beta1=0.0, beta3=0.0,
-                  fading=FadingMode.NONE, users=None, assoc=None, initial=None,
+                  fading="none", users=None, assoc=None, initial=None,
                   final=None, **changes):
     """Small scenario for unit tests: the default config on an m x m grid of
     100 m cells, without fading or rate and proximity weights, with one

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from absim.allocator import AllocationProblem, solve
-from absim.channel import ChannelRealization, FadingMode, path_loss_to_users
+from absim.channel import ChannelRealization, path_loss_to_users
 from absim.environment import EpisodeStats
 from absim.geometry import (Position3D, apply_action, cell_center, dist_to_final,
                             pairwise_dist, state_index)
@@ -49,7 +49,7 @@ def initial_powers(config, parked):
 def _gains(path_loss, fading, rng, n_subchannels):
     shape = path_loss.shape + (n_subchannels,)
     base = np.broadcast_to(1.0 / path_loss[..., None], shape)
-    if fading == FadingMode.RAYLEIGH:
+    if fading == "rayleigh":
         return rng.exponential(1.0, size=shape) * base
     return base.copy()
 

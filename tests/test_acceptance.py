@@ -24,7 +24,7 @@ from conftest import DEFAULT_CONFIG, DEFAULT_LEARNING
 
 import absim
 from absim.allocator import AllocationProblem, solve
-from absim.channel import FadingMode, free_space_path_loss, los_probability
+from absim.channel import free_space_path_loss, los_probability
 from absim.geometry import (Action, AreaSpec, GridState, Position3D, apply_action,
                             cell_center, dist_to_final, state_index)
 from absim.qlearning import QTable, Transition, select_action, update
@@ -132,7 +132,7 @@ def test_criterion_4_fading_normalization():
     pos = Position3D(70.0, -30.0, 100.0)
     users = np.array([[0.0, 0.0]])
     loss = path_loss_to_users(pos, users, params)[0]
-    real = draw_realization(np.array([[loss]]), FadingMode.RAYLEIGH, rng, 1_000_000, None)
+    real = draw_realization(np.array([[loss]]), "rayleigh", rng, 1_000_000, None)
     # dividing out the deterministic path loss recovers the fading powers
     mean = float(np.mean(real.gains[0, 0] * loss))
     elapsed = time.perf_counter() - started

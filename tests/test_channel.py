@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from absim.channel import (ChannelRealization, FadingMode, draw_realization,
+from absim.channel import (ChannelRealization, draw_realization,
                            free_space_path_loss, los_probability, path_loss_to_users)
 from absim.environment import interference_for_abs
 from absim.geometry import Position3D
@@ -163,7 +163,7 @@ class TestDrawRealization:
 
     def test_no_fading_flat_across_subchannels(self):
         rng = np.random.default_rng(0)
-        real = draw_realization(self.pl, FadingMode.NONE, rng, 4, None)
+        real = draw_realization(self.pl, "none", rng, 4, None)
         assert real.gains.shape == (2, 3, 4)
         for j in range(2):
             pl = path_loss_to_users(self.positions[j], self.users, PARAMS)
@@ -171,9 +171,9 @@ class TestDrawRealization:
                 np.testing.assert_allclose(real.gains[j, :, n], 1.0 / pl, rtol=1e-12)
 
     def test_same_seed_same_realization(self):
-        real1 = draw_realization(self.pl, FadingMode.RAYLEIGH, np.random.default_rng(42),
+        real1 = draw_realization(self.pl, "rayleigh", np.random.default_rng(42),
                                  4, None)
-        real2 = draw_realization(self.pl, FadingMode.RAYLEIGH, np.random.default_rng(42),
+        real2 = draw_realization(self.pl, "rayleigh", np.random.default_rng(42),
                                  4, None)
         np.testing.assert_array_equal(real1.gains, real2.gains)
 
@@ -181,22 +181,22 @@ class TestDrawRealization:
         rng = np.random.default_rng(7)
         users = np.array([[0.0, 0.0]])
         pl = path_loss_to_users(Position3D(0, 0, 100), users, PARAMS)[0]
-        real = draw_realization(np.array([[pl]]), FadingMode.RAYLEIGH, rng, 200_000, None)
+        real = draw_realization(np.array([[pl]]), "rayleigh", rng, 200_000, None)
         mean_rho2 = float(np.mean(real.gains[0, 0] * pl))
         assert 0.98 < mean_rho2 < 1.02
 
     def test_gains_positive_finite(self):
         rng = np.random.default_rng(1)
-        real = draw_realization(self.pl, FadingMode.RAYLEIGH, rng, 8, None)
+        real = draw_realization(self.pl, "rayleigh", rng, 8, None)
         assert np.all(np.isfinite(real.gains))
         assert np.all(real.gains >= 0)
 
     def test_gbs_disabled_by_default(self):
         rng = np.random.default_rng(2)
-        real = draw_realization(self.pl, FadingMode.NONE, rng, 2, None)
+        real = draw_realization(self.pl, "none", rng, 2, None)
         assert real.gbs_gains is None
 
-    @pytest.mark.parametrize("fading", [FadingMode.RAYLEIGH, FadingMode.NONE],
+    @pytest.mark.parametrize("fading", ["rayleigh", "none"],
                              ids=["RAYLEIGH", "NONE"])
     def test_gbs_row_drawn_after_station_fading(self, fading):
         # Rayleigh: one (J, K, N) draw for the stations, then one (K, N)
@@ -206,7 +206,7 @@ class TestDrawRealization:
         stream = np.random.default_rng(3)
         real = draw_realization(self.pl, fading, stream, 4, gbs_pl)
         rng = np.random.default_rng(3)
-        if fading == FadingMode.RAYLEIGH:
+        if fading == "rayleigh":
             rho2 = rng.exponential(1.0, size=(2, 3, 4))
             gbs_rho2 = rng.exponential(1.0, size=(3, 4))
         else:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absim.allocator import AllocationProblem, solve
-from absim.channel import FadingMode, path_loss_to_users
+from absim.channel import FADING_MODES, draw_realization, path_loss_to_users
 from absim.environment import (Environment, TableMismatch, extract_trajectory,
                                pessimistic_q_init, run_episode, train)
 from absim.geometry import (Action, GridState, Position3D, cell_center, dist_to_final,
@@ -54,7 +54,7 @@ class TestStepAll:
 
     def test_reward_assembly_exact(self):
         cfg = make_scenario(m=5, n_agents=2, n_subchannels=3, beta1=3.5,
-                            beta2=0.25, beta3=1000.0, fading=FadingMode.RAYLEIGH)
+                            beta2=0.25, beta3=1000.0, fading="rayleigh")
         env = Environment(cfg)
         rng = np.random.default_rng(1)
         for _ in range(30):
@@ -89,7 +89,7 @@ class TestStepAll:
         # with one station and no ground interferer the allocation reduces
         # to the isolated problem; recompute it independently
         cfg = make_scenario(m=4, n_agents=1, n_subchannels=3, beta1=1.0,
-                            fading=FadingMode.NONE)
+                            fading="none")
         env = Environment(cfg)
         _, terms = env.step_all({0: Action.RIGHT}, np.random.default_rng(3))
         pos = cell_center(cfg.area, env.states[0])
@@ -131,7 +131,7 @@ class TestStepAll:
         cfg = make_scenario(m=4, n_agents=2, beta1=1.0, n_subchannels=2,
                             initial=[GridState(3, 4), GridState(1, 1)],
                             final=[GridState(4, 4), GridState(1, 4)],
-                            fading=FadingMode.NONE)
+                            fading="none")
         env = Environment(cfg)
         rng = np.random.default_rng(5)
         env.step_all({0: Action.RIGHT, 1: Action.FORWARD}, rng)
@@ -180,7 +180,7 @@ class TestMatchesReference:
         cfg = make_scenario(m=m, n_agents=j_count,
                             n_subchannels=data.draw(st.integers(1, 6), label="N"),
                             beta1=data.draw(st.sampled_from([2.0, 0.0]), label="beta1"),
-                            beta3=1000.0, fading=data.draw(st.sampled_from(FadingMode)),
+                            beta3=1000.0, fading=data.draw(st.sampled_from(FADING_MODES)),
                             users=users, assoc=assoc, initial=initial, final=final,
                             d_min=150.0, gbs=gbs)
         env = Environment(cfg)
@@ -235,7 +235,7 @@ class TestMatchesReference:
                             beta1=data.draw(st.sampled_from([2.0, 0.0]), label="beta1"),
                             beta2=data.draw(st.sampled_from([0.25, 0.0]), label="beta2"),
                             beta3=data.draw(st.sampled_from([1000.0, 0.0]), label="beta3"),
-                            fading=data.draw(st.sampled_from(FadingMode)), users=users,
+                            fading=data.draw(st.sampled_from(FADING_MODES)), users=users,
                             assoc=assoc, initial=initial, final=final, d_min=150.0, gbs=gbs,
                             distance_exponent=data.draw(st.sampled_from([1, 2])))
         params = replace(
@@ -315,9 +315,9 @@ class TestMove:
 class TestGroundInterferer:
     def test_enabled_gbs_raises_interference(self):
         base = make_scenario(m=4, n_agents=1, beta1=1.0, n_subchannels=2,
-                             fading=FadingMode.NONE)
+                             fading="none")
         noisy = make_scenario(m=4, n_agents=1, beta1=1.0, n_subchannels=2,
-                              fading=FadingMode.NONE,
+                              fading="none",
                               gbs=replace(DEFAULT_CONFIG.gbs, enabled=True, x=150.0, y=150.0,
                                           height=10.0, power_per_subchannel=0.5))
         _, quiet = Environment(base).step_all({0: Action.RIGHT},
@@ -336,7 +336,7 @@ class TestPerCellValues:
         gbs = replace(DEFAULT_CONFIG.gbs, enabled=True, x=150.0, y=150.0, height=10.0,
                       power_per_subchannel=0.5)
         cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,
-                            fading=FadingMode.RAYLEIGH, gbs=gbs)
+                            fading="rayleigh", gbs=gbs)
         made = {}
         # each records the arguments that identify the value it makes
         for name, original, key in (
@@ -367,7 +367,7 @@ class TestPerCellValues:
 class TestSingleAgentRun:
     def test_f3_zero_for_entire_run(self):
         cfg = make_scenario(m=4, n_agents=1, beta1=1.0, beta3=1000.0,
-                            fading=FadingMode.RAYLEIGH)
+                            fading="rayleigh")
         env = Environment(cfg)
         params = replace(DEFAULT_LEARNING, max_steps_per_episode=50)
         stats = run_episode(env, fresh_tables(cfg), params, np.random.default_rng(7),
@@ -404,7 +404,7 @@ class TestRunEpisode:
 
     def test_identical_seeds_identical_traces(self):
         cfg = make_scenario(m=4, n_agents=2, beta1=2.0, beta3=1000.0,
-                            fading=FadingMode.RAYLEIGH)
+                            fading="rayleigh")
         params = replace(DEFAULT_LEARNING, max_steps_per_episode=50)
 
         def run_once():
@@ -475,7 +475,7 @@ class TestIntegerStates:
 
     def test_run_episode_makes_no_state_index_calls(self, monkeypatch):
         cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,
-                            fading=FadingMode.RAYLEIGH)
+                            fading="rayleigh")
         env = Environment(cfg)
         tables = fresh_tables(cfg)
         calls = self.count_state_index(monkeypatch)
@@ -541,7 +541,7 @@ class TestTrain:
 
     def test_stats_are_finite(self):
         cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,
-                            fading=FadingMode.RAYLEIGH)
+                            fading="rayleigh")
         params = replace(DEFAULT_LEARNING, max_episodes=5, max_steps_per_episode=40)
         _, stats = train(cfg, params, master_seed=3)
         for st in stats:
@@ -596,7 +596,7 @@ class TestExtractTrajectory:
 
     def test_rollout_is_radio_free(self, monkeypatch):
         cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,
-                            fading=FadingMode.RAYLEIGH,
+                            fading="rayleigh",
                             gbs=replace(DEFAULT_CONFIG.gbs, enabled=True, x=150.0, y=150.0,
                                         height=10.0, power_per_subchannel=0.5))
         params = replace(DEFAULT_LEARNING, max_episodes=3, max_steps_per_episode=20)
@@ -659,6 +659,28 @@ class TestConfigValidation:
     def test_bad_initial_state_rejected(self):
         with pytest.raises(ValueError):
             make_scenario(m=4, initial=[GridState(9, 1)])
+
+    @pytest.mark.parametrize("fading, faded", [("rayleigh", True), ("none", False)])
+    def test_fading_string_reaches_the_draw(self, monkeypatch, fading, faded):
+        # the field as a config file spells it: "rayleigh" fades, "none" gives 1/PL
+        drawn = []
+
+        def spy(*args):
+            drawn.append(draw_realization(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr("absim.environment.draw_realization", spy)
+        cfg = make_scenario(m=4, n_agents=1, beta1=1.0, fading=fading)
+        env = Environment(cfg)
+        env.step_all({0: Action.RIGHT}, np.random.default_rng(6))
+        pl = path_loss_to_users(cell_center(cfg.area, env.states[0]), cfg.users_xy,
+                                cfg.propagation)
+        assert (drawn[0].gains[0] == 1.0 / pl[:, None]).all() != faded
+
+    @pytest.mark.parametrize("fading", ["bogus", 3, "Rayleigh", None])
+    def test_unknown_fading_rejected(self, fading):
+        with pytest.raises(ValueError, match=f"fading must be one of .*, got {fading!r}"):
+            make_scenario(m=4, fading=fading)
 
     def test_pessimistic_init_is_reward_floor(self):
         cfg = make_scenario(m=4, beta2=0.25, beta3=1000.0)
