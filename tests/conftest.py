@@ -2,9 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from absim.geometry import AreaSpec, GridState
 from absim.simcli import load_config
+
+# Every property draws the same examples on every host, CI included: the
+# examples follow from each test's source, and no example database replays
+# earlier failures. Each test sets only its max_examples.
+settings.register_profile("absim", derandomize=True, deadline=None, database=None)
+settings.load_profile("absim")
 
 # The default scenario and learning values. Config defaults are written only
 # in simcli._FIELDS, and the library's constructors take every value, so a

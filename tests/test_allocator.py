@@ -342,7 +342,7 @@ def problems(draw, max_users=3, max_subchannels=3):
                              p_max=draw(st.floats(0.01, 1.0)))
 
 
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+PROPERTY_SETTINGS = settings(max_examples=60)
 
 
 class TestClosedFormProperties:

@@ -300,7 +300,7 @@ class TestInterference:
                                  None if ground is None else ground[rows])
         assert [a.tobytes() for a in inputs] == before
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(st.data())
     def test_per_station_path_matches_whole_table(self, data):
         # the once-per-step field gathered per station reproduces, bit for

@@ -148,7 +148,7 @@ def _philox_state(rng):
 
 
 class TestMatchesReference:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(st.data())
     def test_step_all_matches_reference_step(self, data):
         # uneven, interleaved associations, stations parked from the start,
@@ -202,7 +202,7 @@ class TestMatchesReference:
             assert env._prev_powers.tolist() == powers.tolist()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120)
     @given(st.data())
     def test_train_matches_reference_train(self, data):
         # train composes step_all with select_action and update; over whole

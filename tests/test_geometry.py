@@ -77,7 +77,7 @@ class TestApplyAction:
             apply_action(area4, 5, 4)
 
 
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+PROPERTY_SETTINGS = settings(max_examples=40)
 
 # each move's step along (k1, k2)
 MOVES = {Action.LEFT: (-1, 0), Action.RIGHT: (1, 0),

@@ -28,3 +28,10 @@ def test_console_script_targets_run():
         module, func = target.split(":")
         main = getattr(importlib.import_module(module), func)
         assert main(["validate-config"]) == 0, name
+
+
+def test_hypothesis_profile_is_fixed():
+    # conftest's profile: every host draws the same examples, with no database
+    from hypothesis import settings
+    current = settings()
+    assert (current.derandomize, current.deadline, current.database) == (True, None, None)

@@ -174,7 +174,7 @@ class TestUpdate:
 
 # three values only, so rows often hold tied maxima
 Q_ENTRIES = st.sampled_from([-2.5, 0.0, 1.25])
-REFERENCE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+REFERENCE_SETTINGS = settings(max_examples=100)
 
 
 def table_pair(values, visits=None):

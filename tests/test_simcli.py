@@ -377,7 +377,7 @@ def valid_configs(draw):
     }
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(valid_configs())
 def test_snapshot_roundtrip_property(data):
     with tempfile.TemporaryDirectory() as tmp:
@@ -417,7 +417,7 @@ def extreme_configs(draw):
     return data
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(extreme_configs())
 def test_validated_config_trains_finite(data):
     """validate-config exits 0 or 2, and a config it accepts trains to finite
