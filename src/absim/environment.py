@@ -87,7 +87,7 @@ class ScenarioConfig:
             errors.append("n_subchannels must be at least 1")
         if self.p_max <= 0:
             errors.append("p_max must be positive")
-        if self.d_min <= 0:
+        if not self.d_min > 0:  # NaN too: no distance is below it
             errors.append("d_min must be positive")
         if self.beta1 < 0 or self.beta2 < 0 or self.beta3 < 0:
             errors.append("reward weights must be non-negative")
@@ -375,7 +375,9 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
     """One learning episode from the initial states to all-terminal or the step cap.
 
     Agents that reach their terminal cell park there: no more actions,
-    rewards, or table updates, and zero transmit power.
+    rewards, or table updates, and zero transmit power. collision_steps
+    counts the joint steps in which any acting agent was closer than d_min
+    to another station.
     """
     env.reset()
     cfg = env.config
@@ -396,13 +398,15 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
             break
         actions = {j: select_action(qtables[j], env.states[j], epsilon, rng) for j in active}
         transitions, terms = env.step_all(actions, rng)
+        near = False
         for j, tr in zip(active, transitions):
             update(qtables[j], tr, params)
             f1_sum[j] += terms[j][0]
             step_count[j] += 1
             cum_reward[j] += tr.reward
             if terms[j][2]:
-                collisions += 1
+                near = True
+        collisions += near  # a joint step counts once, however many stations are near
 
     return EpisodeStats(
         avg_sum_rate=np.array(f1_sum) / np.maximum(step_count, 1),

@@ -119,7 +119,7 @@ def reference_episode(config, tables, params, rng, epsilon):
     episode ends once every station is parked, or after the step cap (four
     steps per cell when it is null). A parked station neither acts nor
     learns; its tallies count the steps it took, and collision_steps counts
-    one per acting station flagged as too close, per step.
+    the steps in which any acting station is flagged as too close.
     """
     area, j_count = config.area, config.n_agents
     states = [state_index(area, s) for s in config.initial_states]
@@ -141,7 +141,7 @@ def reference_episode(config, tables, params, rng, epsilon):
             rate_sum[j] += terms[j][0]
             steps[j] += 1
             reward_sum[j] += t.reward
-            collisions += int(terms[j][2])
+        collisions += any(terms[j][2] for j in acting)
     return EpisodeStats(
         avg_sum_rate=np.array([r / max(n, 1) for r, n in zip(rate_sum, steps)]),
         steps_to_terminal=np.array(steps), cumulative_reward=np.array(reward_sum),

@@ -443,6 +443,19 @@ class TestRunEpisode:
         # agent 0 reaches (4,4) quickly; its terminal row must stay zero
         assert np.all(tables[0].values[tables[0].terminal_state] == 0.0)
 
+    def test_meeting_stations_count_one_collision_step(self):
+        # (1, 1) goes RIGHT and (3, 1) goes LEFT: both land on (2, 1), one step
+        cfg = make_scenario(m=4, n_agents=2, d_min=150.0,
+                            initial=[GridState(1, 1), GridState(3, 1)])
+        env = Environment(cfg)
+        tables = fresh_tables(cfg)
+        for j, action in enumerate((Action.RIGHT, Action.LEFT)):
+            tables[j].values[env.states[j], action] = 1.0
+        params = replace(DEFAULT_LEARNING, epsilon=0.0, max_steps_per_episode=1)
+        stats = run_episode(env, tables, params, np.random.default_rng(0), params.epsilon)
+        assert env.states[0] == env.states[1] == state_index(cfg.area, GridState(2, 1))
+        assert stats.collision_steps == 1
+
     def test_trace_rows_only_for_active_agents(self):
         # one table update per step an agent actually took: none after parking
         cfg = make_scenario(m=4, n_agents=2, beta2=0.25,
@@ -659,6 +672,11 @@ class TestConfigValidation:
     def test_bad_initial_state_rejected(self):
         with pytest.raises(ValueError):
             make_scenario(m=4, initial=[GridState(9, 1)])
+
+    @pytest.mark.parametrize("d_min", [0.0, float("nan")])
+    def test_d_min_must_be_positive(self, d_min):
+        with pytest.raises(ValueError, match="d_min must be positive"):
+            make_scenario(m=4, d_min=d_min)
 
     @pytest.mark.parametrize("fading, faded", [("rayleigh", True), ("none", False)])
     def test_fading_string_reaches_the_draw(self, monkeypatch, fading, faded):
