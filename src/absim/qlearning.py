@@ -178,7 +178,9 @@ def load_qtable(path) -> QTable:
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         try:
-            match = re.fullmatch(r"# states=(\d+) actions=(\d+) terminal=(\d+)", header)
+            number = "(0|[1-9][0-9]*)"  # as save_qtable writes it: no sign, no leading 0
+            match = re.fullmatch(f"# states={number} actions={number} terminal={number}",
+                                 header)
             if match is None:
                 raise ValueError("expected '# states=S actions=A terminal=T'")
             n_states, n_actions, terminal = map(int, match.groups())

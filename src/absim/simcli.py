@@ -390,8 +390,16 @@ def _read_columns(path, columns, kinds):
 
 
 def read_metrics(path):
-    """The episode and mean_sum_rate columns of a metrics file, as arrays."""
+    """The episode and mean_sum_rate columns of a metrics file, as arrays.
+
+    Each row's episode must be one more than the row's before it; a row that
+    breaks the count raises PlotDataError naming the file and line.
+    """
     episodes, means = _read_columns(path, ("episode", "mean_sum_rate"), (int, float))
+    for lineno, (before, episode) in enumerate(zip(episodes, episodes[1:]), start=3):
+        if episode != before + 1:
+            raise PlotDataError(f"{path}: line {lineno}: episode must be {before + 1}, "
+                                f"got {episode}")
     return np.asarray(episodes), np.asarray(means)
 
 
@@ -403,12 +411,21 @@ def write_trajectory(rollout, path) -> None:
 
 
 def read_trajectory(path):
-    """Each agent's (x, y) points in file order, keyed by agent index."""
-    agent, _, x, y = _read_columns(path, ("agent", "step", "x_m", "y_m"),
-                                   (int, int, float, float))
+    """Each agent's (x, y) points in file order, keyed by agent index.
+
+    Agents' rows may interleave, but each agent's steps must run 0, 1, 2, ...
+    in file order; a row that breaks the count raises PlotDataError naming
+    the file and line.
+    """
+    agent, step, x, y = _read_columns(path, ("agent", "step", "x_m", "y_m"),
+                                      (int, int, float, float))
     agents = {}
-    for j, point in zip(agent, zip(x, y)):
-        agents.setdefault(j, []).append(point)
+    for lineno, (j, t, point) in enumerate(zip(agent, step, zip(x, y)), start=2):
+        points = agents.setdefault(j, [])
+        if t != len(points):
+            raise PlotDataError(f"{path}: line {lineno}: agent {j}'s step must be "
+                                f"{len(points)}, got {t}")
+        points.append(point)
     return agents
 
 
@@ -448,6 +465,7 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
             save_qtable(q, out(f"qtable_agent{j}.txt"))
         rollout = extract_trajectory(config, qtables)
         write_trajectory(rollout, out("trajectory.csv"))
+        pair = rollout.min_pairwise  # inf for one station, and JSON has no Infinity
         manifest = RunManifest(
             config=config_to_dict(config, params),
             master_seed=master_seed,
@@ -458,7 +476,7 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
             rollout={
                 "reached": [bool(r) for r in rollout.reached],
                 "steps": rollout.steps,
-                "min_pairwise_m": rollout.min_pairwise,
+                "min_pairwise_m": pair if pair < math.inf else None,
                 "violation_steps": rollout.violation_steps,
                 "cycle_detected": rollout.cycle_detected,
             },
@@ -479,7 +497,7 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
 
 def write_manifest(manifest: RunManifest, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.__dict__, fh, indent=2, sort_keys=True)
+        json.dump(manifest.__dict__, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

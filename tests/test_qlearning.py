@@ -408,6 +408,7 @@ class TestPersistence:
                                         "# actions=2 states=2 terminal=1\n" + ROWS_2X2,
                                         "# states=2 actions=2 terminal=1 users=2\n" + ROWS_2X2,
                                         "# states=3 actions=2 terminal=1 states=2\n" + ROWS_2X2,
+                                        "# states=02 actions=2 terminal=1\n" + ROWS_2X2,
                                         # a table needs a terminal state
                                         "# states=2 actions=2 terminal=-1\n" + ROWS_2X2])
     def test_bad_header_rejected(self, tmp_path, header):

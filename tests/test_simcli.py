@@ -452,6 +452,18 @@ class TestRunTrain:
         assert np.isfinite(means).all()
         assert (out / "manifest.json").exists()
 
+    def test_one_station_manifest_is_strict_json(self, tmp_path):
+        data = small_config_dict(1)
+        data["abs"] = data["abs"][:1]
+        config, params = load_config(write_config(tmp_path, data))
+        run_train(config, params, master_seed=1, out_dir=str(tmp_path / "out"))
+
+        def reject(name):  # json.loads reads NaN and Infinity, which RFC 8259 has not
+            raise ValueError(f"{name} in manifest.json")
+
+        text = (tmp_path / "out" / "manifest.json").read_text(encoding="utf-8")
+        assert json.loads(text, parse_constant=reject)["rollout"]["min_pairwise_m"] is None
+
     def test_same_seed_identical_bytes(self, tmp_path):
         config, params = load_config(write_config(tmp_path, small_config_dict(2)))
         m1 = run_train(config, params, master_seed=9, out_dir=str(tmp_path / "a"))
@@ -651,6 +663,12 @@ class TestPlotData:
         ("trajectory.csv", b"agent,x_m,y_m\n0,0.0,0.0\n", "line 1: no step column"),
         ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0\n",
          "line 2: expected 4 fields, got 3"),
+        # each agent's steps run 0, 1, 2, ... in file order; agents may interleave
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0,0.0\n1,0,5.0,5.0\n0,1,1.0,0.0\n"
+                           b"0,1,2.0,0.0\n", "line 5: agent 0's step must be 2, got 1"),
+        # each episode is one more than the one before
+        ("metrics.csv", b"episode,mean_sum_rate\n1,0.5\n3,0.6\n",
+         "line 3: episode must be 2, got 3"),
     ])
     def test_bad_input_named_by_file_and_line(self, tmp_path, capsys, name, content,
                                               message):
