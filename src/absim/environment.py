@@ -375,9 +375,7 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
     """One learning episode from the initial states to all-terminal or the step cap.
 
     Agents that reach their terminal cell park there: no more actions,
-    rewards, or table updates, and zero transmit power. collision_steps
-    counts the joint steps in which any acting agent was closer than d_min
-    to another station.
+    rewards, or table updates, and zero transmit power.
     """
     env.reset()
     cfg = env.config

@@ -390,11 +390,8 @@ def _read_columns(path, columns, kinds):
 
 
 def read_metrics(path):
-    """The episode and mean_sum_rate columns of a metrics file, as arrays.
-
-    Each row's episode must be one more than the row's before it; a row that
-    breaks the count raises PlotDataError naming the file and line.
-    """
+    """The episode and mean_sum_rate columns of a metrics file, as arrays;
+    each episode must be one more than the one on the row before."""
     episodes, means = _read_columns(path, ("episode", "mean_sum_rate"), (int, float))
     for lineno, (before, episode) in enumerate(zip(episodes, episodes[1:]), start=3):
         if episode != before + 1:
@@ -411,12 +408,8 @@ def write_trajectory(rollout, path) -> None:
 
 
 def read_trajectory(path):
-    """Each agent's (x, y) points in file order, keyed by agent index.
-
-    Agents' rows may interleave, but each agent's steps must run 0, 1, 2, ...
-    in file order; a row that breaks the count raises PlotDataError naming
-    the file and line.
-    """
+    """Each agent's (x, y) points in file order, keyed by agent index; agents
+    may interleave, but each one's steps must run 0, 1, 2, ... in file order."""
     agent, step, x, y = _read_columns(path, ("agent", "step", "x_m", "y_m"),
                                       (int, int, float, float))
     agents = {}
