@@ -458,7 +458,7 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
             save_qtable(q, out(f"qtable_agent{j}.txt"))
         rollout = extract_trajectory(config, qtables)
         write_trajectory(rollout, out("trajectory.csv"))
-        pair = rollout.min_pairwise  # inf for one station, and JSON has no Infinity
+        closest = rollout.min_pairwise  # inf for one station, and JSON has no Infinity
         manifest = RunManifest(
             config=config_to_dict(config, params),
             master_seed=master_seed,
@@ -469,7 +469,7 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
             rollout={
                 "reached": [bool(r) for r in rollout.reached],
                 "steps": rollout.steps,
-                "min_pairwise_m": pair if pair < math.inf else None,
+                "min_pairwise_m": closest if closest < math.inf else None,
                 "violation_steps": rollout.violation_steps,
                 "cycle_detected": rollout.cycle_detected,
             },

@@ -3,6 +3,7 @@ import pathlib
 import pkgutil
 
 import pytest
+from hypothesis import settings
 
 import absim
 
@@ -32,6 +33,5 @@ def test_console_script_targets_run():
 
 def test_hypothesis_profile_is_fixed():
     # conftest's profile: every host draws the same examples, with no database
-    from hypothesis import settings
     current = settings()
     assert (current.derandomize, current.deadline, current.database) == (True, None, None)
