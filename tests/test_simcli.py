@@ -980,3 +980,40 @@ class TestCli:
 
     def test_missing_config_is_io_error(self, capsys):
         assert main(["validate-config", "--config", "/nonexistent.json"]) == 3
+
+    @pytest.mark.parametrize("argv, named", [
+        # an existing regular file given as the output directory
+        (["train", "--config", "{cfg}", "--out-dir", "{file}"], "{file}"),
+        # a directory that holds no checkpoints
+        (["rollout", "--config", "{cfg}", "--qtable-dir", "{empty}"],
+         "{empty}/qtable_agent0.txt"),
+        # a trajectory written inside a directory that does not exist
+        (["rollout", "--config", "{cfg}", "--qtable-dir", "{run}", "--out",
+          "{missing}/roll.csv"], "{missing}/roll.csv"),
+        (["plot-data", "--metrics", "{run}/metrics.csv", "--trajectory",
+          "{run}/trajectory.csv", "--out-dir", "{file}", "--window", "1"], "{file}"),
+    ], ids=["train_out_dir", "rollout_qtable_dir", "rollout_out", "plot_data_out_dir"])
+    def test_io_failure_exits_3(self, tmp_path, capsys, argv, named):
+        places = {"cfg": write_config(tmp_path, small_config_dict(2)),
+                  "file": tmp_path / "file", "empty": tmp_path / "empty",
+                  "run": tmp_path / "run", "missing": tmp_path / "missing"}
+        places["file"].write_text("not a directory\n")
+        places["empty"].mkdir()
+        assert main(["train", "--config", places["cfg"], "--out-dir", str(places["run"])]) == 0
+        capsys.readouterr()
+        assert main([arg.format(**places) for arg in argv]) == 3
+        err = capsys.readouterr().err
+        # one line, naming the path the OSError was raised for
+        assert f"'{named.format(**places)}'" in err and len(err.splitlines()) == 1
+
+    def test_rollout_reaching_its_cell_exits_0(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "area": {"cells_per_axis": 3},
+            "abs": [{"initial_cell": [1, 1], "final_cell": [3, 3]}],
+            "reward_weights": {"beta1": 0}, "learning": {"epsilon": 0.5, "max_episodes": 100}})
+        out, roll = tmp_path / "out", tmp_path / "roll.csv"
+        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert main(["rollout", "--config", cfg, "--qtable-dir", str(out),
+                     "--out", str(roll)]) == 0
+        assert "rollout: steps=4 reached=[True]" in capsys.readouterr().out
+        assert roll.read_text() == (out / "trajectory.csv").read_text()
