@@ -113,7 +113,7 @@ class ConfigValidationError(ValueError):
 
 
 class PlotDataError(ValueError):
-    pass
+    """A run file that fails its checks: a bad row, or bytes unlike its manifest."""
 
 
 @dataclass
@@ -523,31 +523,32 @@ def emit_plot_data(metrics_path, trajectory_path, out_dir, window: int):
     return outputs
 
 
-def _with_config(command):
-    """Run command(args, config, params) on the loaded --config; a config that
-    fails validation ends with exit 2, an unreadable one with exit 3."""
-    def run(args) -> int:
-        try:
-            config, params = load_config(args.config)
-        except ConfigValidationError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_VALIDATION
-        except OSError as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return EXIT_IO
-        return command(args, config, params)
+def _check_manifest(directory, names):
+    """Raise PlotDataError unless each named file in directory matches its
+    digest in the directory's manifest.json; with no manifest, check nothing."""
+    path = os.path.join(directory, "manifest.json")
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            digests = json.load(fh)["files"]
+        if not isinstance(digests, dict):
+            raise TypeError("files is not a JSON object")
+    except (ValueError, KeyError, TypeError):
+        raise PlotDataError("manifest.json lists no file digests") from None
+    for name in names:
+        if _sha256(os.path.join(directory, name)) != digests.get(name):
+            raise PlotDataError(f"{name} does not match manifest.json")
 
-    return run
 
-
-@_with_config
-def _cmd_validate(args, config, params) -> int:
+def _cmd_validate(args) -> int:
+    load_config(args.config)
     print("configuration is valid")
     return EXIT_OK
 
 
-@_with_config
-def _cmd_train(args, config, params) -> int:
+def _cmd_train(args) -> int:
+    config, params = load_config(args.config)
     if not 0 <= args.seed < SEED_END:
         print(f"invalid --seed: must be in [0, 2^64), got {args.seed}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -557,11 +558,7 @@ def _cmd_train(args, config, params) -> int:
         except ValueError as exc:
             print(f"invalid --episodes: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-    try:
-        manifest = run_train(config, params, args.seed, args.out_dir)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    manifest = run_train(config, params, args.seed, args.out_dir)
     print(f"run complete: {len(manifest.files)} artifacts in {args.out_dir}")
     if not all(manifest.rollout["reached"]):
         print("warning: greedy rollout did not reach every final cell",
@@ -569,39 +566,20 @@ def _cmd_train(args, config, params) -> int:
     return EXIT_OK
 
 
-@_with_config
-def _cmd_rollout(args, config, params) -> int:
+def _cmd_rollout(args) -> int:
+    config, _ = load_config(args.config)
     names = [f"qtable_agent{j}.txt" for j in range(config.n_agents)]
-    paths = [os.path.join(args.qtable_dir, name) for name in names]
-    manifest = os.path.join(args.qtable_dir, "manifest.json")
     try:
-        qtables = [load_qtable(path) for path in paths]
-        if os.path.exists(manifest):  # a directory without a manifest is not checked
-            try:
-                with open(manifest, "r", encoding="utf-8") as fh:
-                    digests = json.load(fh)["files"]
-                if not isinstance(digests, dict):
-                    raise TypeError("files is not a JSON object")
-            except (ValueError, KeyError, TypeError):
-                raise ValueError("manifest.json lists no file digests") from None
-            for name, path in zip(names, paths):
-                if _sha256(path) != digests.get(name):
-                    raise ValueError(f"{name} does not match manifest.json")
+        qtables = [load_qtable(os.path.join(args.qtable_dir, name)) for name in names]
+        _check_manifest(args.qtable_dir, names)
         rollout = extract_trajectory(config, qtables)
-    except OSError as exc:
-        print(f"cannot read checkpoints: {exc}", file=sys.stderr)
-        return EXIT_IO
     except TableMismatch as exc:
         print(f"invalid checkpoint: {names[exc.agent]} {exc.reason}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"invalid checkpoint: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        write_trajectory(rollout, args.out)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_trajectory(rollout, args.out)
     print(f"rollout: steps={rollout.steps} reached={rollout.reached} "
           f"min_pairwise={rollout.min_pairwise:.3f} m")
     if rollout.cycle_detected or not all(rollout.reached) or rollout.violation_steps:
@@ -611,15 +589,7 @@ def _cmd_rollout(args, config, params) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    try:
-        outputs = emit_plot_data(args.metrics, args.trajectory, args.out_dir, args.window)
-    except PlotDataError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    for path in outputs:
+    for path in emit_plot_data(args.metrics, args.trajectory, args.out_dir, args.window):
         print(path)
     return EXIT_OK
 
@@ -656,7 +626,14 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:  # the one place an error becomes an exit code; a plain ValueError is a bug
+        return args.func(args)
+    except (ConfigValidationError, PlotDataError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":
