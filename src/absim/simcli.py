@@ -391,9 +391,9 @@ def _read_columns(path, columns, kinds):
 
 def read_metrics(path):
     """The episode and mean_sum_rate columns of a metrics file, as arrays;
-    each episode must be one more than the one on the row before."""
+    the episodes must run 1, 2, 3, ... in file order."""
     episodes, means = _read_columns(path, ("episode", "mean_sum_rate"), (int, float))
-    for lineno, (before, episode) in enumerate(zip(episodes, episodes[1:]), start=3):
+    for lineno, (before, episode) in enumerate(zip([0, *episodes], episodes), start=2):
         if episode != before + 1:
             raise PlotDataError(f"{path}: line {lineno}: episode must be {before + 1}, "
                                 f"got {episode}")
@@ -408,8 +408,8 @@ def write_trajectory(rollout, path) -> None:
 
 
 def read_trajectory(path):
-    """Each agent's (x, y) points in file order, keyed by agent index; agents
-    may interleave, but each one's steps must run 0, 1, 2, ... in file order."""
+    """Each agent's (x, y) points in file order, keyed by agent index 0 ... J-1;
+    agents may interleave, but each one's steps must run 0, 1, 2, ... in file order."""
     agent, step, x, y = _read_columns(path, ("agent", "step", "x_m", "y_m"),
                                       (int, int, float, float))
     agents = {}
@@ -419,6 +419,9 @@ def read_trajectory(path):
             raise PlotDataError(f"{path}: line {lineno}: agent {j}'s step must be "
                                 f"{len(points)}, got {t}")
         points.append(point)
+    if sorted(agents) != list(range(len(agents))):
+        raise PlotDataError(f"{path}: agents must be 0 to {len(agents) - 1} with none "
+                            f"missing, got {sorted(agents)}")
     return agents
 
 
@@ -428,6 +431,24 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _check_manifest(directory, names):
+    """Raise PlotDataError unless each named file in directory matches its
+    digest in the directory's manifest.json; with no manifest, check nothing."""
+    path = os.path.join(directory, "manifest.json")
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            digests = json.load(fh)["files"]
+        if not isinstance(digests, dict):
+            raise TypeError("files is not a JSON object")
+    except (ValueError, KeyError, TypeError):
+        raise PlotDataError("manifest.json lists no file digests") from None
+    for name in names:
+        if _sha256(os.path.join(directory, name)) != digests.get(name):
+            raise PlotDataError(f"{name} does not match manifest.json")
 
 
 def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
@@ -506,10 +527,13 @@ def smooth_series(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def emit_plot_data(metrics_path, trajectory_path, out_dir, window: int):
-    """Write per-agent trajectory files and the smoothed sum-rate series."""
+    """Write per-agent trajectory files and the smoothed sum-rate series; an
+    input whose directory holds a manifest.json must match its digest there."""
     episodes, means = read_metrics(metrics_path)
     smoothed = smooth_series(means, window)
     agents = read_trajectory(trajectory_path)
+    for directory, name in map(os.path.split, (metrics_path, trajectory_path)):
+        _check_manifest(directory, [name])  # a file beside a manifest.json must match it
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     for j in sorted(agents):
@@ -521,24 +545,6 @@ def emit_plot_data(metrics_path, trajectory_path, out_dir, window: int):
                 ((str(int(episodes[i + window - 1])), repr(float(value)))
                  for i, value in enumerate(smoothed)))
     return outputs
-
-
-def _check_manifest(directory, names):
-    """Raise PlotDataError unless each named file in directory matches its
-    digest in the directory's manifest.json; with no manifest, check nothing."""
-    path = os.path.join(directory, "manifest.json")
-    if not os.path.exists(path):
-        return
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            digests = json.load(fh)["files"]
-        if not isinstance(digests, dict):
-            raise TypeError("files is not a JSON object")
-    except (ValueError, KeyError, TypeError):
-        raise PlotDataError("manifest.json lists no file digests") from None
-    for name in names:
-        if _sha256(os.path.join(directory, name)) != digests.get(name):
-            raise PlotDataError(f"{name} does not match manifest.json")
 
 
 def _cmd_validate(args) -> int:
@@ -626,7 +632,7 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    try:  # the one place an error becomes an exit code; a plain ValueError is a bug
+    try:  # what a command does not handle itself; a plain ValueError is a bug
         return args.func(args)
     except (ConfigValidationError, PlotDataError) as exc:
         print(exc, file=sys.stderr)

@@ -300,6 +300,11 @@ class TestProblemValidation:
                               interference=np.array([[-1.0]]),
                               noise_power=1e-10, p_max=0.2)
 
+    def test_one_dimensional_gains_rejected(self):
+        with pytest.raises(ValueError, match=r"gains must be a \(K, N\) matrix"):
+            AllocationProblem(gains=np.ones(2), interference=np.zeros(2),
+                              noise_power=1e-10, p_max=0.2)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             AllocationProblem(gains=np.ones((2, 2)),

@@ -154,6 +154,14 @@ class TestPropagationParams:
             replace(DEFAULT_CONFIG.propagation, **kwargs)
 
 
+class TestGbsSpec:
+    # the config path rejects a non-boolean before GbsSpec sees it; this is
+    # the check a library caller meets
+    def test_string_enabled_rejected(self):
+        with pytest.raises(ValueError, match="enabled must be true or false, got 'false'"):
+            replace(DEFAULT_CONFIG.gbs, enabled="false")
+
+
 class TestDrawRealization:
     def setup_method(self):
         self.positions = [Position3D(100, 100, 100), Position3D(300, 300, 100)]

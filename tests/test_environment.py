@@ -695,6 +695,15 @@ class TestConfigValidation:
                                 cfg.propagation)
         assert (drawn[0].gains[0] == 1.0 / pl[:, None]).all() != faded
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(initial_states=(), final_states=()),
+         "need matching non-empty initial/final state lists"),
+        (dict(users_xy=np.zeros((20, 3))), r"users_xy must be a \(K, 2\) array"),
+    ])
+    def test_fleet_and_user_shapes_checked(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            replace(DEFAULT_CONFIG, **changes)
+
     @pytest.mark.parametrize("fading", ["bogus", 3, "Rayleigh", None])
     def test_unknown_fading_rejected(self, fading):
         with pytest.raises(ValueError, match=f"fading must be one of .*, got {fading!r}"):

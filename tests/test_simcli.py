@@ -207,6 +207,8 @@ class TestLoadConfig:
          ["area: cells_per_axis must be an integer, got 2.5",
           "area: x_min must be strictly below x_max",
           "area: altitude must be positive"]),
+        ({"gbs": {"enabled": True, "height_m": 0.0}},
+         ["gbs: GBS height must be positive when enabled"]),
     ])
     def test_every_violated_invariant_listed(self, tmp_path, capsys, data, errors):
         path = write_config(tmp_path, data)
@@ -306,6 +308,7 @@ class TestLoadConfig:
          f"users.placement_seed: must be in [0, 2^64), got {int(1e30)}"),
         # a key that entered no computation, and is no field now
         ({"velocity_m_per_s": 10.0}, "scenario: unknown key 'velocity_m_per_s'"),
+        ({"users": {"count": 0}}, "users.count: must be at least 1"),
     ])
     def test_config_error_named(self, tmp_path, capsys, data, message):
         assert main(["validate-config", "--config", write_config(tmp_path, data)]) == 2
@@ -669,6 +672,13 @@ class TestPlotData:
         # each episode is one more than the one before
         ("metrics.csv", b"episode,mean_sum_rate\n1,0.5\n3,0.6\n",
          "line 3: episode must be 2, got 3"),
+        # train numbers episodes from 1 and agents from 0, with none missing
+        ("metrics.csv", b"episode,mean_sum_rate\n-7,0.5\n-6,0.6\n",
+         "line 2: episode must be 1, got -7"),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n-1,0,0.0,0.0\n",
+         "agents must be 0 to 0 with none missing, got [-1]"),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0,0.0\n2,0,5.0,5.0\n",
+         "agents must be 0 to 1 with none missing, got [0, 2]"),
     ])
     def test_bad_input_named_by_file_and_line(self, tmp_path, capsys, name, content,
                                               message):
@@ -682,6 +692,24 @@ class TestPlotData:
                      "--out-dir", str(plots), "--window", "1"]) == 2
         assert capsys.readouterr().err == f"{tmp_path / name}: {message}\n"
         assert not plots.exists()
+
+    @pytest.mark.parametrize("name", ["metrics.csv", "trajectory.csv"])
+    def test_input_unlike_its_manifest_rejected(self, tmp_path, capsys, name):
+        run = self.make_run(tmp_path, episodes=2)
+        lines = (run / name).read_text().splitlines(keepends=True)
+        fields = lines[1].split(",")
+        fields[1 if name == "metrics.csv" else 2] = "0.5"  # a mean_sum_rate or an x_m
+        lines[1] = ",".join(fields)
+        (run / name).write_text("".join(lines))
+        argv = ["plot-data", "--metrics", str(run / "metrics.csv"), "--trajectory",
+                str(run / "trajectory.csv"), "--window", "1", "--out-dir"]
+        plots = tmp_path / "plots"
+        assert main(argv + [str(plots)]) == 2
+        assert capsys.readouterr().err == f"{name} does not match manifest.json\n"
+        assert not plots.exists()
+        # the same bytes with no manifest.json beside them are read unchecked
+        (run / "manifest.json").unlink()
+        assert main(argv + [str(plots)]) == 0
 
     def test_columns_read_by_name(self, tmp_path):
         # reordered and extra columns: only the named ones are read
