@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from absim.geometry import AreaSpec, GridState
 from absim.simcli import load_config
@@ -12,6 +12,10 @@ from absim.simcli import load_config
 # earlier failures. Each test sets only its max_examples.
 settings.register_profile("absim", derandomize=True, deadline=None, database=None)
 settings.load_profile("absim")
+# tests/mutants.py runs its tests under this one: a killed mutant needs no
+# shrunk example, and shrinking a failure can take minutes
+settings.register_profile("absim-mutants", settings.get_profile("absim"),
+                          phases=[Phase.explicit, Phase.generate])
 
 # The default scenario and learning values. Config defaults are written only
 # in simcli._FIELDS, and the library's constructors take every value, so a

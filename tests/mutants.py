@@ -1,0 +1,196 @@
+"""Hand-written mutants of src/ and the tests that must kill each one.
+
+Run from anywhere in a checkout::
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME [NAME]  # the named ones
+
+Each mutant replaces one exact snippet of one file under src/absim/. The
+runner copies src/ to a temporary directory, applies one mutant there, and
+runs that mutant's tests with PYTHONPATH set to the copy (and pytest's own
+pythonpath option emptied, so the checkout's src/ is not imported), under
+the hypothesis profile absim-mutants of tests/conftest.py, which does not
+shrink a failing example. The mutant is killed when a test fails and
+survives when they all pass. A full run takes under a minute. The
+exit status is 1 if any mutant survives or cannot be run: its snippet does
+not occur exactly once, or pytest ends for another reason than a failed
+test (a named test that does not exist, say).
+
+pytest does not collect this file. tests/test_mutants.py checks in tier-1
+that every snippet occurs exactly once, so a refactor that moves a snippet
+updates its mutant here instead of dropping it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/absim/
+    old: str  # occurs exactly once in that file
+    new: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+ENV = "tests/test_environment.py::"
+CLI = "tests/test_simcli.py::"
+REFERENCE_TRAIN = ENV + "TestMatchesReference::test_train_matches_reference_train"
+
+MUTANTS = (
+    # the episode loop against reference_train (tests/environment_reference.py)
+    Mutant("skipped_update", "environment.py",
+           "            update(qtables[j], tr, params)\n",
+           "            if not env.parked[j]:  # no update on the arriving transition\n"
+           "                update(qtables[j], tr, params)\n",
+           (REFERENCE_TRAIN,)),
+    Mutant("actions_last_station_first", "environment.py",
+           "epsilon, rng) for j in active}\n",
+           "epsilon, rng) for j in reversed(active)}\n",
+           (REFERENCE_TRAIN,)),
+    Mutant("ground_drawn_first", "channel.py",
+           "    station_gains = gains(path_loss)  # drawn before the ground row\n"
+           "    return ChannelRealization(station_gains,\n"
+           "                              None if gbs_path_loss is None else "
+           "gains(gbs_path_loss))\n",
+           "    ground_gains = None if gbs_path_loss is None else gains(gbs_path_loss)\n"
+           "    return ChannelRealization(gains(path_loss), ground_gains)\n",
+           (REFERENCE_TRAIN,)),
+    Mutant("collision_flag_overwritten", "environment.py",
+           "            if terms[j][2]:\n"
+           "                near = True\n",
+           "            near = bool(terms[j][2])  # only the last acting station's flag\n",
+           (REFERENCE_TRAIN,)),
+    Mutant("reward_sum_missing_arrival", "environment.py",
+           "            cum_reward[j] += tr.reward\n",
+           "            cum_reward[j] += 0.0 if env.parked[j] else tr.reward\n",
+           (REFERENCE_TRAIN,)),
+    Mutant("parked_station_learns", "environment.py",
+           "        near = False\n",
+           "        near = False\n"
+           "        last = getattr(env, 'last', {})  # replay each parked station's last move\n"
+           "        for j, tr in last.items():\n"
+           "            if j not in actions:\n"
+           "                update(qtables[j], tr, params)\n"
+           "        env.last = {**last, **dict(zip(active, transitions))}\n",
+           (REFERENCE_TRAIN,)),
+    Mutant("epsilon_decayed_early", "environment.py",
+           "    eps = params.epsilon\n",
+           "    eps = params.epsilon * params.epsilon_decay\n",
+           (REFERENCE_TRAIN,)),
+    Mutant("step_cap_one_short", "environment.py",
+           "    max_steps = _STEPS_PER_CELL * cfg.area.n_states if max_steps is None "
+           "else max_steps\n",
+           "    max_steps = _STEPS_PER_CELL * cfg.area.n_states - 1 if max_steps is None "
+           "else max_steps\n",
+           (REFERENCE_TRAIN,)),
+    # input checks and tallies that were once wrong
+    Mutant("collision_count_per_station", "environment.py",
+           "            if terms[j][2]:\n"
+           "                near = True\n"
+           "        collisions += near  # a joint step counts once, however many stations "
+           "are near\n",
+           "            if terms[j][2]:\n"
+           "                collisions += 1\n",
+           (ENV + "TestRunEpisode::test_meeting_stations_count_one_collision_step",
+            REFERENCE_TRAIN)),
+    Mutant("negative_move_key", "environment.py",
+           "            if not 0 <= j < j_count:",
+           "            if j >= j_count:",
+           (ENV + "TestMove::test_bad_action_moves_nobody",)),
+    Mutant("fading_unchecked", "environment.py",
+           "        if self.fading not in FADING_MODES:\n",
+           "        if False:  # any fading string passes\n",
+           (ENV + "TestConfigValidation::test_unknown_fading_rejected",)),
+    Mutant("hand_copied_free_space_loss", "environment.py",
+           "            loss = free_space_path_loss(distance, prop, excess) if distance "
+           "else 0.0\n",
+           "            ratio = 4.0 * math.pi * prop.carrier_freq / prop.speed_of_light "
+           "* distance\n"
+           "            loss = ratio * ratio * excess if distance else 0.0\n",
+           (ENV + "TestTrain::test_overflowing_config_raises_before_building",
+            CLI + "TestCli::test_overflowing_config_exits_2")),
+    # the command line's exit path and checked reads
+    Mutant("os_error_exits_2", "simcli.py",
+           "        return EXIT_IO\n",
+           "        return EXIT_VALIDATION\n",
+           (CLI + "TestCli::test_io_failure_exits_3",
+            CLI + "TestCli::test_missing_config_is_io_error")),
+    Mutant("rollout_skips_manifest", "simcli.py",
+           "        _check_manifest(args.qtable_dir, names)\n",
+           "",
+           (CLI + "TestCli::test_rollout_checkpoint_digest_mismatch",)),
+    Mutant("plot_data_skips_manifest", "simcli.py",
+           "        _check_manifest(directory, [name])",
+           "        pass",
+           (CLI + "TestPlotData::test_input_unlike_its_manifest_rejected",)),
+    Mutant("first_episode_unchecked", "simcli.py",
+           "zip([0, *episodes], episodes), start=2)",
+           "zip(episodes, episodes[1:]), start=3)",
+           (CLI + "TestPlotData::test_bad_input_named_by_file_and_line",)),
+    Mutant("agent_indices_unchecked", "simcli.py",
+           "    if sorted(agents) != list(range(len(agents))):\n",
+           "    if False:  # any agent indices pass\n",
+           (CLI + "TestPlotData::test_bad_input_named_by_file_and_line",)),
+)
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Apply mutant to the absim package under src; ValueError unless its
+    snippet occurs exactly once."""
+    target = src / "absim" / mutant.path
+    text = target.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: its snippet occurs {text.count(mutant.old)} "
+                         f"times in src/absim/{mutant.path}, not once")
+    target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', or the reason the mutant could not be run."""
+    with tempfile.TemporaryDirectory(prefix="absim-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        try:
+            apply(mutant, src)
+        except ValueError as exc:
+            return str(exc)
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "-o", "pythonpath=", "--hypothesis-profile=absim-mutants", *mutant.tests],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+    if proc.returncode == 1:  # pytest: some test failed
+        return "killed"
+    if proc.returncode == 0:
+        return "survived"
+    return f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}"
+
+
+def main(names) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    outcomes = {}
+    for mutant in [known[name] for name in names] or MUTANTS:
+        outcomes[mutant.name] = run(mutant)
+        print(f"{mutant.name}: {outcomes[mutant.name]}", flush=True)
+    killed = sum(outcome == "killed" for outcome in outcomes.values())
+    print(f"{killed} of {len(outcomes)} mutants killed")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
