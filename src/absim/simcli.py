@@ -533,7 +533,7 @@ def emit_plot_data(metrics_path, trajectory_path, out_dir, window: int):
     smoothed = smooth_series(means, window)
     agents = read_trajectory(trajectory_path)
     for directory, name in map(os.path.split, (metrics_path, trajectory_path)):
-        _check_manifest(directory, [name])  # a file beside a manifest.json must match it
+        _check_manifest(directory, [name])
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     for j in sorted(agents):
