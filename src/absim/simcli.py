@@ -445,7 +445,7 @@ def _check_manifest(directory, names):
         if not isinstance(digests, dict):
             raise TypeError("files is not a JSON object")
     except (ValueError, KeyError, TypeError):
-        raise PlotDataError("manifest.json lists no file digests") from None
+        raise PlotDataError(f"{path} lists no file digests") from None
     for name in names:
         if _sha256(os.path.join(directory, name)) != digests.get(name):
             raise PlotDataError(f"{name} does not match manifest.json")

@@ -711,6 +711,20 @@ class TestPlotData:
         (run / "manifest.json").unlink()
         assert main(argv + [str(plots)]) == 0
 
+    def test_broken_manifest_named_by_path(self, tmp_path, capsys):
+        # metrics from one run, the trajectory from another whose manifest is broken
+        (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+        first = self.make_run(tmp_path / "a", episodes=2)
+        second = self.make_run(tmp_path / "b", episodes=2)
+        (second / "manifest.json").write_text('{"files": 3}')
+        plots = tmp_path / "plots"
+        assert main(["plot-data", "--metrics", str(first / "metrics.csv"), "--trajectory",
+                     str(second / "trajectory.csv"), "--window", "1",
+                     "--out-dir", str(plots)]) == 2
+        assert (capsys.readouterr().err
+                == f"{second / 'manifest.json'} lists no file digests\n")
+        assert not plots.exists()
+
     def test_columns_read_by_name(self, tmp_path):
         # reordered and extra columns: only the named ones are read
         path = tmp_path / "trajectory.csv"
@@ -912,12 +926,13 @@ class TestCli:
 
     @pytest.mark.parametrize("manifest, message", [
         (None, "invalid checkpoint: qtable_agent1.txt does not match manifest.json"),
-        ('{"files": [1, 2', "invalid checkpoint: manifest.json lists no file digests"),
-        ('{"files": 3}', "invalid checkpoint: manifest.json lists no file digests"),
+        ('{"files": [1, 2', "invalid checkpoint: {manifest} lists no file digests"),
+        ('{"files": 3}', "invalid checkpoint: {manifest} lists no file digests"),
     ])
     def test_rollout_checkpoint_digest_mismatch(self, tmp_path, capsys, manifest, message):
         cfg = write_config(tmp_path, small_config_dict(2))
         out = tmp_path / "out"
+        message = message.format(manifest=out / "manifest.json")
         assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
         if manifest is None:
             self.edit_checkpoint(out, "qtable_agent1.txt")
