@@ -21,7 +21,8 @@ from .channel import (FADING_MODES, GbsSpec, PropagationParams, draw_realization
                       free_space_path_loss, path_loss_to_users)
 from .geometry import (Action, AreaSpec, Position3D, apply_action, cell_center,
                        dist_to_final, pairwise_dist, state_index)
-from .qlearning import LearningParams, QTable, Transition, greedy_policy, select_action, update
+from .qlearning import (LearningParams, QTable, Transition, _PerCell, greedy_policy,
+                        select_action, update)
 from .rng import PURPOSE_EPISODE, derive_stream
 
 __all__ = [
@@ -198,17 +199,6 @@ class EpisodeStats:
     @property
     def mean_sum_rate(self) -> float:
         return float(self.avg_sum_rate.mean())
-
-
-class _PerCell(dict):
-    """Values of fn at cells, each computed at its first lookup and kept."""
-
-    def __init__(self, fn):  # dict.__new__ has already made the empty dict
-        self.fn = fn
-
-    def __missing__(self, s):
-        value = self[s] = self.fn(s)
-        return value
 
 
 def interference_for_abs(field_rows: np.ndarray, own_powers: np.ndarray,

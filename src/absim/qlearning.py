@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from itertools import chain
 from math import isfinite
 from typing import NamedTuple
 
@@ -89,8 +90,39 @@ def _check_shape(n_states: int, n_actions: int, terminal_state: int) -> None:
         raise ValueError("terminal_state outside the table")
 
 
+class _PerCell(dict):
+    """Values of fn at states (cells), each computed at its first lookup and kept."""
+
+    def __init__(self, fn):  # dict.__new__ has already made the empty dict
+        self.fn = fn
+
+    def __missing__(self, s):
+        value = self[s] = self.fn(s)
+        return value
+
+
+def _snapshot(table: np.ndarray, rows: dict) -> np.ndarray:
+    """table, a fresh (S, A) array, with rows written over it and made read-only."""
+    if rows:
+        merged = np.fromiter(chain.from_iterable(rows.values()), table.dtype,
+                             len(rows) * table.shape[1])
+        table[list(rows)] = merged.reshape(len(rows), -1)
+    table.flags.writeable = False
+    return table
+
+
 class QTable:
-    """Action-value table for one agent, with its terminal row pinned to zero."""
+    """Action-value table for one agent, with its terminal row pinned to zero.
+
+    Every entry starts at base, an (S, A) array. The learner reads and
+    writes rows and counts instead: per-state Python lists of the values and
+    visit counts, each made at its state's first lookup (a row copied from
+    base, so base is seeded in place, before any lookup), since a 4-entry
+    list is cheaper to scan and store into than a numpy row. A table that is
+    never stepped, such as a loaded one, holds no lists. Looking up a state
+    outside [0, S) raises ValueError. values and visits are read-only (S, A)
+    snapshots of the whole table.
+    """
 
     def __init__(self, n_states: int, n_actions: int, terminal_state: int,
                  initial_value: float = 0.0):
@@ -98,19 +130,33 @@ class QTable:
         self.n_states = n_states
         self.n_actions = n_actions
         self.terminal_state = terminal_state
-        self.values = np.full((n_states, n_actions), float(initial_value))
-        self.visits = np.zeros((n_states, n_actions), dtype=np.int64)
-        self.values[terminal_state, :] = 0.0
+        base = self.base = np.full((n_states, n_actions), float(initial_value))
+        base[terminal_state, :] = 0.0
+
+        def new_row(s):  # refers to base, not self: a table is freed without a GC pass
+            if not 0 <= s < n_states:
+                raise ValueError(f"state {s!r} outside the {n_states}-state table")
+            return base[s].tolist()
+
+        self.rows = _PerCell(new_row)
+        self.counts = _PerCell(lambda s: [0] * n_actions)
+
+    @property
+    def values(self) -> np.ndarray:
+        return _snapshot(self.base.copy(), self.rows)
+
+    @property
+    def visits(self) -> np.ndarray:
+        return _snapshot(np.zeros(self.base.shape, np.int64), self.counts)
 
 
 def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy draw: explore uniformly, else argmax with random tie-break."""
     if state == q.terminal_state:
         raise ValueError("cannot select an action from the terminal state")
+    row = q.rows[state]  # before any draw, so a state outside the table raises first
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(q.n_actions))
-    # a 4-float row is cheaper to scan as a Python list than through numpy
-    row = q.values[state].tolist()
     best = max(row)
     if row.count(best) == 1:
         return row.index(best)
@@ -123,24 +169,26 @@ def update(q: QTable, t: Transition, params: LearningParams) -> None:
 
     The bootstrap term reads the next state's row directly; for terminal
     next states that row is pinned to zero, so no branching is needed. A
-    non-finite new value raises ValueError and leaves the table unchanged.
+    non-finite new value raises ValueError and leaves the table unchanged,
+    as does a state or next state outside the table.
     """
-    if t.state == q.terminal_state:
-        raise ValueError("transitions cannot originate from the terminal state")
     s, a = t.state, t.action
-    visits = q.visits.item(s, a)  # Python scalars: the same IEEE arithmetic as numpy's
+    if s == q.terminal_state:
+        raise ValueError("transitions cannot originate from the terminal state")
+    row, count = q.rows[s], q.counts[s]
+    visits = count[a]
     if params.alpha_schedule == "visit_count":
         alpha = 1.0 / (1.0 + visits)
     else:
         alpha = params.alpha
-    current = q.values.item(s, a)
-    target = t.reward + params.gamma * max(q.values[t.next_state].tolist())
+    current = row[a]
+    target = t.reward + params.gamma * max(q.rows[t.next_state])
     value = current + alpha * (target - current)
     if not isfinite(value):  # an overflow would turn the table to NaN quietly
         raise ValueError(f"update of entry ({s}, {a}) gives {value!r}; rewards and "
                          "table values must stay finite")
-    q.visits[s, a] = visits + 1
-    q.values[s, a] = value
+    count[a] = visits + 1
+    row[a] = value
 
 
 def greedy_policy(q: QTable) -> np.ndarray:
@@ -150,14 +198,14 @@ def greedy_policy(q: QTable) -> np.ndarray:
 
 def save_qtable(q: QTable, path) -> None:
     """Write the table as flat text rows: state index, action index, value."""
+    values = q.values
     # each distinct value is formatted once; told apart by bits, -0.0 keeps its sign
-    bits, at = np.unique(np.ascontiguousarray(q.values, float).view(np.int64),
-                         return_inverse=True)
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
     text = [repr(v) for v in bits.view(float).tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# states={q.n_states} actions={q.n_actions} terminal={q.terminal_state}\n")
         fh.write("".join([f"{s} {a} {text[i]}\n"
-                          for s, row in enumerate(at.reshape(q.values.shape).tolist())
+                          for s, row in enumerate(at.reshape(values.shape).tolist())
                           for a, i in enumerate(row)]))
 
 
@@ -218,5 +266,5 @@ def load_qtable(path) -> QTable:
                          f"{n_states * n_actions} entries")
     entries = np.fromiter(values, np.intp, rows), np.fromiter(values.values(), float, rows)
     q = QTable(n_states, n_actions, terminal)
-    q.values.ravel()[entries[0]] = entries[1]  # ravel is a view here
+    q.base.ravel()[entries[0]] = entries[1]  # ravel is a view here
     return q

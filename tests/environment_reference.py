@@ -31,11 +31,11 @@ from absim.channel import ChannelRealization, path_loss_to_users
 from absim.environment import EpisodeStats
 from absim.geometry import (Position3D, apply_action, cell_center, dist_to_final,
                             pairwise_dist, state_index)
-from absim.qlearning import QTable, Transition
+from absim.qlearning import Transition
 from absim.rng import PURPOSE_EPISODE, derive_stream
 
 from channel_reference import interference_table
-from qlearning_reference import select_action, update
+from qlearning_reference import ArrayTable, select_action, update
 
 
 def initial_powers(config, parked):
@@ -151,7 +151,8 @@ def reference_episode(config, tables, params, rng, epsilon):
 def reference_train(config, params, master_seed):
     """A training run: (tables, stats per episode, stream per episode).
 
-    Tables start at initial_q, or when it is null at the pessimistic floor
+    Tables are qlearning_reference.ArrayTable arrays. They start at
+    initial_q, or when it is null at the pessimistic floor
     -(beta2 * area diagonal + beta3) / (1 - gamma), with each station's
     final cell as its terminal state. Episode e draws only from its own
     stream derive_stream(master_seed, PURPOSE_EPISODE, e) and runs at
@@ -164,7 +165,8 @@ def reference_train(config, params, master_seed):
                                  Position3D(area.x_max, area.y_max, area.altitude),
                                  config.distance_exponent)
         q0 = -(config.beta2 * diagonal + config.beta3) / (1.0 - params.gamma)
-    tables = [QTable(area.n_states, 4, terminal_state=state_index(area, f), initial_value=q0)
+    tables = [ArrayTable(area.n_states, 4, terminal_state=state_index(area, f),
+                         initial_value=q0)
               for f in config.final_states]
     stats, streams = [], []
     epsilon = params.epsilon

@@ -45,6 +45,8 @@ class Mutant(NamedTuple):
 
 ENV = "tests/test_environment.py::"
 CLI = "tests/test_simcli.py::"
+QL = "tests/test_qlearning.py::"
+STORE = QL + "TestTableStore::"
 REFERENCE_TRAIN = ENV + "TestMatchesReference::test_train_matches_reference_train"
 
 MUTANTS = (
@@ -120,6 +122,31 @@ MUTANTS = (
            "            loss = ratio * ratio * excess if distance else 0.0\n",
            (ENV + "TestTrain::test_overflowing_config_raises_before_building",
             CLI + "TestCli::test_overflowing_config_exits_2")),
+    # the learner's table: list rows over one base array
+    Mutant("state_range_unchecked", "qlearning.py",
+           "            if not 0 <= s < n_states:\n",
+           "            if False:  # any state passes\n",
+           (STORE + "test_select_action_state_outside_table",
+            STORE + "test_update_state_outside_table")),
+    Mutant("values_writable", "qlearning.py",
+           "    table.flags.writeable = False\n",
+           "",
+           (STORE + "test_snapshots_read_only",)),
+    Mutant("visit_bumped_before_alpha", "qlearning.py",
+           "    visits = count[a]\n"
+           "    if params.alpha_schedule == \"visit_count\":\n"
+           "        alpha = 1.0 / (1.0 + visits)\n",
+           "    count[a] += 1  # bumped before alpha reads it\n"
+           "    visits = count[a] - 1\n"
+           "    if params.alpha_schedule == \"visit_count\":\n"
+           "        alpha = 1.0 / (1.0 + count[a])\n",
+           (QL + "TestUpdate::test_visit_count_schedule",
+            QL + "TestMatchesNumpyReference::test_update_bit_equal")),
+    Mutant("loaded_into_rows", "qlearning.py",
+           "    q.base.ravel()[entries[0]] = entries[1]  # ravel is a view here\n",
+           "    for flat, v in values.items():  # into row lists, not base\n"
+           "        q.rows[flat // n_actions][flat % n_actions] = v\n",
+           (STORE + "test_fresh_and_loaded_tables_hold_no_rows",)),
     # the command line's exit path and checked reads
     Mutant("os_error_exits_2", "simcli.py",
            "        return EXIT_IO\n",

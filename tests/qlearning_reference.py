@@ -1,24 +1,38 @@
 """Reference versions of the learner, kept for the tests.
 
-``absim.qlearning`` scans the 4-float rows as Python lists, which is
-cheaper per step than numpy calls on arrays that small. ``select_action``
-and ``update`` here are the array versions it replaced, kept as the
-reference it must match: the same actions, the same draws from the
-generator and the same table bits. ``value_iteration`` is the exact
-fixed point over small deterministic worlds that the learner must
-approach.
+``absim.qlearning.QTable`` keeps each row the learner has looked up as a
+Python list, made at its first lookup from one base array, which is
+cheaper per step than numpy calls on arrays of 4 floats.
+``ArrayTable`` is the table it replaced: values and visits are writable
+(S, A) arrays, read and written in place. ``select_action`` and ``update``
+here are the array versions of the learner, kept as the reference it must
+match: the same actions, the same draws from the generator and the same
+table bits. ``value_iteration`` is the exact fixed point over small
+deterministic worlds that the learner must approach.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from absim.qlearning import LearningParams, QTable, Transition
+from absim.qlearning import LearningParams, Transition
 
 _ORACLE_MAX_STATES = 4096
 
 
-def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generator) -> int:
+class ArrayTable:
+    """A Q-table as two writable (S, A) arrays, its terminal row pinned to zero."""
+
+    def __init__(self, n_states: int, n_actions: int, terminal_state: int,
+                 initial_value: float = 0.0):
+        self.n_actions = n_actions
+        self.terminal_state = terminal_state
+        self.values = np.full((n_states, n_actions), float(initial_value))
+        self.visits = np.zeros((n_states, n_actions), dtype=np.int64)
+        self.values[terminal_state, :] = 0.0
+
+
+def select_action(q: ArrayTable, state: int, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy draw: explore uniformly, else argmax with random tie-break."""
     if state == q.terminal_state:
         raise ValueError("cannot select an action from the terminal state")
@@ -31,7 +45,7 @@ def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generato
     return int(ties[rng.integers(ties.size)])
 
 
-def update(q: QTable, t: Transition, params: LearningParams) -> None:
+def update(q: ArrayTable, t: Transition, params: LearningParams) -> None:
     """Temporal-difference update of one (state, action) entry."""
     if t.state == q.terminal_state:
         raise ValueError("transitions cannot originate from the terminal state")

@@ -450,7 +450,7 @@ class TestRunEpisode:
         env = Environment(cfg)
         tables = fresh_tables(cfg)
         for j, action in enumerate((Action.RIGHT, Action.LEFT)):
-            tables[j].values[env.states[j], action] = 1.0
+            tables[j].rows[env.states[j]][action] = 1.0
         params = replace(DEFAULT_LEARNING, epsilon=0.0, max_steps_per_episode=1)
         stats = run_episode(env, tables, params, np.random.default_rng(0), params.epsilon)
         assert env.states[0] == env.states[1] == state_index(cfg.area, GridState(2, 1))
@@ -597,7 +597,7 @@ class TestExtractTrajectory:
         tables = fresh_tables(cfg)
         for s, a in [(0, Action.RIGHT), (1, Action.RIGHT), (2, Action.RIGHT),
                      (3, Action.FORWARD), (7, Action.FORWARD), (11, Action.FORWARD)]:
-            tables[0].values[s, a] = 1.0
+            tables[0].base[s, a] = 1.0
         calls = []
         monkeypatch.setattr("absim.environment.cell_center",
                             lambda area, s: calls.append(s) or cell_center(area, s))

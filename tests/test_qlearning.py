@@ -60,7 +60,7 @@ def grid_world(m=4, goal=None, beta2=0.25, gamma=0.9):
 class TestSelectAction:
     def test_pure_exploration_uniform(self):
         q = QTable(4, 4, terminal_state=3)
-        q.values[0] = [5.0, 0.0, 0.0, 0.0]
+        q.base[0] = [5.0, 0.0, 0.0, 0.0]
         rng = np.random.default_rng(0)
         counts = np.zeros(4)
         draws = 10_000
@@ -72,13 +72,13 @@ class TestSelectAction:
 
     def test_pure_exploitation_argmax(self):
         q = QTable(4, 4, terminal_state=3)
-        q.values[2] = [1.0, 0.0, 0.0, 0.0]
+        q.base[2] = [1.0, 0.0, 0.0, 0.0]
         rng = np.random.default_rng(1)
         assert all(select_action(q, 2, 0.0, rng) == 0 for _ in range(50))
 
     def test_tie_break_uniform(self):
         q = QTable(2, 4, terminal_state=1)
-        q.values[0] = [1.0, 1.0, 0.0, 0.0]
+        q.base[0] = [1.0, 1.0, 0.0, 0.0]
         rng = np.random.default_rng(2)
         draws = 10_000
         counts = np.zeros(4)
@@ -97,7 +97,7 @@ class TestSelectAction:
 class TestUpdate:
     def test_zero_alpha_no_change(self):
         q = QTable(3, 4, terminal_state=1)
-        q.values[:] = 7.0
+        q.base[:] = 7.0
         update(q, Transition(0, 1, 5.0, 2), replace(DEFAULT_LEARNING, alpha=0.0))
         assert q.values[0, 1] == 7.0
 
@@ -109,14 +109,14 @@ class TestUpdate:
 
     def test_hand_computed_target(self):
         q = QTable(3, 4, terminal_state=2)
-        q.values[1] = [0.0, 2.0, 1.0, 0.0]
+        q.base[1] = [0.0, 2.0, 1.0, 0.0]
         update(q, Transition(0, 0, 1.0, 1),
                replace(DEFAULT_LEARNING, alpha=0.5, gamma=0.9))
         assert q.values[0, 0] == pytest.approx(1.4, abs=1e-12)
 
     def test_update_is_local(self):
         q = QTable(4, 4, terminal_state=0)
-        q.values[:] = -3.0
+        q.base[:] = -3.0
         before = q.values.copy()
         update(q, Transition(1, 2, 8.0, 3), replace(DEFAULT_LEARNING, alpha=0.3))
         changed = q.values != before
@@ -124,7 +124,7 @@ class TestUpdate:
 
     def test_terminal_bootstrap_is_zero(self):
         q = QTable(3, 4, terminal_state=2)
-        q.values[0, 1] = -1.0
+        q.base[0, 1] = -1.0
         update(q, Transition(0, 1, 4.0, 2),
                replace(DEFAULT_LEARNING, alpha=1.0, gamma=0.9))
         # target r + gamma * 0, because the terminal row is pinned
@@ -172,25 +172,65 @@ class TestUpdate:
             assert np.all(q.values >= lo - 1e-9) and np.all(q.values <= hi + 1e-9)
 
 
+class TestTableStore:
+    @pytest.mark.parametrize("state", [-1, -5, 5])  # -1 and -S alias rows 4 and 0
+    def test_select_action_state_outside_table(self, state):
+        q = QTable(5, 4, terminal_state=4)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"state {state} outside the 5-state table"):
+            select_action(q, state, 0.5, rng)
+        assert rng.bit_generator.state == before  # raised before any draw
+
+    @pytest.mark.parametrize("state", [-1, -5, 5])
+    @pytest.mark.parametrize("field", ["state", "next_state"])
+    def test_update_state_outside_table(self, field, state):
+        q = QTable(5, 4, terminal_state=4, initial_value=-2.0)
+        t = Transition(0, 1, 1.0, 2)._replace(**{field: state})
+        with pytest.raises(ValueError, match=rf"state {state} outside the 5-state table"):
+            update(q, t, replace(DEFAULT_LEARNING, alpha=1.0))
+        assert q.values.tobytes() == q.base.tobytes() and not q.visits.any()
+
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_snapshots_read_only(self, stepped):
+        q = QTable(3, 4, terminal_state=2)
+        if stepped:
+            update(q, Transition(0, 1, 1.0, 1), DEFAULT_LEARNING)
+        for snapshot in (q.values, q.visits):
+            with pytest.raises(ValueError, match="read-only"):
+                snapshot[0] = 5
+        assert q.values[0, 0] == 0.0 and q.visits[0, 0] == 0
+
+    def test_fresh_and_loaded_tables_hold_no_rows(self, tmp_path):
+        q = QTable(900, 4, terminal_state=899, initial_value=-2.5)
+        assert not q.rows and not q.counts
+        for s in range(0, 899, 7):
+            update(q, Transition(s, s % 4, 0.5 * s, s + 1), DEFAULT_LEARNING)
+        path = tmp_path / "q.txt"
+        save_qtable(q, path)
+        loaded = load_qtable(path)
+        assert not loaded.rows and not loaded.counts
+        assert loaded.values.tobytes() == q.values.tobytes()
+
+
 # three values only, so rows often hold tied maxima
 Q_ENTRIES = st.sampled_from([-2.5, 0.0, 1.25])
 REFERENCE_SETTINGS = settings(max_examples=100)
 
 
 def table_pair(values, visits=None):
-    """Two identical 5-state tables with terminal state 4."""
-    pair = []
-    for _ in range(2):
-        q = QTable(5, 4, terminal_state=4)
-        q.values[:4] = values
-        if visits is not None:
-            q.visits[:4] = visits
-        pair.append(q)
-    return pair
+    """A 5-state table with terminal state 4 and its reference ArrayTable, alike."""
+    q, q_ref = QTable(5, 4, terminal_state=4), reference.ArrayTable(5, 4, terminal_state=4)
+    q.base[:4] = q_ref.values[:4] = values
+    if visits is not None:
+        q_ref.visits[:4] = visits
+        for s, row in enumerate(visits.tolist()):
+            q.counts[s] = row
+    return q, q_ref
 
 
 class TestMatchesNumpyReference:
-    """The list-based learner against the array formulation it replaced."""
+    """The list-row learner against the array formulation it replaced."""
 
     @REFERENCE_SETTINGS
     @given(values=hnp.arrays(float, (4, 4), elements=Q_ENTRIES),
@@ -225,6 +265,19 @@ class TestMatchesNumpyReference:
         assert q.values.tobytes() == q_ref.values.tobytes()
         assert np.array_equal(q.visits, q_ref.visits)
 
+    def test_values_keep_signed_zeros(self):
+        # the rows stepped as lists merge back into values with every bit, -0.0 too
+        q, q_ref = table_pair(np.array([[-0.0, 0.0, -0.0, 1.25]] * 4))
+        params = replace(DEFAULT_LEARNING, alpha=0.5, gamma=0.9)
+        for t in (Transition(0, 3, -1.0, 1), Transition(1, 1, 2.0, 4),
+                  Transition(2, 3, 0.5, 0)):
+            update(q, t, params)
+            reference.update(q_ref, t, params)
+        assert sorted(q.rows) == [0, 1, 2, 4]  # the updated rows and a bootstrap row
+        assert q.values.tobytes() == q_ref.values.tobytes()
+        assert np.signbit(q.values[:4, [0, 2]]).all()
+        assert np.array_equal(q.visits, q_ref.visits)
+
 
 class TestGreedyPolicy:
     def test_all_zero_ties_to_first_action(self):
@@ -233,8 +286,8 @@ class TestGreedyPolicy:
 
     def test_argmax(self):
         q = QTable(3, 4, terminal_state=2)
-        q.values[0] = [0.0, 0.0, 5.0, 0.0]
-        q.values[1] = [1.0, 3.0, 2.0, 3.0]
+        q.base[0] = [0.0, 0.0, 5.0, 0.0]
+        q.base[1] = [1.0, 3.0, 2.0, 3.0]
         policy = greedy_policy(q)
         assert policy[0] == 2
         assert policy[1] == 1  # tie between 1 and 3 goes low
@@ -309,7 +362,7 @@ class TestConvergenceToOracle:
         _, next_state, rewards, terminal, goal_idx = grid_world(4)
         q_star = value_iteration(next_state, rewards, terminal, gamma=0.9, tol=1e-12)
         q = QTable(16, 4, terminal_state=goal_idx)
-        q.values[:] = q_star  # table loaded with the exact solution
+        q.base[:] = q_star  # table loaded with the exact solution
         learned = greedy_policy(q)
         srt = np.sort(q_star, axis=1)
         unique = (srt[:, -1] - srt[:, -2]) > 1e-9
@@ -324,8 +377,8 @@ class TestPersistence:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(6)
         q = QTable(12, 4, terminal_state=7)
-        q.values[:] = rng.normal(size=(12, 4)) * 1e3
-        q.values[7] = 0.0
+        q.base[:] = rng.normal(size=(12, 4)) * 1e3
+        q.base[7] = 0.0
         path = tmp_path / "q.txt"
         save_qtable(q, path)
         loaded = load_qtable(path)
@@ -337,7 +390,7 @@ class TestPersistence:
         pool = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                 0.1 + 0.2, -2.5, 1e-300]
         q = QTable(30, 4, terminal_state=29)
-        q.values[:29] = rng.choice(pool, size=(29, 4))
+        q.base[:29] = rng.choice(pool, size=(29, 4))
         save_qtable(q, path)
         loaded = load_qtable(path)
         np.testing.assert_array_equal(loaded.values.view(np.int64), q.values.view(np.int64))
@@ -367,7 +420,7 @@ class TestPersistence:
         # repeated values, both signed zeros and an unloadable nan, written as one
         # f"{s} {a} {value!r}" row per entry
         q = QTable(4, 3, terminal_state=3)
-        q.values[:3] = [[-0.0, 0.0, -0.0], [1.5, 1.5, 0.1 + 0.2], [np.nan, -1e300, 1.5]]
+        q.base[:3] = [[-0.0, 0.0, -0.0], [1.5, 1.5, 0.1 + 0.2], [np.nan, -1e300, 1.5]]
         path = tmp_path / "q.txt"
         save_qtable(q, path)
         rows = "".join(f"{s} {a} {v!r}\n" for s, row in enumerate(q.values.tolist())
