@@ -170,11 +170,13 @@ def update(q: QTable, t: Transition, params: LearningParams) -> None:
     The bootstrap term reads the next state's row directly; for terminal
     next states that row is pinned to zero, so no branching is needed. A
     non-finite new value raises ValueError and leaves the table unchanged,
-    as does a state or next state outside the table.
+    as does a state, action or next state outside the table.
     """
     s, a = t.state, t.action
     if s == q.terminal_state:
         raise ValueError("transitions cannot originate from the terminal state")
+    if not 0 <= a < q.n_actions:  # a negative action would alias another entry
+        raise ValueError(f"action {a!r} outside the {q.n_actions}-action table")
     row, count = q.rows[s], q.counts[s]
     visits = count[a]
     if params.alpha_schedule == "visit_count":
@@ -196,31 +198,67 @@ def greedy_policy(q: QTable) -> np.ndarray:
     return q.values.argmax(axis=1)
 
 
+@functools.lru_cache(maxsize=1)  # save and load of one shape share it
+def _rows(n_states: int, n_actions: int) -> str:
+    """The body of a saved table with a %s for each value: one "s a value"
+    row per entry, in (s, a) order, each ending in a newline."""
+    return "".join([f"{s} {a} %s\n" for s in range(n_states) for a in range(n_actions)])
+
+
 def save_qtable(q: QTable, path) -> None:
-    """Write the table as flat text rows: state index, action index, value."""
+    """Write the table as text: a header line, then one "s a value" row per
+    entry in (s, a) order, with value as repr writes it."""
     values = q.values
     # each distinct value is formatted once; told apart by bits, -0.0 keeps its sign
     bits, at = np.unique(values.view(np.int64), return_inverse=True)
     text = [repr(v) for v in bits.view(float).tolist()]
+    entries = tuple(map(text.__getitem__, at.ravel().tolist()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# states={q.n_states} actions={q.n_actions} terminal={q.terminal_state}\n")
-        fh.write("".join([f"{s} {a} {text[i]}\n"
-                          for s, row in enumerate(at.reshape(values.shape).tolist())
-                          for a, i in enumerate(row)]))
+        fh.write(_rows(q.n_states, q.n_actions) % entries)
+
+
+def _first_fault(body: str, n_states: int, n_actions: int, terminal: int) -> str:
+    """Where and why body is not the rows of such a table, naming its first
+    faulty line; called only once body has been rejected."""
+    n = n_states * n_actions
+    lines = body.split("\n")
+    end = lines.pop()  # what follows the last newline: nothing in a saved table
+    for i, line in enumerate(lines + [end] if end else lines):
+        lineno = i + 2
+        if i == n:
+            return (f"line {lineno}: expected the end of the file after {n} entries, "
+                    f"got {line!r}")
+        fields = line.split()
+        if len(fields) == 3:  # a row's own faults first, named by its own entry
+            try:
+                s, a, v = int(fields[0]), int(fields[1]), float(fields[2])
+            except ValueError:
+                return f"line {lineno}: expected 'state action value', got {line.strip()!r}"
+            if not isfinite(v):
+                return f"line {lineno}: entry ({s}, {a}) holds {v!r}, not a finite value"
+            if s == terminal and v != 0.0:
+                return (f"line {lineno}: entry ({s}, {a}) holds {v!r}, but the terminal row "
+                        "must read 0.0")
+        s, a = divmod(i, n_actions)
+        if len(fields) != 3 or line != f"{s} {a} {fields[2]}":
+            return f"line {lineno}: expected '{s} {a} value', got {line!r}"
+    if end:
+        return f"line {len(lines) + 2}: expected a newline after {end!r}"
+    return f"line {len(lines) + 2}: file ends after {len(lines)} of {n} entries"
 
 
 def load_qtable(path) -> QTable:
     """Inverse of save_qtable; visit counts are not persisted.
 
-    One pass reads the rows and parses each distinct token once. The header
-    must be the line save_qtable writes, every (state, action) entry must
-    appear exactly once with a finite value, and the terminal row must read
-    0.0. A malformed header or row, a byte that is not ASCII, an entry
-    outside the table, a repeated, missing or non-finite entry or a non-zero
-    terminal entry raises ValueError naming the file and line, because a
-    wrong entry would quietly steer the greedy rollout. The table is
-    allocated only once every row has been read, so a header that
-    overstates the rows cannot exhaust memory.
+    The file must be what save_qtable writes: its header line, then one
+    "s a value" row per entry in (s, a) order, one space apart, each line
+    ending in a newline, with a finite value that float parses, and 0.0 in
+    the terminal row. Anything else, a byte that is not ASCII included,
+    raises ValueError naming the file and its first faulty line, because a
+    wrong entry would quietly steer the greedy rollout. The rows are counted
+    before anything of the header's size is built, so a header that
+    overstates them cannot exhaust memory.
     """
     # a byte that is not ASCII reads as U+FFFD, which neither header nor row parses
     with open(path, "r", encoding="ascii", errors="replace") as fh:
@@ -235,36 +273,20 @@ def load_qtable(path) -> QTable:
             _check_shape(n_states, n_actions, terminal)
         except ValueError as exc:
             raise ValueError(f"{path}: line 1: bad header {header!r} ({exc})") from None
-        lines = fh.read().split("\n")
-    if lines[-1] == "":  # what follows the last row's newline
-        lines.pop()
-    as_int, as_float = functools.cache(int), functools.cache(float)  # tables repeat tokens
-    values = {}  # flat index -> value, sized by the rows read
-    for lineno, line in enumerate(lines, start=2):
-        try:
-            s_str, a_str, v_str = line.split()
-            s, a, v = as_int(s_str), as_int(a_str), as_float(v_str)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: expected 'state action value', "
-                             f"got {line.strip()!r}") from None
-        if not (0 <= s < n_states and 0 <= a < n_actions):
-            raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) outside the "
-                             f"{n_states} x {n_actions} table")
-        if not isfinite(v):
-            raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) holds {v!r}, "
-                             "not a finite value")
-        if s == terminal and v != 0.0:
-            raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) holds {v!r}, "
-                             "but the terminal row must read 0.0")
-        flat = s * n_actions + a
-        if flat in values:
-            raise ValueError(f"{path}: line {lineno}: entry ({s}, {a}) repeated")
-        values[flat] = v
-    rows = len(lines)
-    if rows != n_states * n_actions:
-        raise ValueError(f"{path}: line {rows + 2}: file ends after {rows} of "
-                         f"{n_states * n_actions} entries")
-    entries = np.fromiter(values, np.intp, rows), np.fromiter(values.values(), float, rows)
+        body = fh.read()
+    n = n_states * n_actions
+    # one value token per row, and then the rows must be the template filled with them
+    tokens = body.split()[2::3] if body.count("\n") == n else ()
+    try:
+        if len(tokens) != n or body != _rows(n_states, n_actions) % tuple(tokens):
+            raise ValueError
+        values = np.fromiter(map(functools.cache(float), tokens), float, n)  # tokens repeat
+        values = values.reshape(n_states, n_actions)
+        if not np.isfinite(values).all() or values[terminal].any():
+            raise ValueError
+    except ValueError:
+        fault = _first_fault(body, n_states, n_actions, terminal)
+        raise ValueError(f"{path}: {fault}") from None
     q = QTable(n_states, n_actions, terminal)
-    q.base.ravel()[entries[0]] = entries[1]  # ravel is a view here
+    q.base[:] = values
     return q

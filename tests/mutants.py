@@ -47,6 +47,7 @@ ENV = "tests/test_environment.py::"
 CLI = "tests/test_simcli.py::"
 QL = "tests/test_qlearning.py::"
 STORE = QL + "TestTableStore::"
+PERSIST = QL + "TestPersistence::"
 REFERENCE_TRAIN = ENV + "TestMatchesReference::test_train_matches_reference_train"
 
 MUTANTS = (
@@ -142,11 +143,29 @@ MUTANTS = (
            "        alpha = 1.0 / (1.0 + count[a])\n",
            (QL + "TestUpdate::test_visit_count_schedule",
             QL + "TestMatchesNumpyReference::test_update_bit_equal")),
+    Mutant("action_range_unchecked", "qlearning.py",
+           "    if not 0 <= a < q.n_actions:  # a negative action would alias another entry\n",
+           "    if False:  # any action passes\n",
+           (STORE + "test_update_action_outside_table",)),
+    # Q-table checkpoints: load accepts exactly what save writes
     Mutant("loaded_into_rows", "qlearning.py",
-           "    q.base.ravel()[entries[0]] = entries[1]  # ravel is a view here\n",
-           "    for flat, v in values.items():  # into row lists, not base\n"
-           "        q.rows[flat // n_actions][flat % n_actions] = v\n",
+           "    q.base[:] = values\n",
+           "    for s, row in enumerate(values.tolist()):  # into row lists, not base\n"
+           "        q.rows[s][:] = row\n",
            (STORE + "test_fresh_and_loaded_tables_hold_no_rows",)),
+    Mutant("layout_unchecked", "qlearning.py",
+           "        if len(tokens) != n or body != _rows(n_states, n_actions) % tuple(tokens):\n",
+           "        if len(tokens) != n:  # any layout with one value token per row passes\n",
+           (PERSIST + "test_rows_in_another_layout_rejected",
+            PERSIST + "test_full_length_faults_named")),
+    Mutant("terminal_row_unchecked", "qlearning.py",
+           "        if not np.isfinite(values).all() or values[terminal].any():\n",
+           "        if not np.isfinite(values).all():\n",
+           (PERSIST + "test_full_length_faults_named",)),
+    Mutant("nonfinite_loaded", "qlearning.py",
+           "        if not np.isfinite(values).all() or values[terminal].any():\n",
+           "        if values[terminal].any():\n",
+           (PERSIST + "test_full_length_faults_named",)),
     # the command line's exit path and checked reads
     Mutant("os_error_exits_2", "simcli.py",
            "        return EXIT_IO\n",

@@ -191,6 +191,13 @@ class TestTableStore:
             update(q, t, replace(DEFAULT_LEARNING, alpha=1.0))
         assert q.values.tobytes() == q.base.tobytes() and not q.visits.any()
 
+    @pytest.mark.parametrize("action", [-1, -4, 4])  # -1 and -A alias actions 3 and 0
+    def test_update_action_outside_table(self, action):
+        q = QTable(3, 4, terminal_state=2)
+        with pytest.raises(ValueError, match=rf"action {action} outside the 4-action table"):
+            update(q, Transition(0, action, 5.0, 1), DEFAULT_LEARNING)
+        assert not q.rows and not q.counts  # raised before any read or write
+
     @pytest.mark.parametrize("stepped", [False, True])
     def test_snapshots_read_only(self, stepped):
         q = QTable(3, 4, terminal_state=2)
@@ -398,10 +405,10 @@ class TestPersistence:
     @pytest.mark.parametrize("body, message", [
         # header promises 16 entries, one row follows
         ("0 0 -1.5\n", "line 3: file ends after 1 of 16 entries"),
-        ("0 0 -1.5\n0 0 -2.5\n", "line 3: entry (0, 0) repeated"),
-        ("0 0 -1.5\n4 0 -2.5\n", "line 3: entry (4, 0) outside the 4 x 4 table"),
-        ("0 0 -1.5\n0 -1 -2.5\n", "line 3: entry (0, -1) outside the 4 x 4 table"),
-        ("0 0\n", "line 2: expected 'state action value'"),
+        ("0 0 -1.5\n0 0 -2.5\n", "line 3: expected '0 1 value', got '0 0 -2.5'"),
+        ("0 0 -1.5\n4 0 -2.5\n", "line 3: expected '0 1 value', got '4 0 -2.5'"),
+        ("0 0 -1.5\n0 -1 -2.5\n", "line 3: expected '0 1 value', got '0 -1 -2.5'"),
+        ("0 0\n", "line 2: expected '0 0 value', got '0 0'"),
         ("0 zero -1.5\n", "line 2: expected 'state action value'"),
         ("0 0 -1.5\n0 1 nan\n", "line 3: entry (0, 1) holds nan, not a finite value"),
         ("0 0 inf\n", "line 2: entry (0, 0) holds inf, not a finite value"),
@@ -427,24 +434,59 @@ class TestPersistence:
                        for a, v in enumerate(row))
         assert path.read_text() == "# states=4 actions=3 terminal=3\n" + rows
 
-    def test_rows_in_any_layout_load_alike(self, tmp_path):
-        # out of order, padded, tab-separated, signed or zero-padded, no final newline
+    @pytest.mark.parametrize("body, message", [
+        # the rows of ROWS_2X2 in layouts save_qtable never writes
+        ("0 1 -2.5\n0 0 -1.5\n1 0 0.0\n1 1 0.0\n", "line 2: expected '0 0 value', got '0 1"),
+        ("0 0 -1.5\n  0 1 -2.5 \n1 0 0.0\n1 1 0.0\n",
+         "line 3: expected '0 1 value', got '  0 1 -2.5 '"),
+        ("0 0 -1.5\n0\t1 -2.5\n1 0 0.0\n1 1 0.0\n", r"line 3: expected '0 1 value', got '0\t1"),
+        ("0 0 -1.5\n0 +1 -2.5\n1 0 0.0\n1 1 0.0\n", "line 3: expected '0 1 value', got '0 +1"),
+        ("0 0 -1.5\n0 1 -2.5\n01 0 0.0\n1 1 0.0\n", "line 4: expected '1 0 value', got '01"),
+        (ROWS_2X2[:-1], "line 5: expected a newline after '1 1 0.0'"),
+        (ROWS_2X2 + "1 1 0.0\n", "line 6: expected the end of the file after 4 entries"),
+    ], ids=["out_of_order", "padded", "tab", "signed", "zero_padded", "no_final_newline",
+            "extra_row"])
+    def test_rows_in_another_layout_rejected(self, tmp_path, body, message):
         path = tmp_path / "q.txt"
-        path.write_text("# states=2 actions=2 terminal=1\n1 1 0.0\n  0\t+1 -2.5 \n"
-                        "1 0 -0.0\n00 0 1_0.5")
+        path.write_bytes(("# states=2 actions=2 terminal=1\n" + body).encode("ascii"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_qtable(path)
+        path.write_bytes(("# states=2 actions=2 terminal=1\n" + ROWS_2X2).encode("ascii"))
+        assert load_qtable(path).values.tolist() == [[-1.5, -2.5], [0.0, 0.0]]
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_save_load_roundtrip_property(self, tmp_path_factory, data):
+        n_states, n_actions = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        terminal = data.draw(st.integers(0, n_states - 1))
+        extremes = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-315,
+                                    1.7976931348623157e308, -1.7976931348623157e308])
+        values = data.draw(hnp.arrays(float, (n_states, n_actions), elements=st.one_of(
+            extremes, st.floats(allow_nan=False, allow_infinity=False))))
+        q = QTable(n_states, n_actions, terminal)
+        q.base[:] = values
+        q.base[terminal] = data.draw(hnp.arrays(float, n_actions,
+                                                elements=st.sampled_from([0.0, -0.0])))
+        path = tmp_path_factory.getbasetemp() / "roundtrip.txt"
+        save_qtable(q, path)
+        rows = "".join(f"{s} {a} {v!r}\n" for s, row in enumerate(q.values.tolist())
+                       for a, v in enumerate(row))
+        assert path.read_text() == (f"# states={n_states} actions={n_actions} "
+                                    f"terminal={terminal}\n" + rows)
         loaded = load_qtable(path)
-        np.testing.assert_array_equal(loaded.values, [[10.5, -2.5], [0.0, 0.0]])
-        assert np.signbit(loaded.values[1, 0])
+        assert (loaded.n_states, loaded.n_actions, loaded.terminal_state) == \
+            (n_states, n_actions, terminal)
+        assert loaded.values.tobytes() == q.values.tobytes()
 
     @pytest.mark.parametrize("body, message", [
         # every file holds as many rows and tokens as the 2 x 2 table has entries
-        ("0 0\n-1.5 0 1 -2.5\n1 0 0.0\n1 1 0.0\n", "line 2: expected 'state action value'"),
-        ("0 0 -1.5\n0 0 -2.5\n1 0 0.0\n1 1 0.0\n", "line 3: entry (0, 0) repeated"),
-        ("0 0 -1.5\n2 1 -2.5\n1 0 0.0\n1 1 0.0\n", "line 3: entry (2, 1) outside"),
+        ("0 0\n-1.5 0 1 -2.5\n1 0 0.0\n1 1 0.0\n", "line 2: expected '0 0 value', got '0 0'"),
+        ("0 0 -1.5\n0 0 -2.5\n1 0 0.0\n1 1 0.0\n", "line 3: expected '0 1 value', got '0 0"),
+        ("0 0 -1.5\n2 1 -2.5\n1 0 0.0\n1 1 0.0\n", "line 3: expected '0 1 value', got '2 1"),
         ("0 0 -1.5\n0 1 -2.5\n1 0 0.0\n1 1 1e-300\n", "line 5: entry (1, 1) holds 1e-300"),
         ("0 0 -1.5\n0 1 nan\n1 0 0.0\n1 1 0.0\n", "line 3: entry (0, 1) holds nan"),
         ("0 0 -1.5\n0 1 x\n1 0 0.0\n1 1 0.0\n", "line 3: expected 'state action value'"),
-        ("0 0 -1.5\n0 1 -2.5\n1 0 0.0\n\n", "line 5: expected 'state action value'"),
+        ("0 0 -1.5\n0 1 -2.5\n1 0 0.0\n\n", "line 5: expected '1 1 value', got ''"),
     ])
     def test_full_length_faults_named(self, tmp_path, body, message):
         path = tmp_path / "q.txt"
