@@ -21,8 +21,8 @@ from .channel import (FADING_MODES, GbsSpec, PropagationParams, draw_realization
                       free_space_path_loss, path_loss_to_users)
 from .geometry import (Action, AreaSpec, Position3D, apply_action, cell_center,
                        dist_to_final, pairwise_dist, state_index)
-from .qlearning import (LearningParams, QTable, Transition, _PerCell, greedy_policy,
-                        select_action, update)
+from .qlearning import (LearningParams, QTable, _PerCell, greedy_policy, select_action,
+                        update)
 from .rng import PURPOSE_EPISODE, derive_stream
 
 __all__ = [
@@ -228,12 +228,17 @@ class Environment:
     distances to its final cell (_to_final[j]). The ground transmitter's
     row, and the users grouped by station, are made at the first step that
     allocates, so a rollout does no radio work. Fading is drawn fresh every
-    step.
+    step. The scenario constants a step reads are bound once, here.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         area, users, prop = config.area, config.users_xy, config.propagation
+        self._area, self._d_min = area, config.d_min
+        self._betas = config.beta1, config.beta2, config.beta3
+        self._j_count = j_count = config.n_agents
+        # each pair of stations once, for move's separation check
+        self._pairs = [(i, k) for i in range(j_count) for k in range(i + 1, j_count)]
         self._initial = [state_index(area, s) for s in config.initial_states]
         self.final = [state_index(area, s) for s in config.final_states]
         # each lambda finds its function here when called, so a wrapper sees every call
@@ -251,7 +256,7 @@ class Environment:
         cfg = self.config
         self.states = list(self._initial)
         self.parked = [s == f for s, f in zip(self._initial, self.final)]
-        self._prev_powers = np.full((cfg.n_agents, cfg.n_subchannels),
+        self._prev_powers = np.full((self._j_count, cfg.n_subchannels),
                                     cfg.p_max / cfg.n_subchannels)
         for j, parked in enumerate(self.parked):
             if parked:
@@ -266,52 +271,53 @@ class Environment:
         separation between two stations in meters (inf for one) and, per
         station, whether another one is closer than d_min.
         """
-        cfg = self.config
-        states, parked, final = self.states, self.parked, self.final
-        j_count = len(states)
-        new_states = list(states)  # stored only once every action applies
+        states, parked, final, area = self.states, self.parked, self.final, self._area
+        j_count = self._j_count
+        new_states = states.copy()  # stored only once every action applies
         for j, a in actions.items():
             if not 0 <= j < j_count:  # a negative index would move another station
                 raise ValueError(f"no agent {j} in a fleet of {j_count}")
             if parked[j]:
                 raise ValueError(f"agent {j} is parked at its terminal state")
-            new_states[j] = apply_action(cfg.area, states[j], a)
+            new_states[j] = apply_action(area, states[j], a)
         self.states = new_states
         for j in actions:
             parked[j] = new_states[j] == final[j]
-        positions = [self._pos[s] for s in new_states]
+        pos = self._pos
+        positions = [pos[s] for s in new_states]
         near = [False] * j_count
-        min_pairwise = float("inf")
-        for i in range(j_count):
-            for k in range(i + 1, j_count):
-                # separation check is always in plain meters
-                d = pairwise_dist(positions[i], positions[k])
-                if d < min_pairwise:
-                    min_pairwise = d
-                if d < cfg.d_min:
-                    near[i] = near[k] = True
+        min_pairwise = math.inf
+        d_min = self._d_min
+        for i, k in self._pairs:
+            # separation check is always in plain meters
+            d = pairwise_dist(positions[i], positions[k])
+            if d < min_pairwise:
+                min_pairwise = d
+            if d < d_min:
+                near[i] = near[k] = True
         return positions, min_pairwise, near
 
     def step_all(self, actions: dict, rng: np.random.Generator):
         """Advance every acting agent one synchronized step.
 
         actions maps agent index to an Action (or its int value) for every
-        non-parked agent. Returns (transitions, terms): one Transition per
-        acting agent, in agent order, whose reward is
-        beta1*f1 - beta2*f2 - beta3*f3, and a list of J (f1, f2, f3) tuples
-        of the sum rate, distance to destination and proximity flag, with
-        (0.0, 0.0, 0.0) for agents that did not act.
+        non-parked agent. Returns (transitions, terms): one plain
+        (state, action, reward, next_state) tuple per acting agent, in agent
+        order, whose reward is beta1*f1 - beta2*f2 - beta3*f3, and a list of
+        J (f1, f2, f3) tuples of the sum rate, distance to destination and
+        proximity flag, with (0.0, 0.0, 0.0) for agents that did not act.
         """
-        cfg = self.config
         old_states = self.states  # move stores a new list
         _, _, near = self.move(actions)
         states, parked = self.states, self.parked
         acting = sorted(actions)
+        beta1, beta2, beta3 = self._betas
 
         # a zero rate weight makes the allocation irrelevant to the reward:
         # no channel draw, no solver and no transmit powers kept
-        rates = [0.0] * cfg.n_agents
-        if cfg.beta1 != 0.0:
+        rates = [0.0] * self._j_count
+        if beta1 != 0.0:
+            cfg = self.config
             gbs = cfg.gbs
             if self._radio is None:  # the ground row; users sorted stably by station
                 ground_pl = None if not gbs.enabled else path_loss_to_users(
@@ -350,13 +356,14 @@ class Environment:
             self._prev_powers = new_powers
 
         transitions = []
-        terms = [(0.0, 0.0, 0.0)] * cfg.n_agents
+        terms = [(0.0, 0.0, 0.0)] * self._j_count
+        to_final = self._to_final
         for j in acting:
             s = states[j]
-            f1, f2, f3 = rates[j], self._to_final[j][s], 1.0 if near[j] else 0.0
-            total = cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
+            f1, f2, f3 = rates[j], to_final[j][s], 1.0 if near[j] else 0.0
             terms[j] = f1, f2, f3
-            transitions.append(Transition(old_states[j], actions[j], total, s))
+            reward = beta1 * f1 - beta2 * f2 - beta3 * f3
+            transitions.append((old_states[j], actions[j], reward, s))
         return transitions, terms
 
 
@@ -379,20 +386,26 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
     step_count = [0] * j_count
     cum_reward = [0.0] * j_count
     collisions = 0
+    # bound once per episode: reset made parked, and move updates it in place
+    agents, parked, step_all = range(j_count), env.parked, env.step_all
 
     for _ in range(max_steps):
-        active = [j for j in range(j_count) if not env.parked[j]]
-        if not active:
+        states = env.states
+        # in agent order: every unparked station draws, the lowest index first
+        actions = {j: select_action(qtables[j], states[j], epsilon, rng)
+                   for j in agents if not parked[j]}
+        if not actions:
             break
-        actions = {j: select_action(qtables[j], env.states[j], epsilon, rng) for j in active}
-        transitions, terms = env.step_all(actions, rng)
+        transitions, terms = step_all(actions, rng)
         near = False
-        for j, tr in zip(active, transitions):
+        # actions lists the agents in ascending order, as transitions does
+        for j, tr in zip(actions, transitions):
             update(qtables[j], tr, params)
-            f1_sum[j] += terms[j][0]
+            f1, _, f3 = terms[j]
+            f1_sum[j] += f1
             step_count[j] += 1
-            cum_reward[j] += tr.reward
-            if terms[j][2]:
+            cum_reward[j] += tr[2]  # its reward
+            if f3:
                 near = True
         collisions += near  # a joint step counts once, however many stations are near
 
@@ -400,7 +413,7 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
         avg_sum_rate=np.array(f1_sum) / np.maximum(step_count, 1),
         steps_to_terminal=np.array(step_count),
         cumulative_reward=np.array(cum_reward),
-        reached=np.array(env.parked),
+        reached=np.array(parked),
         collision_steps=collisions,
     )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 __all__ = [
     "Action",
@@ -73,7 +74,7 @@ class AreaSpec:
     def cell_width_y(self) -> float:
         return (self.y_max - self.y_min) / self.cells_per_axis
 
-    @property
+    @cached_property  # every move checks its cell against it; frozen fields never change
     def n_states(self) -> int:
         return self.cells_per_axis * self.cells_per_axis
 

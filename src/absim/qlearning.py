@@ -77,6 +77,8 @@ class LearningParams:
 
 
 class Transition(NamedTuple):
+    """One step of one agent; update takes it or the equal plain tuple."""
+
     state: int
     action: int
     reward: float
@@ -167,12 +169,14 @@ def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generato
 def update(q: QTable, t: Transition, params: LearningParams) -> None:
     """Temporal-difference update of one (state, action) entry.
 
-    The bootstrap term reads the next state's row directly; for terminal
-    next states that row is pinned to zero, so no branching is needed. A
-    non-finite new value raises ValueError and leaves the table unchanged,
-    as does a state, action or next state outside the table.
+    t is a Transition or the equal plain (state, action, reward,
+    next_state) tuple, as Environment.step_all returns them. The bootstrap
+    term reads the next state's row directly; for terminal next states that
+    row is pinned to zero, so no branching is needed. A non-finite new
+    value raises ValueError and leaves the table unchanged, as does a
+    state, action or next state outside the table.
     """
-    s, a = t.state, t.action
+    s, a, reward, next_state = t
     if s == q.terminal_state:
         raise ValueError("transitions cannot originate from the terminal state")
     if not 0 <= a < q.n_actions:  # a negative action would alias another entry
@@ -184,7 +188,7 @@ def update(q: QTable, t: Transition, params: LearningParams) -> None:
     else:
         alpha = params.alpha
     current = row[a]
-    target = t.reward + params.gamma * max(q.rows[t.next_state])
+    target = reward + params.gamma * max(q.rows[next_state])
     value = current + alpha * (target - current)
     if not isfinite(value):  # an overflow would turn the table to NaN quietly
         raise ValueError(f"update of entry ({s}, {a}) gives {value!r}; rewards and "
@@ -237,6 +241,9 @@ def _first_fault(body: str, n_states: int, n_actions: int, terminal: int) -> str
                 return f"line {lineno}: expected 'state action value', got {line.strip()!r}"
             if not isfinite(v):
                 return f"line {lineno}: entry ({s}, {a}) holds {v!r}, not a finite value"
+            if repr(v) != fields[2]:
+                return (f"line {lineno}: entry ({s}, {a}) holds {fields[2]!r}, which "
+                        f"save_qtable writes as {v!r}")
             if s == terminal and v != 0.0:
                 return (f"line {lineno}: entry ({s}, {a}) holds {v!r}, but the terminal row "
                         "must read 0.0")
@@ -253,15 +260,16 @@ def load_qtable(path) -> QTable:
 
     The file must be what save_qtable writes: its header line, then one
     "s a value" row per entry in (s, a) order, one space apart, each line
-    ending in a newline, with a finite value that float parses, and 0.0 in
-    the terminal row. Anything else, a byte that is not ASCII included,
-    raises ValueError naming the file and its first faulty line, because a
-    wrong entry would quietly steer the greedy rollout. The rows are counted
-    before anything of the header's size is built, so a header that
-    overstates them cannot exhaust memory.
+    ending in a newline ("\n" alone), with a finite value spelt as repr
+    writes it, and 0.0 in the terminal row. Anything else, a byte that is
+    not ASCII included, raises ValueError naming the file and its first
+    faulty line, because a wrong entry would quietly steer the greedy
+    rollout. The rows are counted before anything of the header's size is
+    built, so a header that overstates them cannot exhaust memory.
     """
     # a byte that is not ASCII reads as U+FFFD, which neither header nor row parses
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
+    # newline="\n": a "\r" is kept, so a line ending in "\r\n" fails the checks
+    with open(path, "r", encoding="ascii", errors="replace", newline="\n") as fh:
         header = fh.readline().rstrip("\n")
         try:
             number = "(0|[1-9][0-9]*)"  # as save_qtable writes it: no sign, no leading 0
@@ -280,7 +288,11 @@ def load_qtable(path) -> QTable:
     try:
         if len(tokens) != n or body != _rows(n_states, n_actions) % tuple(tokens):
             raise ValueError
-        values = np.fromiter(map(functools.cache(float), tokens), float, n)  # tokens repeat
+        distinct = list(set(tokens))  # tokens repeat: each is parsed and checked once
+        numbers = list(map(float, distinct))
+        if list(map(repr, numbers)) != distinct:  # "1e3", "+1E3", "1_0.5": not as saved
+            raise ValueError
+        values = np.fromiter(map(dict(zip(distinct, numbers)).__getitem__, tokens), float, n)
         values = values.reshape(n_states, n_actions)
         if not np.isfinite(values).all() or values[terminal].any():
             raise ValueError

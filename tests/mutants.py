@@ -58,8 +58,8 @@ MUTANTS = (
            "                update(qtables[j], tr, params)\n",
            (REFERENCE_TRAIN,)),
     Mutant("actions_last_station_first", "environment.py",
-           "epsilon, rng) for j in active}\n",
-           "epsilon, rng) for j in reversed(active)}\n",
+           "                   for j in agents if not parked[j]}\n",
+           "                   for j in reversed(agents) if not parked[j]}\n",
            (REFERENCE_TRAIN,)),
     Mutant("ground_drawn_first", "channel.py",
            "    station_gains = gains(path_loss)  # drawn before the ground row\n"
@@ -70,13 +70,13 @@ MUTANTS = (
            "    return ChannelRealization(gains(path_loss), ground_gains)\n",
            (REFERENCE_TRAIN,)),
     Mutant("collision_flag_overwritten", "environment.py",
-           "            if terms[j][2]:\n"
+           "            if f3:\n"
            "                near = True\n",
-           "            near = bool(terms[j][2])  # only the last acting station's flag\n",
+           "            near = bool(f3)  # only the last acting station's flag\n",
            (REFERENCE_TRAIN,)),
     Mutant("reward_sum_missing_arrival", "environment.py",
-           "            cum_reward[j] += tr.reward\n",
-           "            cum_reward[j] += 0.0 if env.parked[j] else tr.reward\n",
+           "            cum_reward[j] += tr[2]  # its reward\n",
+           "            cum_reward[j] += 0.0 if parked[j] else tr[2]\n",
            (REFERENCE_TRAIN,)),
     Mutant("parked_station_learns", "environment.py",
            "        near = False\n",
@@ -85,7 +85,7 @@ MUTANTS = (
            "        for j, tr in last.items():\n"
            "            if j not in actions:\n"
            "                update(qtables[j], tr, params)\n"
-           "        env.last = {**last, **dict(zip(active, transitions))}\n",
+           "        env.last = {**last, **dict(zip(actions, transitions))}\n",
            (REFERENCE_TRAIN,)),
     Mutant("epsilon_decayed_early", "environment.py",
            "    eps = params.epsilon\n",
@@ -97,13 +97,23 @@ MUTANTS = (
            "    max_steps = _STEPS_PER_CELL * cfg.area.n_states - 1 if max_steps is None "
            "else max_steps\n",
            (REFERENCE_TRAIN,)),
+    # slips that plain (state, action, reward, next_state) tuples invite
+    Mutant("reward_tally_reads_next_state", "environment.py",
+           "            cum_reward[j] += tr[2]  # its reward\n",
+           "            cum_reward[j] += tr[3]  # the next state's slot\n",
+           (REFERENCE_TRAIN,)),
+    Mutant("transition_unpacked_out_of_order", "qlearning.py",
+           "    s, a, reward, next_state = t\n",
+           "    s, a, next_state, reward = t\n",
+           (QL + "TestUpdate::test_hand_computed_target",
+            QL + "TestMatchesNumpyReference::test_update_bit_equal")),
     # input checks and tallies that were once wrong
     Mutant("collision_count_per_station", "environment.py",
-           "            if terms[j][2]:\n"
+           "            if f3:\n"
            "                near = True\n"
            "        collisions += near  # a joint step counts once, however many stations "
            "are near\n",
-           "            if terms[j][2]:\n"
+           "            if f3:\n"
            "                collisions += 1\n",
            (ENV + "TestRunEpisode::test_meeting_stations_count_one_collision_step",
             REFERENCE_TRAIN)),
@@ -158,6 +168,10 @@ MUTANTS = (
            "        if len(tokens) != n:  # any layout with one value token per row passes\n",
            (PERSIST + "test_rows_in_another_layout_rejected",
             PERSIST + "test_full_length_faults_named")),
+    Mutant("value_spelling_unchecked", "qlearning.py",
+           "        if list(map(repr, numbers)) != distinct:",
+           "        if False:  # any spelling float parses passes",
+           (PERSIST + "test_value_spelt_unlike_repr_rejected",)),
     Mutant("terminal_row_unchecked", "qlearning.py",
            "        if not np.isfinite(values).all() or values[terminal].any():\n",
            "        if not np.isfinite(values).all():\n",

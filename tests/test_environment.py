@@ -33,8 +33,9 @@ class TestStepAll:
         env = Environment(cfg)
         # start the agent right next to its goal
         env.states[0] = state_index(cfg.area, GridState(3, 4))
-        (tr,), terms = env.step_all({0: Action.RIGHT}, np.random.default_rng(0))
-        assert tr.next_state == env.final[0]
+        ((_, _, _, next_state),), terms = env.step_all({0: Action.RIGHT},
+                                                       np.random.default_rng(0))
+        assert next_state == env.final[0]
         assert terms[0][2] == 0.0
         assert terms[0][1] == 0.0
         assert env.parked[0]
@@ -50,7 +51,7 @@ class TestStepAll:
                                           np.random.default_rng(0))
         # both moved into (3, 2): distance 0 < d_min
         assert [t[2] for t in terms] == [1.0, 1.0]
-        assert [tr.reward for tr in transitions] == [-1000.0, -1000.0]
+        assert [reward for _, _, reward, _ in transitions] == [-1000.0, -1000.0]
 
     def test_reward_assembly_exact(self):
         cfg = make_scenario(m=5, n_agents=2, n_subchannels=3, beta1=3.5,
@@ -65,9 +66,9 @@ class TestStepAll:
             transitions, terms = env.step_all(actions, rng)
             assert len(terms) == 2
             assert len(transitions) == len(active)
-            for j, tr in zip(active, transitions):
+            for j, (_, _, reward, _) in zip(active, transitions):
                 f1, f2, f3 = terms[j]
-                assert tr.reward == cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
+                assert reward == cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
                 assert f1 >= 0.0
                 assert f2 >= 0.0
                 assert f3 in (0.0, 1.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,15 @@ class TestApplyAction:
             apply_action(area4, -1, Action.RIGHT)
         with pytest.raises(ValueError):
             apply_action(area4, 5, 4)
+
+    def test_replaced_grid_has_its_own_n_states(self, area4):
+        assert area4.n_states == 16  # read first, so a kept value would carry over
+        area6 = replace(area4, cells_per_axis=6)
+        assert (area6.n_states, area4.n_states) == (36, 16)
+        assert apply_action(area6, 35, Action.LEFT) == 34
+        for area, s in ((area4, 16), (area6, 36), (area6, -1)):
+            with pytest.raises(ValueError, match=f"state index {s} outside grid"):
+                apply_action(area, s, Action.LEFT)
 
 
 PROPERTY_SETTINGS = settings(max_examples=40)

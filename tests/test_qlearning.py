@@ -114,6 +114,17 @@ class TestUpdate:
                replace(DEFAULT_LEARNING, alpha=0.5, gamma=0.9))
         assert q.values[0, 0] == pytest.approx(1.4, abs=1e-12)
 
+    def test_plain_tuple_acts_as_transition(self):
+        # step_all hands update plain tuples; each must act as the equal Transition
+        params = replace(DEFAULT_LEARNING, alpha=0.5, gamma=0.9, alpha_schedule="visit_count")
+        named, plain = (QTable(3, 4, terminal_state=2, initial_value=-1.0) for _ in range(2))
+        for step in [(0, 1, 5.0, 1), (1, 3, -2.5, 0), (0, 1, 0.25, 2), (1, 0, 1e3, 1)]:
+            update(named, Transition(*step), params)
+            update(plain, step, params)
+        assert named.values.tobytes() == plain.values.tobytes()
+        assert np.array_equal(named.visits, plain.visits)
+        assert named.visits.sum() == 4
+
     def test_update_is_local(self):
         q = QTable(4, 4, terminal_state=0)
         q.base[:] = -3.0
@@ -492,6 +503,30 @@ class TestPersistence:
         path = tmp_path / "q.txt"
         path.write_text("# states=2 actions=2 terminal=1\n" + body)
         with pytest.raises(ValueError, match=re.escape(message)):
+            load_qtable(path)
+
+    @pytest.mark.parametrize("token, saved", [
+        ("1e3", "1000.0"), ("+1E3", "1000.0"), ("1_0.5", "10.5"), ("-1.50", "-1.5"),
+        ("0.10", "0.1"), ("-2.5e0", "-2.5"), ("1.0e-300", "1e-300"), ("-0", "-0.0"),
+    ])
+    def test_value_spelt_unlike_repr_rejected(self, tmp_path, token, saved):
+        # float parses each token, but save_qtable writes every value as repr does
+        path = tmp_path / "q.txt"
+        body = ROWS_2X2.replace("0 1 -2.5\n", f"0 1 {token}\n")
+        path.write_bytes(("# states=2 actions=2 terminal=1\n" + body).encode("ascii"))
+        message = f"line 3: entry (0, 1) holds {token!r}, which save_qtable writes as {saved}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_qtable(path)
+
+    def test_crlf_line_ends_rejected(self, tmp_path):
+        path = tmp_path / "q.txt"
+        header = "# states=2 actions=2 terminal=1\n"
+        path.write_bytes((header + ROWS_2X2.replace("\n", "\r\n")).encode("ascii"))
+        with pytest.raises(ValueError, match=re.escape(r"line 2: expected '0 0 value', "
+                                                       r"got '0 0 -1.5\r'")):
+            load_qtable(path)
+        path.write_bytes((header + ROWS_2X2).replace("\n", "\r\n").encode("ascii"))
+        with pytest.raises(ValueError, match="line 1: bad header"):
             load_qtable(path)
 
     @pytest.mark.parametrize("header", ["", "# states=4 actions=4\n",
