@@ -301,11 +301,11 @@ class Environment:
         """Advance every acting agent one synchronized step.
 
         actions maps agent index to an Action (or its int value) for every
-        non-parked agent. Returns (transitions, terms): one plain
+        non-parked agent. Returns (transitions, rates, near): one plain
         (state, action, reward, next_state) tuple per acting agent, in agent
-        order, whose reward is beta1*f1 - beta2*f2 - beta3*f3, and a list of
-        J (f1, f2, f3) tuples of the sum rate, distance to destination and
-        proximity flag, with (0.0, 0.0, 0.0) for agents that did not act.
+        order, whose reward is beta1 * rate - beta2 * distance to destination
+        - beta3 * flag, and J-lists of the sum rates (0.0 where an agent did
+        not act or beta1 = 0) and of move's proximity flags.
         """
         old_states = self.states  # move stores a new list
         _, _, near = self.move(actions)
@@ -356,15 +356,13 @@ class Environment:
             self._prev_powers = new_powers
 
         transitions = []
-        terms = [(0.0, 0.0, 0.0)] * self._j_count
         to_final = self._to_final
         for j in acting:
             s = states[j]
-            f1, f2, f3 = rates[j], to_final[j][s], 1.0 if near[j] else 0.0
-            terms[j] = f1, f2, f3
-            reward = beta1 * f1 - beta2 * f2 - beta3 * f3
+            # a flag multiplies as 1.0 or 0.0
+            reward = beta1 * rates[j] - beta2 * to_final[j][s] - beta3 * near[j]
             transitions.append((old_states[j], actions[j], reward, s))
-        return transitions, terms
+        return transitions, rates, near
 
 
 def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
@@ -396,18 +394,17 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
                    for j in agents if not parked[j]}
         if not actions:
             break
-        transitions, terms = step_all(actions, rng)
-        near = False
+        transitions, rates, near = step_all(actions, rng)
+        close = False
         # actions lists the agents in ascending order, as transitions does
         for j, tr in zip(actions, transitions):
             update(qtables[j], tr, params)
-            f1, _, f3 = terms[j]
-            f1_sum[j] += f1
+            f1_sum[j] += rates[j]
             step_count[j] += 1
             cum_reward[j] += tr[2]  # its reward
-            if f3:
-                near = True
-        collisions += near  # a joint step counts once, however many stations are near
+            if near[j]:
+                close = True
+        collisions += close  # a joint step counts once, however many stations are near
 
     return EpisodeStats(
         avg_sum_rate=np.array(f1_sum) / np.maximum(step_count, 1),

@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from math import isfinite
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +19,6 @@ __all__ = [
     "ALPHA_SCHEDULES",
     "LearningParams",
     "QTable",
-    "Transition",
     "greedy_policy",
     "load_qtable",
     "save_qtable",
@@ -74,15 +72,6 @@ class LearningParams:
             errors.append("initial_q must be finite")
         if errors:
             raise ValueError("\n".join(errors))
-
-
-class Transition(NamedTuple):
-    """One step of one agent; update takes it or the equal plain tuple."""
-
-    state: int
-    action: int
-    reward: float
-    next_state: int
 
 
 def _check_shape(n_states: int, n_actions: int, terminal_state: int) -> None:
@@ -166,15 +155,15 @@ def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generato
     return ties[rng.integers(len(ties))]
 
 
-def update(q: QTable, t: Transition, params: LearningParams) -> None:
+def update(q: QTable, t: tuple, params: LearningParams) -> None:
     """Temporal-difference update of one (state, action) entry.
 
-    t is a Transition or the equal plain (state, action, reward,
-    next_state) tuple, as Environment.step_all returns them. The bootstrap
-    term reads the next state's row directly; for terminal next states that
-    row is pinned to zero, so no branching is needed. A non-finite new
-    value raises ValueError and leaves the table unchanged, as does a
-    state, action or next state outside the table.
+    t is a plain (state, action, reward, next_state) tuple, as
+    Environment.step_all returns them. The bootstrap term reads the next
+    state's row directly; for terminal next states that row is pinned to
+    zero, so no branching is needed. A non-finite new value raises
+    ValueError and leaves the table unchanged, as does a state, action or
+    next state outside the table.
     """
     s, a, reward, next_state = t
     if s == q.terminal_state:

@@ -31,7 +31,6 @@ from absim.channel import ChannelRealization, path_loss_to_users
 from absim.environment import EpisodeStats
 from absim.geometry import (Position3D, apply_action, cell_center, dist_to_final,
                             pairwise_dist, state_index)
-from absim.qlearning import Transition
 from absim.rng import PURPOSE_EPISODE, derive_stream
 
 from channel_reference import interference_table
@@ -58,10 +57,11 @@ def joint_step(config, states, parked, powers, actions, rng):
     """Advance every acting station one step from (states, parked, powers).
 
     actions maps each unparked station to an action. Returns the new
-    (states, parked, powers), the transitions of the acting stations in
-    station order and the J (f1, f2, f3) terms, (0.0, 0.0, 0.0) for a
-    station that did not act. With beta1 = 0 no channel is drawn and the
-    powers are returned as they were.
+    (states, parked, powers), the (state, action, reward, next_state)
+    transitions of the acting stations in station order, and the J sum
+    rates (0.0 for a station that did not act) and J proximity flags. With
+    beta1 = 0 no channel is drawn, every rate is 0.0 and the powers are
+    returned as they were.
     """
     area = config.area
     j_count = config.n_agents
@@ -99,15 +99,13 @@ def joint_step(config, states, parked, powers, actions, rng):
             new_powers[j] = 0.0 if new_parked[j] else alloc.powers
 
     transitions = []
-    terms = [(0.0, 0.0, 0.0)] * j_count
     for j in acting:
         f1 = rates[j]
         f2 = dist_to_final(positions[j], cell_center(area, final[j]), config.distance_exponent)
         f3 = 1.0 if near[j] else 0.0
-        terms[j] = (f1, f2, f3)
         reward = config.beta1 * f1 - config.beta2 * f2 - config.beta3 * f3
-        transitions.append(Transition(states[j], int(actions[j]), reward, new_states[j]))
-    return new_states, new_parked, new_powers, transitions, terms
+        transitions.append((states[j], int(actions[j]), reward, new_states[j]))
+    return new_states, new_parked, new_powers, transitions, rates, near
 
 
 def reference_episode(config, tables, params, rng, epsilon):
@@ -134,14 +132,14 @@ def reference_episode(config, tables, params, rng, epsilon):
         if not acting:
             break
         actions = {j: select_action(tables[j], states[j], epsilon, rng) for j in acting}
-        states, parked, powers, transitions, terms = joint_step(
+        states, parked, powers, transitions, rates, near = joint_step(
             config, states, parked, powers, actions, rng)
         for j, t in zip(acting, transitions):
             update(tables[j], t, params)
-            rate_sum[j] += terms[j][0]
+            rate_sum[j] += rates[j]
             steps[j] += 1
-            reward_sum[j] += t.reward
-        collisions += any(terms[j][2] for j in acting)
+            reward_sum[j] += t[2]
+        collisions += any(near[j] for j in acting)
     return EpisodeStats(
         avg_sum_rate=np.array([r / max(n, 1) for r, n in zip(rate_sum, steps)]),
         steps_to_terminal=np.array(steps), cumulative_reward=np.array(reward_sum),

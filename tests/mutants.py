@@ -70,17 +70,17 @@ MUTANTS = (
            "    return ChannelRealization(gains(path_loss), ground_gains)\n",
            (REFERENCE_TRAIN,)),
     Mutant("collision_flag_overwritten", "environment.py",
-           "            if f3:\n"
-           "                near = True\n",
-           "            near = bool(f3)  # only the last acting station's flag\n",
+           "            if near[j]:\n"
+           "                close = True\n",
+           "            close = near[j]  # only the last acting station's flag\n",
            (REFERENCE_TRAIN,)),
     Mutant("reward_sum_missing_arrival", "environment.py",
            "            cum_reward[j] += tr[2]  # its reward\n",
            "            cum_reward[j] += 0.0 if parked[j] else tr[2]\n",
            (REFERENCE_TRAIN,)),
     Mutant("parked_station_learns", "environment.py",
-           "        near = False\n",
-           "        near = False\n"
+           "        close = False\n",
+           "        close = False\n"
            "        last = getattr(env, 'last', {})  # replay each parked station's last move\n"
            "        for j, tr in last.items():\n"
            "            if j not in actions:\n"
@@ -107,13 +107,28 @@ MUTANTS = (
            "    s, a, next_state, reward = t\n",
            (QL + "TestUpdate::test_hand_computed_target",
             QL + "TestMatchesNumpyReference::test_update_bit_equal")),
+    # slips that step_all's J-long rates and near lists invite beside the
+    # acting stations' transitions
+    Mutant("rate_tallied_from_acting_position", "environment.py",
+           "        for j, tr in zip(actions, transitions):\n"
+           "            update(qtables[j], tr, params)\n"
+           "            f1_sum[j] += rates[j]\n",
+           "        for i, (j, tr) in enumerate(zip(actions, transitions)):\n"
+           "            update(qtables[j], tr, params)\n"
+           "            f1_sum[j] += rates[i]  # the i-th acting station's slot\n",
+           (REFERENCE_TRAIN,)),
+    Mutant("collision_counted_among_parked", "environment.py",
+           "        collisions += close  # a joint step counts once, however many stations "
+           "are near\n",
+           "        collisions += any(near)  # two parked stations' flags count too\n",
+           (REFERENCE_TRAIN,)),
     # input checks and tallies that were once wrong
     Mutant("collision_count_per_station", "environment.py",
-           "            if f3:\n"
-           "                near = True\n"
-           "        collisions += near  # a joint step counts once, however many stations "
+           "            if near[j]:\n"
+           "                close = True\n"
+           "        collisions += close  # a joint step counts once, however many stations "
            "are near\n",
-           "            if f3:\n"
+           "            if near[j]:\n"
            "                collisions += 1\n",
            (ENV + "TestRunEpisode::test_meeting_stations_count_one_collision_step",
             REFERENCE_TRAIN)),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from absim.qlearning import LearningParams, Transition
+from absim.qlearning import LearningParams
 
 _ORACLE_MAX_STATES = 4096
 
@@ -45,18 +45,20 @@ def select_action(q: ArrayTable, state: int, epsilon: float, rng: np.random.Gene
     return int(ties[rng.integers(ties.size)])
 
 
-def update(q: ArrayTable, t: Transition, params: LearningParams) -> None:
-    """Temporal-difference update of one (state, action) entry."""
-    if t.state == q.terminal_state:
+def update(q: ArrayTable, t: tuple, params: LearningParams) -> None:
+    """Temporal-difference update of one (state, action) entry from a plain
+    (state, action, reward, next_state) tuple."""
+    state, action, reward, next_state = t
+    if state == q.terminal_state:
         raise ValueError("transitions cannot originate from the terminal state")
     if params.alpha_schedule == "visit_count":
-        alpha = 1.0 / (1.0 + q.visits[t.state, t.action])
+        alpha = 1.0 / (1.0 + q.visits[state, action])
     else:
         alpha = params.alpha
-    q.visits[t.state, t.action] += 1
-    current = q.values[t.state, t.action]
-    target = t.reward + params.gamma * q.values[t.next_state].max()
-    q.values[t.state, t.action] = current + alpha * (target - current)
+    q.visits[state, action] += 1
+    current = q.values[state, action]
+    target = reward + params.gamma * q.values[next_state].max()
+    q.values[state, action] = current + alpha * (target - current)
 
 
 def value_iteration(next_state: np.ndarray, rewards: np.ndarray,

@@ -27,7 +27,7 @@ from absim.allocator import AllocationProblem, solve
 from absim.channel import free_space_path_loss, los_probability
 from absim.geometry import (Action, AreaSpec, GridState, Position3D, apply_action,
                             cell_center, dist_to_final, state_index)
-from absim.qlearning import QTable, Transition, select_action, update
+from absim.qlearning import QTable, select_action, update
 from absim.environment import extract_trajectory, train
 from absim.simcli import RunManifest, load_config, read_metrics, run_train, smooth_series
 
@@ -178,7 +178,7 @@ def test_criterion_5_qlearning_convergence_oracle():
         a = int(rng.integers(4))
         for _ in range(100):
             s2 = int(next_state[s, a])
-            update(q, Transition(s, a, float(rewards[s, a]), s2), params)
+            update(q, (s, a, float(rewards[s, a]), s2), params)
             if terminal[s2]:
                 break
             s = s2

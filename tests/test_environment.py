@@ -33,11 +33,12 @@ class TestStepAll:
         env = Environment(cfg)
         # start the agent right next to its goal
         env.states[0] = state_index(cfg.area, GridState(3, 4))
-        ((_, _, _, next_state),), terms = env.step_all({0: Action.RIGHT},
-                                                       np.random.default_rng(0))
+        ((_, _, reward, next_state),), rates, near = env.step_all(
+            {0: Action.RIGHT}, np.random.default_rng(0))
         assert next_state == env.final[0]
-        assert terms[0][2] == 0.0
-        assert terms[0][1] == 0.0
+        assert near == [False]
+        assert rates[0] > 0.0
+        assert reward == cfg.beta1 * rates[0]  # no distance or proximity penalty
         assert env.parked[0]
 
     def test_coincident_agents_both_flagged(self):
@@ -47,10 +48,11 @@ class TestStepAll:
         env = Environment(cfg)
         env.states = [state_index(cfg.area, GridState(2, 2)),
                       state_index(cfg.area, GridState(4, 2))]
-        transitions, terms = env.step_all({0: Action.RIGHT, 1: Action.LEFT},
-                                          np.random.default_rng(0))
+        transitions, rates, near = env.step_all({0: Action.RIGHT, 1: Action.LEFT},
+                                                np.random.default_rng(0))
         # both moved into (3, 2): distance 0 < d_min
-        assert [t[2] for t in terms] == [1.0, 1.0]
+        assert near == [True, True]
+        assert rates == [0.0, 0.0]
         assert [reward for _, _, reward, _ in transitions] == [-1000.0, -1000.0]
 
     def test_reward_assembly_exact(self):
@@ -63,28 +65,29 @@ class TestStepAll:
             if not active:
                 break
             actions = {j: Action(int(rng.integers(4))) for j in active}
-            transitions, terms = env.step_all(actions, rng)
-            assert len(terms) == 2
+            transitions, rates, near = env.step_all(actions, rng)
+            assert len(rates) == len(near) == 2
             assert len(transitions) == len(active)
-            for j, (_, _, reward, _) in zip(active, transitions):
-                f1, f2, f3 = terms[j]
-                assert reward == cfg.beta1 * f1 - cfg.beta2 * f2 - cfg.beta3 * f3
-                assert f1 >= 0.0
-                assert f2 >= 0.0
-                assert f3 in (0.0, 1.0)
+            for j, (_, _, reward, s) in zip(active, transitions):
+                f2 = dist_to_final(cell_center(cfg.area, s), cell_center(cfg.area, env.final[j]),
+                                   cfg.distance_exponent)
+                f3 = 1.0 if near[j] else 0.0
+                assert reward == cfg.beta1 * rates[j] - cfg.beta2 * f2 - cfg.beta3 * f3
+                assert rates[j] >= 0.0
             for j in set(range(2)) - set(active):
-                assert terms[j] == (0.0, 0.0, 0.0)
+                assert rates[j] == 0.0
 
-    def test_f2_zero_iff_at_final(self):
-        cfg = make_scenario(m=4, n_agents=1)
+    def test_distance_penalty_zero_iff_at_final(self):
+        cfg = make_scenario(m=4, n_agents=1)  # the distance weight alone
+        assert cfg.beta2 > 0.0
         env = Environment(cfg)
         goal = state_index(cfg.area, cfg.final_states[0])
         rng = np.random.default_rng(2)
         for _ in range(40):
             if env.parked[0]:
                 break
-            _, terms = env.step_all({0: Action(int(rng.integers(4)))}, rng)
-            assert (terms[0][1] == 0.0) == (env.states[0] == goal)
+            ((_, _, reward, _),), _, _ = env.step_all({0: Action(int(rng.integers(4)))}, rng)
+            assert (reward == 0.0) == (env.states[0] == goal)
 
     def test_single_agent_zero_interference(self):
         # with one station and no ground interferer the allocation reduces
@@ -92,7 +95,7 @@ class TestStepAll:
         cfg = make_scenario(m=4, n_agents=1, n_subchannels=3, beta1=1.0,
                             fading="none")
         env = Environment(cfg)
-        _, terms = env.step_all({0: Action.RIGHT}, np.random.default_rng(3))
+        _, rates, _ = env.step_all({0: Action.RIGHT}, np.random.default_rng(3))
         pos = cell_center(cfg.area, env.states[0])
         from absim.channel import path_loss_to_users
         gains = 1.0 / path_loss_to_users(pos, cfg.users_xy, cfg.propagation)
@@ -101,7 +104,7 @@ class TestStepAll:
             interference=np.zeros((len(gains), 3)),
             noise_power=cfg.propagation.noise_power,
             p_max=cfg.p_max)
-        assert terms[0][0] == pytest.approx(solve(prob).sum_rate, rel=1e-9)
+        assert rates[0] == pytest.approx(solve(prob).sum_rate, rel=1e-9)
 
     def test_beta1_zero_skips_allocator(self, monkeypatch):
         def radio(*args, **kwargs):
@@ -116,8 +119,8 @@ class TestStepAll:
         env = Environment(cfg)
         rng = np.random.default_rng(4)
         for _ in range(3):
-            _, terms = env.step_all({0: Action.FORWARD, 1: Action.RIGHT}, rng)
-            assert terms[0][0] == terms[1][0] == 0.0
+            _, rates, _ = env.step_all({0: Action.FORWARD, 1: Action.RIGHT}, rng)
+            assert rates == [0.0, 0.0]
         assert env.states != [state_index(cfg.area, s) for s in cfg.initial_states]
 
     def test_parked_agent_rejected(self):
@@ -194,11 +197,10 @@ class TestMatchesReference:
             if not active:
                 break
             actions = {j: data.draw(st.integers(0, 3)) for j in active}
-            transitions, terms = env.step_all(actions, rng)
-            states, parked, powers, ref_transitions, ref_terms = joint_step(
+            transitions, rates, near = env.step_all(actions, rng)
+            states, parked, powers, ref_transitions, ref_rates, ref_near = joint_step(
                 cfg, states, parked, powers, actions, ref_rng)
-            assert [tuple(t) for t in transitions] == [tuple(t) for t in ref_transitions]
-            assert terms == ref_terms
+            assert (transitions, rates, near) == (ref_transitions, ref_rates, ref_near)
             assert (env.states, env.parked) == (states, parked)
             assert env._prev_powers.tolist() == powers.tolist()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -321,11 +323,11 @@ class TestGroundInterferer:
                               fading="none",
                               gbs=replace(DEFAULT_CONFIG.gbs, enabled=True, x=150.0, y=150.0,
                                           height=10.0, power_per_subchannel=0.5))
-        _, quiet = Environment(base).step_all({0: Action.RIGHT},
-                                              np.random.default_rng(0))
-        _, jammed = Environment(noisy).step_all({0: Action.RIGHT},
-                                                np.random.default_rng(0))
-        assert jammed[0][0] < quiet[0][0]
+        _, quiet, _ = Environment(base).step_all({0: Action.RIGHT},
+                                                 np.random.default_rng(0))
+        _, jammed, _ = Environment(noisy).step_all({0: Action.RIGHT},
+                                                   np.random.default_rng(0))
+        assert jammed[0] < quiet[0]
 
 
 class TestPerCellValues:

@@ -12,7 +12,7 @@ from qlearning_reference import value_iteration
 from conftest import DEFAULT_LEARNING
 from absim.geometry import (Action, AreaSpec, GridState, apply_action, cell_center,
                             dist_to_final, state_index)
-from absim.qlearning import (QTable, Transition, greedy_policy, load_qtable, save_qtable,
+from absim.qlearning import (QTable, greedy_policy, load_qtable, save_qtable,
                              select_action, update)
 
 # Exact action values of the 4x4 single-agent fixture (goal at (4,4),
@@ -98,45 +98,34 @@ class TestUpdate:
     def test_zero_alpha_no_change(self):
         q = QTable(3, 4, terminal_state=1)
         q.base[:] = 7.0
-        update(q, Transition(0, 1, 5.0, 2), replace(DEFAULT_LEARNING, alpha=0.0))
+        update(q, (0, 1, 5.0, 2), replace(DEFAULT_LEARNING, alpha=0.0))
         assert q.values[0, 1] == 7.0
 
     def test_full_replacement_no_bootstrap(self):
         q = QTable(3, 4, terminal_state=2)
-        update(q, Transition(0, 2, 5.0, 1),
+        update(q, (0, 2, 5.0, 1),
                replace(DEFAULT_LEARNING, alpha=1.0, gamma=0.0))
         assert q.values[0, 2] == 5.0
 
     def test_hand_computed_target(self):
         q = QTable(3, 4, terminal_state=2)
         q.base[1] = [0.0, 2.0, 1.0, 0.0]
-        update(q, Transition(0, 0, 1.0, 1),
+        update(q, (0, 0, 1.0, 1),
                replace(DEFAULT_LEARNING, alpha=0.5, gamma=0.9))
         assert q.values[0, 0] == pytest.approx(1.4, abs=1e-12)
-
-    def test_plain_tuple_acts_as_transition(self):
-        # step_all hands update plain tuples; each must act as the equal Transition
-        params = replace(DEFAULT_LEARNING, alpha=0.5, gamma=0.9, alpha_schedule="visit_count")
-        named, plain = (QTable(3, 4, terminal_state=2, initial_value=-1.0) for _ in range(2))
-        for step in [(0, 1, 5.0, 1), (1, 3, -2.5, 0), (0, 1, 0.25, 2), (1, 0, 1e3, 1)]:
-            update(named, Transition(*step), params)
-            update(plain, step, params)
-        assert named.values.tobytes() == plain.values.tobytes()
-        assert np.array_equal(named.visits, plain.visits)
-        assert named.visits.sum() == 4
 
     def test_update_is_local(self):
         q = QTable(4, 4, terminal_state=0)
         q.base[:] = -3.0
         before = q.values.copy()
-        update(q, Transition(1, 2, 8.0, 3), replace(DEFAULT_LEARNING, alpha=0.3))
+        update(q, (1, 2, 8.0, 3), replace(DEFAULT_LEARNING, alpha=0.3))
         changed = q.values != before
         assert changed.sum() == 1 and changed[1, 2]
 
     def test_terminal_bootstrap_is_zero(self):
         q = QTable(3, 4, terminal_state=2)
         q.base[0, 1] = -1.0
-        update(q, Transition(0, 1, 4.0, 2),
+        update(q, (0, 1, 4.0, 2),
                replace(DEFAULT_LEARNING, alpha=1.0, gamma=0.9))
         # target r + gamma * 0, because the terminal row is pinned
         assert q.values[0, 1] == 4.0
@@ -145,7 +134,7 @@ class TestUpdate:
     def test_transition_from_terminal_rejected(self):
         q = QTable(3, 4, terminal_state=1)
         with pytest.raises(ValueError):
-            update(q, Transition(1, 0, 0.0, 0), DEFAULT_LEARNING)
+            update(q, (1, 0, 0.0, 0), DEFAULT_LEARNING)
 
     @pytest.mark.parametrize("reward, value", [(-np.inf, 0.0), (-1e308, -1e308),
                                                (np.nan, 0.0)])
@@ -154,18 +143,18 @@ class TestUpdate:
         # through the table; the entry and its visit count stay as they were
         q = QTable(3, 4, terminal_state=1, initial_value=value)
         with pytest.raises(ValueError, match=r"update of entry \(0, 1\) gives"):
-            update(q, Transition(0, 1, reward, 2),
+            update(q, (0, 1, reward, 2),
                    replace(DEFAULT_LEARNING, alpha=1.0, gamma=0.9))
         assert q.values[0, 1] == value and q.visits[0, 1] == 0
 
     def test_visit_count_schedule(self):
         q = QTable(2, 4, terminal_state=1)
         params = replace(DEFAULT_LEARNING, alpha_schedule="visit_count", gamma=0.0)
-        update(q, Transition(0, 0, 10.0, 1), params)  # alpha = 1
+        update(q, (0, 0, 10.0, 1), params)  # alpha = 1
         assert q.values[0, 0] == 10.0
-        update(q, Transition(0, 0, 0.0, 1), params)   # alpha = 1/2
+        update(q, (0, 0, 0.0, 1), params)   # alpha = 1/2
         assert q.values[0, 0] == 5.0
-        update(q, Transition(0, 0, 2.0, 1), params)   # alpha = 1/3
+        update(q, (0, 0, 2.0, 1), params)   # alpha = 1/3
         assert q.values[0, 0] == 4.0
 
     def test_bounded_values_envelope(self):
@@ -179,7 +168,7 @@ class TestUpdate:
         for _ in range(3000):
             s, a, s2 = rng.integers(6), rng.integers(4), rng.integers(6)
             r = rng.uniform(r_min, r_max)
-            update(q, Transition(int(s), int(a), float(r), int(s2)), params)
+            update(q, (int(s), int(a), float(r), int(s2)), params)
             assert np.all(q.values >= lo - 1e-9) and np.all(q.values <= hi + 1e-9)
 
 
@@ -197,7 +186,7 @@ class TestTableStore:
     @pytest.mark.parametrize("field", ["state", "next_state"])
     def test_update_state_outside_table(self, field, state):
         q = QTable(5, 4, terminal_state=4, initial_value=-2.0)
-        t = Transition(0, 1, 1.0, 2)._replace(**{field: state})
+        t = (state, 1, 1.0, 2) if field == "state" else (0, 1, 1.0, state)
         with pytest.raises(ValueError, match=rf"state {state} outside the 5-state table"):
             update(q, t, replace(DEFAULT_LEARNING, alpha=1.0))
         assert q.values.tobytes() == q.base.tobytes() and not q.visits.any()
@@ -206,14 +195,14 @@ class TestTableStore:
     def test_update_action_outside_table(self, action):
         q = QTable(3, 4, terminal_state=2)
         with pytest.raises(ValueError, match=rf"action {action} outside the 4-action table"):
-            update(q, Transition(0, action, 5.0, 1), DEFAULT_LEARNING)
+            update(q, (0, action, 5.0, 1), DEFAULT_LEARNING)
         assert not q.rows and not q.counts  # raised before any read or write
 
     @pytest.mark.parametrize("stepped", [False, True])
     def test_snapshots_read_only(self, stepped):
         q = QTable(3, 4, terminal_state=2)
         if stepped:
-            update(q, Transition(0, 1, 1.0, 1), DEFAULT_LEARNING)
+            update(q, (0, 1, 1.0, 1), DEFAULT_LEARNING)
         for snapshot in (q.values, q.visits):
             with pytest.raises(ValueError, match="read-only"):
                 snapshot[0] = 5
@@ -223,7 +212,7 @@ class TestTableStore:
         q = QTable(900, 4, terminal_state=899, initial_value=-2.5)
         assert not q.rows and not q.counts
         for s in range(0, 899, 7):
-            update(q, Transition(s, s % 4, 0.5 * s, s + 1), DEFAULT_LEARNING)
+            update(q, (s, s % 4, 0.5 * s, s + 1), DEFAULT_LEARNING)
         path = tmp_path / "q.txt"
         save_qtable(q, path)
         loaded = load_qtable(path)
@@ -277,7 +266,7 @@ class TestMatchesNumpyReference:
         q, q_ref = table_pair(values, visits)
         params = replace(DEFAULT_LEARNING, alpha=alpha, gamma=gamma, alpha_schedule=schedule)
         for s, a, r, s_next in steps:
-            t = Transition(s, a, r, s_next)
+            t = (s, a, r, s_next)
             update(q, t, params)
             reference.update(q_ref, t, params)
         assert q.values.tobytes() == q_ref.values.tobytes()
@@ -287,8 +276,8 @@ class TestMatchesNumpyReference:
         # the rows stepped as lists merge back into values with every bit, -0.0 too
         q, q_ref = table_pair(np.array([[-0.0, 0.0, -0.0, 1.25]] * 4))
         params = replace(DEFAULT_LEARNING, alpha=0.5, gamma=0.9)
-        for t in (Transition(0, 3, -1.0, 1), Transition(1, 1, 2.0, 4),
-                  Transition(2, 3, 0.5, 0)):
+        for t in ((0, 3, -1.0, 1), (1, 1, 2.0, 4),
+                  (2, 3, 0.5, 0)):
             update(q, t, params)
             reference.update(q_ref, t, params)
         assert sorted(q.rows) == [0, 1, 2, 4]  # the updated rows and a bootstrap row
@@ -368,7 +357,7 @@ class TestConvergenceToOracle:
             a = int(rng.integers(4))
             for _ in range(100):
                 s2 = int(next_state[s, a])
-                update(q, Transition(s, a, float(rewards[s, a]), s2), params)
+                update(q, (s, a, float(rewards[s, a]), s2), params)
                 if terminal[s2]:
                     break
                 s = s2
