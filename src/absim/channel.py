@@ -50,14 +50,14 @@ class PropagationParams:
     noise_power: float
 
     def __post_init__(self) -> None:
-        errors = []
-        if self.a <= 0 or self.b <= 0:
-            errors.append("a and b must be positive")
+        errors = []  # comparisons with NaN are false, so NaN fails each test below
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            errors.append("a and b must be finite and positive")
         if not 1.0 <= self.eta_los <= self.eta_nlos:
             errors.append("need eta_nlos >= eta_los >= 1")
-        if self.carrier_freq <= 0 or self.speed_of_light <= 0:
+        if not (self.carrier_freq > 0 and self.speed_of_light > 0):
             errors.append("carrier_freq and speed_of_light must be positive")
-        if self.noise_power <= 0:
+        if not self.noise_power > 0:
             errors.append("noise_power must be positive")
         if errors:
             raise ValueError("\n".join(errors))
@@ -81,9 +81,13 @@ class GbsSpec:
         errors = []
         if not isinstance(self.enabled, bool):  # bool("false") is True
             errors.append(f"enabled must be true or false, got {self.enabled!r}")
+        # enabled or not: a disabled transmitter's fields still reach the manifest
+        if not all(map(math.isfinite, (self.x, self.y, self.height,
+                                       self.power_per_subchannel))):
+            errors.append("GBS x, y, height and power must be finite")
         if self.power_per_subchannel < 0:
             errors.append("GBS power must be non-negative")
-        if self.enabled and self.height <= 0:
+        if self.enabled and not self.height > 0:
             errors.append("GBS height must be positive when enabled")
         if errors:
             raise ValueError("\n".join(errors))

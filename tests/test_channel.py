@@ -148,6 +148,15 @@ class TestPropagationParams:
         dict(eta_los=0.5),
         dict(carrier_freq=0.0),
         dict(noise_power=0.0),
+        # NaN passes a "<= 0" test; the config path rejects non-finite
+        # numbers first, so a library caller is the one who meets these
+        dict(a=math.nan),
+        dict(b=math.nan),
+        dict(a=math.inf),
+        dict(b=math.inf),
+        dict(carrier_freq=math.nan),
+        dict(speed_of_light=math.nan),
+        dict(noise_power=math.nan),
     ])
     def test_invariants_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -160,6 +169,15 @@ class TestGbsSpec:
     def test_string_enabled_rejected(self):
         with pytest.raises(ValueError, match="enabled must be true or false, got 'false'"):
             replace(DEFAULT_CONFIG.gbs, enabled="false")
+
+    # a disabled transmitter's fields are written to the run's manifest too
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("field", ["x", "y", "height", "power_per_subchannel"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, enabled, field, value):
+        gbs = replace(DEFAULT_CONFIG.gbs, enabled=enabled, height=10.0)
+        with pytest.raises(ValueError, match="GBS x, y, height and power must be finite"):
+            replace(gbs, **{field: value})
 
 
 class TestDrawRealization:
