@@ -11,7 +11,7 @@ runs that mutant's tests with PYTHONPATH set to the copy (and pytest's own
 pythonpath option emptied, so the checkout's src/ is not imported), under
 the hypothesis profile absim-mutants of tests/conftest.py, which does not
 shrink a failing example. The mutant is killed when a test fails and
-survives when they all pass. A full run takes under a minute. The
+survives when they all pass. A full run takes under two minutes. The
 exit status is 1 if any mutant survives or cannot be run: its snippet does
 not occur exactly once, or pytest ends for another reason than a failed
 test (a named test that does not exist, say).
@@ -49,6 +49,10 @@ QL = "tests/test_qlearning.py::"
 STORE = QL + "TestTableStore::"
 PERSIST = QL + "TestPersistence::"
 REFERENCE_TRAIN = ENV + "TestMatchesReference::test_train_matches_reference_train"
+REFERENCE_STEP = ENV + "TestMatchesReference::test_step_all_matches_reference_step"
+ALLOC = "tests/test_allocator.py::"
+CHANNEL = "tests/test_channel.py::"
+GEOMETRY = "tests/test_geometry.py::"
 
 MUTANTS = (
     # the episode loop against reference_train (tests/environment_reference.py)
@@ -195,6 +199,50 @@ MUTANTS = (
            "        if not np.isfinite(values).all() or values[terminal].any():\n",
            "        if values[terminal].any():\n",
            (PERSIST + "test_full_length_faults_named",)),
+    # the allocator, channel and grid that a batched allocation would replace.
+    # Two mutants of allocator._waterfill_level are equivalent and not listed:
+    # candidate > floor as >= (a floor equal to the level gets zero power
+    # either way) and the start level = p_max (the loop's first pass always
+    # overwrites it)
+    Mutant("power_clip_removed", "allocator.py",
+           "    np.maximum(powers, 0.0, out=powers)\n",
+           "",
+           (ALLOC + "TestClosedFormProperties::test_budget_holds",
+            ALLOC + "TestClosedFormProperties::test_powers_are_waterfill_at_multiplier")),
+    Mutant("snr_over_noise_alone", "allocator.py",
+           "    snr /= noise.ravel()[won]\n",
+           "    snr /= problem.noise_power  # the interference left out\n",
+           (ALLOC + "TestClosedFormProperties::test_rate_is_sum_rate",
+            ALLOC + "TestClosedFormProperties::test_matches_subgradient_reference")),
+    Mutant("los_a_for_b", "channel.py",
+           "np.exp(-params.b * (theta_deg - params.a))",
+           "np.exp(-params.a * (theta_deg - params.a))",
+           (CHANNEL + "TestLosProbability::test_at_horizon",
+            CHANNEL + "TestLosProbability::test_overflowing_exp_gives_the_limit")),
+    Mutant("right_edge_wraps", "geometry.py",
+           "        return s + 1 if s % m < m - 1 else s\n",
+           "        return s + 1 if s + 1 < m * m else s  # onto the next row's first cell\n",
+           (GEOMETRY + "TestApplyAction::test_boundary_absorbed",
+            GEOMETRY + "TestIndexGeometryProperties::"
+            "test_moves_one_cell_or_absorb_at_matching_edge")),
+    Mutant("ground_power_twice", "environment.py",
+           "ground = gbs.power_per_subchannel * ground.take(order, axis=0)\n",
+           "ground = gbs.power_per_subchannel * gbs.power_per_subchannel * "
+           "ground.take(order, axis=0)\n",
+           (REFERENCE_STEP,)),
+    Mutant("own_power_not_subtracted", "environment.py",
+           "    np.subtract(field_rows, table, out=table)\n",
+           "    table[...] = field_rows  # the station's own term kept\n",
+           (CHANNEL + "TestInterference::test_table_matches_scalar",
+            CHANNEL + "TestInterference::test_per_station_path_matches_whole_table")),
+    Mutant("interference_clip_removed", "environment.py",
+           "    np.maximum(table, 0.0, out=table)\n",
+           "",
+           (CHANNEL + "TestInterference::test_field_one_ulp_below_own_term_reads_zero",)),
+    Mutant("prev_powers_never_stored", "environment.py",
+           "            self._prev_powers = new_powers\n",
+           "",
+           (ENV + "TestStepAll::test_parked_station_stops_transmitting", REFERENCE_STEP)),
     # the command line's exit path and checked reads
     Mutant("os_error_exits_2", "simcli.py",
            "        return EXIT_IO\n",

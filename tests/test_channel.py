@@ -308,6 +308,17 @@ class TestInterference:
         for j in range(2):
             assert np.all(interference_for_abs(field, powers[j], gains[j], None) >= 0.0)
 
+    def test_field_one_ulp_below_own_term_reads_zero(self):
+        # field - own rounds below zero when the other stations add next to
+        # nothing to a row; interference is never negative
+        rng = np.random.default_rng(10)
+        gains = rng.uniform(1e-12, 1e-6, size=(3, 4))
+        powers = rng.uniform(0.01, 0.2, size=4)
+        field = np.nextafter(powers * gains, 0.0)
+        table = interference_for_abs(field, powers, gains, None)
+        assert not (table < 0.0).any()
+        assert table.tolist() == np.zeros((3, 4)).tolist()
+
     @pytest.mark.parametrize("with_ground", [False, True], ids=["no ground", "ground"])
     def test_inputs_unchanged(self, with_ground):
         # step_all hands each station views of the step's shared field,
