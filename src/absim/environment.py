@@ -21,8 +21,7 @@ from .channel import (FADING_MODES, GbsSpec, PropagationParams, draw_realization
                       free_space_path_loss, path_loss_to_users)
 from .geometry import (Action, AreaSpec, Position3D, apply_action, cell_center,
                        dist_to_final, pairwise_dist, state_index)
-from .qlearning import (LearningParams, QTable, _PerCell, greedy_policy, select_action,
-                        update)
+from .qlearning import LearningParams, QTable, _PerCell, greedy_action, select_action, update
 from .rng import PURPOSE_EPISODE, derive_stream
 
 __all__ = [
@@ -188,17 +187,18 @@ def _diagonal(config: ScenarioConfig) -> float:
 
 @dataclass
 class EpisodeStats:
-    """Per-episode aggregates; arrays are indexed by agent."""
+    """Per-episode aggregates; the lists are indexed by agent."""
 
-    avg_sum_rate: np.ndarray
-    steps_to_terminal: np.ndarray
-    cumulative_reward: np.ndarray
-    reached: np.ndarray
+    avg_sum_rate: list
+    steps_to_terminal: list
+    cumulative_reward: list
+    reached: list
     collision_steps: int
 
     @property
     def mean_sum_rate(self) -> float:
-        return float(self.avg_sum_rate.mean())
+        # np.mean adds pairwise; Python's sum can differ in the last bit from 8 agents on
+        return float(np.mean(self.avg_sum_rate))
 
 
 def interference_for_abs(field_rows: np.ndarray, own_powers: np.ndarray,
@@ -378,8 +378,7 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
     max_steps = params.max_steps_per_episode
     max_steps = _STEPS_PER_CELL * cfg.area.n_states if max_steps is None else max_steps
 
-    # per-agent tallies stay Python scalars until the episode ends; an agent
-    # acts every step until it parks, so step_count is its steps to terminal
+    # an agent acts every step until it parks, so step_count is its steps to terminal
     f1_sum = [0.0] * j_count
     step_count = [0] * j_count
     cum_reward = [0.0] * j_count
@@ -407,10 +406,10 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
         collisions += close  # a joint step counts once, however many stations are near
 
     return EpisodeStats(
-        avg_sum_rate=np.array(f1_sum) / np.maximum(step_count, 1),
-        steps_to_terminal=np.array(step_count),
-        cumulative_reward=np.array(cum_reward),
-        reached=np.array(parked),
+        avg_sum_rate=[f / max(n, 1) for f, n in zip(f1_sum, step_count)],
+        steps_to_terminal=step_count,
+        cumulative_reward=cum_reward,
+        reached=list(parked),
         collision_steps=collisions,
     )
 
@@ -494,13 +493,12 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable]) -> Traject
             raise TableMismatch(j, f"is {q.n_states} x {q.n_actions} with terminal state "
                                    f"{q.terminal_state}, the config needs {n_states} x "
                                    f"{n_actions} with terminal state {final}")
-    policies = [greedy_policy(q).tolist() for q in qtables]
-    trajectories = [[] for _ in policies]
+    trajectories = [[] for _ in qtables]
     min_pairwise = float("inf")
     violation_steps = []
     seen = set()
     # step 0 moves nobody: it records the initial snapshot
-    active = range(len(policies))
+    active = range(len(qtables))
     actions = {}
     steps = 0
     while True:
@@ -516,7 +514,7 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable]) -> Traject
             break
         seen.add(key)
         active = [j for j, parked in enumerate(env.parked) if not parked]
-        actions = {j: policies[j][env.states[j]] for j in active}
+        actions = {j: greedy_action(qtables[j], env.states[j]) for j in active}
         steps += 1
 
     return TrajectoryRollout(

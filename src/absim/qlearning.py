@@ -19,7 +19,7 @@ __all__ = [
     "ALPHA_SCHEDULES",
     "LearningParams",
     "QTable",
-    "greedy_policy",
+    "greedy_action",
     "load_qtable",
     "save_qtable",
     "select_action",
@@ -109,10 +109,10 @@ class QTable:
     writes rows and counts instead: per-state Python lists of the values and
     visit counts, each made at its state's first lookup (a row copied from
     base, so base is seeded in place, before any lookup), since a 4-entry
-    list is cheaper to scan and store into than a numpy row. A table that is
-    never stepped, such as a loaded one, holds no lists. Looking up a state
-    outside [0, S) raises ValueError. values and visits are read-only (S, A)
-    snapshots of the whole table.
+    list is cheaper to scan and store into than a numpy row. A fresh or loaded
+    table holds no lists until it is stepped or rolled out, and then only for
+    the states read. Looking up a state outside [0, S) raises ValueError.
+    values and visits are read-only (S, A) snapshots of the whole table.
     """
 
     def __init__(self, n_states: int, n_actions: int, terminal_state: int,
@@ -186,9 +186,10 @@ def update(q: QTable, t: tuple, params: LearningParams) -> None:
     row[a] = value
 
 
-def greedy_policy(q: QTable) -> np.ndarray:
-    """Deterministic per-state argmax readout; ties go to the lowest action index."""
-    return q.values.argmax(axis=1)
+def greedy_action(q: QTable, state: int) -> int:
+    """Deterministic argmax of state's row; ties go to the lowest action index."""
+    row = q.rows[state]
+    return row.index(max(row))
 
 
 @functools.lru_cache(maxsize=1)  # save and load of one shape share it

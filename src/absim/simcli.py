@@ -328,12 +328,10 @@ def write_metrics(stats_list, path, n_agents: int) -> None:
     groups = ("avg_sum_rate", "steps_to_terminal", "cumulative_reward", "reached")
     header = ["episode", "mean_sum_rate", "collision_steps"]
     header += [f"{name}_agent{j}" for name in groups for j in range(n_agents)]
-    # convert numpy scalars first: their repr differs from float's
     _write_rows(path, header, ([str(e), repr(st.mean_sum_rate), str(st.collision_steps),
-                                *(repr(float(v)) for v in st.avg_sum_rate),
-                                *(str(int(v)) for v in st.steps_to_terminal),
-                                *(repr(float(v)) for v in st.cumulative_reward),
-                                *(str(int(v)) for v in st.reached)]
+                                *map(repr, st.avg_sum_rate), *map(str, st.steps_to_terminal),
+                                *map(repr, st.cumulative_reward),
+                                *(str(int(r)) for r in st.reached)]
                                for e, st in enumerate(stats_list, start=1)))
 
 
@@ -488,7 +486,7 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
             finished_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
             files={name: _sha256(tmp) for name, tmp in staged.items()},
             rollout={
-                "reached": [bool(r) for r in rollout.reached],
+                "reached": rollout.reached,
                 "steps": rollout.steps,
                 "min_pairwise_m": closest if closest < math.inf else None,
                 "violation_steps": rollout.violation_steps,

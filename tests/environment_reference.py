@@ -141,9 +141,9 @@ def reference_episode(config, tables, params, rng, epsilon):
             reward_sum[j] += t[2]
         collisions += any(near[j] for j in acting)
     return EpisodeStats(
-        avg_sum_rate=np.array([r / max(n, 1) for r, n in zip(rate_sum, steps)]),
-        steps_to_terminal=np.array(steps), cumulative_reward=np.array(reward_sum),
-        reached=np.array(parked), collision_steps=collisions)
+        avg_sum_rate=[r / max(n, 1) for r, n in zip(rate_sum, steps)],
+        steps_to_terminal=steps, cumulative_reward=reward_sum,
+        reached=parked, collision_steps=collisions)
 
 
 def reference_train(config, params, master_seed):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from absim.allocator import AllocationProblem, solve
 from absim.channel import FADING_MODES, draw_realization, path_loss_to_users
-from absim.environment import (Environment, TableMismatch, extract_trajectory,
+from absim.environment import (Environment, EpisodeStats, TableMismatch, extract_trajectory,
                                pessimistic_q_init, run_episode, train)
 from absim.geometry import (Action, GridState, Position3D, cell_center, dist_to_final,
                             state_index)
-from absim.qlearning import QTable, greedy_policy
+from absim.qlearning import QTable, greedy_action
 from absim.rng import PURPOSE_EPISODE, derive_stream
 
 from conftest import DEFAULT_CONFIG, DEFAULT_LEARNING, make_scenario
@@ -268,7 +268,7 @@ class TestMatchesReference:
         assert [_philox_state(s) for s in streams] == [_philox_state(s) for s in ref_streams]
         for got, want in zip(stats, ref_stats, strict=True):
             for name in ("avg_sum_rate", "steps_to_terminal", "cumulative_reward", "reached"):
-                assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+                assert getattr(got, name) == getattr(want, name), name
             assert got.collision_steps == want.collision_steps
         for got, want in zip(tables, ref_tables, strict=True):
             assert got.values.view(np.int64).tolist() == want.values.view(np.int64).tolist()
@@ -357,7 +357,7 @@ class TestPerCellValues:
             stats = run_episode(env, tables,
                                 replace(DEFAULT_LEARNING, max_steps_per_episode=30),
                                 derive_stream(5, PURPOSE_EPISODE, e), 0.1)
-            agent_steps += int(stats.steps_to_terminal.sum())
+            agent_steps += sum(stats.steps_to_terminal)
         for keys in made.values():
             assert len(set(keys)) == len(keys)
         ground = Position3D(gbs.x, gbs.y, gbs.height)
@@ -403,7 +403,7 @@ class TestRunEpisode:
         tables = fresh_tables(cfg)
         stats = run_episode(env, tables, params, np.random.default_rng(0), params.epsilon)
         assert tables[0].visits.sum() == 0
-        assert stats.steps_to_terminal.tolist() == [0]
+        assert stats.steps_to_terminal == [0]
 
     def test_identical_seeds_identical_traces(self):
         cfg = make_scenario(m=4, n_agents=2, beta1=2.0, beta3=1000.0,
@@ -468,9 +468,9 @@ class TestRunEpisode:
         tables = fresh_tables(cfg)
         params = replace(DEFAULT_LEARNING, epsilon=0.0, max_steps_per_episode=60)
         stats = run_episode(env, tables, params, np.random.default_rng(10), params.epsilon)
-        assert stats.reached.any()
+        assert any(stats.reached)
         visits = [int(q.visits.sum()) for q in tables]
-        assert visits == stats.steps_to_terminal.tolist()
+        assert visits == stats.steps_to_terminal
         assert visits[0] < 60
 
 
@@ -514,7 +514,7 @@ class TestTrain:
         params = replace(DEFAULT_LEARNING, max_episodes=1, max_steps_per_episode=10)
         qtables, stats = train(cfg, params, master_seed=5)
         assert len(stats) == 1
-        assert stats[0].steps_to_terminal.shape == (1,)
+        assert len(stats[0].steps_to_terminal) == 1
 
     def test_training_recovers_oracle_policy_on_small_world(self):
         # pure-distance reward: learned greedy actions must match the
@@ -527,7 +527,7 @@ class TestTrain:
         q_star = value_iteration(next_state, rewards, terminal, gamma=0.9, tol=1e-12)
         srt = np.sort(q_star, axis=1)
         unique = (srt[:, -1] - srt[:, -2]) > 1e-9
-        learned = greedy_policy(qtables[0])
+        learned = np.array([greedy_action(qtables[0], s) for s in range(cfg.area.n_states)])
         oracle = q_star.argmax(axis=1)
         assert np.array_equal(learned[unique & ~terminal], oracle[unique & ~terminal])
 
@@ -554,6 +554,16 @@ class TestTrain:
                             lambda config: pytest.fail("train built an Environment"))
         with pytest.raises(ValueError, match=message):
             train(config, params, master_seed=0)
+
+    def test_mean_sum_rate_is_numpy_mean(self):
+        # np.mean adds eight or more values pairwise, so Python's sum / len can
+        # differ from it in the last bit; metrics.csv keeps np.mean's bits
+        rows = (np.random.default_rng(8).random((200, 8)) * 10.0).tolist()
+        means = [EpisodeStats(avg_sum_rate=row, steps_to_terminal=[1] * 8,
+                              cumulative_reward=[0.0] * 8, reached=[False] * 8,
+                              collision_steps=0).mean_sum_rate for row in rows]
+        assert means == [float(np.mean(row)) for row in rows]
+        assert any(mean != sum(row) / len(row) for mean, row in zip(means, rows))
 
     def test_stats_are_finite(self):
         cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,
@@ -609,6 +619,21 @@ class TestExtractTrajectory:
         assert sorted(calls) == [0, 1, 2, 3, 7, 11, 12, 15]
         assert rollout.trajectories[0] == [cell_center(cfg.area, s)
                                            for s in (0, 1, 2, 3, 7, 11, 15)]
+
+    def test_rollout_reads_only_the_rows_it_visits(self, monkeypatch):
+        # trained tables hold learned rows; the rollout reads those cells' rows,
+        # never an (S, A) snapshot of a whole table
+        cfg = make_scenario(m=4, n_agents=2, beta2=0.25,
+                            initial=[GridState(1, 1), GridState(4, 1)],
+                            final=[GridState(4, 4), GridState(1, 4)])
+        params = replace(DEFAULT_LEARNING, max_episodes=3, max_steps_per_episode=20)
+        qtables, _ = train(cfg, params, master_seed=4)
+        expected = extract_trajectory(cfg, qtables)
+        monkeypatch.setattr(QTable, "values", property(
+            lambda q: pytest.fail("the rollout read a whole table's values")))
+        rollout = extract_trajectory(cfg, qtables)
+        assert rollout.steps > 0
+        assert rollout == expected
 
     def test_rollout_is_radio_free(self, monkeypatch):
         cfg = make_scenario(m=4, n_agents=2, beta1=1.0, beta3=1000.0,

@@ -12,7 +12,7 @@ from qlearning_reference import value_iteration
 from conftest import DEFAULT_LEARNING
 from absim.geometry import (Action, AreaSpec, GridState, apply_action, cell_center,
                             dist_to_final, state_index)
-from absim.qlearning import (QTable, greedy_policy, load_qtable, save_qtable,
+from absim.qlearning import (QTable, greedy_action, load_qtable, save_qtable,
                              select_action, update)
 
 # Exact action values of the 4x4 single-agent fixture (goal at (4,4),
@@ -286,18 +286,30 @@ class TestMatchesNumpyReference:
         assert np.array_equal(q.visits, q_ref.visits)
 
 
-class TestGreedyPolicy:
-    def test_all_zero_ties_to_first_action(self):
-        q = QTable(5, 4, terminal_state=4)
-        assert greedy_policy(q).tolist() == [0] * 5
+class TestGreedyAction:
+    def test_all_equal_ties_to_first_action(self):
+        q = QTable(5, 4, terminal_state=4, initial_value=-2.5)
+        assert [greedy_action(q, s) for s in range(5)] == [0] * 5
 
     def test_argmax(self):
         q = QTable(3, 4, terminal_state=2)
         q.base[0] = [0.0, 0.0, 5.0, 0.0]
         q.base[1] = [1.0, 3.0, 2.0, 3.0]
-        policy = greedy_policy(q)
-        assert policy[0] == 2
-        assert policy[1] == 1  # tie between 1 and 3 goes low
+        assert greedy_action(q, 0) == 2
+        assert greedy_action(q, 1) == 1  # tie between 1 and 3 goes low
+
+    def test_reads_learned_rows_and_makes_only_those(self):
+        q = QTable(4, 4, terminal_state=3)
+        q.rows[1][3] = 0.5  # a learned value the base array does not hold
+        assert greedy_action(q, 1) == 3
+        assert greedy_action(q, 2) == 0
+        assert sorted(q.rows) == [1, 2]
+
+    @pytest.mark.parametrize("state", [-1, 4])
+    def test_state_outside_table(self, state):
+        q = QTable(4, 4, terminal_state=3)
+        with pytest.raises(ValueError, match="outside the 4-state table"):
+            greedy_action(q, state)
 
 
 class TestValueIteration:
@@ -370,7 +382,7 @@ class TestConvergenceToOracle:
         q_star = value_iteration(next_state, rewards, terminal, gamma=0.9, tol=1e-12)
         q = QTable(16, 4, terminal_state=goal_idx)
         q.base[:] = q_star  # table loaded with the exact solution
-        learned = greedy_policy(q)
+        learned = np.array([greedy_action(q, s) for s in range(16)])
         srt = np.sort(q_star, axis=1)
         unique = (srt[:, -1] - srt[:, -2]) > 1e-9
         oracle = q_star.argmax(axis=1)
