@@ -85,11 +85,11 @@ class ScenarioConfig:
                 errors.append(f"station {station} serves no users")
         if self.n_subchannels < 1:
             errors.append("n_subchannels must be at least 1")
-        if self.p_max <= 0:
+        if not self.p_max > 0:  # NaN too, as for d_min
             errors.append("p_max must be positive")
         if not self.d_min > 0:  # NaN too: no distance is below it
             errors.append("d_min must be positive")
-        if self.beta1 < 0 or self.beta2 < 0 or self.beta3 < 0:
+        if not (self.beta1 >= 0 and self.beta2 >= 0 and self.beta3 >= 0):
             errors.append("reward weights must be non-negative")
         if self.fading not in FADING_MODES:
             errors.append(f"fading must be one of {FADING_MODES}, got {self.fading!r}")

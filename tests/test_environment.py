@@ -697,6 +697,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_scenario(m=4, beta2=-0.25)
 
+    @pytest.mark.parametrize("beta", ["beta1", "beta2", "beta3"])
+    def test_nan_weight_rejected(self, beta):
+        with pytest.raises(ValueError, match="^reward weights must be non-negative$"):
+            replace(DEFAULT_CONFIG, **{beta: float("nan")})
+
+    @pytest.mark.parametrize("p_max", [0.0, -1.0, float("nan")])
+    def test_p_max_must_be_positive(self, p_max):
+        with pytest.raises(ValueError, match="^p_max must be positive$"):
+            replace(DEFAULT_CONFIG, p_max=p_max)
+
     def test_bad_initial_state_rejected(self):
         with pytest.raises(ValueError):
             make_scenario(m=4, initial=[GridState(9, 1)])
