@@ -53,6 +53,8 @@ REFERENCE_STEP = ENV + "TestMatchesReference::test_step_all_matches_reference_st
 ALLOC = "tests/test_allocator.py::"
 CHANNEL = "tests/test_channel.py::"
 GEOMETRY = "tests/test_geometry.py::"
+OVERFLOW_CLI = CLI + "TestCli::test_overflowing_config_exits_2"
+OVERFLOW_ENV = ENV + "TestTrain::test_overflowing_config_raises_before_building"
 
 MUTANTS = (
     # the episode loop against reference_train (tests/environment_reference.py)
@@ -243,6 +245,95 @@ MUTANTS = (
            "            self._prev_powers = new_powers\n",
            "",
            (ENV + "TestStepAll::test_parked_station_stops_transmitting", REFERENCE_STEP)),
+    # AllocationProblem's input checks: each check weakened, the value checks
+    # to the form that NaN passes (every comparison with NaN is false)
+    Mutant("gains_shape_allows_empty", "allocator.py",
+           "        if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:\n",
+           "        if g.ndim != 2:  # a (0, N) or (K, 0) matrix passes\n",
+           (ALLOC + "TestProblemValidation::test_empty_gains_rejected",)),
+    Mutant("interference_shape_by_size", "allocator.py",
+           "        if i.shape != g.shape:\n",
+           "        if i.size != g.size:  # a transposed table passes\n",
+           (ALLOC + "TestProblemValidation::test_shape_mismatch_rejected",)),
+    Mutant("nan_gains_pass", "allocator.py",
+           "        if not (_amin(g, axis=None) > 0.0 and _amax(g, axis=None) < math.inf):\n",
+           "        if _amin(g, axis=None) <= 0.0 or _amax(g, axis=None) == math.inf:\n",
+           (ALLOC + "TestProblemValidation::test_non_finite_rejected",)),
+    Mutant("nan_interference_passes", "allocator.py",
+           "        if not (_amin(i, axis=None) >= 0.0 and _amax(i, axis=None) < math.inf):\n",
+           "        if _amin(i, axis=None) < 0.0 or _amax(i, axis=None) == math.inf:\n",
+           (ALLOC + "TestProblemValidation::test_non_finite_rejected",)),
+    Mutant("nan_noise_power_passes", "allocator.py",
+           "        if not noise_power > 0:\n",
+           "        if noise_power <= 0:\n",
+           (ALLOC + "TestProblemValidation::test_non_finite_rejected",)),
+    Mutant("nan_allocation_budget_passes", "allocator.py",
+           "        if not p_max > 0:\n",
+           "        if p_max <= 0:\n",
+           (ALLOC + "TestProblemValidation::test_non_finite_rejected",)),
+    # ScenarioConfig's checks, which NaN once passed
+    Mutant("nan_p_max_passes", "environment.py",
+           "        if not self.p_max > 0:  # NaN too, as for d_min\n",
+           "        if self.p_max <= 0:\n",
+           (ENV + "TestConfigValidation::test_p_max_must_be_positive",)),
+    Mutant("nan_weight_passes", "environment.py",
+           "        if not (self.beta1 >= 0 and self.beta2 >= 0 and self.beta3 >= 0):\n",
+           "        if self.beta1 < 0 or self.beta2 < 0 or self.beta3 < 0:\n",
+           (ENV + "TestConfigValidation::test_nan_weight_rejected",)),
+    # each bound of overflow_errors left out; each is named by a config of
+    # test_overflowing_config_exits_2 (hand_copied_free_space_loss above
+    # covers the loss each gain bound is built from)
+    Mutant("gain_span_unchecked", "environment.py",
+           "        if not (gains[0] > 0.0 and gains[1] < math.inf):\n",
+           "        if False:  # any gain span passes\n",
+           (OVERFLOW_CLI, OVERFLOW_ENV)),
+    Mutant("diagonal_unchecked", "environment.py",
+           "    if diagonal == math.inf:",
+           "    if False:",
+           (OVERFLOW_CLI,)),
+    Mutant("interference_bound_dropped", "environment.py",
+           "    checks = {\"interference of one step\": interference,\n"
+           "              \"the water level",
+           "    checks = {\"the water level",
+           (OVERFLOW_CLI,)),
+    Mutant("water_level_bound_dropped", "environment.py",
+           "              \"the water level of one step\": config.p_max + "
+           "config.n_subchannels * floor,\n",
+           "",
+           (OVERFLOW_CLI,)),
+    Mutant("snr_bound_dropped", "environment.py",
+           ",\n              \"the SNR of one step\": snr}",
+           "}",
+           (OVERFLOW_CLI,)),
+    Mutant("reward_bound_dropped", "environment.py",
+           "        if reward < math.inf:\n",
+           "        if True:  # an infinite reward reported as the bounds it makes\n",
+           (OVERFLOW_CLI, OVERFLOW_ENV)),
+    Mutant("table_value_bound_dropped", "environment.py",
+           "checks = {\"twice a table value\": twice, \"an episode's reward sum\": "
+           "reward * cap}",
+           "checks = {\"an episode's reward sum\": reward * cap}",
+           (OVERFLOW_CLI,)),
+    Mutant("episode_sum_bound_dropped", "environment.py",
+           "checks = {\"twice a table value\": twice, \"an episode's reward sum\": "
+           "reward * cap}",
+           "checks = {\"twice a table value\": twice}",
+           (OVERFLOW_CLI, OVERFLOW_ENV)),
+    # the greedy rollout and the episode's stats
+    Mutant("greedy_action_last_tie", "qlearning.py",
+           "    return row.index(max(row))\n",
+           "    return max(range(len(row)), key=lambda a: (row[a], a))  # the last tie\n",
+           (QL + "TestGreedyAction::test_all_equal_ties_to_first_action",
+            QL + "TestGreedyAction::test_argmax")),
+    Mutant("rollout_reads_snapshot", "environment.py",
+           "        actions = {j: greedy_action(qtables[j], env.states[j]) for j in active}\n",
+           "        actions = {j: int(qtables[j].values[env.states[j]].argmax())\n"
+           "                   for j in active}\n",
+           (ENV + "TestExtractTrajectory::test_rollout_reads_only_the_rows_it_visits",)),
+    Mutant("mean_sum_rate_python_sum", "environment.py",
+           "        return float(np.mean(self.avg_sum_rate))\n",
+           "        return sum(self.avg_sum_rate) / len(self.avg_sum_rate)\n",
+           (ENV + "TestTrain::test_mean_sum_rate_is_numpy_mean",)),
     # the command line's exit path and checked reads
     Mutant("os_error_exits_2", "simcli.py",
            "        return EXIT_IO\n",

@@ -305,10 +305,16 @@ class TestProblemValidation:
             AllocationProblem(gains=np.ones(2), interference=np.zeros(2),
                               noise_power=1e-10, p_max=0.2)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            AllocationProblem(gains=np.ones((2, 2)),
-                              interference=np.zeros((2, 3)),
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_empty_gains_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"gains must be a \(K, N\) matrix with K, N >="):
+            AllocationProblem(gains=np.ones(shape), interference=np.zeros(shape),
+                              noise_power=1e-10, p_max=0.2)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2)])  # (3, 2): as many entries
+    def test_shape_mismatch_rejected(self, shape):
+        with pytest.raises(ValueError, match="interference must match the gains shape"):
+            AllocationProblem(gains=np.ones((2, 3)), interference=np.zeros(shape),
                               noise_power=1e-10, p_max=0.2)
 
     def test_nonpositive_budget_rejected(self):
@@ -320,7 +326,7 @@ class TestProblemValidation:
     @pytest.mark.parametrize("field, value", [
         ("gains", math.nan), ("gains", math.inf), ("gains", 0.0),
         ("interference", math.nan), ("interference", math.inf),
-        ("noise_power", math.nan), ("p_max", math.nan),
+        ("noise_power", math.nan), ("noise_power", 0.0), ("p_max", math.nan),
     ])
     def test_non_finite_rejected(self, field, value):
         kwargs = dict(gains=np.full((2, 2), 1e-8), interference=np.zeros((2, 2)),
