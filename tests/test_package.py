@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -8,6 +9,7 @@ from hypothesis import settings
 import absim
 
 MODULES = ["absim"] + [f"absim.{m.name}" for m in pkgutil.iter_modules(absim.__path__)]
+SOURCES = sorted(pathlib.Path(absim.__file__).resolve().parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -16,6 +18,26 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_import_is_used(path):
+    # an imported name that the module neither reads nor re-exports in __all__
+    # is dead code; __future__ imports switch on features and bind nothing read
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    assert sorted(imported - read - exported) == []
 
 
 def test_console_script_targets_run():
