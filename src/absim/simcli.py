@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, replace
 
@@ -45,6 +46,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DIAGNOSTIC = 4
+
+STAGE_PREFIX = ".stage-"  # of the hidden directory run_train writes a run in
 
 # One row per scalar config field: (section, JSON key, attribute, kind,
 # default); section None is the top level. A kind is float (finite), int,
@@ -454,29 +457,28 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
     """Train, roll out, and write every artifact plus a digest manifest.
 
     Output bytes are a pure function of (config, seed); the manifest's
-    timestamps are informational only. Every file is first written to a
-    temp file in out_dir, and only when all of them, manifest included,
-    are complete are they renamed into place, manifest last. If training
-    or any write fails, the temp files are removed and the files in
-    out_dir are left as they were. Any previous manifest.json is removed
-    before the first rename, so a directory whose renames were cut short
-    has no manifest and cannot pass for a complete run.
+    timestamps are informational only. After training, every file is
+    written and digested in a fresh stage, a hidden temporary directory in
+    out_dir that no other run shares; only when all of them, manifest
+    included, are complete are they renamed into place, manifest last. The
+    stage and whatever it still holds are removed on return and on any
+    error, so a failed run leaves the files in out_dir as they were. Any
+    previous manifest.json is removed before the first rename, so a
+    directory whose renames were cut short has no manifest and cannot pass
+    for a complete run.
     """
     os.makedirs(out_dir, exist_ok=True)
-    staged = {}  # artifact name -> its temp file
-
-    def out(name):
-        staged[name] = os.path.join(out_dir, f".{name}.tmp")
-        return staged[name]
-
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    try:
-        qtables, stats = train(config, params, master_seed)
-        write_metrics(stats, out("metrics.csv"), config.n_agents)
-        for j, q in enumerate(qtables):
-            save_qtable(q, out(f"qtable_agent{j}.txt"))
+    qtables, stats = train(config, params, master_seed)
+    names = ["metrics.csv", *(f"qtable_agent{j}.txt" for j in range(len(qtables))),
+             "trajectory.csv"]
+    with tempfile.TemporaryDirectory(prefix=STAGE_PREFIX, dir=out_dir) as stage:
+        metrics, *checkpoints, trajectory = (os.path.join(stage, name) for name in names)
+        write_metrics(stats, metrics, config.n_agents)
+        for q, path in zip(qtables, checkpoints):
+            save_qtable(q, path)
         rollout = extract_trajectory(config, qtables)
-        write_trajectory(rollout, out("trajectory.csv"))
+        write_trajectory(rollout, trajectory)
         closest = rollout.min_pairwise  # inf for one station, and JSON has no Infinity
         manifest = RunManifest(
             config=config_to_dict(config, params),
@@ -484,7 +486,7 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
             version=__version__,
             started_at=started,
             finished_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            files={name: _sha256(tmp) for name, tmp in staged.items()},
+            files={name: _sha256(os.path.join(stage, name)) for name in names},
             rollout={
                 "reached": rollout.reached,
                 "steps": rollout.steps,
@@ -493,17 +495,12 @@ def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
                 "cycle_detected": rollout.cycle_detected,
             },
         )
-        write_manifest(manifest, out("manifest.json"))
+        write_manifest(manifest, os.path.join(stage, "manifest.json"))
         old_manifest = os.path.join(out_dir, "manifest.json")
         if os.path.exists(old_manifest):
             os.remove(old_manifest)
-        for name, tmp in staged.items():
-            os.replace(tmp, os.path.join(out_dir, name))
-    except BaseException:
-        for tmp in staged.values():
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        raise
+        for name in [*names, "manifest.json"]:
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
     return manifest
 
 

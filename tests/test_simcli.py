@@ -586,6 +586,32 @@ class TestRunTrain:
         assert renamed == ["metrics.csv"]
         assert after["metrics.csv"] != before["metrics.csv"]
 
+    def test_run_started_inside_another_into_one_directory(self, tmp_path, monkeypatch):
+        import absim.simcli as simcli
+
+        config, params = load_config(write_config(tmp_path, small_config_dict(2)))
+        out = tmp_path / "out"
+        original = simcli.save_qtable
+        calls, inner = [], []
+
+        def nested(q, path):
+            original(q, path)
+            calls.append(path)
+            if len(calls) == 1:  # the outer run's first checkpoint starts another run
+                inner.append(run_train(config, params, master_seed=2, out_dir=str(out)))
+
+        monkeypatch.setattr(simcli, "save_qtable", nested)
+        outer = run_train(config, params, master_seed=1, out_dir=str(out))
+        assert len(inner) == 1 and inner[0].files != outer.files
+        # the outer run, which finished last, owns the directory; no stage is left
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "metrics.csv", "qtable_agent0.txt", "qtable_agent1.txt",
+            "trajectory.csv"]
+        on_disk = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert on_disk["master_seed"] == 1 and on_disk["files"] == outer.files
+        for name, digest in outer.files.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
 
 class TestPlotData:
     def make_run(self, tmp_path, episodes=30):
