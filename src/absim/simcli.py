@@ -435,14 +435,15 @@ def _sha256(path) -> str:
 
 
 def _check_manifest(directory, names):
-    """Raise PlotDataError unless each named file in directory matches its
-    digest in the directory's manifest.json; with no manifest, check nothing."""
+    """The directory's parsed manifest.json, or None when it has none; raise
+    PlotDataError unless each named file in directory matches its digest there."""
     path = os.path.join(directory, "manifest.json")
     if not os.path.exists(path):
-        return
+        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            digests = json.load(fh)["files"]
+            manifest = json.load(fh)
+        digests = manifest["files"]
         if not isinstance(digests, dict):
             raise TypeError("files is not a JSON object")
     except (ValueError, KeyError, TypeError):
@@ -450,6 +451,7 @@ def _check_manifest(directory, names):
     for name in names:
         if _sha256(os.path.join(directory, name)) != digests.get(name):
             raise PlotDataError(f"{name} does not match manifest.json")
+    return manifest
 
 
 def run_train(config: ScenarioConfig, params: LearningParams, master_seed: int,
@@ -568,11 +570,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rollout(args) -> int:
-    config, _ = load_config(args.config)
+    config, params = load_config(args.config)
     names = [f"qtable_agent{j}.txt" for j in range(config.n_agents)]
     try:
         qtables = [load_qtable(os.path.join(args.qtable_dir, name)) for name in names]
-        _check_manifest(args.qtable_dir, names)
+        manifest = _check_manifest(args.qtable_dir, names)
         rollout = extract_trajectory(config, qtables)
     except TableMismatch as exc:
         print(f"invalid checkpoint: {names[exc.agent]} {exc.reason}", file=sys.stderr)
@@ -580,6 +582,14 @@ def _cmd_rollout(args) -> int:
     except ValueError as exc:
         print(f"invalid checkpoint: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if manifest is not None:
+        # the rollout reads no learning field, and train --episodes rewrites that section
+        saved = manifest.get("config")
+        if type(saved) is not dict or {**saved, "learning": None} \
+                != {**config_to_dict(config, params), "learning": None}:
+            print(f"invalid checkpoint: {os.path.join(args.qtable_dir, 'manifest.json')} "
+                  "records another scenario than the config", file=sys.stderr)
+            return EXIT_VALIDATION
     write_trajectory(rollout, args.out)
     print(f"rollout: steps={rollout.steps} reached={rollout.reached} "
           f"min_pairwise={rollout.min_pairwise:.3f} m")

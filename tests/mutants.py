@@ -341,9 +341,35 @@ MUTANTS = (
            (CLI + "TestCli::test_io_failure_exits_3",
             CLI + "TestCli::test_missing_config_is_io_error")),
     Mutant("rollout_skips_manifest", "simcli.py",
-           "        _check_manifest(args.qtable_dir, names)\n",
-           "",
+           "        manifest = _check_manifest(args.qtable_dir, names)\n",
+           "        manifest = None\n",
            (CLI + "TestCli::test_rollout_checkpoint_digest_mismatch",)),
+    Mutant("rollout_scenario_unchecked", "simcli.py",
+           "    if manifest is not None:\n",
+           "    if False:  # any checkpoint's scenario passes\n",
+           (CLI + "TestCli::test_rollout_of_another_scenario_rejected",)),
+    Mutant("rollout_compares_learning", "simcli.py",
+           '{**saved, "learning": None} \\\n'
+           '                != {**config_to_dict(config, params), "learning": None}:',
+           "saved != config_to_dict(config, params):",
+           (CLI + "TestCli::test_rollout_after_episode_override_reads_its_config",)),
+    # run_train's stage and the order of its renames
+    Mutant("manifest_renamed_first", "simcli.py",
+           'for name in [*names, "manifest.json"]:',
+           'for name in ["manifest.json", *names]:',
+           (CLI + "TestRunTrain::test_rename_failing_midway_leaves_no_manifest",)),
+    Mutant("old_manifest_kept", "simcli.py",
+           "            os.remove(old_manifest)\n",
+           "            pass\n",
+           (CLI + "TestRunTrain::test_rename_failing_midway_leaves_no_manifest",)),
+    Mutant("stage_shared", "simcli.py",
+           "    with tempfile.TemporaryDirectory(prefix=STAGE_PREFIX, dir=out_dir) as stage:\n",
+           # one fixed stage name, still removed on every exit path
+           '    stage = os.path.join(out_dir, STAGE_PREFIX + "run")\n'
+           "    os.makedirs(stage, exist_ok=True)\n"
+           '    with __import__("contextlib").ExitStack() as stack:\n'
+           '        stack.callback(__import__("shutil").rmtree, stage, ignore_errors=True)\n',
+           (CLI + "TestRunTrain::test_run_started_inside_another_into_one_directory",)),
     Mutant("plot_data_skips_manifest", "simcli.py",
            "        _check_manifest(directory, [name])",
            "        pass",

@@ -982,6 +982,40 @@ class TestCli:
         assert "manifest.json" not in capsys.readouterr().err
         assert (tmp_path / "roll.csv").exists()
 
+    @pytest.mark.parametrize("config_edit", [None, []], ids=["other_cells", "not_object"])
+    def test_rollout_of_another_scenario_rejected(self, tmp_path, capsys, config_edit):
+        # the default grid and final cells, so every table check passes
+        # without --config; only the initial cells differ
+        cfg = write_config(tmp_path, {
+            "abs": [{"initial_cell": [5, 5], "final_cell": [30, 30]},
+                    {"initial_cell": [25, 3], "final_cell": [1, 30]}],
+            "learning": {"max_episodes": 1, "max_steps_per_episode": 20}})
+        out, roll = tmp_path / "out", tmp_path / "roll.csv"
+        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+        argv = ["rollout", "--qtable-dir", str(out), "--out", str(roll)]
+        if config_edit is not None:  # the run's own config, a manifest without one
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            manifest["config"] = config_edit
+            (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+            argv += ["--config", cfg]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert (f"invalid checkpoint: {out / 'manifest.json'} records another scenario "
+                "than the config") in capsys.readouterr().err
+        assert not roll.exists()
+
+    def test_rollout_after_episode_override_reads_its_config(self, tmp_path, capsys):
+        # train --episodes rewrites the manifest's learning section only
+        cfg = write_config(tmp_path, small_config_dict(50))
+        out, roll = tmp_path / "out", tmp_path / "roll.csv"
+        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out),
+                     "--episodes", "2"]) == 0
+        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
+                     "--out", str(roll)])
+        assert code in (0, 4)  # diagnostics may fail on a tiny run
+        assert "invalid checkpoint" not in capsys.readouterr().err
+        assert roll.read_text() == (out / "trajectory.csv").read_text()
+
     def test_train_and_plot_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_dict(2))
         out = str(tmp_path / "out")
