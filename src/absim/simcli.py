@@ -47,7 +47,7 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DIAGNOSTIC = 4
 
-STAGE_PREFIX = ".stage-"  # of the hidden directory run_train writes a run in
+STAGE_PREFIX = ".stage-"  # names the hidden directory each run_train call writes in
 
 # One row per scalar config field: (section, JSON key, attribute, kind,
 # default); section None is the top level. A kind is float (finite), int,
