@@ -341,18 +341,13 @@ MUTANTS = (
            (CLI + "TestCli::test_io_failure_exits_3",
             CLI + "TestCli::test_missing_config_is_io_error")),
     Mutant("rollout_skips_manifest", "simcli.py",
-           "        manifest = _check_manifest(args.qtable_dir, names)\n",
-           "        manifest = None\n",
+           "        _match_digests(args.qtable_dir, manifest, names)\n",
+           "        pass\n",
            (CLI + "TestCli::test_rollout_checkpoint_digest_mismatch",)),
-    Mutant("rollout_scenario_unchecked", "simcli.py",
-           "    if manifest is not None:\n",
-           "    if False:  # any checkpoint's scenario passes\n",
-           (CLI + "TestCli::test_rollout_of_another_scenario_rejected",)),
-    Mutant("rollout_compares_learning", "simcli.py",
-           '{**saved, "learning": None} \\\n'
-           '                != {**config_to_dict(config, params), "learning": None}:',
-           "saved != config_to_dict(config, params):",
-           (CLI + "TestCli::test_rollout_after_episode_override_reads_its_config",)),
+    Mutant("rollout_default_scenario", "simcli.py",
+           '        config, _ = _build_config(manifest["config"])',
+           "        config, _ = load_config(None)",
+           (CLI + "TestCli::test_rollout_reads_its_scenario_from_the_manifest",)),
     # run_train's stage and the order of its renames
     Mutant("manifest_renamed_first", "simcli.py",
            'for name in [*names, "manifest.json"]:',
@@ -371,8 +366,8 @@ MUTANTS = (
            '        stack.callback(__import__("shutil").rmtree, stage, ignore_errors=True)\n',
            (CLI + "TestRunTrain::test_run_started_inside_another_into_one_directory",)),
     Mutant("plot_data_skips_manifest", "simcli.py",
-           "        _check_manifest(directory, [name])",
-           "        pass",
+           '        if os.path.exists(os.path.join(directory, "manifest.json")):\n',
+           "        if False:  # no input is checked against its manifest\n",
            (CLI + "TestPlotData::test_input_unlike_its_manifest_rejected",)),
     Mutant("first_episode_unchecked", "simcli.py",
            "zip([0, *episodes], episodes), start=2)",

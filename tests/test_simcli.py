@@ -15,6 +15,7 @@ from absim.qlearning import load_qtable
 from absim.simcli import (ConfigValidationError, PlotDataError, config_to_dict,
                           emit_plot_data, load_config, main, read_metrics,
                           read_trajectory, run_train, smooth_series)
+from test_golden import GOLDEN
 
 
 def small_config_dict(episodes=3):
@@ -887,7 +888,7 @@ class TestCli:
         assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
         table = out / "qtable_agent1.txt"
         table.write_text("".join(table.read_text().splitlines(keepends=True)[:2]))
-        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
+        code = main(["rollout", "--qtable-dir", str(out),
                      "--out", str(tmp_path / "roll.csv")])
         assert code == 2
         assert "qtable_agent1.txt: line 3: file ends after 1 of 64 entries" \
@@ -898,10 +899,9 @@ class TestCli:
         cfg = write_config(tmp_path, small_config_dict(2))
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
-        (out / "manifest.json").unlink()
         (out / "qtable_agent0.txt").write_text(
             "# states=10000000000000 actions=4 terminal=1\n0 0 1.0\n0 1 1.0\n0 2 1.0\n")
-        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
+        code = main(["rollout", "--qtable-dir", str(out),
                      "--out", str(tmp_path / "roll.csv")])
         assert code == 2
         assert "qtable_agent0.txt: line 5: file ends after 3 of 40000000000000 entries" \
@@ -912,12 +912,12 @@ class TestCli:
         cfg = write_config(tmp_path, small_config_dict(2))
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
-        bigger = small_config_dict(2)
-        bigger["area"]["cells_per_axis"] = 5
-        code = main(["rollout", "--config", write_config(tmp_path, bigger, "big.json"),
-                     "--qtable-dir", str(out), "--out", str(tmp_path / "roll.csv")])
+        # a manifest whose config was edited, its digests left intact
+        self.edit_manifest_config(out, lambda config: config["area"].update(cells_per_axis=5))
+        code = main(["rollout", "--qtable-dir", str(out), "--out", str(tmp_path / "roll.csv")])
         assert code == 2
-        assert "the config needs 25 x 4" in capsys.readouterr().err
+        assert ("invalid checkpoint: qtable_agent0.txt is 16 x 4 with terminal state 15, "
+                "the config needs 25 x 4") in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, found, needed", [
         ("final_cell", "15", "12"),  # rolled out for another final cell
@@ -930,16 +930,24 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["train", "--config", write_config(tmp_path, data),
                      "--out-dir", str(out)]) == 0
-        (out / "manifest.json").unlink()
-        data["abs"][0][edit] = [1, 4]
+        self.edit_manifest_config(out, lambda config: config["abs"][0].update({edit: [1, 4]}))
         roll = tmp_path / "roll.csv"
-        code = main(["rollout", "--config", write_config(tmp_path, data, "roll.json"),
-                     "--qtable-dir", str(out), "--out", str(roll)])
+        code = main(["rollout", "--qtable-dir", str(out), "--out", str(roll)])
         assert code == 2
         assert (f"invalid checkpoint: qtable_agent0.txt is 16 x 4 with terminal state "
                 f"{found}, the config needs 16 x 4 with terminal state {needed}"
                 in capsys.readouterr().err)
         assert not roll.exists()
+
+    @staticmethod
+    def edit_manifest_config(out, edit):
+        """Replace the config snapshot of out's manifest with edit(config), or
+        edit it in place when edit returns None; the digests stay intact."""
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        changed = edit(manifest["config"])
+        manifest["config"] = manifest["config"] if changed is None else changed
+        path.write_text(json.dumps(manifest), encoding="utf-8")
 
     @staticmethod
     def edit_checkpoint(out, name="qtable_agent0.txt"):
@@ -964,44 +972,65 @@ class TestCli:
             self.edit_checkpoint(out, "qtable_agent1.txt")
         else:
             (out / "manifest.json").write_text(manifest)
-        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
+        code = main(["rollout", "--qtable-dir", str(out),
                      "--out", str(tmp_path / "roll.csv")])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "roll.csv").exists()
 
-    def test_rollout_without_manifest_skips_digests(self, tmp_path, capsys):
+    def test_rollout_without_manifest_exits_3(self, tmp_path, capsys):
+        # as a run whose renames were cut short: nothing records its scenario
         cfg = write_config(tmp_path, small_config_dict(2))
-        out = tmp_path / "out"
+        out, roll = tmp_path / "out", tmp_path / "roll.csv"
         assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
         (out / "manifest.json").unlink()
-        self.edit_checkpoint(out)
-        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
-                     "--out", str(tmp_path / "roll.csv")])
-        assert code in (0, 4)  # diagnostics may fail on a tiny run
-        assert "manifest.json" not in capsys.readouterr().err
-        assert (tmp_path / "roll.csv").exists()
+        capsys.readouterr()
+        assert main(["rollout", "--qtable-dir", str(out), "--out", str(roll)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure: ") and len(err.splitlines()) == 1
+        assert f"'{out / 'manifest.json'}'" in err
+        assert not roll.exists()
 
-    @pytest.mark.parametrize("config_edit", [None, []], ids=["other_cells", "not_object"])
-    def test_rollout_of_another_scenario_rejected(self, tmp_path, capsys, config_edit):
-        # the default grid and final cells, so every table check passes
-        # without --config; only the initial cells differ
-        cfg = write_config(tmp_path, {
+    @pytest.mark.parametrize("case", [*sorted(GOLDEN), "other_cells"])
+    def test_rollout_reads_its_scenario_from_the_manifest(self, tmp_path, capsys, case):
+        # other_cells: the default grid and final cells, so every table check
+        # would pass under the default scenario; only the initial cells differ
+        overrides, seed = GOLDEN[case][0] if case in GOLDEN else ({
             "abs": [{"initial_cell": [5, 5], "final_cell": [30, 30]},
                     {"initial_cell": [25, 3], "final_cell": [1, 30]}],
-            "learning": {"max_episodes": 1, "max_steps_per_episode": 20}})
+            "learning": {"max_episodes": 2, "max_steps_per_episode": 150}}, 0)
         out, roll = tmp_path / "out", tmp_path / "roll.csv"
-        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
-        argv = ["rollout", "--qtable-dir", str(out), "--out", str(roll)]
-        if config_edit is not None:  # the run's own config, a manifest without one
-            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-            manifest["config"] = config_edit
-            (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-            argv += ["--config", cfg]
+        assert main(["train", "--config", write_config(tmp_path, overrides),
+                     "--seed", str(seed), "--out-dir", str(out)]) == 0
         capsys.readouterr()
-        assert main(argv) == 2
-        assert (f"invalid checkpoint: {out / 'manifest.json'} records another scenario "
-                "than the config") in capsys.readouterr().err
+        code = main(["rollout", "--qtable-dir", str(out), "--out", str(roll)])
+        assert code in (0, 4), capsys.readouterr().err  # a 2-episode policy may fail them
+        assert roll.read_bytes() == (out / "trajectory.csv").read_bytes()
+
+    def test_rollout_config_option_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rollout", "--config", write_config(tmp_path, small_config_dict(2)),
+                  "--qtable-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda config: [], "invalid checkpoint: {manifest} holds no config object\n"),
+        (lambda config: config["area"].update(cells_per_axis=0),
+         "invalid checkpoint: invalid configuration:\n  area: "),
+        (lambda config: config.update(speed=3),
+         "invalid checkpoint: invalid configuration:\n  scenario: unknown key 'speed'\n"),
+    ], ids=["not_object", "invalid_field", "unknown_key"])
+    def test_rollout_of_a_bad_manifest_config_exits_2(self, tmp_path, capsys, edit,
+                                                       message):
+        cfg = write_config(tmp_path, small_config_dict(2))
+        out, roll = tmp_path / "out", tmp_path / "roll.csv"
+        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+        self.edit_manifest_config(out, edit)
+        capsys.readouterr()
+        assert main(["rollout", "--qtable-dir", str(out), "--out", str(roll)]) == 2
+        assert capsys.readouterr().err.startswith(
+            message.format(manifest=out / "manifest.json"))
         assert not roll.exists()
 
     def test_rollout_after_episode_override_reads_its_config(self, tmp_path, capsys):
@@ -1010,8 +1039,7 @@ class TestCli:
         out, roll = tmp_path / "out", tmp_path / "roll.csv"
         assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out),
                      "--episodes", "2"]) == 0
-        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
-                     "--out", str(roll)])
+        code = main(["rollout", "--qtable-dir", str(out), "--out", str(roll)])
         assert code in (0, 4)  # diagnostics may fail on a tiny run
         assert "invalid checkpoint" not in capsys.readouterr().err
         assert roll.read_text() == (out / "trajectory.csv").read_text()
@@ -1041,7 +1069,7 @@ class TestCli:
         lines = table.read_text().splitlines(keepends=True)
         lines[2] = "0 1 nan\n"
         table.write_text("".join(lines))
-        code = main(["rollout", "--config", cfg, "--qtable-dir", str(out),
+        code = main(["rollout", "--qtable-dir", str(out),
                      "--out", str(tmp_path / "roll.csv")])
         assert code == 2
         assert "qtable_agent0.txt: line 3: entry (0, 1) holds nan" in capsys.readouterr().err
@@ -1076,7 +1104,7 @@ class TestCli:
         cfg = write_config(tmp_path, cfg_dict)
         out = str(tmp_path / "out")
         main(["train", "--config", cfg, "--seed", "1", "--out-dir", out])
-        code = main(["rollout", "--config", cfg, "--qtable-dir", out,
+        code = main(["rollout", "--qtable-dir", out,
                      "--out", str(tmp_path / "roll.csv")])
         assert code in (0, 4)  # diagnostics may fail on a tiny run
         assert (tmp_path / "roll.csv").exists()
@@ -1088,11 +1116,10 @@ class TestCli:
         # an existing regular file given as the output directory
         (["train", "--config", "{cfg}", "--out-dir", "{file}"], "{file}"),
         # a directory that holds no checkpoints
-        (["rollout", "--config", "{cfg}", "--qtable-dir", "{empty}"],
-         "{empty}/qtable_agent0.txt"),
+        (["rollout", "--qtable-dir", "{empty}"], "{empty}/manifest.json"),
         # a trajectory written inside a directory that does not exist
-        (["rollout", "--config", "{cfg}", "--qtable-dir", "{run}", "--out",
-          "{missing}/roll.csv"], "{missing}/roll.csv"),
+        (["rollout", "--qtable-dir", "{run}", "--out", "{missing}/roll.csv"],
+         "{missing}/roll.csv"),
         (["plot-data", "--metrics", "{run}/metrics.csv", "--trajectory",
           "{run}/trajectory.csv", "--out-dir", "{file}", "--window", "1"], "{file}"),
     ], ids=["train_out_dir", "rollout_qtable_dir", "rollout_out", "plot_data_out_dir"])
@@ -1116,7 +1143,6 @@ class TestCli:
             "reward_weights": {"beta1": 0}, "learning": {"epsilon": 0.5, "max_episodes": 100}})
         out, roll = tmp_path / "out", tmp_path / "roll.csv"
         assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
-        assert main(["rollout", "--config", cfg, "--qtable-dir", str(out),
-                     "--out", str(roll)]) == 0
+        assert main(["rollout", "--qtable-dir", str(out), "--out", str(roll)]) == 0
         assert "rollout: steps=4 reached=[True]" in capsys.readouterr().out
         assert roll.read_text() == (out / "trajectory.csv").read_text()
