@@ -420,6 +420,8 @@ def read_trajectory(path):
             raise PlotDataError(f"{path}: line {lineno}: agent {j}'s step must be "
                                 f"{len(points)}, got {t}")
         points.append(point)
+    if not agents:  # train writes step 0 of every station
+        raise PlotDataError(f"{path}: line 2: file ends before its first row")
     if sorted(agents) != list(range(len(agents))):
         raise PlotDataError(f"{path}: agents must be 0 to {len(agents) - 1} with none "
                             f"missing, got {sorted(agents)}")

@@ -373,6 +373,10 @@ MUTANTS = (
            "zip([0, *episodes], episodes), start=2)",
            "zip(episodes, episodes[1:]), start=3)",
            (CLI + "TestPlotData::test_bad_input_named_by_file_and_line",)),
+    Mutant("empty_trajectory_accepted", "simcli.py",
+           "    if not agents:",
+           "    if False:  # a header with no rows passes",
+           (CLI + "TestPlotData::test_bad_input_named_by_file_and_line",)),
     Mutant("agent_indices_unchecked", "simcli.py",
            "    if sorted(agents) != list(range(len(agents))):\n",
            "    if False:  # any agent indices pass\n",

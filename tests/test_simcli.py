@@ -706,6 +706,8 @@ class TestPlotData:
          "agents must be 0 to 0 with none missing, got [-1]"),
         ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0,0.0\n2,0,5.0,5.0\n",
          "agents must be 0 to 1 with none missing, got [0, 2]"),
+        # train writes step 0 of every station
+        ("trajectory.csv", b"agent,step,x_m,y_m\n", "line 2: file ends before its first row"),
     ])
     def test_bad_input_named_by_file_and_line(self, tmp_path, capsys, name, content,
                                               message):
