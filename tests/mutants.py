@@ -348,6 +348,10 @@ MUTANTS = (
            '        config, _ = _build_config(manifest["config"])',
            "        config, _ = load_config(None)",
            (CLI + "TestCli::test_rollout_reads_its_scenario_from_the_manifest",)),
+    Mutant("train_warning_dropped", "simcli.py",
+           '    if not all(manifest.rollout["reached"]):\n',
+           "    if False:  # a rollout that misses a final cell goes unreported\n",
+           (CLI + "TestCli::test_train_warns_when_rollout_misses_a_final_cell",)),
     # run_train's stage and the order of its renames
     Mutant("manifest_renamed_first", "simcli.py",
            'for name in [*names, "manifest.json"]:',

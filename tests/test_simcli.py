@@ -1055,6 +1055,12 @@ class TestCli:
                      "--trajectory", os.path.join(out, "trajectory.csv"),
                      "--out-dir", str(tmp_path / "plots"), "--window", "2"]) == 0
 
+    def test_train_warns_when_rollout_misses_a_final_cell(self, tmp_path, capsys):
+        # the default scenario after 2 episodes: neither station has learned its way
+        assert main(["train", "--episodes", "2", "--out-dir", str(tmp_path / "out")]) == 0
+        assert (capsys.readouterr().err
+                == "warning: greedy rollout did not reach every final cell\n")
+
     def test_train_episode_override(self, tmp_path):
         cfg = write_config(tmp_path, small_config_dict(50))
         out = tmp_path / "out"
@@ -1145,6 +1151,7 @@ class TestCli:
             "reward_weights": {"beta1": 0}, "learning": {"epsilon": 0.5, "max_episodes": 100}})
         out, roll = tmp_path / "out", tmp_path / "roll.csv"
         assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert "warning" not in capsys.readouterr().err
         assert main(["rollout", "--qtable-dir", str(out), "--out", str(roll)]) == 0
         assert "rollout: steps=4 reached=[True]" in capsys.readouterr().out
         assert roll.read_text() == (out / "trajectory.csv").read_text()
