@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -559,12 +559,6 @@ def _cmd_train(args) -> int:
     if not 0 <= args.seed < SEED_END:
         print(f"invalid --seed: must be in [0, 2^64), got {args.seed}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.episodes is not None:
-        try:
-            params = replace(params, max_episodes=args.episodes)
-        except ValueError as exc:
-            print(f"invalid --episodes: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
     manifest = run_train(config, params, args.seed, args.out_dir)
     print(f"run complete: {len(manifest.files)} artifacts in {args.out_dir}")
     if not all(manifest.rollout["reached"]):
@@ -615,8 +609,6 @@ def main(argv=None) -> int:
     p_train.add_argument("--config", default=None, help="JSON config path")
     p_train.add_argument("--seed", type=int, default=0, help="master seed")
     p_train.add_argument("--out-dir", default="out", help="output directory")
-    p_train.add_argument("--episodes", type=int, default=None,
-                         help="override the configured episode count")
     p_train.set_defaults(func=_cmd_train)
 
     p_roll = sub.add_parser("rollout", help="greedy rollout from checkpoints")

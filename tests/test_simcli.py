@@ -1035,17 +1035,6 @@ class TestCli:
             message.format(manifest=out / "manifest.json"))
         assert not roll.exists()
 
-    def test_rollout_after_episode_override_reads_its_config(self, tmp_path, capsys):
-        # train --episodes rewrites the manifest's learning section only
-        cfg = write_config(tmp_path, small_config_dict(50))
-        out, roll = tmp_path / "out", tmp_path / "roll.csv"
-        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out),
-                     "--episodes", "2"]) == 0
-        code = main(["rollout", "--qtable-dir", str(out), "--out", str(roll)])
-        assert code in (0, 4)  # diagnostics may fail on a tiny run
-        assert "invalid checkpoint" not in capsys.readouterr().err
-        assert roll.read_text() == (out / "trajectory.csv").read_text()
-
     def test_train_and_plot_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_dict(2))
         out = str(tmp_path / "out")
@@ -1057,17 +1046,17 @@ class TestCli:
 
     def test_train_warns_when_rollout_misses_a_final_cell(self, tmp_path, capsys):
         # the default scenario after 2 episodes: neither station has learned its way
-        assert main(["train", "--episodes", "2", "--out-dir", str(tmp_path / "out")]) == 0
+        cfg = write_config(tmp_path, {"learning": {"max_episodes": 2}})
+        assert main(["train", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
         assert (capsys.readouterr().err
                 == "warning: greedy rollout did not reach every final cell\n")
 
-    def test_train_episode_override(self, tmp_path):
-        cfg = write_config(tmp_path, small_config_dict(50))
-        out = tmp_path / "out"
-        assert main(["train", "--config", cfg, "--seed", "0",
-                     "--out-dir", str(out), "--episodes", "2"]) == 0
-        episodes, _ = read_metrics(str(out / "metrics.csv"))
-        assert len(episodes) == 2
+    def test_train_episodes_option_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--episodes", "2", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --episodes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rollout_non_finite_checkpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_dict(2))
@@ -1090,9 +1079,10 @@ class TestCli:
         assert not out.exists()
 
     def test_train_negative_episodes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"learning": {"max_episodes": -1}})
         out = tmp_path / "out"
-        assert main(["train", "--out-dir", str(out), "--episodes", "-1"]) == 2
-        assert "max_episodes must be non-negative" in capsys.readouterr().err
+        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "learning: max_episodes must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("window", ["0", "3"])
