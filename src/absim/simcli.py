@@ -198,11 +198,15 @@ def _fits(errors, label, what, shape):
     return False
 
 
+class _RepeatedKey(ValueError):
+    """A JSON object that gives one key twice."""
+
+
 def _unique_keys(pairs):  # json.load alone keeps the last of a repeated key's values
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"key {key!r} appears twice in one object")
+            raise _RepeatedKey(f"key {key!r} appears twice in one object")
         obj[key] = value
     return obj
 
@@ -438,13 +442,16 @@ def _sha256(path) -> str:
 
 def _check_manifest(directory, names):
     """The directory's parsed manifest.json (OSError without one); PlotDataError
-    unless it lists digests and each named file in directory matches its own."""
+    unless it lists digests, gives no key twice in an object, and each named
+    file in directory matches its own."""
     path = os.path.join(directory, "manifest.json")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            manifest = json.load(fh)
+            manifest = json.load(fh, object_pairs_hook=_unique_keys)
             if not isinstance(manifest["files"], dict):
                 raise TypeError("files is not a JSON object")
+        except _RepeatedKey as exc:
+            raise PlotDataError(f"{path}: {exc}") from None
         except (ValueError, KeyError, TypeError):
             raise PlotDataError(f"{path} lists no file digests") from None
     _match_digests(directory, manifest, names)

@@ -344,6 +344,11 @@ MUTANTS = (
            "        _match_digests(args.qtable_dir, manifest, names)\n",
            "        pass\n",
            (CLI + "TestCli::test_rollout_checkpoint_digest_mismatch",)),
+    Mutant("manifest_keys_unchecked", "simcli.py",
+           "            manifest = json.load(fh, object_pairs_hook=_unique_keys)\n",
+           "            manifest = json.load(fh)  # a repeated key keeps its last value\n",
+           (CLI + "TestPlotData::test_broken_manifest_named_by_path",
+            CLI + "TestCli::test_rollout_of_a_bad_manifest_config_exits_2")),
     Mutant("rollout_default_scenario", "simcli.py",
            '        config, _ = _build_config(manifest["config"])',
            "        config, _ = load_config(None)",

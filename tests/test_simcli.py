@@ -740,18 +740,24 @@ class TestPlotData:
         (run / "manifest.json").unlink()
         assert main(argv + [str(plots)]) == 0
 
-    def test_broken_manifest_named_by_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: '{"files": 3}', "{manifest} lists no file digests\n"),
+        # json.load alone would keep the second "files", the run's own digests
+        (lambda text: text.replace('"files": {', '"files": {}, "files": {', 1),
+         "{manifest}: key 'files' appears twice in one object\n"),
+    ], ids=["files_not_object", "repeated_key"])
+    def test_broken_manifest_named_by_path(self, tmp_path, capsys, edit, message):
         # metrics from one run, the trajectory from another whose manifest is broken
         (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
         first = self.make_run(tmp_path / "a", episodes=2)
         second = self.make_run(tmp_path / "b", episodes=2)
-        (second / "manifest.json").write_text('{"files": 3}')
+        manifest = second / "manifest.json"
+        manifest.write_text(edit(manifest.read_text()))
         plots = tmp_path / "plots"
         assert main(["plot-data", "--metrics", str(first / "metrics.csv"), "--trajectory",
                      str(second / "trajectory.csv"), "--window", "1",
                      "--out-dir", str(plots)]) == 2
-        assert (capsys.readouterr().err
-                == f"{second / 'manifest.json'} lists no file digests\n")
+        assert capsys.readouterr().err == message.format(manifest=manifest)
         assert not plots.exists()
 
     def test_columns_read_by_name(self, tmp_path):
@@ -1022,13 +1028,20 @@ class TestCli:
          "invalid checkpoint: invalid configuration:\n  area: "),
         (lambda config: config.update(speed=3),
          "invalid checkpoint: invalid configuration:\n  scenario: unknown key 'speed'\n"),
-    ], ids=["not_object", "invalid_field", "unknown_key"])
+        # a second "abs" list, last in the config object, where json.load alone
+        # would roll out from its cells; written as "ABS", renamed below
+        (lambda config: config.update(ABS=[{"initial_cell": [2, 2], "final_cell": [4, 4]},
+                                           {"initial_cell": [4, 1], "final_cell": [1, 4]}]),
+         "invalid checkpoint: {manifest}: key 'abs' appears twice in one object\n"),
+    ], ids=["not_object", "invalid_field", "unknown_key", "repeated_key"])
     def test_rollout_of_a_bad_manifest_config_exits_2(self, tmp_path, capsys, edit,
                                                        message):
         cfg = write_config(tmp_path, small_config_dict(2))
         out, roll = tmp_path / "out", tmp_path / "roll.csv"
         assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
         self.edit_manifest_config(out, edit)
+        manifest = out / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"ABS"', '"abs"'))
         capsys.readouterr()
         assert main(["rollout", "--qtable-dir", str(out), "--out", str(roll)]) == 2
         assert capsys.readouterr().err.startswith(
