@@ -561,6 +561,15 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _failed_diagnostics(rollout) -> list:
+    """What the greedy rollout got wrong, one phrase each; rollout is a
+    manifest's rollout record or vars() of a TrajectoryRollout."""
+    return [phrase for phrase, failed in (
+        ("cycled before every station arrived", rollout["cycle_detected"]),
+        ("did not reach every final cell", not all(rollout["reached"])),
+        ("brought two stations closer than d_min", rollout["violation_steps"])) if failed]
+
+
 def _cmd_train(args) -> int:
     config, params = load_config(args.config)
     if not 0 <= args.seed < SEED_END:
@@ -568,9 +577,8 @@ def _cmd_train(args) -> int:
         return EXIT_VALIDATION
     manifest = run_train(config, params, args.seed, args.out_dir)
     print(f"run complete: {len(manifest.files)} artifacts in {args.out_dir}")
-    if not all(manifest.rollout["reached"]):
-        print("warning: greedy rollout did not reach every final cell",
-              file=sys.stderr)
+    for phrase in _failed_diagnostics(manifest.rollout):
+        print(f"warning: greedy rollout {phrase}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -594,7 +602,7 @@ def _cmd_rollout(args) -> int:
     write_trajectory(rollout, args.out)
     print(f"rollout: steps={rollout.steps} reached={rollout.reached} "
           f"min_pairwise={rollout.min_pairwise:.3f} m")
-    if rollout.cycle_detected or not all(rollout.reached) or rollout.violation_steps:
+    if _failed_diagnostics(vars(rollout)):
         print("rollout diagnostics failed", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     return EXIT_OK

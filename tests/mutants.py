@@ -354,9 +354,13 @@ MUTANTS = (
            "        config, _ = load_config(None)",
            (CLI + "TestCli::test_rollout_reads_its_scenario_from_the_manifest",)),
     Mutant("train_warning_dropped", "simcli.py",
-           '    if not all(manifest.rollout["reached"]):\n',
-           "    if False:  # a rollout that misses a final cell goes unreported\n",
+           "    for phrase in _failed_diagnostics(manifest.rollout):\n",
+           "    for phrase in []:  # a failed rollout goes unreported\n",
            (CLI + "TestCli::test_train_warns_when_rollout_misses_a_final_cell",)),
+    Mutant("train_warning_skips_separation", "simcli.py",
+           "    for phrase in _failed_diagnostics(manifest.rollout):\n",
+           '    for phrase in _failed_diagnostics({**manifest.rollout, "violation_steps": []}):\n',
+           (CLI + "TestCli::test_train_warns_of_stations_closer_than_d_min",)),
     # run_train's stage and the order of its renames
     Mutant("manifest_renamed_first", "simcli.py",
            'for name in [*names, "manifest.json"]:',

@@ -1062,7 +1062,21 @@ class TestCli:
         cfg = write_config(tmp_path, {"learning": {"max_episodes": 2}})
         assert main(["train", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
         assert (capsys.readouterr().err
-                == "warning: greedy rollout did not reach every final cell\n")
+                == "warning: greedy rollout cycled before every station arrived\n"
+                   "warning: greedy rollout did not reach every final cell\n")
+
+    def test_train_warns_of_stations_closer_than_d_min(self, tmp_path, capsys):
+        # both stations start on their common final cell: they arrive at
+        # once, 0 m apart, which only the separation diagnostic reports
+        cfg = write_config(tmp_path, {
+            "abs": [{"initial_cell": [1, 1], "final_cell": [1, 1]}] * 2,
+            "learning": {"max_episodes": 1}})
+        out, roll = tmp_path / "out", tmp_path / "roll.csv"
+        assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert (capsys.readouterr().err
+                == "warning: greedy rollout brought two stations closer than d_min\n")
+        assert main(["rollout", "--qtable-dir", str(out), "--out", str(roll)]) == 4
+        assert "reached=[True, True] min_pairwise=0.000 m" in capsys.readouterr().out
 
     def test_train_episodes_option_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
