@@ -198,15 +198,11 @@ def _fits(errors, label, what, shape):
     return False
 
 
-class _RepeatedKey(ValueError):
-    """A JSON object that gives one key twice."""
-
-
 def _unique_keys(pairs):  # json.load alone keeps the last of a repeated key's values
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise _RepeatedKey(f"key {key!r} appears twice in one object")
+            raise ValueError(f"key {key!r} appears twice in one object")
         obj[key] = value
     return obj
 
@@ -442,18 +438,17 @@ def _sha256(path) -> str:
 
 def _check_manifest(directory, names):
     """The directory's parsed manifest.json (OSError without one); PlotDataError
-    unless it lists digests, gives no key twice in an object, and each named
-    file in directory matches its own."""
+    unless it lists digests, repeats no key and each named file matches its own."""
     path = os.path.join(directory, "manifest.json")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh, object_pairs_hook=_unique_keys)
             if not isinstance(manifest["files"], dict):
                 raise TypeError("files is not a JSON object")
-        except _RepeatedKey as exc:
-            raise PlotDataError(f"{path}: {exc}") from None
-        except (ValueError, KeyError, TypeError):
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
             raise PlotDataError(f"{path} lists no file digests") from None
+        except ValueError as exc:  # a key given twice, or an integer too long to read
+            raise PlotDataError(f"{path}: {exc}") from None
     _match_digests(directory, manifest, names)
     return manifest
 
@@ -562,8 +557,7 @@ def _cmd_validate(args) -> int:
 
 
 def _failed_diagnostics(rollout) -> list:
-    """What the greedy rollout got wrong, one phrase each; rollout is a
-    manifest's rollout record or vars() of a TrajectoryRollout."""
+    """A phrase per failed check of a rollout: its manifest record, or vars() of it."""
     return [phrase for phrase, failed in (
         ("cycled before every station arrived", rollout["cycle_detected"]),
         ("did not reach every final cell", not all(rollout["reached"])),
