@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +36,7 @@ _sum = np.add.reduce
 _columns = functools.cache(np.arange)
 
 
+@dataclass(slots=True, eq=False)
 class AllocationProblem:
     """One station's allocation instance.
 
@@ -44,14 +46,14 @@ class AllocationProblem:
     A slotted class: one is built per station and step.
     """
 
-    __slots__ = ("gains", "interference", "noise_power", "p_max")
+    gains: np.ndarray
+    interference: np.ndarray
+    noise_power: float
+    p_max: float
 
-    def __init__(self, gains: np.ndarray, interference: np.ndarray, noise_power: float,
-                 p_max: float) -> None:
-        g = np.asarray(gains, dtype=float)
-        i = np.asarray(interference, dtype=float)
-        self.gains, self.interference = g, i
-        self.noise_power, self.p_max = noise_power, p_max
+    def __post_init__(self) -> None:
+        g = self.gains = np.asarray(self.gains, dtype=float)
+        i = self.interference = np.asarray(self.interference, dtype=float)
         if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
             raise ValueError("gains must be a (K, N) matrix with K, N >= 1")
         if i.shape != g.shape:
@@ -61,14 +63,10 @@ class AllocationProblem:
             raise ValueError("gains must be finite and positive")
         if not (_amin(i, axis=None) >= 0.0 and _amax(i, axis=None) < math.inf):
             raise ValueError("interference must be finite and non-negative")
-        if not noise_power > 0:
+        if not self.noise_power > 0:
             raise ValueError("noise_power must be positive")
-        if not p_max > 0:
+        if not self.p_max > 0:
             raise ValueError("p_max must be positive")
-
-    def __repr__(self) -> str:
-        return (f"AllocationProblem(gains={self.gains!r}, interference={self.interference!r}, "
-                f"noise_power={self.noise_power!r}, p_max={self.p_max!r})")
 
 
 class AllocationResult(NamedTuple):

@@ -264,12 +264,12 @@ MUTANTS = (
            "        if _amin(i, axis=None) < 0.0 or _amax(i, axis=None) == math.inf:\n",
            (ALLOC + "TestProblemValidation::test_non_finite_rejected",)),
     Mutant("nan_noise_power_passes", "allocator.py",
-           "        if not noise_power > 0:\n",
-           "        if noise_power <= 0:\n",
+           "        if not self.noise_power > 0:\n",
+           "        if self.noise_power <= 0:\n",
            (ALLOC + "TestProblemValidation::test_non_finite_rejected",)),
     Mutant("nan_allocation_budget_passes", "allocator.py",
-           "        if not p_max > 0:\n",
-           "        if p_max <= 0:\n",
+           "        if not self.p_max > 0:\n",
+           "        if self.p_max <= 0:\n",
            (ALLOC + "TestProblemValidation::test_non_finite_rejected",)),
     # ScenarioConfig's checks, which NaN once passed
     Mutant("nan_p_max_passes", "environment.py",
