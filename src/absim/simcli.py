@@ -557,7 +557,7 @@ def _cmd_validate(args) -> int:
 
 
 def _failed_diagnostics(rollout) -> list:
-    """A phrase per failed check of a rollout: its manifest record, or vars() of it."""
+    """A phrase per failed check of a rollout, given as its manifest record or its vars()."""
     return [phrase for phrase, failed in (
         ("cycled before every station arrived", rollout["cycle_detected"]),
         ("did not reach every final cell", not all(rollout["reached"])),
