@@ -10,14 +10,11 @@ __version__ = "0.1.0"
 
 from .geometry import Action, AreaSpec, GridState, Position3D
 from .channel import GbsSpec, PropagationParams
-from .allocator import AllocationProblem, AllocationResult
 from .qlearning import LearningParams, QTable
 from .environment import Environment, ScenarioConfig
 
 __all__ = [
     "Action",
-    "AllocationProblem",
-    "AllocationResult",
     "AreaSpec",
     "Environment",
     "GbsSpec",

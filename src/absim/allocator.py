@@ -27,10 +27,8 @@ LN2 = math.log(2.0)
 # Budget-match tolerance behind AllocationResult.converged, relative to p_max.
 _BUDGET_TOL_REL = 1e-6
 
-# Whole-array reductions without the Python wrapper of ndarray.min/max/sum
-# (np.add.reduce adds pairwise, as ndarray.sum does); on the training path.
-_amin = np.minimum.reduce
-_amax = np.maximum.reduce
+# A whole-array sum without the Python wrapper of ndarray.sum (np.add.reduce
+# adds pairwise, as ndarray.sum does); on the training path.
 _sum = np.add.reduce
 # np.arange(n) per sub-channel count, shared by every solve: never written to
 _columns = functools.cache(np.arange)
@@ -43,7 +41,10 @@ class AllocationProblem:
     gains[k, n] and interference[k, n] describe user k on sub-channel n;
     both in linear scale (gains dimensionless, interference and
     noise_power in watts). p_max is the total transmit power budget.
-    A slotted class: one is built per station and step.
+    A slotted class, one per station and step. It checks shapes, noise_power
+    and p_max, not values: channel.draw_realization checks a step's gains
+    once, and interference_for_abs (clamped at >= 0) with overflow_errors'
+    bounds keeps the interference finite and non-negative.
     """
 
     gains: np.ndarray
@@ -59,10 +60,6 @@ class AllocationProblem:
         if i.shape != g.shape:
             raise ValueError("interference must match the gains shape")
         # comparisons with NaN are false, so NaN fails each test below
-        if not (_amin(g, axis=None) > 0.0 and _amax(g, axis=None) < math.inf):
-            raise ValueError("gains must be finite and positive")
-        if not (_amin(i, axis=None) >= 0.0 and _amax(i, axis=None) < math.inf):
-            raise ValueError("interference must be finite and non-negative")
         if not self.noise_power > 0:
             raise ValueError("noise_power must be positive")
         if not self.p_max > 0:

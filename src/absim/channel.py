@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 FADING_MODES = ("none", "rayleigh")  # the values of draw_realization's fading
+_amin, _amax = np.minimum.reduce, np.maximum.reduce  # ndarray.min/max without the wrapper
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,8 @@ def path_loss_to_users(abs_pos: Position3D, users_xy: np.ndarray,
 def draw_realization(path_loss: np.ndarray, fading: str,
                      rng: np.random.Generator, n_subchannels: int,
                      gbs_path_loss: np.ndarray | None) -> ChannelRealization:
-    """Draw the per-link power gains for one time step.
+    """Draw the per-link power gains for one time step; ValueError unless
+    every gain is finite and positive (a fading draw of 0.0 is not).
 
     Parameters
     ----------
@@ -152,11 +154,14 @@ def draw_realization(path_loss: np.ndarray, fading: str,
     def gains(pl):  # (J, K) or (K,) path loss -> gains with a trailing N axis
         shape = pl.shape + (n_subchannels,)
         base = 1.0 / pl[..., None]
-        if fading == "rayleigh":
-            # squared magnitude of a unit-variance complex Gaussian: Exp(1)
-            # the same draws and stream as rng.exponential(1.0, shape)
-            return rng.standard_exponential(shape) * base
-        return np.broadcast_to(base, shape).copy()
+        # rayleigh: the squared magnitude of a unit-variance complex Gaussian,
+        # Exp(1), with the same draws and stream as rng.exponential(1.0, shape)
+        g = (rng.standard_exponential(shape) * base if fading == "rayleigh"
+             else np.broadcast_to(base, shape).copy())
+        # comparisons with NaN are false, so NaN fails this test
+        if not (_amin(g, axis=None) > 0.0 and _amax(g, axis=None) < math.inf):
+            raise ValueError("gains must be finite and positive")
+        return g
 
     station_gains = gains(path_loss)  # drawn before the ground row
     return ChannelRealization(station_gains,

@@ -245,8 +245,18 @@ MUTANTS = (
            "            self._prev_powers = new_powers\n",
            "",
            (ENV + "TestStepAll::test_parked_station_stops_transmitting", REFERENCE_STEP)),
-    # AllocationProblem's input checks: each check weakened, the value checks
-    # to the form that NaN passes (every comparison with NaN is false)
+    # draw_realization's gain check, which AllocationProblem relies on: NaN
+    # passes (every comparison with NaN is false), or a zero gain passes
+    Mutant("nan_gains_pass", "channel.py",
+           "        if not (_amin(g, axis=None) > 0.0 and _amax(g, axis=None) < math.inf):\n",
+           "        if _amin(g, axis=None) <= 0.0 or _amax(g, axis=None) == math.inf:\n",
+           (CHANNEL + "TestDrawRealization::test_bad_gain_rejected",)),
+    Mutant("zero_gain_passes", "channel.py",
+           "        if not (_amin(g, axis=None) > 0.0 and _amax(g, axis=None) < math.inf):\n",
+           "        if not (_amin(g, axis=None) >= 0.0 and _amax(g, axis=None) < math.inf):\n",
+           (CHANNEL + "TestDrawRealization::test_zero_fading_draw_rejected",)),
+    # AllocationProblem's input checks: each check weakened, the scalar ones
+    # to the form that NaN passes
     Mutant("gains_shape_allows_empty", "allocator.py",
            "        if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:\n",
            "        if g.ndim != 2:  # a (0, N) or (K, 0) matrix passes\n",
@@ -255,14 +265,6 @@ MUTANTS = (
            "        if i.shape != g.shape:\n",
            "        if i.size != g.size:  # a transposed table passes\n",
            (ALLOC + "TestProblemValidation::test_shape_mismatch_rejected",)),
-    Mutant("nan_gains_pass", "allocator.py",
-           "        if not (_amin(g, axis=None) > 0.0 and _amax(g, axis=None) < math.inf):\n",
-           "        if _amin(g, axis=None) <= 0.0 or _amax(g, axis=None) == math.inf:\n",
-           (ALLOC + "TestProblemValidation::test_non_finite_rejected",)),
-    Mutant("nan_interference_passes", "allocator.py",
-           "        if not (_amin(i, axis=None) >= 0.0 and _amax(i, axis=None) < math.inf):\n",
-           "        if _amin(i, axis=None) < 0.0 or _amax(i, axis=None) == math.inf:\n",
-           (ALLOC + "TestProblemValidation::test_non_finite_rejected",)),
     Mutant("nan_noise_power_passes", "allocator.py",
            "        if not self.noise_power > 0:\n",
            "        if self.noise_power <= 0:\n",

@@ -288,18 +288,9 @@ class TestConcavity:
 
 
 class TestProblemValidation:
-    def test_negative_gain_rejected(self):
-        with pytest.raises(ValueError):
-            AllocationProblem(gains=np.array([[-1e-8]]),
-                              interference=np.zeros((1, 1)),
-                              noise_power=1e-10, p_max=0.2)
-
-    def test_negative_interference_rejected(self):
-        with pytest.raises(ValueError):
-            AllocationProblem(gains=np.ones((1, 1)),
-                              interference=np.array([[-1.0]]),
-                              noise_power=1e-10, p_max=0.2)
-
+    # element values are checked where training makes them: the gains in
+    # draw_realization (tests/test_channel.py), both gains and interference of
+    # every problem step_all builds in tests/test_environment.py
     def test_one_dimensional_gains_rejected(self):
         with pytest.raises(ValueError, match=r"gains must be a \(K, N\) matrix"):
             AllocationProblem(gains=np.ones(2), interference=np.zeros(2),
@@ -324,17 +315,12 @@ class TestProblemValidation:
                               noise_power=1e-10, p_max=0.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("gains", math.nan), ("gains", math.inf), ("gains", 0.0),
-        ("interference", math.nan), ("interference", math.inf),
         ("noise_power", math.nan), ("noise_power", 0.0), ("p_max", math.nan),
     ])
     def test_non_finite_rejected(self, field, value):
         kwargs = dict(gains=np.full((2, 2), 1e-8), interference=np.zeros((2, 2)),
                       noise_power=1e-10, p_max=0.2)
-        if isinstance(kwargs[field], np.ndarray):
-            kwargs[field][1, 0] = value
-        else:
-            kwargs[field] = value
+        kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             AllocationProblem(**kwargs)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from absim.channel import (ChannelRealization, draw_realization,
+from absim.channel import (FADING_MODES, ChannelRealization, draw_realization,
                            free_space_path_loss, los_probability, path_loss_to_users)
 from absim.environment import interference_for_abs
 from absim.geometry import Position3D
@@ -215,7 +215,38 @@ class TestDrawRealization:
         rng = np.random.default_rng(1)
         real = draw_realization(self.pl, "rayleigh", rng, 8, None)
         assert np.all(np.isfinite(real.gains))
-        assert np.all(real.gains >= 0)
+        assert np.all(real.gains > 0)
+
+    # one bad path-loss entry, of a station's row or of the ground row: a
+    # negative loss gives a negative gain, NaN a NaN gain, 0.0 an infinite
+    # one and an infinite loss a zero gain
+    @pytest.mark.parametrize("row", ["station", "ground"])
+    @pytest.mark.parametrize("fading", FADING_MODES)
+    @pytest.mark.parametrize("loss", [-1e8, math.nan, 0.0, math.inf],
+                             ids=["negative_gain", "nan_gain", "inf_gain", "zero_gain"])
+    def test_bad_gain_rejected(self, row, fading, loss):
+        pl, gbs_pl = self.pl.copy(), self.pl[1].copy()
+        (pl[1] if row == "station" else gbs_pl)[2] = loss
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="gains"):
+            draw_realization(pl, fading, np.random.default_rng(0), 4, gbs_pl)
+
+    @pytest.mark.parametrize("row", ["station", "ground"])
+    def test_zero_fading_draw_rejected(self, row):
+        # a fading draw of exactly 0.0 is too rare to meet by seeding; a stub
+        # stream draws it at one (user, sub-channel) of the chosen row and
+        # 1.0 elsewhere
+        class Stream:
+            calls = 0
+
+            def standard_exponential(self, shape):
+                self.calls += 1
+                draw = np.ones(shape)
+                if self.calls == (1 if row == "station" else 2):
+                    draw[..., 2, 3] = 0.0
+                return draw
+
+        with pytest.raises(ValueError, match="gains"):
+            draw_realization(self.pl, "rayleigh", Stream(), 4, self.pl[1].copy())
 
     def test_gbs_disabled_by_default(self):
         rng = np.random.default_rng(2)

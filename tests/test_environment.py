@@ -106,6 +106,50 @@ class TestStepAll:
             p_max=cfg.p_max)
         assert rates[0] == pytest.approx(solve(prob).sum_rate, rel=1e-9)
 
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_every_allocation_problem_holds_finite_values(self, data):
+        # AllocationProblem checks no element values: draw_realization checks
+        # the gains once per step, and the interference step_all makes from
+        # them and the previous powers must come out finite and non-negative
+        j_count = data.draw(st.integers(1, 4), label="J")
+        extra = data.draw(st.lists(st.integers(0, j_count - 1), max_size=4),
+                          label="extra users' stations")
+        assoc = data.draw(st.permutations(list(range(j_count)) + extra), label="association")
+        users = data.draw(st.lists(st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 400.0)),
+                                   min_size=len(assoc), max_size=len(assoc)), label="users")
+        gbs = DEFAULT_CONFIG.gbs
+        if data.draw(st.booleans(), label="ground transmitter"):
+            gbs = replace(gbs, enabled=True, x=data.draw(st.floats(0.0, 400.0)),
+                          y=data.draw(st.floats(0.0, 400.0)), height=10.0,
+                          power_per_subchannel=data.draw(st.floats(1e-3, 0.5)))
+        cfg = make_scenario(m=4, n_agents=j_count,
+                            n_subchannels=data.draw(st.integers(1, 6), label="N"),
+                            beta1=2.0, fading=data.draw(st.sampled_from(FADING_MODES)),
+                            users=users, assoc=assoc, gbs=gbs,
+                            initial=[GridState(1, j + 1) for j in range(j_count)],
+                            final=[GridState(4, 4 - j) for j in range(j_count)])
+        problems = []
+
+        def recorded(**fields):
+            problems.append(AllocationProblem(**fields))
+            return problems[-1]
+
+        env = Environment(cfg)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("absim.environment.AllocationProblem", recorded)
+            for _ in range(data.draw(st.integers(1, 10), label="steps")):
+                active = [j for j in range(j_count) if not env.parked[j]]
+                if not active:
+                    break
+                env.step_all({j: data.draw(st.integers(0, 3)) for j in active}, rng)
+        assert problems  # no station starts parked
+        for problem in problems:
+            assert np.all(np.isfinite(problem.gains)) and np.all(problem.gains > 0.0)
+            assert (np.all(np.isfinite(problem.interference))
+                    and np.all(problem.interference >= 0.0))
+
     def test_beta1_zero_skips_allocator(self, monkeypatch):
         def radio(*args, **kwargs):
             raise AssertionError("radio work done with beta1 = 0")
