@@ -220,7 +220,7 @@ def load_config(path=None):
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh, object_pairs_hook=_unique_keys)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # the latter: nested too deeply
                 raise ConfigValidationError([f"{path}: not valid JSON: {exc}"]) from None
         if not isinstance(data, dict):
             raise ConfigValidationError([f"{path}: top level must be a JSON object"])
@@ -447,7 +447,7 @@ def _check_manifest(directory, names):
                 raise TypeError("files is not a JSON object")
         except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
             raise PlotDataError(f"{path} lists no file digests") from None
-        except ValueError as exc:  # a key given twice, or an integer too long to read
+        except (ValueError, RecursionError) as exc:  # a repeated key, a huge int, deep nesting
             raise PlotDataError(f"{path}: {exc}") from None
     _match_digests(directory, manifest, names)
     return manifest
@@ -570,7 +570,7 @@ def _cmd_train(args) -> int:
         print(f"invalid --seed: must be in [0, 2^64), got {args.seed}", file=sys.stderr)
         return EXIT_VALIDATION
     manifest = run_train(config, params, args.seed, args.out_dir)
-    print(f"run complete: {len(manifest.files)} artifacts in {args.out_dir}")
+    print(f"run complete: {len(manifest.files) + 1} artifacts in {args.out_dir}")  # + manifest
     for phrase in _failed_diagnostics(manifest.rollout):
         print(f"warning: greedy rollout {phrase}", file=sys.stderr)
     return EXIT_OK

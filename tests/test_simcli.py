@@ -890,6 +890,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{path}: " in err and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["validate-config", "train"])
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys, command):
+        # json.load recurses once per level, so 200,000 levels overflow its stack
+        path = tmp_path / "config.json"
+        path.write_text('{"learning": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path)]
+        assert main(argv + (["--out-dir", str(out)] if command == "train" else [])) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not valid JSON: maximum recursion depth exceeded" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_rollout_truncated_checkpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_dict(2))
         out = tmp_path / "out"
@@ -1015,6 +1027,20 @@ class TestCli:
         assert code in (0, 4), capsys.readouterr().err  # a 2-episode policy may fail them
         assert roll.read_bytes() == (out / "trajectory.csv").read_bytes()
 
+    def test_rollout_of_a_deeply_nested_manifest_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config_dict(2))
+        out, roll = tmp_path / "out", tmp_path / "roll.csv"
+        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+        manifest = out / "manifest.json"
+        manifest.write_text(manifest.read_text().replace(
+            '"config": ', '"deep": ' + "[" * 200_000 + "]" * 200_000 + ', "config": ', 1))
+        capsys.readouterr()
+        assert main(["rollout", "--qtable-dir", str(out), "--out", str(roll)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid checkpoint: {manifest}: maximum recursion depth "
+                              "exceeded")
+        assert len(err.splitlines()) == 1 and not roll.exists()
+
     def test_rollout_config_option_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["rollout", "--config", write_config(tmp_path, small_config_dict(2)),
@@ -1053,6 +1079,9 @@ class TestCli:
         out = str(tmp_path / "out")
         assert main(["train", "--config", cfg, "--seed", "3",
                      "--out-dir", out]) == 0
+        # the manifest counts among the artifacts
+        assert capsys.readouterr().out == f"run complete: 5 artifacts in {out}\n"
+        assert len(os.listdir(out)) == 5
         assert main(["plot-data", "--metrics", os.path.join(out, "metrics.csv"),
                      "--trajectory", os.path.join(out, "trajectory.csv"),
                      "--out-dir", str(tmp_path / "plots"), "--window", "2"]) == 0
