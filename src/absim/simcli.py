@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import sys
 import tempfile
 import time
@@ -116,7 +117,7 @@ class ConfigValidationError(ValueError):
 
 
 class PlotDataError(ValueError):
-    """A run file that fails its checks: a bad row, or bytes unlike its manifest."""
+    """A run input that fails its checks: a broken manifest, bytes unlike it, a bad parse."""
 
 
 @dataclass
@@ -144,7 +145,7 @@ def _convert(value, kind, key):
     else:
         ok, what = value in kind, "one of " + ", ".join(map(repr, kind))
     if not ok:
-        raise ValueError(f"{key} must be {what}, got {value!r}")
+        raise ValueError(f"{key} must be {what}, got {reprlib.repr(value)}")
     return kind(value) if isinstance(kind, type) else value
 
 
@@ -157,7 +158,7 @@ def _object(value, known, label, errors):
         if key not in known:
             close = difflib.get_close_matches(key, known, n=1)
             hint = f" (did you mean {close[0]!r}?)" if close else ""
-            errors.append(f"{label}: unknown key {key!r}{hint}")
+            errors.append(f"{label}: unknown key {reprlib.repr(key)}{hint}")
     return value
 
 
@@ -166,7 +167,7 @@ def _cell(entry, key):
         raise ValueError(f"{key} is missing")
     cell = entry[key]
     if type(cell) is not list or len(cell) != 2:
-        raise ValueError(f"{key} must be a pair [k1, k2], got {cell!r}")
+        raise ValueError(f"{key} must be a pair [k1, k2], got {reprlib.repr(cell)}")
     return GridState(_convert(cell[0], int, key), _convert(cell[1], int, key))
 
 
@@ -179,7 +180,8 @@ def _positions(value):
 
 def _association(value):
     if type(value) is not list:
-        raise ValueError(f"association must be a list of station indices, got {value!r}")
+        raise ValueError("association must be a list of station indices, "
+                         f"got {reprlib.repr(value)}")
     return np.array([_convert(v, int, "association entry") for v in value], dtype=int)
 
 
@@ -202,7 +204,7 @@ def _unique_keys(pairs):  # json.load alone keeps the last of a repeated key's v
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"key {key!r} appears twice in one object")
+            raise ValueError(f"key {reprlib.repr(key)} appears twice in one object")
         obj[key] = value
     return obj
 
@@ -338,66 +340,23 @@ def write_metrics(stats_list, path, n_agents: int) -> None:
                                for e, st in enumerate(stats_list, start=1)))
 
 
-def _read_lines(path):
-    """Lines of an ASCII text file; a non-ASCII byte raises PlotDataError naming its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        # a character appended to the text before the byte lands on its line
-        lineno = len((data[:exc.start].decode("ascii") + "x").splitlines())
-        raise PlotDataError(f"{path}: line {lineno}: byte {data[exc.start]:#04x} "
-                            "is not ASCII") from None
-
-
-def _number(text, kind, name):
-    """One delimited field as an int, or as a finite float; ValueError names it."""
-    try:
-        value = kind(text)
-        if kind is int or math.isfinite(value):  # isfinite overflows on a huge int
-            return value
-    except ValueError:
-        pass
-    what = "an integer" if kind is int else "a finite number"
-    raise ValueError(f"{name} must be {what}, got {text!r}")
-
-
 def _read_columns(path, columns, kinds):
-    """The named columns of a delimited file, one list each, fields read by _number.
-
-    Columns are found by name in the header row. A missing column, a row
-    whose field count differs from the header's, or a field that does not
-    convert raises PlotDataError naming the file and line.
-    """
-    lines = _read_lines(path)
-    header = lines[0].split(",") if lines else []
-    for name in columns:
-        if name not in header:
-            raise PlotDataError(f"{path}: line 1: no {name} column")
-    picks = [(header.index(name), kind, name) for name, kind in zip(columns, kinds)]
-    values = [[] for _ in columns]
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise PlotDataError(f"{path}: line {lineno}: expected "
-                                f"{len(header)} fields, got {len(fields)}")
-        try:
-            for column, (i, kind, name) in zip(values, picks):
-                column.append(_number(fields[i], kind, name))
-        except ValueError as exc:
-            raise PlotDataError(f"{path}: line {lineno}: {exc}") from None
-    return values
+    """The named columns of a delimited ASCII file, found by name in its header
+    row, one list each, every field read by its kind. Bytes train wrote always
+    parse; any other raises PlotDataError naming the file."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            header, *rows = (line.split(",") for line in fh.read().splitlines())
+        picks = [(header.index(name), kind) for name, kind in zip(columns, kinds)]
+        return [[kind(row[i]) for row in rows] for i, kind in picks]
+    except (ValueError, IndexError) as exc:  # only a forged manifest lets such bytes in
+        raise PlotDataError(f"{path}: not a file train writes: "
+                            f"{reprlib.repr(str(exc))}") from None
 
 
 def read_metrics(path):
-    """The episode and mean_sum_rate columns of a metrics file, as arrays;
-    the episodes must run 1, 2, 3, ... in file order."""
+    """The episode and mean_sum_rate columns of a metrics file, as arrays."""
     episodes, means = _read_columns(path, ("episode", "mean_sum_rate"), (int, float))
-    for lineno, (before, episode) in enumerate(zip([0, *episodes], episodes), start=2):
-        if episode != before + 1:
-            raise PlotDataError(f"{path}: line {lineno}: episode must be {before + 1}, "
-                                f"got {episode}")
     return np.asarray(episodes), np.asarray(means)
 
 
@@ -409,22 +368,11 @@ def write_trajectory(rollout, path) -> None:
 
 
 def read_trajectory(path):
-    """Each agent's (x, y) points in file order, keyed by agent index 0 ... J-1;
-    agents may interleave, but each one's steps must run 0, 1, 2, ... in file order."""
-    agent, step, x, y = _read_columns(path, ("agent", "step", "x_m", "y_m"),
-                                      (int, int, float, float))
+    """Each agent's (x, y) points in file order, keyed by agent index."""
+    agent, x, y = _read_columns(path, ("agent", "x_m", "y_m"), (int, float, float))
     agents = {}
-    for lineno, (j, t, point) in enumerate(zip(agent, step, zip(x, y)), start=2):
-        points = agents.setdefault(j, [])
-        if t != len(points):
-            raise PlotDataError(f"{path}: line {lineno}: agent {j}'s step must be "
-                                f"{len(points)}, got {t}")
-        points.append(point)
-    if not agents:  # train writes step 0 of every station
-        raise PlotDataError(f"{path}: line 2: file ends before its first row")
-    if sorted(agents) != list(range(len(agents))):
-        raise PlotDataError(f"{path}: agents must be 0 to {len(agents) - 1} with none "
-                            f"missing, got {sorted(agents)}")
+    for j, point in zip(agent, zip(x, y)):
+        agents.setdefault(j, []).append(point)
     return agents
 
 
@@ -529,14 +477,14 @@ def smooth_series(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def emit_plot_data(metrics_path, trajectory_path, out_dir, window: int):
-    """Write per-agent trajectory files and the smoothed sum-rate series; an
-    input whose directory holds a manifest.json must match its digest there."""
+    """Write per-agent trajectory files and the smoothed sum-rate series; each
+    input must match its digest in the manifest.json beside it (OSError
+    without one), checked before either is parsed."""
+    for directory, name in map(os.path.split, (metrics_path, trajectory_path)):
+        _check_manifest(directory, [name])
     episodes, means = read_metrics(metrics_path)
     smoothed = smooth_series(means, window)
     agents = read_trajectory(trajectory_path)
-    for directory, name in map(os.path.split, (metrics_path, trajectory_path)):
-        if os.path.exists(os.path.join(directory, "manifest.json")):
-            _check_manifest(directory, [name])
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     for j in sorted(agents):

@@ -381,21 +381,13 @@ MUTANTS = (
            '        stack.callback(__import__("shutil").rmtree, stage, ignore_errors=True)\n',
            (CLI + "TestRunTrain::test_run_started_inside_another_into_one_directory",)),
     Mutant("plot_data_skips_manifest", "simcli.py",
-           '        if os.path.exists(os.path.join(directory, "manifest.json")):\n',
-           "        if False:  # no input is checked against its manifest\n",
+           "        _check_manifest(directory, [name])\n",
+           "        pass  # no input is checked against its manifest\n",
            (CLI + "TestPlotData::test_input_unlike_its_manifest_rejected",)),
-    Mutant("first_episode_unchecked", "simcli.py",
-           "zip([0, *episodes], episodes), start=2)",
-           "zip(episodes, episodes[1:]), start=3)",
-           (CLI + "TestPlotData::test_bad_input_named_by_file_and_line",)),
-    Mutant("empty_trajectory_accepted", "simcli.py",
-           "    if not agents:",
-           "    if False:  # a header with no rows passes",
-           (CLI + "TestPlotData::test_bad_input_named_by_file_and_line",)),
-    Mutant("agent_indices_unchecked", "simcli.py",
-           "    if sorted(agents) != list(range(len(agents))):\n",
-           "    if False:  # any agent indices pass\n",
-           (CLI + "TestPlotData::test_bad_input_named_by_file_and_line",)),
+    Mutant("plot_data_short_row_escapes", "simcli.py",
+           "    except (ValueError, IndexError) as exc:",
+           "    except ValueError as exc:",
+           (CLI + "TestPlotData::test_forged_manifest_input_exits_2",)),
 )
 
 

@@ -54,6 +54,13 @@ FLOAT_FIELDS = [("area", k) for k in ("x_min_m", "x_max_m", "y_min_m", "y_max_m"
 NON_FINITE = ["NaN", "Infinity", "1e400"]
 
 
+def vouch(directory, *names):
+    """Write a manifest.json in directory that lists each named file's real digest."""
+    files = {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+             for name in names}
+    (directory / "manifest.json").write_text(json.dumps({"files": files}))
+
+
 def write_with_token(tmp_path, data, token):
     """Write data as JSON with the string "TOKEN" replaced by a raw JSON token."""
     path = tmp_path / "config.json"
@@ -657,69 +664,48 @@ class TestPlotData:
         path.write_text("agent,step,x_m,y_m\n0,0,0.0,0.0\n0,1,100.0,0.0\n")
         metrics = tmp_path / "metrics.csv"
         metrics.write_text("episode,mean_sum_rate,collision_steps\n1,0.5,0\n")
+        vouch(tmp_path, "metrics.csv", "trajectory.csv")
         plots = tmp_path / "plots"
         emit_plot_data(str(metrics), str(path), str(plots), window=1)
         rows = (plots / "trajectory_agent0.csv").read_text().splitlines()
         assert len(rows) - 1 == 2
 
     def test_malformed_metrics_reports_line(self, tmp_path):
+        # one line naming the file, however the file is malformed
         bad = tmp_path / "metrics.csv"
         bad.write_text("episode,mean_sum_rate,collision_steps\n1,0.5,0\n2,oops\n")
         traj = tmp_path / "trajectory.csv"
         traj.write_text("agent,step,x_m,y_m\n0,0,0.0,0.0\n")
-        with pytest.raises(PlotDataError, match="line 3"):
+        vouch(tmp_path, "metrics.csv", "trajectory.csv")
+        with pytest.raises(PlotDataError) as exc:
             emit_plot_data(str(bad), str(traj), str(tmp_path / "p"), window=1)
+        assert str(exc.value).startswith(f"{bad}: not a file train writes: ")
+        assert len(str(exc.value).splitlines()) == 1
 
     METRICS = b"episode,mean_sum_rate,collision_steps\n1,0.5,0\n2,0.6,0\n"
     TRAJECTORY = b"agent,step,x_m,y_m\n0,0,0.0,0.0\n0,1,100.0,0.0\n"
 
-    @pytest.mark.parametrize("name, content, message", [
-        ("metrics.csv", METRICS.replace(b"0.6", b"0.\xff6"), "line 3: byte 0xff is not ASCII"),
-        ("metrics.csv", b"episode,mean_sum_rate\n1,nan\n2,inf\n",
-         "line 2: mean_sum_rate must be a finite number, got 'nan'"),
-        ("metrics.csv", b"episode,mean_sum_rate\n1,0.5\n2,inf\n",
-         "line 3: mean_sum_rate must be a finite number, got 'inf'"),
-        ("metrics.csv", b"episode,mean_sum_rate\n1.5,0.5\n",
-         "line 2: episode must be an integer, got '1.5'"),
-        ("trajectory.csv", TRAJECTORY + b"\xff", "line 4: byte 0xff is not ASCII"),
-        ("trajectory.csv", b"agent,step,x_m,y_m\n0,zz,nan,1.0\n",
-         "line 2: step must be an integer, got 'zz'"),
-        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,nan,1.0\n",
-         "line 2: x_m must be a finite number, got 'nan'"),
-        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0,1.0\n0,1,0.0,-inf\n",
-         "line 3: y_m must be a finite number, got '-inf'"),
-        ("metrics.csv", b"episode,collision_steps\n1,0\n", "line 1: no mean_sum_rate column"),
-        ("metrics.csv", b"", "line 1: no episode column"),
-        ("trajectory.csv", b"agent,x_m,y_m\n0,0.0,0.0\n", "line 1: no step column"),
-        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0\n",
-         "line 2: expected 4 fields, got 3"),
-        # each agent's steps run 0, 1, 2, ... in file order; agents may interleave
-        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0,0.0\n1,0,5.0,5.0\n0,1,1.0,0.0\n"
-                           b"0,1,2.0,0.0\n", "line 5: agent 0's step must be 2, got 1"),
-        # each episode is one more than the one before
-        ("metrics.csv", b"episode,mean_sum_rate\n1,0.5\n3,0.6\n",
-         "line 3: episode must be 2, got 3"),
-        # train numbers episodes from 1 and agents from 0, with none missing
-        ("metrics.csv", b"episode,mean_sum_rate\n-7,0.5\n-6,0.6\n",
-         "line 2: episode must be 1, got -7"),
-        ("trajectory.csv", b"agent,step,x_m,y_m\n-1,0,0.0,0.0\n",
-         "agents must be 0 to 0 with none missing, got [-1]"),
-        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0,0.0\n2,0,5.0,5.0\n",
-         "agents must be 0 to 1 with none missing, got [0, 2]"),
-        # train writes step 0 of every station
-        ("trajectory.csv", b"agent,step,x_m,y_m\n", "line 2: file ends before its first row"),
-    ])
-    def test_bad_input_named_by_file_and_line(self, tmp_path, capsys, name, content,
-                                              message):
+    # bytes train never writes, under a manifest forged to list their digests
+    @pytest.mark.parametrize("name, content", [
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0\n"),
+        ("metrics.csv", b""),
+        ("metrics.csv", METRICS.replace(b"0.6", b"0.\xff6")),
+        ("metrics.csv", b"episode,collision_steps\n1,0\n"),
+        ("trajectory.csv", b"agent,step,x_m,y_m\nzz,0,0.0,0.0\n"),
+    ], ids=["short_row", "empty_file", "non_ascii_byte", "missing_column", "non_integer_agent"])
+    def test_forged_manifest_input_exits_2(self, tmp_path, capsys, name, content):
         files = {"metrics.csv": self.METRICS, "trajectory.csv": self.TRAJECTORY}
         files[name] = content
         for file_name, data in files.items():
             (tmp_path / file_name).write_bytes(data)
+        vouch(tmp_path, *files)
         plots = tmp_path / "plots"
         assert main(["plot-data", "--metrics", str(tmp_path / "metrics.csv"),
                      "--trajectory", str(tmp_path / "trajectory.csv"),
                      "--out-dir", str(plots), "--window", "1"]) == 2
-        assert capsys.readouterr().err == f"{tmp_path / name}: {message}\n"
+        err = capsys.readouterr().err
+        assert err.startswith(f"{tmp_path / name}: not a file train writes: ")
+        assert len(err.splitlines()) == 1
         assert not plots.exists()
 
     @pytest.mark.parametrize("name", ["metrics.csv", "trajectory.csv"])
@@ -736,9 +722,12 @@ class TestPlotData:
         assert main(argv + [str(plots)]) == 2
         assert capsys.readouterr().err == f"{name} does not match manifest.json\n"
         assert not plots.exists()
-        # the same bytes with no manifest.json beside them are read unchecked
+        # the same bytes with no manifest.json beside them are not read at all
         (run / "manifest.json").unlink()
-        assert main(argv + [str(plots)]) == 0
+        assert main(argv + [str(plots)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure: ") and f"'{run / 'manifest.json'}'" in err
+        assert not plots.exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda text: '{"files": 3}', "{manifest} lists no file digests\n"),
@@ -790,6 +779,14 @@ class TestCli:
         path = write_config(tmp_path, {"users": {"count": "ten"}})
         assert main(["validate-config", "--config", path]) == 2
         assert "users.count" in capsys.readouterr().err
+
+    def test_long_bad_value_echoed_short(self, tmp_path, capsys):
+        # a wrong value is echoed abridged, not whole
+        path = write_config(tmp_path, {"n_subchannels": list(range(20000))})
+        assert main(["validate-config", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "invalid configuration:\n"
+            "  scenario: n_subchannels must be an integer, got [0, 1, 2, 3, 4, 5, ...]\n")
 
     @pytest.mark.parametrize("data, field", [
         ({"users": {"count": 1e12}}, "users.count"),
@@ -1147,6 +1144,7 @@ class TestCli:
         metrics.write_text("episode,mean_sum_rate,collision_steps\n1,0.5,0\n2,0.6,0\n")
         traj = tmp_path / "trajectory.csv"
         traj.write_text("agent,step,x_m,y_m\n0,0,0.0,0.0\n")
+        vouch(tmp_path, "metrics.csv", "trajectory.csv")
         plots = tmp_path / "plots"
         assert main(["plot-data", "--metrics", str(metrics), "--trajectory", str(traj),
                      "--out-dir", str(plots), "--window", window]) == 2
