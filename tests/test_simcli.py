@@ -692,7 +692,17 @@ class TestPlotData:
         ("metrics.csv", METRICS.replace(b"0.6", b"0.\xff6")),
         ("metrics.csv", b"episode,collision_steps\n1,0\n"),
         ("trajectory.csv", b"agent,step,x_m,y_m\nzz,0,0.0,0.0\n"),
-    ], ids=["short_row", "empty_file", "non_ascii_byte", "missing_column", "non_integer_agent"])
+        ("metrics.csv", b"episode,mean_sum_rate\n1\n"),
+        ("trajectory.csv", b""),
+        ("trajectory.csv", TRAJECTORY + b"\xff"),
+        ("trajectory.csv", b"agent,step,y_m\n0,0,0.0\n"),
+        ("metrics.csv", b"episode,mean_sum_rate\n1.5,0.5\n"),
+        ("metrics.csv", b"episode,mean_sum_rate\n1,oops\n"),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,zz,1.0\n"),
+    ], ids=["short_row", "empty_file", "non_ascii_byte", "missing_column", "non_integer_agent",
+            "short_metrics_row", "empty_trajectory_file", "non_ascii_trajectory_byte",
+            "missing_trajectory_column", "non_integer_episode", "non_numeric_rate",
+            "non_numeric_coordinate"])
     def test_forged_manifest_input_exits_2(self, tmp_path, capsys, name, content):
         files = {"metrics.csv": self.METRICS, "trajectory.csv": self.TRAJECTORY}
         files[name] = content
@@ -707,6 +717,54 @@ class TestPlotData:
         assert err.startswith(f"{tmp_path / name}: not a file train writes: ")
         assert len(err.splitlines()) == 1
         assert not plots.exists()
+
+    # what METRICS and TRAJECTORY plot to with window 1
+    PLOTTED = {"metrics.csv": {"sum_rate_smoothed.csv":
+                               "episode,smoothed_mean_sum_rate\n1,0.5\n2,0.6\n"},
+               "trajectory.csv": {"trajectory_agent0.csv": "x_m,y_m\n0.0,0.0\n100.0,0.0\n"}}
+
+    # bytes train never writes that still parse, under a forged manifest: no row
+    # check is left to refuse them, so they are plotted as given, each agent's
+    # points in file order
+    @pytest.mark.parametrize("name, content, plotted", [
+        ("metrics.csv", b"episode,mean_sum_rate\n1,nan\n2,inf\n",
+         {"sum_rate_smoothed.csv": "episode,smoothed_mean_sum_rate\n1,nan\n2,inf\n"}),
+        ("metrics.csv", b"episode,mean_sum_rate\n1,0.5\n3,0.6\n",
+         {"sum_rate_smoothed.csv": "episode,smoothed_mean_sum_rate\n1,0.5\n3,0.6\n"}),
+        ("metrics.csv", b"episode,mean_sum_rate\n-7,0.5\n-6,0.6\n",
+         {"sum_rate_smoothed.csv": "episode,smoothed_mean_sum_rate\n-7,0.5\n-6,0.6\n"}),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,nan,1.0\n0,1,0.0,-inf\n",
+         {"trajectory_agent0.csv": "x_m,y_m\nnan,1.0\n0.0,-inf\n"}),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0,0.0\n2,0,5.0,5.0\n",
+         {"trajectory_agent0.csv": "x_m,y_m\n0.0,0.0\n",
+          "trajectory_agent2.csv": "x_m,y_m\n5.0,5.0\n"}),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n-1,0,0.0,0.0\n",
+         {"trajectory_agent-1.csv": "x_m,y_m\n0.0,0.0\n"}),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0,0.0\n1,0,5.0,5.0\n0,1,1.0,0.0\n"
+                           b"0,1,2.0,0.0\n",
+         {"trajectory_agent0.csv": "x_m,y_m\n0.0,0.0\n1.0,0.0\n2.0,0.0\n",
+          "trajectory_agent1.csv": "x_m,y_m\n5.0,5.0\n"}),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n", {}),
+        ("trajectory.csv", b"agent,x_m,y_m\n0,0.0,0.0\n",
+         {"trajectory_agent0.csv": "x_m,y_m\n0.0,0.0\n"}),
+    ], ids=["non_finite_rates", "episode_gap", "negative_episodes", "non_finite_coordinates",
+            "agent_gap", "negative_agent", "repeated_steps_interleaved", "header_only_trajectory",
+            "no_step_column"])
+    def test_forged_parseable_input_plotted_as_given(self, tmp_path, capsys, name, content,
+                                                     plotted):
+        files = {"metrics.csv": self.METRICS, "trajectory.csv": self.TRAJECTORY}
+        files[name] = content
+        for file_name, data in files.items():
+            (tmp_path / file_name).write_bytes(data)
+        vouch(tmp_path, *files)
+        plots = tmp_path / "plots"
+        assert main(["plot-data", "--metrics", str(tmp_path / "metrics.csv"),
+                     "--trajectory", str(tmp_path / "trajectory.csv"),
+                     "--out-dir", str(plots), "--window", "1"]) == 0
+        assert capsys.readouterr().err == ""
+        other, = set(files) - {name}
+        assert {p.name: p.read_text() for p in plots.iterdir()} == {**self.PLOTTED[other],
+                                                                    **plotted}
 
     @pytest.mark.parametrize("name", ["metrics.csv", "trajectory.csv"])
     def test_input_unlike_its_manifest_rejected(self, tmp_path, capsys, name):
