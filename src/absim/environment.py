@@ -22,7 +22,7 @@ from .channel import (FADING_MODES, GbsSpec, PropagationParams, draw_realization
 from .geometry import (Action, AreaSpec, Position3D, apply_action, cell_center,
                        dist_to_final, pairwise_dist, state_index)
 from .qlearning import LearningParams, QTable, _PerCell, greedy_action, select_action, update
-from .rng import PURPOSE_EPISODE, derive_stream
+from .rng import PURPOSE_EPISODE, Draws, derive_stream
 
 __all__ = [
     "Environment",
@@ -385,11 +385,12 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
     collisions = 0
     # bound once per episode: reset made parked, and move updates it in place
     agents, parked, step_all = range(j_count), env.parked, env.step_all
+    draws = Draws(rng)  # the learner's draws, from rng's stream; the channel draws on rng
 
     for _ in range(max_steps):
         states = env.states
         # in agent order: every unparked station draws, the lowest index first
-        actions = {j: select_action(qtables[j], states[j], epsilon, rng)
+        actions = {j: select_action(qtables[j], states[j], epsilon, draws)
                    for j in agents if not parked[j]}
         if not actions:
             break

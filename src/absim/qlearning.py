@@ -142,7 +142,9 @@ class QTable:
 
 
 def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy draw: explore uniformly, else argmax with random tie-break."""
+    """Epsilon-greedy draw: explore uniformly, else argmax with random tie-break.
+
+    rng is a Generator, or the absim.rng.Draws over one that run_episode passes."""
     if state == q.terminal_state:
         raise ValueError("cannot select an action from the terminal state")
     row = q.rows[state]  # before any draw, so a state outside the table raises first

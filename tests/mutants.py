@@ -53,6 +53,7 @@ REFERENCE_STEP = ENV + "TestMatchesReference::test_step_all_matches_reference_st
 ALLOC = "tests/test_allocator.py::"
 CHANNEL = "tests/test_channel.py::"
 GEOMETRY = "tests/test_geometry.py::"
+DRAWS = "tests/test_rng.py::TestDraws::test_matches_generator_value_for_value"
 OVERFLOW_CLI = CLI + "TestCli::test_overflowing_config_exits_2"
 OVERFLOW_ENV = ENV + "TestTrain::test_overflowing_config_raises_before_building"
 
@@ -154,6 +155,29 @@ MUTANTS = (
            "            loss = ratio * ratio * excess if distance else 0.0\n",
            (ENV + "TestTrain::test_overflowing_config_raises_before_building",
             CLI + "TestCli::test_overflowing_config_exits_2")),
+    # the learner's draws, Draws against a twin Generator
+    Mutant("draw_high_half_unbuffered", "rng.py",
+           "        self._next_uint32 = functools.partial(c.next_uint32, c.state)\n",
+           "        self._next_uint32 = lambda: c.next_uint64(c.state) >> 32  # no half kept\n",
+           (DRAWS,)),
+    Mutant("draws_on_a_copy", "rng.py",
+           "        self._bitgen = rng.bit_generator  # alive while its state's address is used\n",
+           "        self._bitgen = __import__(\"copy\").deepcopy(rng.bit_generator)  # rng not "
+           "advanced\n",
+           (DRAWS,)),
+    Mutant("one_value_range_draws", "rng.py",
+           "        if n == 1:\n"
+           "            return 0\n",
+           "",
+           (DRAWS,)),
+    Mutant("no_rejection", "rng.py",
+           "            if low >= n or low >= 0x100000000 % n:\n",
+           "            if True:  # every half accepted\n",
+           (DRAWS,)),
+    Mutant("random_from_the_whole_word", "rng.py",
+           "        self.random = functools.partial(c.next_double, c.state)\n",
+           "        self.random = lambda: c.next_uint64(c.state) * 2.0 ** -64\n",
+           (DRAWS,)),
     # the learner's table: list rows over one base array
     Mutant("state_range_unchecked", "qlearning.py",
            "            if not 0 <= s < n_states:\n",
