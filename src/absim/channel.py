@@ -106,10 +106,23 @@ class ChannelRealization(NamedTuple):
     gbs_gains: np.ndarray | None = None
 
 
+def _exp(x: float) -> float:
+    """libm's e**x, and inf past the float range, where math.exp raises."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def los_probability(theta_deg, params: PropagationParams):
-    """Probability of a line-of-sight link at elevation angle theta (degrees)."""
+    """Probability of a line-of-sight link at elevation angle theta (degrees).
+
+    The exponential is libm's, one element at a time: the last bits of
+    numpy's exp depend on the SIMD kernel it picks for the CPU."""
     with np.errstate(over="ignore"):  # an exp past the float range gives inf, then the limit 0
-        return 1.0 / (1.0 + params.a * np.exp(-params.b * (theta_deg - params.a)))
+        x = -params.b * (np.asarray(theta_deg, dtype=float) - params.a)
+        e = np.array([_exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return 1.0 / (1.0 + params.a * e)
 
 
 def free_space_path_loss(distance: float, params: PropagationParams, excess: float):

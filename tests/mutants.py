@@ -241,10 +241,21 @@ MUTANTS = (
            (ALLOC + "TestClosedFormProperties::test_rate_is_sum_rate",
             ALLOC + "TestClosedFormProperties::test_matches_subgradient_reference")),
     Mutant("los_a_for_b", "channel.py",
-           "np.exp(-params.b * (theta_deg - params.a))",
-           "np.exp(-params.a * (theta_deg - params.a))",
+           "x = -params.b * (np.asarray(theta_deg, dtype=float) - params.a)",
+           "x = -params.a * (np.asarray(theta_deg, dtype=float) - params.a)",
            (CHANNEL + "TestLosProbability::test_at_horizon",
             CHANNEL + "TestLosProbability::test_overflowing_exp_gives_the_limit")),
+    Mutant("los_exp_overflow_raises", "channel.py",
+           "    except OverflowError:\n"
+           "        return math.inf\n",
+           "    except ZeroDivisionError:  # an overflow raises\n"
+           "        return math.inf\n",
+           (CHANNEL + "TestLosProbability::test_overflowing_exp_gives_the_limit",)),
+    Mutant("los_exp_from_numpy", "channel.py",
+           "        e = np.array([_exp(v) for v in x.ravel().tolist()]).reshape(x.shape)\n",
+           "        e = np.exp(x)\n",
+           (CHANNEL + "TestLosProbability::test_exp_from_libm",
+            "tests/test_golden.py::test_artifact_digests_pinned")),
     Mutant("right_edge_wraps", "geometry.py",
            "        return s + 1 if s % m < m - 1 else s\n",
            "        return s + 1 if s + 1 < m * m else s  # onto the next row's first cell\n",

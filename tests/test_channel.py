@@ -55,6 +55,14 @@ class TestLosProbability:
         # an overflow warning would fail this test, as pytest turns warnings into errors
         assert los_probability(np.array([0.0, 90.0]), params).tolist() == expected
 
+    def test_exp_from_libm(self):
+        # per element through math.exp, so the bits do not depend on the SIMD
+        # kernel numpy picks for the CPU
+        grid = np.linspace(0.0, 90.0, 1000)
+        expected = [1.0 / (1.0 + PARAMS.a * math.exp(-PARAMS.b * (t - PARAMS.a)))
+                    for t in grid.tolist()]
+        assert los_probability(grid, PARAMS).tolist() == expected
+
     def test_strictly_increasing(self):
         grid = np.linspace(0.0, 90.0, 1000)
         values = los_probability(grid, PARAMS)

@@ -4,17 +4,28 @@ Each case trains from a fixed config and seed through ``run_train`` and
 compares the SHA-256 of every deterministic artifact with the value the
 simulator produced when the pin was taken. A digest change means the
 simulated behaviour changed; that is a deliberate, documented decision,
-never a side effect of a speed-up or a cleanup.
+never a side effect of a speed-up or a cleanup. The bytes must not depend
+on the CPU either: child processes train the cases again with numpy's
+higher SIMD dispatch targets disabled, one level at a time.
 """
 
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import absim
 from absim.simcli import config_to_dict, emit_plot_data, load_config, run_train
+
+try:  # numpy's SIMD dispatch tables
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _umath
 
 # the default two-station scenario, cut to two episodes
 HEADLINE = ({"learning": {"max_episodes": 2}}, 0)
@@ -89,7 +100,7 @@ GOLDEN = {
     }),
     "interleaved": (INTERLEAVED, {
         "metrics.csv":
-            "0af33af3f56916e3ede35a575ea281c4a9ae03ec4918d418591415cb2e98e594",
+            "4b23eb50f159ba4619bc19f283747e756a96039d08a29b9c5e3debf7585f387f",
         "qtable_agent0.txt":
             "c1d3f806f0816068d01d7c4129edd8f31bc1aaa6150548124a1abffe997160c7",
         "qtable_agent1.txt":
@@ -172,3 +183,56 @@ def test_plot_data_digests_pinned(tmp_path):
                              str(plots), window=1)
     assert {os.path.basename(path): _digest(plots / os.path.basename(path))
             for path in outputs} == PLOT_DATA
+
+
+# numpy's SIMD dispatch targets, lowest first, and those this host runs: at
+# import numpy picks each float kernel for the highest target it may use
+DISPATCH = list(_umath.__cpu_dispatch__)
+HOST = [f for f in DISPATCH if _umath.__cpu_features__.get(f)]
+
+# run in a child process: train every golden case and print, as JSON, the
+# digests and whether each feature NPY_DISABLE_CPU_FEATURES names is off
+CHILD = """
+import json, os, pathlib, tempfile
+import test_golden as g
+off = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+digests = {}
+for case in sorted(g.GOLDEN):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp)
+        digests[case] = {n: g._digest(out / "out" / n) for n in g._train(case, out).files}
+print(json.dumps({"off": [not g._umath.__cpu_features__[f] for f in off],
+                  "digests": digests}))
+"""
+
+
+@pytest.fixture(scope="module")
+def below_target():
+    """For each dispatch target this host runs, what a child process trains
+    with that target and every higher one disabled; two children at a time."""
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(absim.__file__)),
+                            os.path.dirname(os.path.abspath(__file__))])
+
+    def child(target):
+        env = dict(os.environ, PYTHONPATH=path,
+                   NPY_DISABLE_CPU_FEATURES=" ".join(HOST[HOST.index(target):]))
+        proc = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    with ThreadPoolExecutor(2) as pool:
+        return dict(zip(HOST, pool.map(child, HOST)))
+
+
+@pytest.mark.parametrize("target", DISPATCH)
+def test_digests_pinned_below_each_dispatch_target(target, below_target):
+    # the goldens run natively above; here numpy's kernels one level lower
+    # must write the same bytes, down to the baseline below the lowest target
+    if target not in HOST:
+        pytest.skip(f"this host does not run {target}: numpy's {target} kernels are "
+                    "not covered")
+    got = below_target[target]
+    assert all(got["off"]), f"NPY_DISABLE_CPU_FEATURES left part of {target} and up on"
+    assert got["digests"] == {case: pins for case, (_, pins) in GOLDEN.items()}, (
+        f"the digests were pinned with numpy 2.4.6; this run used numpy {np.__version__}")
