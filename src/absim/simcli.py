@@ -340,6 +340,10 @@ def write_metrics(stats_list, path, n_agents: int) -> None:
                                for e, st in enumerate(stats_list, start=1)))
 
 
+_PARSE_ERROR = reprlib.Repr()  # echoes a parse error whole, up to a bounded length
+_PARSE_ERROR.maxstring = 160
+
+
 def _read_columns(path, columns, kinds):
     """The named columns of a delimited ASCII file, found by name in its header
     row, one list each, every field read by its kind. Bytes train wrote always
@@ -351,7 +355,7 @@ def _read_columns(path, columns, kinds):
         return [[kind(row[i]) for row in rows] for i, kind in picks]
     except (ValueError, IndexError) as exc:  # only a forged manifest lets such bytes in
         raise PlotDataError(f"{path}: not a file train writes: "
-                            f"{reprlib.repr(str(exc))}") from None
+                            f"{_PARSE_ERROR.repr(str(exc))}") from None
 
 
 def read_metrics(path):

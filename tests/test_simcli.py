@@ -685,25 +685,27 @@ class TestPlotData:
     METRICS = b"episode,mean_sum_rate,collision_steps\n1,0.5,0\n2,0.6,0\n"
     TRAJECTORY = b"agent,step,x_m,y_m\n0,0,0.0,0.0\n0,1,100.0,0.0\n"
 
-    # bytes train never writes, under a manifest forged to list their digests
-    @pytest.mark.parametrize("name, content", [
-        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0\n"),
-        ("metrics.csv", b""),
-        ("metrics.csv", METRICS.replace(b"0.6", b"0.\xff6")),
-        ("metrics.csv", b"episode,collision_steps\n1,0\n"),
-        ("trajectory.csv", b"agent,step,x_m,y_m\nzz,0,0.0,0.0\n"),
-        ("metrics.csv", b"episode,mean_sum_rate\n1\n"),
-        ("trajectory.csv", b""),
-        ("trajectory.csv", TRAJECTORY + b"\xff"),
-        ("trajectory.csv", b"agent,step,y_m\n0,0,0.0\n"),
-        ("metrics.csv", b"episode,mean_sum_rate\n1.5,0.5\n"),
-        ("metrics.csv", b"episode,mean_sum_rate\n1,oops\n"),
-        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,zz,1.0\n"),
+    # bytes train never writes, under a manifest forged to list their digests,
+    # and for some the whole parse error the message ends with
+    @pytest.mark.parametrize("name, content, detail", [
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,0.0\n", None),
+        ("metrics.csv", b"", "'not enough values to unpack (expected at least 1, got 0)'"),
+        ("metrics.csv", METRICS.replace(b"0.6", b"0.\xff6"), None),
+        ("metrics.csv", b"episode,collision_steps\n1,0\n", "\"'mean_sum_rate' is not in list\""),
+        ("trajectory.csv", b"agent,step,x_m,y_m\nzz,0,0.0,0.0\n", None),
+        ("metrics.csv", b"episode,mean_sum_rate\n1\n", None),
+        ("trajectory.csv", b"", None),
+        ("trajectory.csv", TRAJECTORY + b"\xff", None),
+        ("trajectory.csv", b"agent,step,y_m\n0,0,0.0\n", "\"'x_m' is not in list\""),
+        ("metrics.csv", b"episode,mean_sum_rate\n1.5,0.5\n", None),
+        ("metrics.csv", b"episode,mean_sum_rate\n1,oops\n", None),
+        ("trajectory.csv", b"agent,step,x_m,y_m\n0,0,zz,1.0\n", None),
+        ("metrics.csv", b"episode,mean_sum_rate\n1," + b"o" * 100000 + b"\n", None),
     ], ids=["short_row", "empty_file", "non_ascii_byte", "missing_column", "non_integer_agent",
             "short_metrics_row", "empty_trajectory_file", "non_ascii_trajectory_byte",
             "missing_trajectory_column", "non_integer_episode", "non_numeric_rate",
-            "non_numeric_coordinate"])
-    def test_forged_manifest_input_exits_2(self, tmp_path, capsys, name, content):
+            "non_numeric_coordinate", "long_field"])
+    def test_forged_manifest_input_exits_2(self, tmp_path, capsys, name, content, detail):
         files = {"metrics.csv": self.METRICS, "trajectory.csv": self.TRAJECTORY}
         files[name] = content
         for file_name, data in files.items():
@@ -716,6 +718,9 @@ class TestPlotData:
         err = capsys.readouterr().err
         assert err.startswith(f"{tmp_path / name}: not a file train writes: ")
         assert len(err.splitlines()) == 1
+        assert len(err) < len(str(tmp_path / name)) + 250  # the parse error abridged
+        if detail is not None:
+            assert err == f"{tmp_path / name}: not a file train writes: {detail}\n"
         assert not plots.exists()
 
     # what METRICS and TRAJECTORY plot to with window 1
