@@ -39,8 +39,8 @@ class Draws:
     """rng.random() and rng.integers(n), value for value, through the ctypes
     interface of rng's bit generator, without numpy's per-call overhead.
 
-    random() is numpy's own next_double: (u >> 11) * 2**-53 of one 64-bit
-    word u. integers(n), 1 <= n <= 2**32, is numpy's
+    random() is numpy's own next_double, for Philox (u >> 11) * 2**-53 of
+    one 64-bit word u. integers(n), 1 <= n <= 2**32, is numpy's
     buffered_bounded_lemire_uint32 (Lemire, ACM TOMACS 2019) with its
     rejection loop, over numpy's own next_uint32, whose half-word buffer
     (a fresh word's low half first, its high half kept for the next call)

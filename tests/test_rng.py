@@ -53,13 +53,6 @@ class TestDraws:
                         == twin.standard_exponential(shape).tolist())
         assert _state(rng.bit_generator) == _state(twin.bit_generator)
 
-    def test_one_value_range_draws_nothing(self):
-        rng = derive_stream(0, 2, 0)
-        before = _state(rng.bit_generator)
-        draws = Draws(rng)
-        assert [draws.integers(1) for _ in range(5)] == [0] * 5
-        assert _state(rng.bit_generator) == before
-
     def test_starts_from_a_kept_half(self):
         # a Generator that already holds a high half hands it to Draws first
         rng, twin = derive_stream(3, 2, 1), derive_stream(3, 2, 1)
