@@ -194,7 +194,7 @@ def greedy_action(q: QTable, state: int) -> int:
     return row.index(max(row))
 
 
-@functools.lru_cache(maxsize=1)  # save and load of one shape share it
+@functools.lru_cache(maxsize=1)  # a run's checkpoints share one shape
 def _rows(n_states: int, n_actions: int) -> str:
     """The body of a saved table with a %s for each value: one "s a value"
     row per entry, in (s, a) order, each ending in a newline."""
@@ -214,55 +214,19 @@ def save_qtable(q: QTable, path) -> None:
         fh.write(_rows(q.n_states, q.n_actions) % entries)
 
 
-def _first_fault(body: str, n_states: int, n_actions: int, terminal: int) -> str:
-    """Where and why body is not the rows of such a table, naming its first
-    faulty line; called only once body has been rejected."""
-    n = n_states * n_actions
-    lines = body.split("\n")
-    end = lines.pop()  # what follows the last newline: nothing in a saved table
-    for i, line in enumerate(lines + [end] if end else lines):
-        lineno = i + 2
-        if i == n:
-            return (f"line {lineno}: expected the end of the file after {n} entries, "
-                    f"got {line!r}")
-        fields = line.split()
-        if len(fields) == 3:  # a row's own faults first, named by its own entry
-            try:
-                s, a, v = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError:
-                return f"line {lineno}: expected 'state action value', got {line.strip()!r}"
-            if not isfinite(v):
-                return f"line {lineno}: entry ({s}, {a}) holds {v!r}, not a finite value"
-            if repr(v) != fields[2]:
-                return (f"line {lineno}: entry ({s}, {a}) holds {fields[2]!r}, which "
-                        f"save_qtable writes as {v!r}")
-            if s == terminal and v != 0.0:
-                return (f"line {lineno}: entry ({s}, {a}) holds {v!r}, but the terminal row "
-                        "must read 0.0")
-        s, a = divmod(i, n_actions)
-        if len(fields) != 3 or line != f"{s} {a} {fields[2]}":
-            return f"line {lineno}: expected '{s} {a} value', got {line!r}"
-    if end:
-        return f"line {len(lines) + 2}: expected a newline after {end!r}"
-    return f"line {len(lines) + 2}: file ends after {len(lines)} of {n} entries"
-
-
 def load_qtable(path) -> QTable:
     """Inverse of save_qtable; visit counts are not persisted.
 
-    The file must be what save_qtable writes: its header line, then one
-    "s a value" row per entry in (s, a) order, one space apart, each line
-    ending in a newline ("\n" alone), with a finite value spelt as repr
-    writes it, and 0.0 in the terminal row. Anything else, a byte that is
-    not ASCII included, raises ValueError naming the file and its first
-    faulty line, because a wrong entry would quietly steer the greedy
-    rollout. The rows are counted before anything of the header's size is
-    built, so a header that overstates them cannot exhaust memory.
+    Trusts the file to be what save_qtable wrote (rollout compares its digest
+    with the run's manifest first): the value tokens fill the table in row
+    order, and the "s a" fields are not read. Raises ValueError naming the file
+    for a bad header, a row count other than the header's (counted before
+    anything of its size is built), a byte that is not ASCII, or a value that
+    does not parse, is not finite or is non-zero in the terminal row.
     """
-    # a byte that is not ASCII reads as U+FFFD, which neither header nor row parses
-    # newline="\n": a "\r" is kept, so a line ending in "\r\n" fails the checks
-    with open(path, "r", encoding="ascii", errors="replace", newline="\n") as fh:
-        header = fh.readline().rstrip("\n")
+    try:
+        with open(path, "r", encoding="ascii", newline="\n") as fh:
+            header, body = fh.readline().rstrip("\n"), fh.read()
         try:
             number = "(0|[1-9][0-9]*)"  # as save_qtable writes it: no sign, no leading 0
             match = re.fullmatch(f"# states={number} actions={number} terminal={number}",
@@ -272,25 +236,17 @@ def load_qtable(path) -> QTable:
             n_states, n_actions, terminal = map(int, match.groups())
             _check_shape(n_states, n_actions, terminal)
         except ValueError as exc:
-            raise ValueError(f"{path}: line 1: bad header {header!r} ({exc})") from None
-        body = fh.read()
-    n = n_states * n_actions
-    # one value token per row, and then the rows must be the template filled with them
-    tokens = body.split()[2::3] if body.count("\n") == n else ()
-    try:
-        if len(tokens) != n or body != _rows(n_states, n_actions) % tuple(tokens):
-            raise ValueError
-        distinct = list(set(tokens))  # tokens repeat: each is parsed and checked once
-        numbers = list(map(float, distinct))
-        if list(map(repr, numbers)) != distinct:  # "1e3", "+1E3", "1_0.5": not as saved
-            raise ValueError
-        values = np.fromiter(map(dict(zip(distinct, numbers)).__getitem__, tokens), float, n)
-        values = values.reshape(n_states, n_actions)
+            raise ValueError(f"line 1: bad header {header!r} ({exc})") from None
+        n, rows = n_states * n_actions, body.count("\n")
+        if rows != n:
+            raise ValueError(f"the header needs {n} rows, the file holds {rows}")
+        tokens = body.split()[2::3]
+        numbers = {token: float(token) for token in set(tokens)}  # each parsed once
+        values = np.fromiter(map(numbers.__getitem__, tokens), float, n).reshape(n_states, -1)
         if not np.isfinite(values).all() or values[terminal].any():
-            raise ValueError
-    except ValueError:
-        fault = _first_fault(body, n_states, n_actions, terminal)
-        raise ValueError(f"{path}: {fault}") from None
+            raise ValueError("a value is not finite, or the terminal row is not zero")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     q = QTable(n_states, n_actions, terminal)
     q.base[:] = values
     return q

@@ -529,15 +529,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rollout(args) -> int:
-    try:  # the tables parse before their digests are compared
+    try:
         manifest = _check_manifest(args.qtable_dir, [])
         if type(manifest.get("config")) is not dict:
             raise PlotDataError(f"{os.path.join(args.qtable_dir, 'manifest.json')} "
                                 "holds no config object")
         config, _ = _build_config(manifest["config"])  # the scenario the tables learned
         names = [f"qtable_agent{j}.txt" for j in range(config.n_agents)]
-        qtables = [load_qtable(os.path.join(args.qtable_dir, name)) for name in names]
         _match_digests(args.qtable_dir, manifest, names)
+        qtables = [load_qtable(os.path.join(args.qtable_dir, name)) for name in names]
         rollout = extract_trajectory(config, qtables)
     except TableMismatch as exc:
         print(f"invalid checkpoint: {names[exc.agent]} {exc.reason}", file=sys.stderr)

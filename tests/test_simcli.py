@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -59,6 +61,40 @@ def vouch(directory, *names):
     files = {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
              for name in names}
     (directory / "manifest.json").write_text(json.dumps({"files": files}))
+
+
+def forge(out, name, edit):
+    """Replace the checkpoint name of the run in out by edit(its text) and
+    re-digest it in out's manifest.json, so that rollout parses the edit."""
+    path = out / name
+    path.write_bytes(edit(path.read_text(encoding="ascii")).encode("utf-8"))
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest["files"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def with_line(index, line):
+    """An edit that sets line index (the header is 0) of a checkpoint's text."""
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        lines[index] = line
+        return "".join(lines)
+    return edit
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 2-episode run of small_config_dict with seed 1, trained once."""
+    base = tmp_path_factory.mktemp("small_run")
+    assert main(["train", "--config", write_config(base, small_config_dict(2)),
+                 "--seed", "1", "--out-dir", str(base / "out")]) == 0
+    return base / "out"
+
+
+@pytest.fixture
+def run_copy(small_run, tmp_path):
+    """A copy of small_run for one test to edit."""
+    return Path(shutil.copytree(small_run, tmp_path / "out"))
 
 
 def write_with_token(tmp_path, data, token):
@@ -962,31 +998,80 @@ class TestCli:
         assert f"{path}: not valid JSON: maximum recursion depth exceeded" in err
         assert "Traceback" not in err and not out.exists()
 
-    def test_rollout_truncated_checkpoint(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, small_config_dict(2))
-        out = tmp_path / "out"
-        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
-        table = out / "qtable_agent1.txt"
-        table.write_text("".join(table.read_text().splitlines(keepends=True)[:2]))
-        code = main(["rollout", "--qtable-dir", str(out),
+    def test_rollout_truncated_checkpoint(self, run_copy, tmp_path, capsys):
+        forge(run_copy, "qtable_agent1.txt",
+              lambda text: "".join(text.splitlines(keepends=True)[:2]))
+        code = main(["rollout", "--qtable-dir", str(run_copy),
                      "--out", str(tmp_path / "roll.csv")])
         assert code == 2
-        assert "qtable_agent1.txt: line 3: file ends after 1 of 64 entries" \
+        assert "qtable_agent1.txt: the header needs 64 rows, the file holds 1" \
             in capsys.readouterr().err
 
-    def test_rollout_header_overstating_rows(self, tmp_path, capsys):
+    def test_rollout_header_overstating_rows(self, run_copy, tmp_path, capsys):
         # rows are counted before anything the header's size is allocated
-        cfg = write_config(tmp_path, small_config_dict(2))
-        out = tmp_path / "out"
-        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
-        (out / "qtable_agent0.txt").write_text(
-            "# states=10000000000000 actions=4 terminal=1\n0 0 1.0\n0 1 1.0\n0 2 1.0\n")
-        code = main(["rollout", "--qtable-dir", str(out),
+        forge(run_copy, "qtable_agent0.txt", lambda text:
+              "# states=10000000000000 actions=4 terminal=1\n0 0 1.0\n0 1 1.0\n0 2 1.0\n")
+        code = main(["rollout", "--qtable-dir", str(run_copy),
                      "--out", str(tmp_path / "roll.csv")])
         assert code == 2
-        assert "qtable_agent0.txt: line 5: file ends after 3 of 40000000000000 entries" \
+        assert "qtable_agent0.txt: the header needs 40000000000000 rows, the file holds 3" \
             in capsys.readouterr().err
         assert not (tmp_path / "roll.csv").exists()
+
+    # agent 0's checkpoint is a 16 x 4 table with terminal state 15, at line 61
+    @pytest.mark.parametrize("edit, detail", [
+        (with_line(3, "0 2 -inf\n"), "a value is not finite"),
+        (with_line(61, "15 0 7.0\n"), "the terminal row is not zero"),
+        (with_line(2, "0 1 -2\u00e9\n"), "'ascii' codec can't decode byte 0xc3"),
+        (with_line(0, "# states=16 actions=4\n"), "line 1: bad header"),
+        (lambda text: text.replace("\n", "\r\n"), "line 1: bad header"),
+    ], ids=["inf", "terminal_row", "non_ascii", "bad_header", "crlf"])
+    def test_forged_checkpoint_exits_2(self, run_copy, tmp_path, capsys, edit, detail):
+        # bytes that a forged manifest vouches for still meet the loader's checks;
+        # test_rollout_truncated_checkpoint, test_rollout_header_overstating_rows
+        # and test_rollout_non_finite_checkpoint forge the other cases
+        forge(run_copy, "qtable_agent0.txt", edit)
+        roll = tmp_path / "roll.csv"
+        assert main(["rollout", "--qtable-dir", str(run_copy), "--out", str(roll)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid checkpoint: {run_copy / 'qtable_agent0.txt'}: ")
+        assert detail in err and len(err.splitlines()) == 1
+        assert not roll.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: re.sub(r"\n(0 0 \S+)\n(0 1 \S+)\n", r"\n\2\n\1\n", text, count=1),
+        with_line(2, "0 1 1e3\n"),
+        with_line(2, "0 1 -0\n"),
+        with_line(2, "0 1 0.10\n"),
+        lambda text: text.replace("\n", "\r\n").replace("\r\n", "\n", 1),
+    ], ids=["out_of_order", "1e3", "minus_zero", "0.10", "crlf_rows"])
+    def test_forged_checkpoint_loads_as_given(self, run_copy, tmp_path, capsys, edit):
+        # what still parses is rolled out as given: the value tokens in row
+        # order, whatever the "s a" fields say or however the value is spelt
+        forge(run_copy, "qtable_agent0.txt", edit)
+        roll = tmp_path / "roll.csv"
+        code = main(["rollout", "--qtable-dir", str(run_copy), "--out", str(roll)])
+        assert code in (0, 4), capsys.readouterr().err  # a 2-episode policy may fail them
+        assert roll.exists()
+        path = run_copy / "qtable_agent0.txt"
+        given = [float(row.split()[2]) for row in path.read_text().splitlines()[1:]]
+        assert load_qtable(path).values.tobytes() == np.array(given).tobytes()
+
+    @pytest.mark.parametrize("forged", [False, True], ids=["same_file", "other_file"])
+    def test_rollout_compares_digests_before_parsing(self, run_copy, tmp_path, capsys,
+                                                      forged):
+        # agent 0's checkpoint does not parse: unlike its digest, or re-digested
+        # while agent 1's is unlike its own; either way no checkpoint is parsed
+        roll = tmp_path / "roll.csv"
+        if forged:
+            forge(run_copy, "qtable_agent0.txt", lambda text: "not a checkpoint\n")
+            self.edit_checkpoint(run_copy, "qtable_agent1.txt")
+        else:
+            (run_copy / "qtable_agent0.txt").write_text("not a checkpoint\n")
+        assert main(["rollout", "--qtable-dir", str(run_copy), "--out", str(roll)]) == 2
+        assert capsys.readouterr().err == (f"invalid checkpoint: qtable_agent{int(forged)}.txt "
+                                           "does not match manifest.json\n")
+        assert not roll.exists()
 
     def test_rollout_checkpoint_shape_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_dict(2))
@@ -1174,18 +1259,12 @@ class TestCli:
         assert "unrecognized arguments: --episodes" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_rollout_non_finite_checkpoint(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, small_config_dict(2))
-        out = tmp_path / "out"
-        assert main(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
-        table = out / "qtable_agent0.txt"
-        lines = table.read_text().splitlines(keepends=True)
-        lines[2] = "0 1 nan\n"
-        table.write_text("".join(lines))
-        code = main(["rollout", "--qtable-dir", str(out),
+    def test_rollout_non_finite_checkpoint(self, run_copy, tmp_path, capsys):
+        forge(run_copy, "qtable_agent0.txt", with_line(2, "0 1 nan\n"))
+        code = main(["rollout", "--qtable-dir", str(run_copy),
                      "--out", str(tmp_path / "roll.csv")])
         assert code == 2
-        assert "qtable_agent0.txt: line 3: entry (0, 1) holds nan" in capsys.readouterr().err
+        assert "qtable_agent0.txt: a value is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_train_seed_out_of_range(self, tmp_path, capsys, seed):
