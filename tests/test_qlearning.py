@@ -391,6 +391,14 @@ class TestConvergenceToOracle:
 
 ROWS_2X2 = "0 0 -1.5\n0 1 -2.5\n1 0 0.0\n1 1 0.0\n"  # a 2 x 2 table, terminal state 1
 HEADER_2X2 = "# states=2 actions=2 terminal=1\n"
+HEADER_4X4 = "# states=4 actions=4 terminal=3\n"
+
+
+def _rows_4x4(tokens):
+    """The 16 rows of a 4 x 4 table of -1.0 with a zero terminal row 3, each
+    (s, a) in tokens holding that value token instead."""
+    return "".join(f"{s} {a} {tokens.get((s, a), '0.0' if s == 3 else '-1.0')}\n"
+                   for s in range(4) for a in range(4))
 
 
 class TestPersistence:
@@ -428,8 +436,16 @@ class TestPersistence:
          "the terminal row is not zero"),
         (HEADER_2X2 + "0 0 -1.5\n0 1 -2\u00e9\n1 0 0.0\n1 1 0.0\n",
          "'ascii' codec can't decode byte 0xc3"),
+        # a 4 x 4 header, terminal state 3: a short file fails the row count
+        # whatever its "s a" fields hold
+        (HEADER_4X4 + "0 0 -1.5\n0 0 -2.5\n", "the header needs 16 rows, the file holds 2"),
+        (HEADER_4X4 + "0 0 -1.5\n4 0 -2.5\n", "the header needs 16 rows, the file holds 2"),
+        # full 4 x 4 tables, each with one bad value
+        (HEADER_4X4 + _rows_4x4({(0, 1): "nan"}), "a value is not finite"),
+        (HEADER_4X4 + _rows_4x4({(3, 1): "7.0"}), "the terminal row is not zero"),
     ], ids=["truncated", "short_row", "blank_row", "not_a_number", "nan", "inf",
-            "minus_infinity", "terminal_row", "non_ascii_value"])
+            "minus_infinity", "terminal_row", "non_ascii_value", "repeated_index_short",
+            "state_outside_short", "nan_4x4", "terminal_row_4x4"])
     def test_malformed_rows_rejected(self, tmp_path, text, message):
         path = tmp_path / "q.txt"
         path.write_text(text, encoding="utf-8")
