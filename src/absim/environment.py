@@ -267,9 +267,9 @@ class Environment:
 
         actions maps each unparked station's index to an Action (or its
         int value); {} moves none, and a bad entry raises ValueError before
-        any station moves. Returns each station's cell centre, the smallest
-        separation between two stations in meters (inf for one) and, per
-        station, whether another one is closer than d_min.
+        any station moves. Returns the smallest separation between two
+        stations in meters (inf for one) and, per station, whether another
+        one is closer than d_min.
         """
         states, parked, final, area = self.states, self.parked, self.final, self._area
         j_count = self._j_count
@@ -284,18 +284,17 @@ class Environment:
         for j in actions:
             parked[j] = new_states[j] == final[j]
         pos = self._pos
-        positions = [pos[s] for s in new_states]
         near = [False] * j_count
         min_pairwise = math.inf
         d_min = self._d_min
         for i, k in self._pairs:
             # separation check is always in plain meters
-            d = pairwise_dist(positions[i], positions[k])
+            d = pairwise_dist(pos[new_states[i]], pos[new_states[k]])
             if d < min_pairwise:
                 min_pairwise = d
             if d < d_min:
                 near[i] = near[k] = True
-        return positions, min_pairwise, near
+        return min_pairwise, near
 
     def step_all(self, actions: dict, rng: np.random.Generator):
         """Advance every acting agent one synchronized step.
@@ -308,7 +307,7 @@ class Environment:
         not act or beta1 = 0) and of move's proximity flags.
         """
         old_states = self.states  # move stores a new list
-        _, _, near = self.move(actions)
+        _, near = self.move(actions)
         states, parked = self.states, self.parked
         acting = sorted(actions)
         beta1, beta2, beta3 = self._betas
@@ -389,9 +388,12 @@ def run_episode(env: Environment, qtables: list[QTable], params: LearningParams,
 
     for _ in range(max_steps):
         states = env.states
-        # in agent order: every unparked station draws, the lowest index first
-        actions = {j: select_action(qtables[j], states[j], epsilon, draws)
-                   for j in agents if not parked[j]}
+        # in agent order: every unparked station draws, the lowest index first.
+        # A plain loop: on CPython 3.11 a comprehension is a frame of its own
+        actions = {}
+        for j in agents:
+            if not parked[j]:
+                actions[j] = select_action(qtables[j], states[j], epsilon, draws)
         if not actions:
             break
         transitions, rates, near = step_all(actions, rng)
@@ -502,10 +504,11 @@ def extract_trajectory(config: ScenarioConfig, qtables: list[QTable]) -> Traject
     active = range(len(qtables))
     actions = {}
     steps = 0
+    pos = env._pos
     while True:
-        positions, d, near = env.move(actions)
+        d, near = env.move(actions)
         for j in active:
-            trajectories[j].append(positions[j])
+            trajectories[j].append(pos[env.states[j]])
         min_pairwise = min(min_pairwise, d)
         if any(near):
             violation_steps.append(steps)

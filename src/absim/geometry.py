@@ -129,7 +129,8 @@ _LEFT, _RIGHT, _FORWARD, _BACKWARD = map(int, Action)
 
 def apply_action(area: AreaSpec, s: int, a: Action) -> int:
     """One-cell move from cell index s; a move off the grid leaves s unchanged."""
-    _check_index(area, s)
+    if not 0 <= s < area.n_states:  # inline: this runs once per move
+        raise ValueError(f"state index {s} outside grid of {area.n_states} states")
     m = area.cells_per_axis
     if a == _LEFT:
         return s - 1 if s % m > 0 else s

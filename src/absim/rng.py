@@ -13,6 +13,7 @@ to fan independent episodes or seeds out to worker threads.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 
 import numpy as np
@@ -47,7 +48,10 @@ class Draws:
     stays in the bit generator's state. n == 1 draws nothing. Both read the
     stream that rng reads, one value at a time, so calls on rng itself in
     between (standard_exponential) see the same stream and rng's state is
-    always current. Not thread-safe: the calls bypass the bit generator's lock.
+    always current. Both call numpy's function pointers through PYFUNCTYPE
+    prototypes, which keep the GIL across a few nanoseconds of C, where
+    numpy's own CFUNCTYPE wrappers release and retake it on every call. Not
+    thread-safe: the calls bypass the bit generator's lock.
     """
 
     __slots__ = ("random", "_next_uint32", "_bitgen")
@@ -55,8 +59,8 @@ class Draws:
     def __init__(self, rng: np.random.Generator):
         self._bitgen = rng.bit_generator  # alive while its state's address is used
         c = self._bitgen.ctypes
-        self.random = functools.partial(c.next_double, c.state)
-        self._next_uint32 = functools.partial(c.next_uint32, c.state)
+        self.random = functools.partial(_held(c.next_double, _DOUBLE), c.state)
+        self._next_uint32 = functools.partial(_held(c.next_uint32, _UINT32), c.state)
 
     def integers(self, n: int) -> int:
         if n == 1:
@@ -68,3 +72,13 @@ class Draws:
             low = m & 0xFFFFFFFF
             if low >= n or low >= 0x100000000 % n:
                 return m >> 32
+
+
+# made once: each PYFUNCTYPE call makes a new class, and Draws is made per episode
+_DOUBLE = ctypes.PYFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+_UINT32 = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+
+
+def _held(function, prototype):
+    """function, a ctypes pointer to a C function, as prototype: called with the GIL held."""
+    return prototype(ctypes.cast(function, ctypes.c_void_p).value)

@@ -4,6 +4,7 @@ Run from anywhere in a checkout::
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME [NAME]  # the named ones
+    python tests/mutants.py --jobs 2     # two mutants at a time
 
 Each mutant replaces one exact snippet of one file under src/absim/. The
 runner copies src/ to a temporary directory, applies one mutant there, and
@@ -13,11 +14,15 @@ the hypothesis profile absim-mutants of tests/conftest.py, which does not
 shrink a failing example. The mutant is killed when a test fails and
 survives when they all pass. Its tests are stopped after TIMEOUT seconds
 (a mutant that makes the code loop forever, say), which is reported as
-"timed out after N s" and counts as not killed. A full run takes two to
-three minutes on 2 vCPUs. The exit status is 1 if any mutant survives,
-times out or cannot be run: its snippet does not occur exactly once, or
-pytest ends for another reason than a failed test (a named test that does
-not exist, say).
+"timed out after N s" and counts as not killed. --jobs N, 1 (the default)
+to os.cpu_count(), runs N mutants at a time from a thread pool, each on its
+own copy of src/; the outcomes print in MUTANTS order (or the order named)
+whatever order they finish in. A full run takes about two minutes with one
+job and one minute with two on 2 vCPUs. The exit status is 1 if any mutant
+survives, times out or cannot be run: its snippet does not occur exactly
+once, or pytest ends for another reason than a failed test (a named test
+that does not exist, say). It is 2 for an unknown name or a usage error,
+such as a --jobs outside its range, which is refused before any mutant runs.
 
 pytest does not collect this file. tests/test_mutants.py checks in tier-1
 that every snippet occurs exactly once, so a refactor that moves a snippet
@@ -26,11 +31,13 @@ updates its mutant here instead of dropping it.
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -70,8 +77,8 @@ MUTANTS = (
            "                update(qtables[j], tr, params)\n",
            (REFERENCE_TRAIN,)),
     Mutant("actions_last_station_first", "environment.py",
-           "                   for j in agents if not parked[j]}\n",
-           "                   for j in reversed(agents) if not parked[j]}\n",
+           "        for j in agents:\n",
+           "        for j in reversed(agents):\n",
            (REFERENCE_TRAIN,)),
     Mutant("ground_drawn_first", "channel.py",
            "    station_gains = gains(path_loss)  # drawn before the ground row\n"
@@ -162,7 +169,8 @@ MUTANTS = (
             CLI + "TestCli::test_overflowing_config_exits_2")),
     # the learner's draws, Draws against a twin Generator
     Mutant("draw_high_half_unbuffered", "rng.py",
-           "        self._next_uint32 = functools.partial(c.next_uint32, c.state)\n",
+           "        self._next_uint32 = functools.partial(_held(c.next_uint32, _UINT32), "
+           "c.state)\n",
            "        self._next_uint32 = lambda: c.next_uint64(c.state) >> 32  # no half kept\n",
            (DRAWS,)),
     Mutant("draws_on_a_copy", "rng.py",
@@ -180,7 +188,7 @@ MUTANTS = (
            "            if True:  # every half accepted\n",
            (DRAWS,)),
     Mutant("random_from_the_whole_word", "rng.py",
-           "        self.random = functools.partial(c.next_double, c.state)\n",
+           "        self.random = functools.partial(_held(c.next_double, _DOUBLE), c.state)\n",
            "        self.random = lambda: c.next_uint64(c.state) * 2.0 ** -64\n",
            (DRAWS,)),
     # the learner's table: list rows over one base array
@@ -253,6 +261,11 @@ MUTANTS = (
            "        e = np.exp(x)\n",
            (CHANNEL + "TestLosProbability::test_exp_from_libm",
             "tests/test_golden.py::test_artifact_digests_pinned")),
+    Mutant("apply_action_index_unchecked", "geometry.py",
+           "    if not 0 <= s < area.n_states:  # inline: this runs once per move\n",
+           "    if False:  # any index passes\n",
+           (GEOMETRY + "TestApplyAction::test_invalid_index_and_action_rejected",
+            GEOMETRY + "TestApplyAction::test_replaced_grid_has_its_own_n_states")),
     Mutant("right_edge_wraps", "geometry.py",
            "        return s + 1 if s % m < m - 1 else s\n",
            "        return s + 1 if s + 1 < m * m else s  # onto the next row's first cell\n",
@@ -364,6 +377,16 @@ MUTANTS = (
            "        actions = {j: int(qtables[j].values[env.states[j]].argmax())\n"
            "                   for j in active}\n",
            (ENV + "TestExtractTrajectory::test_rollout_reads_only_the_rows_it_visits",)),
+    Mutant("rollout_records_old_cell", "environment.py",
+           "        d, near = env.move(actions)\n"
+           "        for j in active:\n"
+           "            trajectories[j].append(pos[env.states[j]])\n",
+           "        before = env.states\n"
+           "        d, near = env.move(actions)\n"
+           "        for j in active:\n"
+           "            trajectories[j].append(pos[before[j]])  # the cell before the move\n",
+           (ENV + "TestExtractTrajectory::"
+            "test_trajectories_are_the_centres_of_the_cells_occupied",)),
     Mutant("mean_sum_rate_python_sum", "environment.py",
            "        return float(np.mean(self.avg_sum_rate))\n",
            "        return sum(self.avg_sum_rate) / len(self.avg_sum_rate)\n",
@@ -465,16 +488,28 @@ def run(mutant: Mutant, timeout: float = TIMEOUT) -> str:
     return f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}"
 
 
-def main(names) -> int:
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(prog="python tests/mutants.py",
+                                     description="Run the hand-written mutants of src/.")
+    parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default: all)")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="mutants run at a time, 1 to os.cpu_count() (default: 1)")
+    args = parser.parse_args(argv)
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        parser.error(f"--jobs must be between 1 and {cpus}, got {args.jobs}")  # exits 2
     known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in names if name not in known]
+    unknown = [name for name in args.names if name not in known]
     if unknown:
         print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
+    chosen = [known[name] for name in args.names] or MUTANTS
     outcomes = {}
-    for mutant in [known[name] for name in names] or MUTANTS:
-        outcomes[mutant.name] = run(mutant)
-        print(f"{mutant.name}: {outcomes[mutant.name]}", flush=True)
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        futures = [pool.submit(run, mutant) for mutant in chosen]
+        for mutant, future in zip(chosen, futures):  # in order, whichever ends first
+            outcomes[mutant.name] = future.result()
+            print(f"{mutant.name}: {outcomes[mutant.name]}", flush=True)
     killed = sum(outcome == "killed" for outcome in outcomes.values())
     print(f"{killed} of {len(outcomes)} mutants killed")
     return 0 if killed == len(outcomes) else 1

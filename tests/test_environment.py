@@ -325,17 +325,15 @@ class TestMove:
                             initial=[GridState(1, 1), GridState(4, 1)],
                             final=[GridState(4, 4), GridState(1, 4)])
         env = Environment(cfg)
-        positions, min_pairwise, near = env.move({})
-        assert positions == [cell_center(cfg.area, s) for s in (0, 3)]
-        assert min_pairwise == 300.0 and near == [False, False]
-        positions, min_pairwise, near = env.move({0: Action.RIGHT, 1: Action.LEFT})
+        assert env.move({}) == (300.0, [False, False])
+        min_pairwise, near = env.move({0: Action.RIGHT, 1: Action.LEFT})
         assert env.states == [1, 2] and env.parked == [False, False]
         assert min_pairwise == 100.0 and near == [True, True]
 
     def test_single_station_has_no_neighbour(self):
         cfg = make_scenario(m=4, n_agents=1, initial=[GridState(3, 4)])
         env = Environment(cfg)
-        _, min_pairwise, near = env.move({0: Action.RIGHT})
+        min_pairwise, near = env.move({0: Action.RIGHT})
         assert min_pairwise == float("inf") and near == [False]
         assert env.parked == [True]
 
@@ -663,6 +661,33 @@ class TestExtractTrajectory:
         assert sorted(calls) == [0, 1, 2, 3, 7, 11, 12, 15]
         assert rollout.trajectories[0] == [cell_center(cfg.area, s)
                                            for s in (0, 1, 2, 3, 7, 11, 15)]
+
+    def test_trajectories_are_the_centres_of_the_cells_occupied(self, monkeypatch):
+        # agent 1 walks right for two steps and parks; agent 0 walks on to step 6
+        cfg = make_scenario(m=4, n_agents=2, initial=[GridState(1, 1), GridState(1, 4)],
+                            final=[GridState(4, 4), GridState(3, 4)])
+        tables = fresh_tables(cfg)
+        for j, s, a in [(0, 0, Action.RIGHT), (0, 1, Action.RIGHT), (0, 2, Action.RIGHT),
+                        (0, 3, Action.FORWARD), (0, 7, Action.FORWARD),
+                        (0, 11, Action.FORWARD), (1, 12, Action.RIGHT), (1, 13, Action.RIGHT)]:
+            tables[j].base[s, a] = 1.0
+        snapshots = []  # (states, parked) after each of the rollout's moves
+        move = Environment.move
+
+        def recorded(env, actions):
+            result = move(env, actions)
+            snapshots.append((list(env.states), list(env.parked)))
+            return result
+
+        monkeypatch.setattr(Environment, "move", recorded)
+        rollout = extract_trajectory(cfg, tables)
+        assert rollout.reached == [True, True] and rollout.steps == 6
+        for j in range(2):
+            # from the step-0 snapshot up to and including the move that parks j
+            until = next(t for t, (_, parked) in enumerate(snapshots) if parked[j])
+            occupied = [states[j] for states, _ in snapshots[:until + 1]]
+            assert rollout.trajectories[j] == [cell_center(cfg.area, s) for s in occupied]
+        assert [len(path) for path in rollout.trajectories] == [7, 3]
 
     def test_rollout_reads_only_the_rows_it_visits(self, monkeypatch):
         # trained tables hold learned rows; the rollout reads those cells' rows,

@@ -1,6 +1,7 @@
 """The committed mutants still apply: tests/mutants.py is run outside tier-1,
 so a refactor that moves a snippet fails here until its mutant is updated."""
 
+import os
 import time
 
 import mutants
@@ -40,3 +41,42 @@ def test_timeout_counts_as_not_killed(monkeypatch, capsys):
     assert mutants.main([MUTANTS[0].name]) == 1
     assert capsys.readouterr().out == (f"{MUTANTS[0].name}: timed out after 3 s\n"
                                        "0 of 1 mutants killed\n")
+
+
+@pytest.mark.parametrize("jobs", ["0", "3"])
+def test_jobs_outside_cpu_count_refused(monkeypatch, capsys, jobs):
+    # refused as a usage error before any thread or mutant starts
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mutants, "ThreadPoolExecutor",
+                        lambda **kwargs: pytest.fail("a thread pool was started"))
+    monkeypatch.setattr(mutants, "run", lambda mutant: pytest.fail("a mutant was run"))
+    with pytest.raises(SystemExit) as exit_:
+        mutants.main(["--jobs", jobs, MUTANTS[0].name])
+    assert exit_.value.code == 2
+    assert f"--jobs must be between 1 and 2, got {jobs}" in capsys.readouterr().err
+
+
+def test_two_jobs_report_in_mutants_order(monkeypatch, capsys):
+    # the first mutant sleeps 1.5 s at each of its test's two calls, so it ends
+    # after the second; both run at once, and the first is still reported first
+    slow = Mutant("greedy_action_sleeps", "qlearning.py",
+                  "    return row.index(max(row))\n",
+                  "    __import__('time').sleep(1.5)\n    return row.index(max(row))\n",
+                  ("tests/test_qlearning.py::TestGreedyAction::test_argmax",))
+    fast = next(m for m in MUTANTS if m.name == "greedy_action_last_tie")
+    monkeypatch.setattr(mutants, "MUTANTS", (slow, fast))
+    spans = {}
+
+    def timed(mutant):
+        start = time.monotonic()
+        outcome = run(mutant)
+        spans[mutant.name] = (start, time.monotonic())
+        return outcome
+
+    monkeypatch.setattr(mutants, "run", timed)
+    assert mutants.main(["--jobs", "2"]) == 1
+    assert capsys.readouterr().out == ("greedy_action_sleeps: survived\n"
+                                       "greedy_action_last_tie: killed\n"
+                                       "1 of 2 mutants killed\n")
+    (slow_start, slow_end), (_, fast_end) = spans[slow.name], spans[fast.name]
+    assert slow_start < fast_end < slow_end  # they overlapped, and the second ended first
