@@ -104,11 +104,6 @@ def state_index(area: AreaSpec, s: GridState) -> int:
     return (s.k2 - 1) * m + (s.k1 - 1)
 
 
-def _check_index(area: AreaSpec, s: int) -> None:
-    if not 0 <= s < area.n_states:
-        raise ValueError(f"state index {s} outside grid of {area.n_states} states")
-
-
 def cell_center(area: AreaSpec, s: int) -> Position3D:
     """Reference point of cell index s at flight altitude.
 
@@ -116,7 +111,8 @@ def cell_center(area: AreaSpec, s: int) -> Position3D:
     y_min + cell_width_y * (s // M)): the centres moved by half a cell would keep
     the distances between stations but not those from a station to its users.
     """
-    _check_index(area, s)
+    if not 0 <= s < area.n_states:
+        raise ValueError(f"state index {s} outside grid of {area.n_states} states")
     m = area.cells_per_axis
     return Position3D(area.x_min + area.cell_width_x * (s % m),
                       area.y_min + area.cell_width_y * (s // m), area.altitude)

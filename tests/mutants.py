@@ -4,7 +4,6 @@ Run from anywhere in a checkout::
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME [NAME]  # the named ones
-    python tests/mutants.py --jobs 2     # two mutants at a time
 
 Each mutant replaces one exact snippet of one file under src/absim/. The
 runner copies src/ to a temporary directory, applies one mutant there, and
@@ -14,15 +13,14 @@ the hypothesis profile absim-mutants of tests/conftest.py, which does not
 shrink a failing example. The mutant is killed when a test fails and
 survives when they all pass. Its tests are stopped after TIMEOUT seconds
 (a mutant that makes the code loop forever, say), which is reported as
-"timed out after N s" and counts as not killed. --jobs N, 1 (the default)
-to os.cpu_count(), runs N mutants at a time from a thread pool, each on its
-own copy of src/; the outcomes print in MUTANTS order (or the order named)
-whatever order they finish in. A full run takes about two minutes with one
-job and one minute with two on 2 vCPUs. The exit status is 1 if any mutant
-survives, times out or cannot be run: its snippet does not occur exactly
-once, or pytest ends for another reason than a failed test (a named test
-that does not exist, say). It is 2 for an unknown name or a usage error,
-such as a --jobs outside its range, which is refused before any mutant runs.
+"timed out after N s" and counts as not killed. The mutants run
+os.cpu_count() at a time from a thread pool, each on its own copy of src/;
+the outcomes print in MUTANTS order (or the order named) whatever order they
+finish in. A full run takes about one minute on 2 vCPUs (about two, one at a
+time). The exit status is 1 if any mutant survives, times out or cannot be
+run: its snippet does not occur exactly once, or pytest ends for another
+reason than a failed test (a named test that does not exist, say). It is 2
+for an unknown name, which is refused before any mutant runs.
 
 pytest does not collect this file. tests/test_mutants.py checks in tier-1
 that every snippet occurs exactly once, so a refactor that moves a snippet
@@ -31,7 +29,6 @@ updates its mutant here instead of dropping it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -488,24 +485,15 @@ def run(mutant: Mutant, timeout: float = TIMEOUT) -> str:
     return f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}"
 
 
-def main(argv) -> int:
-    parser = argparse.ArgumentParser(prog="python tests/mutants.py",
-                                     description="Run the hand-written mutants of src/.")
-    parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default: all)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="mutants run at a time, 1 to os.cpu_count() (default: 1)")
-    args = parser.parse_args(argv)
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        parser.error(f"--jobs must be between 1 and {cpus}, got {args.jobs}")  # exits 2
+def main(names) -> int:
     known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
+    unknown = [name for name in names if name not in known]
     if unknown:
         print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    chosen = [known[name] for name in args.names] or MUTANTS
+    chosen = [known[name] for name in names] or MUTANTS
     outcomes = {}
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         futures = [pool.submit(run, mutant) for mutant in chosen]
         for mutant, future in zip(chosen, futures):  # in order, whichever ends first
             outcomes[mutant.name] = future.result()

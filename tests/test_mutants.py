@@ -43,28 +43,17 @@ def test_timeout_counts_as_not_killed(monkeypatch, capsys):
                                        "0 of 1 mutants killed\n")
 
 
-@pytest.mark.parametrize("jobs", ["0", "3"])
-def test_jobs_outside_cpu_count_refused(monkeypatch, capsys, jobs):
-    # refused as a usage error before any thread or mutant starts
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(mutants, "ThreadPoolExecutor",
-                        lambda **kwargs: pytest.fail("a thread pool was started"))
-    monkeypatch.setattr(mutants, "run", lambda mutant: pytest.fail("a mutant was run"))
-    with pytest.raises(SystemExit) as exit_:
-        mutants.main(["--jobs", jobs, MUTANTS[0].name])
-    assert exit_.value.code == 2
-    assert f"--jobs must be between 1 and 2, got {jobs}" in capsys.readouterr().err
-
-
-def test_two_jobs_report_in_mutants_order(monkeypatch, capsys):
-    # the first mutant sleeps 1.5 s at each of its test's two calls, so it ends
-    # after the second; both run at once, and the first is still reported first
+def test_parallel_mutants_report_in_mutants_order(monkeypatch, capsys):
+    # with two workers, the first mutant sleeps 1.5 s at each of its test's two
+    # calls, so it ends after the second; both run at once, and the first is
+    # still reported first
     slow = Mutant("greedy_action_sleeps", "qlearning.py",
                   "    return row.index(max(row))\n",
                   "    __import__('time').sleep(1.5)\n    return row.index(max(row))\n",
                   ("tests/test_qlearning.py::TestGreedyAction::test_argmax",))
     fast = next(m for m in MUTANTS if m.name == "greedy_action_last_tie")
     monkeypatch.setattr(mutants, "MUTANTS", (slow, fast))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     spans = {}
 
     def timed(mutant):
@@ -74,7 +63,7 @@ def test_two_jobs_report_in_mutants_order(monkeypatch, capsys):
         return outcome
 
     monkeypatch.setattr(mutants, "run", timed)
-    assert mutants.main(["--jobs", "2"]) == 1
+    assert mutants.main([]) == 1
     assert capsys.readouterr().out == ("greedy_action_sleeps: survived\n"
                                        "greedy_action_last_tie: killed\n"
                                        "1 of 2 mutants killed\n")
